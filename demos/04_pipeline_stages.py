@@ -2,55 +2,32 @@
 # A guided tour through the approximation pipeline's stages on one instance,
 # showing the intermediate objects the solver normally keeps to itself.
 
-from rectstab import (
-    enumerate_horizontal_guesses,
-    enumerate_vertical_guesses,
-    eliminate_redundant,
-    gen_planted,
-    preselect,
-    solve_2sat,
-    assemble_2sat,
-)
-from rectstab.core import Solution, verify
+from rectstab import gen_planted, transpose, verify
+from rectstab.approx import solve_split
 
 K = 3
 inst, witness = gen_planted(k=K, n=16, coord_range=25, seed=11)
 k_h, k_v = len(witness.hstar), len(witness.vstar)
 if k_h > k_v:
-    from rectstab import transpose
     inst = transpose(inst)
     k_h, k_v = k_v, k_h
 print(f"witness split: k_h={k_h}, k_v={k_v}")
 
-# stage 1: greedy preselection
-h1, v0 = preselect(inst, k_v)
-print(f"preselect: H1={list(h1)} (kept for the answer), V0={list(v0)} (candidate pool)")
-
-# stage 2-5: walk guesses in enumeration order until one is satisfiable
-for vguess in enumerate_vertical_guesses(v0, k_v):
-    kept, h0 = eliminate_redundant(inst, h1, vguess.v1, vguess.gamma_v, K)
-    for hguess in enumerate_horizontal_guesses(h1, h0, k_h):
-        chosen_h = sorted(set(h1) | hguess.h1prime)
-        kernel = [
-            r for r in kept
-            if not any(r.y1 <= y <= r.y2 for y in chosen_h)
-            and not any(r.x1 <= x <= r.x2 for x in vguess.v1)
-        ]
-        try:
-            formula, decode = assemble_2sat(kernel, vguess.gamma_v, hguess.gamma_h, inst)
-        except Exception:
-            continue
-        values = solve_2sat(formula)
-        if values is None:
-            continue
-        h2, v2 = decode(values)
-        sol = Solution(hlines=set(h1) | hguess.h1prime | h2, vlines=vguess.v1 | v2)
-        print(f"\nfirst satisfiable guess:")
-        print(f"  vertical strips={len(vguess.gamma_v)}, V1={sorted(vguess.v1)}")
-        print(f"  horizontal strips={len(hguess.gamma_h)}, H1'={sorted(hguess.h1prime)}")
-        print(f"  kernel size fed to 2-SAT: {len(kernel)} of {len(kept)} kept rectangles")
-        print(f"  decoded per-strip lines: H2={sorted(h2)}, V2={sorted(v2)}")
-        print(f"solution: {len(sol)} lines <= 2*{k_h} + floor(3*{k_v}/2) "
-              f"= {2 * k_h + (3 * k_v) // 2}; unstabbed = {verify(inst, sol)}")
-        raise SystemExit(0)
-print("no satisfiable guess at this split (try a larger budget)")
+# stages 1-5 for this split, up to the first satisfiable guess in enumeration order
+found = solve_split(inst, k_h, k_v, K)
+if found is None:
+    print("no satisfiable guess at this split (try a larger budget)")
+    raise SystemExit(0)
+vguess, hguess, sol = found.vguess, found.hguess, found.solution
+print(f"preselect: H1={list(found.h1)} (kept for the answer), V0={list(found.v0)} (candidate pool)")
+print("\nfirst satisfiable guess:")
+print(f"  vertical strips={len(vguess.gamma_v)}, V1={sorted(vguess.v1)}")
+print(f"  horizontal strips={len(hguess.gamma_h)}, H1'={sorted(hguess.h1prime)}")
+print(f"  kernel size fed to 2-SAT: {len(found.kernel)} of {len(found.kept)} kept rectangles")
+# the per-strip lines lie strictly inside the guessed strips, so they are
+# exactly what the guesses themselves did not fix
+h2 = sol.hlines - set(found.h1) - hguess.h1prime
+v2 = sol.vlines - vguess.v1
+print(f"  decoded per-strip lines: H2={sorted(h2)}, V2={sorted(v2)}")
+print(f"solution: {len(sol)} lines <= 2*{k_h} + floor(3*{k_v}/2) "
+      f"= {2 * k_h + (3 * k_v) // 2}; unstabbed = {verify(inst, sol)}")

@@ -5,32 +5,19 @@ axis-parallel rectangle is intersected. Ships a parameterized
 7/4-approximation, an exact branch-and-bound oracle for small instances,
 the gap-preserving hardness reduction from Multicolored Clique with both
 direction maps, seeded generators, a verifier, and a CLI.
+
+This package exports the public API; the approximation's pipeline stages
+live in rectstab.approx and the strip helpers in rectstab.core.
 """
 
-from .approx import (
-    GuessInfeasible,
-    SearchStats,
-    assemble_2sat,
-    eliminate_redundant,
-    enumerate_horizontal_guesses,
-    enumerate_vertical_guesses,
-    preselect,
-    solve_min,
-    solve_with_budget,
-)
+from .approx import GuessInfeasible, SearchStats, solve_min, solve_with_budget
 from .core import (
     Axis,
     Instance,
     Line,
     Rect,
     Solution,
-    Strip,
     UnknownLineError,
-    rect_meets_strip,
-    separated,
-    stabs,
-    strip_contains,
-    strips_of,
     transpose,
     verify,
 )
@@ -83,15 +70,10 @@ __all__ = [
     "SearchBudget",
     "SearchStats",
     "Solution",
-    "Strip",
     "UnknownLineError",
-    "assemble_2sat",
     "brute_force",
     "build",
     "discretization_to_stabbing",
-    "eliminate_redundant",
-    "enumerate_horizontal_guesses",
-    "enumerate_vertical_guesses",
     "forward",
     "gen_mcgraph",
     "gen_planted",
@@ -99,18 +81,12 @@ __all__ = [
     "make_nondegenerate",
     "map_solution_back",
     "opt_exact",
-    "preselect",
-    "rect_meets_strip",
     "reverse",
-    "separated",
     "solve_2sat",
     "solve_min",
     "solve_with_budget",
     "stab_1d",
     "stab_axis",
-    "stabs",
-    "strip_contains",
-    "strips_of",
     "transpose",
     "verify",
 ]

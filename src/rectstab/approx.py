@@ -21,6 +21,7 @@ that no size-k solution exists.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator, Optional, Sequence
@@ -34,7 +35,6 @@ from .core import (
     Strip,
     rect_meets_strip,
     rect_stabbed_by,
-    separated,
     strips_of,
     transpose,
     verify,
@@ -44,31 +44,6 @@ from .greedy1d import Infeasible, IntervalSet, stab_1d
 
 class GuessInfeasible(Exception):
     """The current split or guess cannot be completed to a solution."""
-
-
-@dataclass(frozen=True)
-class BudgetSplit:
-    """A guessed division of the budget into horizontal and vertical lines."""
-
-    k_h: int
-    k_v: int
-
-    def __post_init__(self) -> None:
-        if self.k_h < 0 or self.k_v < 0:
-            raise ValueError("split parts must be nonnegative")
-
-    def normalized(self) -> "BudgetSplit":
-        """The executed orientation: horizontal part never exceeds vertical."""
-        if self.k_h <= self.k_v:
-            return self
-        return BudgetSplit(k_h=self.k_v, k_v=self.k_h)
-
-
-def iter_splits(k: int) -> Iterator[BudgetSplit]:
-    """All splits with k_h + k_v <= k, ascending total then ascending k_h."""
-    for total in range(k + 1):
-        for k_h in range(total + 1):
-            yield BudgetSplit(k_h=k_h, k_v=total - k_h)
 
 
 @dataclass(frozen=True)
@@ -180,32 +155,40 @@ def _separated_index_combo(strip_idx: tuple[int, ...], line_idx_set: frozenset[i
     return True
 
 
-def enumerate_vertical_guesses(v0: Sequence[int], k_v: int) -> Iterator[VerticalGuess]:
-    """All (gamma_v, V1) with |gamma_v| + |V1| <= floor(3*k_v/2) and gamma_v
-    separated by V1.
+def _separated_families(
+    n_base: int, fixed_idx: frozenset[int], free_idx: Sequence[int], budget: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Index pairs (strip combo, line pick) over n_base sorted positions:
+    strips among the n_base + 1 strips they cut out, lines picked from
+    free_idx, with |strips| + |picked| <= budget and every pair of
+    consecutive chosen strips separated by a fixed or picked line.
 
     Deterministic order: nondecreasing combined size, then fewer strips
     first, then lexicographic by strip and line index combinations.
     """
-    base = tuple(sorted(v0))
-    strips = strips_of(Axis.VERTICAL, base)
-    budget = (3 * k_v) // 2
     for total in range(budget + 1):
         for n_strips in range(total + 1):
             n_lines = total - n_strips
-            if n_strips > len(strips) or n_lines > len(base):
+            if n_strips > n_base + 1 or n_lines > len(free_idx):
                 continue
-            for strip_combo in combinations(range(len(strips)), n_strips):
-                for line_combo in combinations(range(len(base)), n_lines):
-                    lines = frozenset(line_combo)
-                    if not _separated_index_combo(strip_combo, lines):
-                        continue
-                    guess = VerticalGuess(
-                        gamma_v=tuple(strips[i] for i in strip_combo),
-                        v1=frozenset(base[t] for t in line_combo),
-                    )
-                    assert separated(guess.gamma_v, guess.v1)
-                    yield guess
+            for strip_combo in combinations(range(n_base + 1), n_strips):
+                for line_pick in combinations(free_idx, n_lines):
+                    if _separated_index_combo(strip_combo, fixed_idx.union(line_pick)):
+                        yield strip_combo, line_pick
+
+
+def enumerate_vertical_guesses(v0: Sequence[int], k_v: int) -> Iterator[VerticalGuess]:
+    """All (gamma_v, V1) with |gamma_v| + |V1| <= floor(3*k_v/2) and gamma_v
+    separated by V1, in the order of _separated_families."""
+    base = tuple(sorted(v0))
+    strips = strips_of(Axis.VERTICAL, base)
+    for strip_combo, line_pick in _separated_families(
+        len(base), frozenset(), range(len(base)), (3 * k_v) // 2
+    ):
+        yield VerticalGuess(
+            gamma_v=tuple(strips[i] for i in strip_combo),
+            v1=frozenset(base[t] for t in line_pick),
+        )
 
 
 def enumerate_horizontal_guesses(
@@ -217,27 +200,14 @@ def enumerate_horizontal_guesses(
     enumeration."""
     base = tuple(sorted(set(h1) | set(h0)))
     strips = strips_of(Axis.HORIZONTAL, base)
-    h1_idx = frozenset(base.index(p) for p in h1)
-    h0_idx = tuple(t for t, p in enumerate(base) if p not in set(h1))
-    budget = 2 * k_h - len(h1)
-    if budget < 0:
-        return
-    for total in range(budget + 1):
-        for n_strips in range(total + 1):
-            n_lines = total - n_strips
-            if n_strips > len(strips) or n_lines > len(h0_idx):
-                continue
-            for strip_combo in combinations(range(len(strips)), n_strips):
-                for line_pick in combinations(h0_idx, n_lines):
-                    separators = h1_idx | frozenset(line_pick)
-                    if not _separated_index_combo(strip_combo, separators):
-                        continue
-                    guess = HorizontalGuess(
-                        gamma_h=tuple(strips[i] for i in strip_combo),
-                        h1prime=frozenset(base[t] for t in line_pick),
-                    )
-                    assert separated(guess.gamma_h, set(h1) | guess.h1prime)
-                    yield guess
+    h1set = set(h1)
+    h1_idx = frozenset(t for t, p in enumerate(base) if p in h1set)
+    h0_idx = tuple(t for t, p in enumerate(base) if p not in h1set)
+    for strip_combo, line_pick in _separated_families(len(base), h1_idx, h0_idx, 2 * k_h - len(h1)):
+        yield HorizontalGuess(
+            gamma_h=tuple(strips[i] for i in strip_combo),
+            h1prime=frozenset(base[t] for t in line_pick),
+        )
 
 
 def _boundary_lines(strip: Strip) -> list[int]:
@@ -337,18 +307,11 @@ class _StripVars:
 def _window(sv: _StripVars, a: int, b: int) -> Optional[tuple[int, Optional[int]]]:
     """Indices (first stabbing candidate, first non-stabbing beyond) for the
     closed extent [a, b]; None when no candidate stabs it."""
-    lo = None
-    hi = None
-    for t, pos in enumerate(sv.candidates):
-        if a <= pos <= b:
-            if lo is None:
-                lo = t
-        elif pos > b:
-            hi = t
-            break
-    if lo is None:
+    lo = bisect_left(sv.candidates, a)
+    hi = bisect_right(sv.candidates, b)
+    if lo == hi:
         return None
-    return (lo, hi)
+    return (lo, hi if hi < len(sv.candidates) else None)
 
 
 def assemble_2sat(
@@ -437,9 +400,28 @@ def _strip_interior_candidates(strips: list[Strip], positions: Sequence[int]) ->
     return [any(s.contains_pos(p) for p in positions) for s in strips]
 
 
-def _run_split(
-    inst: Instance, k_h: int, k_v: int, k: int, stats: SearchStats
-) -> Optional[Solution]:
+@dataclass(frozen=True)
+class SplitWitness:
+    """The first satisfiable guess of a split: the preselection, both
+    guesses, the rectangles kept by kernelization, the kernel handed to
+    2-SAT and the assembled solution."""
+
+    h1: tuple[int, ...]
+    v0: tuple[int, ...]
+    vguess: VerticalGuess
+    hguess: HorizontalGuess
+    kept: list[Rect]
+    kernel: list[Rect]
+    solution: Solution
+
+
+def solve_split(
+    inst: Instance, k_h: int, k_v: int, k: int, stats: Optional[SearchStats] = None
+) -> Optional[SplitWitness]:
+    """Run the pipeline for one split with k_h <= k_v under budget k: the
+    first satisfiable guess in enumeration order, or None when every guess
+    of the split fails."""
+    stats = stats if stats is not None else SearchStats()
     try:
         h1, v0 = preselect(inst, k_v)
     except GuessInfeasible:
@@ -480,9 +462,9 @@ def _run_split(
             if any(not hstrip_ok[s] for s in hg.gamma_h):
                 continue
             base_h = sorted(set(h1) | hg.h1prime)
-            kprime = [r for r in kept if not rect_stabbed_by(r, base_h, v1s)]
+            kernel = [r for r in kept if not rect_stabbed_by(r, base_h, v1s)]
             try:
-                formula, decode = assemble_2sat(kprime, vg.gamma_v, hg.gamma_h, inst)
+                formula, decode = assemble_2sat(kernel, vg.gamma_v, hg.gamma_h, inst)
             except GuessInfeasible:
                 continue
             stats.twosat_calls += 1
@@ -491,9 +473,7 @@ def _run_split(
                 continue
             h2, v2 = decode(assignment)
             sol = Solution(hlines=set(h1) | hg.h1prime | h2, vlines=vg.v1 | v2)
-            assert verify(inst, sol) == [], "assembled solution must stab every rectangle"
-            assert len(sol) <= 2 * k_h + (3 * k_v) // 2
-            return sol
+            return SplitWitness(h1, v0, vg, hg, kept, kernel, sol)
     return None
 
 
@@ -510,17 +490,21 @@ def solve_with_budget(
     if k < 0:
         raise ValueError("budget must be nonnegative")
     stats = stats if stats is not None else SearchStats()
-    for split in iter_splits(k):
-        stats.splits += 1
-        norm = split.normalized()
-        if norm is split:
-            sol = _run_split(inst, norm.k_h, norm.k_v, k, stats)
-        else:
-            flipped = _run_split(transpose(inst), norm.k_h, norm.k_v, k, stats)
-            sol = flipped.transpose() if flipped is not None else None
-        if sol is not None:
-            assert verify(inst, sol) == []
-            assert len(sol) <= (7 * k) // 4
+    for total in range(k + 1):
+        for k_h in range(total + 1):
+            stats.splits += 1
+            k_v = total - k_h
+            if k_h <= k_v:
+                found = solve_split(inst, k_h, k_v, k, stats)
+                sol = found.solution if found is not None else None
+            else:
+                found = solve_split(transpose(inst), k_v, k_h, k, stats)
+                sol = found.solution.transpose() if found is not None else None
+            if sol is None:
+                continue
+            # 2*min + floor(3*max/2) over the split is at most floor(7k/4)
+            if verify(inst, sol) or len(sol) > 2 * min(k_h, k_v) + (3 * max(k_h, k_v)) // 2:
+                raise RuntimeError("assembled solution misses a rectangle or exceeds its size bound")
             return sol
     return None
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import approx, exact, formats, generators, reduction
-from .core import Instance, Solution, UnknownLineError, rect_stabbed_by, verify
+from .core import Instance, Solution, UnknownLineError, verify
 
 
 def _sidecar(out: str, tag: str) -> str:
@@ -38,7 +38,7 @@ def _instance_stats(inst: Instance) -> dict:
 
 
 def _is_infeasible(inst: Instance) -> bool:
-    return any(not rect_stabbed_by(r, inst.hlines, inst.vlines) for r in inst.rects)
+    return bool(verify(inst, Solution(inst.hlines, inst.vlines)))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

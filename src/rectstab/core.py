@@ -53,11 +53,6 @@ class Line:
     def __post_init__(self) -> None:
         _check_i64(self.pos)
 
-    def __lt__(self, other: "Line") -> bool:
-        if self.axis is not other.axis:
-            raise ValueError("lines of different axes are not ordered")
-        return self.pos < other.pos
-
 
 @dataclass(frozen=True)
 class Rect:

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Optional
 
 from .core import Axis, Instance, Line, Rect, Solution, stabs
-from .greedy1d import Infeasible, IntervalSet, stab_1d
+from .greedy1d import Infeasible, stab_axis
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,6 @@ class NodeLimitExceeded(Exception):
     """The branch-and-bound node budget ran out before the search finished."""
 
 
-def _axis_rank(axis: Axis) -> int:
-    return 0 if axis is Axis.HORIZONTAL else 1
-
-
 def dedup_lines(inst: Instance) -> list[tuple[Line, int]]:
     """Candidate lines deduplicated by stabbed-rectangle set.
 
@@ -44,18 +40,14 @@ def dedup_lines(inst: Instance) -> list[tuple[Line, int]]:
     nothing are dropped since no minimal solution can use them.
     """
     seen: dict[int, tuple[Line, int]] = {}
-    order = [Line(Axis.HORIZONTAL, y) for y in inst.hlines] + [
-        Line(Axis.VERTICAL, x) for x in inst.vlines
-    ]
-    for ln in order:
+    for ln in inst.all_lines():  # already in canonical order
         mask = 0
         for i, r in enumerate(inst.rects):
             if stabs(ln, r):
                 mask |= 1 << i
         if mask and mask not in seen:
             seen[mask] = (ln, mask)
-    pool = sorted(seen.values(), key=lambda t: (_axis_rank(t[0].axis), t[0].pos))
-    return pool
+    return list(seen.values())
 
 
 def _lines_to_solution(lines: list[Line]) -> Solution:
@@ -69,9 +61,8 @@ def _single_axis_lb(rects: list[Rect], inst: Instance, axis: Axis) -> Optional[i
     """Exact 1-D optimum for rects only the given axis can stab; None = stuck."""
     if not rects:
         return 0
-    iv = IntervalSet([r.interval(axis) for r in rects], inst.line_positions(axis))
     try:
-        return len(stab_1d(iv))
+        return len(stab_axis(rects, inst, axis))
     except Infeasible:
         return None
 

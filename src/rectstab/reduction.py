@@ -193,7 +193,8 @@ def forward(red: ReducedInstance, clique: MCClique) -> Solution:
 
     Part i with chosen index p contributes lines at 2ir + p and 2ir + r + p
     on both axes. Rejects cliques that are not total or not pairwise
-    adjacent; the output always verifies against red.inst.
+    adjacent; raises MalformedReduction if the output does not verify
+    against red.inst.
     """
     k, r = red.k, red.r
     if sorted(clique.chosen) != list(range(1, k + 1)):
@@ -209,7 +210,8 @@ def forward(red: ReducedInstance, clique: MCClique) -> Solution:
         positions.append(2 * i * r + p)
         positions.append(2 * i * r + r + p)
     sol = Solution(hlines=positions, vlines=positions)
-    assert verify(red.inst, sol) == [], "forward map must stab the whole instance"
+    if verify(red.inst, sol):
+        raise MalformedReduction("forward map must stab the whole instance")
     return sol
 
 

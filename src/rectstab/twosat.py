@@ -119,5 +119,6 @@ def solve(f: Formula) -> Optional[list[bool]]:
     # later component in topological order; make the literal in it true.
     values = [comp[2 * v] < comp[2 * v + 1] for v in range(f.num_vars)]
     for a, b in f.clauses:
-        assert _evaluate(values, a) or _evaluate(values, b), "2-SAT produced a falsifying assignment"
+        if not (_evaluate(values, a) or _evaluate(values, b)):
+            raise RuntimeError("2-SAT produced a falsifying assignment")
     return values

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import chain, combinations
+from pathlib import Path
 
 import pytest
 
@@ -495,3 +500,36 @@ def test_guess_streams_respect_invariants_under_pipeline():
     for g in enumerate_vertical_guesses(v0, k_v):
         assert g.size() <= (3 * k_v) // 2
         assert separated(g.gamma_v, g.v1)
+
+
+def test_final_check_survives_optimized_mode():
+    """With assertions stripped (python -O), a split that hands back a
+    solution missing a rectangle, or one over the split's size bound,
+    still makes solve_with_budget raise."""
+    script = textwrap.dedent(
+        """
+        from rectstab import approx
+        from rectstab.core import Instance, Rect, Solution
+
+        if __debug__:
+            raise SystemExit("assertions are not stripped")
+        inst = Instance([Rect(0, 1, 0, 1)], hlines=[0], vlines=[0])
+        # the first split tried is k_h = k_v = 0, whose size bound is 0
+        for bogus in (Solution(), Solution(hlines=[0])):
+            witness = approx.SplitWitness((), (), None, None, [], [], bogus)
+            approx.solve_split = lambda *args: witness
+            try:
+                approx.solve_with_budget(inst, 1)
+            except RuntimeError:
+                print("raised")
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "raised"]

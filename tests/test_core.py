@@ -162,12 +162,6 @@ def test_separated_predicate():
     assert separated([a, b], [0])
 
 
-def test_line_ordering():
-    assert Line(V, 1) < Line(V, 2)
-    with pytest.raises(ValueError):
-        Line(V, 1) < Line(H, 2)
-
-
 def test_instance_dedups_and_sorts_lines():
     inst = Instance([], hlines=[3, 1, 3], vlines=[2, 2, -1])
     assert inst.hlines == (1, 3)
