@@ -143,7 +143,8 @@ def preselect(inst: Instance, k_v: int) -> tuple[tuple[int, ...], tuple[int, ...
         v0 = _stab_positions(leftover, vpos, Axis.VERTICAL)
     except Infeasible as exc:
         raise GuessInfeasible("leftover rectangles are not vertically stabbable") from exc
-    assert len(v0) <= k_v * (len(h1set) + 1), "vertical pool exceeded its per-gap accounting bound"
+    if len(v0) > k_v * (len(h1set) + 1):
+        raise RuntimeError("vertical pool exceeded its per-gap accounting bound")
     return tuple(h1set), tuple(v0)
 
 
@@ -351,7 +352,8 @@ def assemble_2sat(
 
     def met(svs: list[_StripVars], rect: Rect) -> Optional[_StripVars]:
         hits = [sv for sv in svs if rect_meets_strip(sv.strip, rect)]
-        assert len(hits) <= 1, "kernel rectangle meets two strips of one family"
+        if len(hits) > 1:
+            raise RuntimeError("kernel rectangle meets two strips of one family")
         return hits[0] if hits else None
 
     for rect in kprime:

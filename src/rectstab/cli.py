@@ -1,7 +1,8 @@
 """Command-line surface: solve, verify, gen, reduce, extract, bench.
 
 Exit codes: 0 success, 1 negative outcome (no witness, infeasible, invalid
-solution, extraction not applicable), 2 usage or parse errors. stdout is
+solution, extraction not applicable), 2 usage errors, malformed input files
+or arguments, and paths that cannot be read or written. stdout is
 machine-readable JSON or CSV; diagnostics go to stderr. File emissions are
 byte-deterministic given inputs and seeds; stdout run reports additionally
 carry wall-clock time.
@@ -10,6 +11,7 @@ carry wall-clock time.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -19,14 +21,16 @@ from pathlib import Path
 from typing import Optional
 
 from . import approx, exact, formats, generators, reduction
-from .core import Instance, Solution, UnknownLineError, verify
+from .core import Instance, Solution, verify
 
 
-def _sidecar(out: str, tag: str) -> str:
+def _sidecar(out: str, name: str) -> str:
+    """out.<name> for name "<tag>.<ext>", replacing out's own suffix when it
+    is already .<ext>."""
     p = Path(out)
-    if p.suffix == ".json":
-        return str(p.with_suffix(f".{tag}.json"))
-    return f"{out}.{tag}.json"
+    if p.suffix == Path(name).suffix:
+        return str(p.with_suffix(f".{name}"))
+    return f"{out}.{name}"
 
 
 def _report(**fields) -> None:
@@ -42,11 +46,7 @@ def _is_infeasible(inst: Instance) -> bool:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        inst = formats.load_instance(args.instance)
-    except (formats.FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst = formats.load_instance(args.instance)
     stats = approx.SearchStats()
     start = time.perf_counter()
     outcome = "no-witness"
@@ -91,28 +91,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         size=size,
         budget=budget,
         wall_ms=round(wall_ms, 3),
-        counters={
-            "splits": stats.splits,
-            "vertical_guesses": stats.vertical_guesses,
-            "horizontal_guesses": stats.horizontal_guesses,
-            "twosat_calls": stats.twosat_calls,
-        },
+        counters=dataclasses.asdict(stats),
     )
     return 0 if outcome == "solved" else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        inst = formats.load_instance(args.instance)
-        sol = formats.load_solution(args.solution)
-    except (formats.FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        unstabbed = verify(inst, sol)
-    except UnknownLineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    unstabbed = verify(formats.load_instance(args.instance), formats.load_solution(args.solution))
     if not unstabbed:
         return 0
     for r in unstabbed:
@@ -121,55 +106,41 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        if args.generator == "planted":
-            out = args.out or f"planted_k{args.k}_n{args.n}_s{args.seed}.json"
-            inst, witness = generators.gen_planted(args.k, args.n, args.coord_range, args.seed)
-            formats.dump_instance(inst, out)
-            formats.dump_solution(witness.as_solution(), _sidecar(out, "witness"))
-        elif args.generator == "uniform":
-            out = args.out or f"uniform_n{args.n}_m{args.m_lines}_s{args.seed}.json"
-            formats.dump_instance(
-                generators.gen_uniform(args.n, args.m_lines, args.coord_range, args.seed), out
-            )
-        elif args.generator == "mcgraph":
-            out = args.out or f"mcgraph_k{args.k}_r{args.r}_s{args.seed}.json"
-            num, den = args.prob
-            graph, clique = generators.gen_mcgraph(args.k, args.r, num, den, args.seed, args.plant)
-            formats.dump_graph(graph, out)
-            if clique is not None:
-                Path(_sidecar(out, "clique")).write_text(
-                    json.dumps(formats.clique_json(clique), sort_keys=True, indent=2) + "\n"
-                )
-        else:  # discretize
-            out = args.out or f"{Path(args.points).stem}_stab.json"
-            pts = formats.load_points_csv(args.points)
-            formats.dump_instance(generators.discretization_to_stabbing(pts), out)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.generator == "planted":
+        out = args.out or f"planted_k{args.k}_n{args.n}_s{args.seed}.json"
+        inst, witness = generators.gen_planted(args.k, args.n, args.coord_range, args.seed)
+        formats.dump_instance(inst, out)
+        formats.dump_solution(witness.as_solution(), _sidecar(out, "witness.json"))
+    elif args.generator == "uniform":
+        out = args.out or f"uniform_n{args.n}_m{args.m_lines}_s{args.seed}.json"
+        formats.dump_instance(
+            generators.gen_uniform(args.n, args.m_lines, args.coord_range, args.seed), out
+        )
+    elif args.generator == "mcgraph":
+        out = args.out or f"mcgraph_k{args.k}_r{args.r}_s{args.seed}.json"
+        num, den = args.prob
+        graph, clique = generators.gen_mcgraph(args.k, args.r, num, den, args.seed, args.plant)
+        formats.dump_graph(graph, out)
+        if clique is not None:
+            formats.dump_clique(clique, _sidecar(out, "clique.json"))
+    else:  # discretize
+        out = args.out or f"{Path(args.points).stem}_stab.json"
+        pts = formats.load_points_csv(args.points)
+        formats.dump_instance(generators.discretization_to_stabbing(pts), out)
     return 0
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    try:
-        graph = formats.load_graph(args.graph)
-    except (formats.FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    graph = formats.load_graph(args.graph)
     if graph.has_intra_part_edges():
         print("warning: intra-part edges present; the reduction ignores them", file=sys.stderr)
-    try:
-        red = reduction.build(graph)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    red = reduction.build(graph)
     out = args.out or f"{Path(args.graph).stem}_instance.json"
     inst = red.inst
     if args.nondegenerate:
         inst, _ = reduction.make_nondegenerate(inst)
     formats.dump_instance(inst, out)
-    formats.dump_strip_table(red, _sidecar(out, "strips"), doubled=args.nondegenerate)
+    formats.dump_strip_table(red, _sidecar(out, "strips.json"), doubled=args.nondegenerate)
     return 0
 
 
@@ -179,14 +150,10 @@ def _parse_eps(text: str) -> tuple[int, int]:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    strips_path = args.strips or _sidecar(args.instance, "strips")
-    try:
-        red, doubled = formats.load_reduced(args.instance, strips_path)
-        sol = formats.load_solution(args.solution)
-        eps_num, eps_den = _parse_eps(args.eps)
-    except (formats.FormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    strips_path = args.strips or _sidecar(args.instance, "strips.json")
+    red, doubled = formats.load_reduced(args.instance, strips_path)
+    sol = formats.load_solution(args.solution)
+    eps_num, eps_den = _parse_eps(args.eps)
     if doubled:
         sol = reduction.map_solution_back(sol, lambda pos: pos // 2)
     try:
@@ -257,12 +224,7 @@ def _bench_one(job: tuple[str, bool, bool, int, int]) -> list[dict]:
                     row["ratio"] = str(Fraction(len(sol), exact_size))
         except Exception:
             row["outcome"] = "error"
-        row.update(
-            splits=stats.splits,
-            vertical_guesses=stats.vertical_guesses,
-            horizontal_guesses=stats.horizontal_guesses,
-            twosat_calls=stats.twosat_calls,
-        )
+        row.update(dataclasses.asdict(stats))
         rows.append(row)
     return rows
 
@@ -314,16 +276,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 ]
             )
         )
-    Path(_summary_path(args.out)).write_text("\n".join(summary) + "\n")
+    Path(_sidecar(args.out, "summary.csv")).write_text("\n".join(summary) + "\n")
     print(json.dumps({"command": "bench", "instances": len(paths), "rows": len(rows)}))
     return 0
-
-
-def _summary_path(out: str) -> str:
-    p = Path(out)
-    if p.suffix == ".csv":
-        return str(p.with_suffix(".summary.csv"))
-    return f"{out}.summary.csv"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,7 +370,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             value = getattr(args, name)
             if value is not None and value < 0:
                 parser.error(f"--{name.replace('_', '-')} must be nonnegative")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # FormatError and UnknownLineError are ValueErrors
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

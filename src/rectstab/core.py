@@ -22,9 +22,6 @@ class Axis(Enum):
     HORIZONTAL = "h"
     VERTICAL = "v"
 
-    def other(self) -> "Axis":
-        return Axis.VERTICAL if self is Axis.HORIZONTAL else Axis.HORIZONTAL
-
 
 class UnknownLineError(ValueError):
     """A solution references lines that are not instance candidates."""

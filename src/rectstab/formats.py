@@ -17,9 +17,9 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
-from .core import Instance, Rect, Solution
+from .core import I64_MAX, I64_MIN, Instance, Rect, Solution
 from .generators import ColoredPointSet
 from .reduction import MCClique, MCGraph, ReducedInstance
 
@@ -34,17 +34,34 @@ def _dump_json(obj, path: PathLike) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _load_json(path: PathLike):
+def _load_json(path: PathLike, keys: tuple[str, ...]) -> dict:
+    """The file's JSON object, which must have exactly these keys."""
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        obj = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:  # RecursionError: arrays nested too deep
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _int_list(obj, what: str) -> list[int]:
-    if not isinstance(obj, list) or not all(isinstance(v, int) for v in obj):
-        raise FormatError(f"{what} must be a list of integers")
+    if not isinstance(obj, dict) or set(obj) != set(keys):
+        raise FormatError(f"{path}: expected a JSON object with keys {'/'.join(keys)}")
     return obj
+
+
+def _ints(obj, what: str, n: Optional[int] = None) -> list[int]:
+    """obj checked to be a list of signed 64-bit integers, of length n when
+    given. JSON booleans are not integers."""
+    if not (
+        isinstance(obj, list)
+        and (n is None or len(obj) == n)
+        and all(type(v) is int and I64_MIN <= v <= I64_MAX for v in obj)
+    ):
+        count = "a list of" if n is None else str(n)
+        raise FormatError(f"{what}: expected {count} signed 64-bit integers")
+    return obj
+
+
+def _rows(obj, what: str, width: int) -> list[list[int]]:
+    if not isinstance(obj, list):
+        raise FormatError(f"{what}: expected a list of rows")
+    return [_ints(row, f"{what}[{i}]", width) for i, row in enumerate(obj)]
 
 
 def dump_instance(inst: Instance, path: PathLike) -> None:
@@ -59,21 +76,16 @@ def dump_instance(inst: Instance, path: PathLike) -> None:
 
 
 def load_instance(path: PathLike) -> Instance:
-    obj = _load_json(path)
-    if not isinstance(obj, dict) or set(obj) != {"rects", "hlines", "vlines"}:
-        raise FormatError(f"{path}: expected keys rects/hlines/vlines")
-    rects = []
-    for row in obj["rects"]:
-        if not isinstance(row, list) or len(row) != 4:
-            raise FormatError(f"{path}: each rect must be [x1, x2, y1, y2]")
-        try:
-            rects.append(Rect(*_int_list(row, "rect")))
-        except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+    obj = _load_json(path, ("rects", "hlines", "vlines"))
+    rows = _rows(obj["rects"], f"{path}: rects", 4)
+    try:
+        rects = [Rect(*row) for row in rows]
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return Instance(
         rects=rects,
-        hlines=_int_list(obj["hlines"], "hlines"),
-        vlines=_int_list(obj["vlines"], "vlines"),
+        hlines=_ints(obj["hlines"], f"{path}: hlines"),
+        vlines=_ints(obj["vlines"], f"{path}: vlines"),
     )
 
 
@@ -82,11 +94,10 @@ def dump_solution(sol: Solution, path: PathLike) -> None:
 
 
 def load_solution(path: PathLike) -> Solution:
-    obj = _load_json(path)
-    if not isinstance(obj, dict) or set(obj) != {"hlines", "vlines"}:
-        raise FormatError(f"{path}: expected keys hlines/vlines")
+    obj = _load_json(path, ("hlines", "vlines"))
     return Solution(
-        hlines=_int_list(obj["hlines"], "hlines"), vlines=_int_list(obj["vlines"], "vlines")
+        hlines=_ints(obj["hlines"], f"{path}: hlines"),
+        vlines=_ints(obj["vlines"], f"{path}: vlines"),
     )
 
 
@@ -95,19 +106,11 @@ def dump_graph(g: MCGraph, path: PathLike) -> None:
 
 
 def load_graph(path: PathLike) -> MCGraph:
-    obj = _load_json(path)
-    if not isinstance(obj, dict) or set(obj) != {"k", "r", "edges"}:
-        raise FormatError(f"{path}: expected keys k/r/edges")
-    if not isinstance(obj["k"], int) or not isinstance(obj["r"], int):
-        raise FormatError(f"{path}: k and r must be integers")
-    edges = set()
-    for row in obj["edges"]:
-        if not isinstance(row, list) or len(row) != 2:
-            raise FormatError(f"{path}: each edge must be [u, v]")
-        u, v = _int_list(row, "edge")
-        edges.add((min(u, v), max(u, v)))
+    obj = _load_json(path, ("k", "r", "edges"))
+    k, r = _ints([obj["k"], obj["r"]], f"{path}: k, r", 2)
+    edges = {(min(u, v), max(u, v)) for u, v in _rows(obj["edges"], f"{path}: edges", 2)}
     try:
-        return MCGraph(k=obj["k"], r=obj["r"], edges=frozenset(edges))
+        return MCGraph(k=k, r=r, edges=frozenset(edges))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -130,15 +133,13 @@ def load_reduced(instance_path: PathLike, strips_path: PathLike) -> tuple[Reduce
     (nondegenerate) coordinates. Strip ranges are always in original
     coordinates; a doubled instance is halved back before use."""
     inst = load_instance(instance_path)
-    obj = _load_json(strips_path)
-    if not isinstance(obj, dict) or set(obj) != {"k", "r", "doubled", "vstrips", "hstrips"}:
-        raise FormatError(f"{strips_path}: expected keys k/r/doubled/vstrips/hstrips")
-    k, r = obj["k"], obj["r"]
+    obj = _load_json(strips_path, ("k", "r", "doubled", "vstrips", "hstrips"))
+    k, r = _ints([obj["k"], obj["r"]], f"{strips_path}: k, r", 2)
     doubled = obj["doubled"]
-    if not isinstance(k, int) or not isinstance(r, int) or not isinstance(doubled, bool):
-        raise FormatError(f"{strips_path}: bad k/r/doubled types")
-    vstrips = tuple((row[0], row[1]) for row in obj["vstrips"])
-    hstrips = tuple((row[0], row[1]) for row in obj["hstrips"])
+    if not isinstance(doubled, bool):
+        raise FormatError(f"{strips_path}: doubled must be true or false")
+    vstrips = tuple(map(tuple, _rows(obj["vstrips"], f"{strips_path}: vstrips", 2)))
+    hstrips = tuple(map(tuple, _rows(obj["hstrips"], f"{strips_path}: hstrips", 2)))
     if len(vstrips) != 2 * k or len(hstrips) != 2 * k:
         raise FormatError(f"{strips_path}: expected 2k strips per axis")
     if doubled:
@@ -169,21 +170,28 @@ def clique_json(clique: MCClique) -> dict:
 
 
 def load_points_csv(path: PathLike) -> ColoredPointSet:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["x", "y", "color"]:
-            raise FormatError(f"{path}: expected header 'x,y,color'")
-        points = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise FormatError(f"{path}: row {row!r} does not have 3 fields")
-            try:
-                points.append((int(row[0]), int(row[1]), int(row[2])))
-            except ValueError as exc:
-                raise FormatError(f"{path}: non-integer field in {row!r}") from exc
+    """Coordinates must lie strictly within 2**62 in magnitude, so that
+    their doubles in discretization_to_stabbing stay signed 64-bit."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: unreadable CSV: {exc}") from exc
+    if not rows or [h.strip() for h in rows[0]] != ["x", "y", "color"]:
+        raise FormatError(f"{path}: expected header 'x,y,color'")
+    points = []
+    for row in rows[1:]:
+        if not row:
+            continue
+        if len(row) != 3:
+            raise FormatError(f"{path}: row {row!r} does not have 3 fields")
+        try:
+            x, y, color = map(int, row)
+        except ValueError as exc:
+            raise FormatError(f"{path}: non-integer field in {row!r}") from exc
+        if max(abs(x), abs(y)) >= 2**62:
+            raise FormatError(f"{path}: coordinate in {row!r} not below 2**62 in magnitude")
+        points.append((x, y, color))
     return ColoredPointSet(points)
 
 

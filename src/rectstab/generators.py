@@ -94,7 +94,8 @@ def gen_planted(k: int, n: int, coord_range: int, seed: int) -> tuple[Instance, 
 
     inst = Instance(rects=rects, hlines=hlines, vlines=vlines)
     witness = PlantedWitness(hstar=hstar, vstar=vstar)
-    assert verify(inst, witness.as_solution()) == [], "planted witness must stab everything"
+    if verify(inst, witness.as_solution()):
+        raise RuntimeError("planted witness must stab everything")
     return inst, witness
 
 

@@ -120,6 +120,10 @@ def _strip_range(k: int, r: int, x: int) -> tuple[int, int]:
     return (lo, lo + r - 1)
 
 
+def _adjacency_rect(r: int, i: int, j: int, p: int, q: int) -> Rect:
+    return Rect(2 * i * r + p + 1, 2 * i * r + r + p - 1, 2 * j * r + q + 1, 2 * j * r + r + q - 1)
+
+
 def build(g: MCGraph) -> ReducedInstance:
     """Emit the full rectangle families and in-strip candidate lines.
 
@@ -140,9 +144,7 @@ def build(g: MCGraph) -> ReducedInstance:
             rects.append(Rect(q, q, lo, hi))  # F_h
     # adjacency: one rectangle per ordered cross-part non-edge
     for i, j, p, q in nonedges:
-        rects.append(
-            Rect(2 * i * r + p + 1, 2 * i * r + r + p - 1, 2 * j * r + q + 1, 2 * j * r + r + q - 1)
-        )
+        rects.append(_adjacency_rect(r, i, j, p, q))
     # equality: staircases tying the four strips of each part together
     for x in range(2 * k):
         for y in range(2 * k):
@@ -161,13 +163,9 @@ def build(g: MCGraph) -> ReducedInstance:
     inst = Instance(rects=rects, hlines=positions, vlines=positions)
 
     strips = tuple(_strip_range(k, r, x) for x in range(2 * k))
-    red = ReducedInstance(inst=inst, k=k, r=r, vstrips=strips, hstrips=strips)
-    assert len(inst.hlines) == 2 * k * r and len(inst.vlines) == 2 * k * r
-    return red
-
-
-def _adjacency_rect(r: int, i: int, j: int, p: int, q: int) -> Rect:
-    return Rect(2 * i * r + p + 1, 2 * i * r + r + p - 1, 2 * j * r + q + 1, 2 * j * r + r + q - 1)
+    if len(inst.hlines) != 2 * k * r or len(inst.vlines) != 2 * k * r:
+        raise RuntimeError("reduced instance must have 2kr candidate lines per axis")
+    return ReducedInstance(inst=inst, k=k, r=r, vstrips=strips, hstrips=strips)
 
 
 def _check_pairwise_adjacent(red: ReducedInstance, chosen: dict[int, int]) -> Optional[tuple[int, int]]:

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +31,33 @@ def test_planted_witness_stabs_for_many_seeds():
         inst, witness = gen_planted(k=3, n=12, coord_range=30, seed=seed)
         assert len(witness) == 3
         assert verify(inst, witness.as_solution()) == []
+
+
+def test_planted_witness_check_survives_optimized_mode():
+    """With assertions stripped (python -O), a planted witness that leaves a
+    rectangle unstabbed still makes gen_planted raise."""
+    script = textwrap.dedent(
+        """
+        from rectstab import generators
+
+        if __debug__:
+            raise SystemExit("assertions are not stripped")
+        generators.verify = lambda inst, sol: list(inst.rects[:1])
+        try:
+            generators.gen_planted(k=2, n=5, coord_range=10, seed=1)
+        except RuntimeError:
+            print("raised")
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"]
 
 
 def test_planted_opt_at_most_k():
