@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -274,7 +275,7 @@ def eliminate_redundant(
             try:
                 need = len(stab_1d(ivs))
             except Infeasible:  # pragma: no cover
-                raise AssertionError("group drawn from horizontally stabbable rectangles")
+                raise RuntimeError("group drawn from horizontally stabbable rectangles")
             if need >= 2 * k + 2:
                 widest = max(group, key=lambda i: (_wid_in_strip(inst.rects[i], strip), -i))
                 removed.add(widest)
@@ -417,27 +418,64 @@ class SplitWitness:
     solution: Solution
 
 
+class _Orientation:
+    """One orientation of an instance with the tables every split over it
+    shares. None of them depends on k_h or k, so one object serves every
+    split of a search and every rung of a solve_min ladder."""
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        # k_v -> (H1, V0, interior-candidate flag per V0 strip), or None
+        # when preselect raised GuessInfeasible
+        self._preselected: dict[int, Optional[tuple]] = {}
+
+    def preselected(self, k_v: int) -> Optional[tuple]:
+        if k_v not in self._preselected:
+            try:
+                h1, v0 = preselect(self.inst, k_v)
+            except GuessInfeasible:
+                self._preselected[k_v] = None
+            else:
+                vstrips = strips_of(Axis.VERTICAL, list(v0))
+                ok = _strip_interior_candidates(vstrips, self.inst.vlines)
+                self._preselected[k_v] = (h1, v0, dict(zip(vstrips, ok)))
+        return self._preselected[k_v]
+
+    @cached_property
+    def v_only(self) -> list[Rect]:
+        """Rectangles no horizontal candidate stabs."""
+        return [r for r in self.inst.rects if not rect_stabbed_by(r, self.inst.hlines, ())]
+
+    @cached_property
+    def flipped(self) -> "_Orientation":
+        """The transposed orientation, built on first use."""
+        return _Orientation(transpose(self.inst))
+
+
 def solve_split(
-    inst: Instance, k_h: int, k_v: int, k: int, stats: Optional[SearchStats] = None
+    inst: Instance,
+    k_h: int,
+    k_v: int,
+    k: int,
+    stats: Optional[SearchStats] = None,
+    _tables: Optional[_Orientation] = None,
 ) -> Optional[SplitWitness]:
     """Run the pipeline for one split with k_h <= k_v under budget k: the
     first satisfiable guess in enumeration order, or None when every guess
-    of the split fails."""
+    of the split fails. ``_tables`` (private) is inst's _Orientation, shared
+    by the splits of one search."""
     stats = stats if stats is not None else SearchStats()
-    try:
-        h1, v0 = preselect(inst, k_v)
-    except GuessInfeasible:
+    tables = _tables if _tables is not None else _Orientation(inst)
+    pre = tables.preselected(k_v)
+    if pre is None:
         return None
+    h1, v0, strip_has_cand = pre
     if len(h1) > 2 * k_h:
         return None  # no horizontal guess can fit the budget
 
     # Rectangles no horizontal candidate can stab must be covered by V1 or a
     # viable guessed vertical strip; prune vertical guesses that cannot.
-    vstrips = strips_of(Axis.VERTICAL, list(v0))
-    strip_has_cand = {
-        s: ok for s, ok in zip(vstrips, _strip_interior_candidates(vstrips, inst.vlines))
-    }
-    v_only = [r for r in inst.rects if not rect_stabbed_by(r, inst.hlines, ())]
+    v_only = tables.v_only
 
     for vg in enumerate_vertical_guesses(v0, k_v):
         stats.vertical_guesses += 1
@@ -480,7 +518,10 @@ def solve_split(
 
 
 def solve_with_budget(
-    inst: Instance, k: int, stats: Optional[SearchStats] = None
+    inst: Instance,
+    k: int,
+    stats: Optional[SearchStats] = None,
+    _upright: Optional[_Orientation] = None,
 ) -> Optional[Solution]:
     """Stabbing set of size <= floor(7k/4), or None.
 
@@ -488,19 +529,25 @@ def solve_with_budget(
     transposing the instance when k_h > k_v so the executed pipeline always
     has k_h <= k_v. None is returned only after every split and guess is
     exhausted, which certifies that no stabbing subset of size <= k exists.
+
+    The instance is transposed at most once and preselected at most once
+    per orientation and k_v; ``_upright`` (private) carries these tables
+    across the budgets of solve_min.
     """
     if k < 0:
         raise ValueError("budget must be nonnegative")
     stats = stats if stats is not None else SearchStats()
+    upright = _upright if _upright is not None else _Orientation(inst)
     for total in range(k + 1):
         for k_h in range(total + 1):
             stats.splits += 1
             k_v = total - k_h
             if k_h <= k_v:
-                found = solve_split(inst, k_h, k_v, k, stats)
+                found = solve_split(inst, k_h, k_v, k, stats, upright)
                 sol = found.solution if found is not None else None
             else:
-                found = solve_split(transpose(inst), k_v, k_h, k, stats)
+                flipped = upright.flipped
+                found = solve_split(flipped.inst, k_v, k_h, k, stats, flipped)
                 sol = found.solution.transpose() if found is not None else None
             if sol is None:
                 continue
@@ -516,8 +563,9 @@ def solve_min(
 ) -> Optional[tuple[int, Solution]]:
     """Smallest budget k <= k_max the approximation succeeds at, with its
     solution; an upper bound witness for the optimum, not the optimum."""
+    upright = _Orientation(inst)
     for k in range(k_max + 1):
-        sol = solve_with_budget(inst, k, stats)
+        sol = solve_with_budget(inst, k, stats, upright)
         if sol is not None:
             return k, sol
     return None

@@ -200,30 +200,24 @@ def _bench_one(job: tuple[str, bool, bool, int, int]) -> list[dict]:
     exact_size: Optional[int] = None
     if run_exact:
         row = dict(base, solver="exact")
-        try:
-            sol = exact.opt_exact(inst, exact.SearchBudget(max_size))
-            if sol is None:
-                row["outcome"] = "no-witness"
-            else:
-                exact_size = len(sol)
-                row.update(outcome="solved", size=exact_size)
-        except Exception:
-            row["outcome"] = "error"
+        sol = exact.opt_exact(inst, exact.SearchBudget(max_size))
+        if sol is None:
+            row["outcome"] = "no-witness"
+        else:
+            exact_size = len(sol)
+            row.update(outcome="solved", size=exact_size)
         rows.append(row)
     if run_approx:
         row = dict(base, solver="approx")
         stats = approx.SearchStats()
-        try:
-            found = approx.solve_min(inst, kmax, stats)
-            if found is None:
-                row["outcome"] = "infeasible" if _is_infeasible(inst) else "no-witness"
-            else:
-                k, sol = found
-                row.update(outcome="solved", k=k, size=len(sol))
-                if exact_size:
-                    row["ratio"] = str(Fraction(len(sol), exact_size))
-        except Exception:
-            row["outcome"] = "error"
+        found = approx.solve_min(inst, kmax, stats)
+        if found is None:
+            row["outcome"] = "infeasible" if _is_infeasible(inst) else "no-witness"
+        else:
+            k, sol = found
+            row.update(outcome="solved", k=k, size=len(sol))
+            if exact_size:
+                row["ratio"] = str(Fraction(len(sol), exact_size))
         row.update(dataclasses.asdict(stats))
         rows.append(row)
     return rows

@@ -2,11 +2,13 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
 
+from rectstab import approx
 from rectstab.approx import (
     GuessInfeasible,
     SearchStats,
@@ -16,6 +18,7 @@ from rectstab.approx import (
     enumerate_vertical_guesses,
     preselect,
     solve_min,
+    solve_split,
     solve_with_budget,
 )
 from rectstab.core import (
@@ -30,7 +33,7 @@ from rectstab.core import (
     verify,
 )
 from rectstab.exact import SearchBudget, opt_exact
-from rectstab.generators import gen_planted
+from rectstab.generators import gen_planted, gen_uniform
 from rectstab.twosat import solve as solve_2sat
 
 H, V = Axis.HORIZONTAL, Axis.VERTICAL
@@ -488,6 +491,80 @@ def test_transpose_coherence():
             assert (a is None) == (b is None)
             if a is not None:
                 assert verify(transpose(inst), b) == []
+
+
+def _unshared_solve(inst, k, stats):
+    """solve_with_budget with nothing shared between splits: every split
+    runs solve_split on its own, on a freshly transposed instance when
+    k_h > k_v."""
+    for total in range(k + 1):
+        for k_h in range(total + 1):
+            stats.splits += 1
+            k_v = total - k_h
+            if k_h <= k_v:
+                found = solve_split(inst, k_h, k_v, k, stats)
+                if found is not None:
+                    return found.solution
+            else:
+                found = solve_split(transpose(inst), k_v, k_h, k, stats)
+                if found is not None:
+                    return found.solution.transpose()
+    return None
+
+
+# pinned instances whose budget ladders run through no-witness rungs
+# (gen_uniform seeds 2 and 5 have a rectangle no candidate stabs)
+SHARED_TABLE_POOL = [gen_uniform(24, 40, 24, seed) for seed in range(8)] + [
+    gen_planted(k=3 + seed % 2, n=40, coord_range=30, seed=seed)[0] for seed in range(4)
+]
+
+
+def test_shared_tables_match_unshared_splits():
+    for inst in SHARED_TABLE_POOL:
+        expected_min = None
+        ref_min_stats = SearchStats()
+        for k in range(7):
+            ref_stats, stats = SearchStats(), SearchStats()
+            expected = _unshared_solve(inst, k, ref_stats)
+            assert solve_with_budget(inst, k, stats) == expected
+            assert stats == ref_stats
+            if expected_min is None:
+                sol = _unshared_solve(inst, k, ref_min_stats)
+                expected_min = (k, sol) if sol is not None else None
+        min_stats = SearchStats()
+        assert solve_min(inst, 6, min_stats) == expected_min
+        assert min_stats == ref_min_stats
+
+
+def test_transpose_and_preselect_run_once_per_orientation(monkeypatch):
+    transposes = 0
+    preselects = Counter()
+
+    def counting_transpose(inst):
+        nonlocal transposes
+        transposes += 1
+        return transpose(inst)
+
+    def counting_preselect(inst, k_v):
+        preselects[inst, k_v] += 1
+        return preselect(inst, k_v)
+
+    monkeypatch.setattr(approx, "transpose", counting_transpose)
+    monkeypatch.setattr(approx, "preselect", counting_preselect)
+    for inst in SHARED_TABLE_POOL:
+        for k in range(7):
+            transposes = 0
+            preselects.clear()
+            solve_with_budget(inst, k)
+            assert transposes <= 1
+            assert max(preselects.values(), default=0) <= 1
+        transposes = 0
+        preselects.clear()
+        found = solve_min(inst, 6)
+        assert transposes <= 1
+        assert max(preselects.values(), default=0) <= 1
+        if found is not None and found[0] >= 2:
+            assert transposes == 1  # the ladder reached splits with k_h > k_v
 
 
 def test_guess_streams_respect_invariants_under_pipeline():

@@ -1,11 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from rectstab.cli import main
-from rectstab import formats
+from rectstab import approx, exact, formats
 from rectstab.core import Solution, verify
 from rectstab.reduction import build, forward
 
@@ -256,8 +258,12 @@ def test_console_script_entrypoint():
 
 
 def test_module_invocation():
+    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-m", "rectstab.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "rectstab.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
 
@@ -274,6 +280,37 @@ def test_bench_continues_past_broken_instance(tmp_path, capsys):
     rows = {line.split(",")[0]: line for line in out.read_text().splitlines()[1:]}
     assert "error" in rows["broken.json"]
     assert "solved" in rows["ok.json"]
+
+
+@pytest.mark.parametrize("module, solver, flag", [(approx, "solve_min", "--approx"),
+                                                  (exact, "opt_exact", "--exact")],
+                         ids=["approx", "exact"])
+def test_bench_guarantee_failure_propagates(module, solver, flag, tmp_path, monkeypatch):
+    fixtures = tmp_path / "fx"
+    fixtures.mkdir()
+    main(["gen", "planted", "--k", "2", "--n", "6", "--seed", "1",
+          "--out", str(fixtures / "ok.json")])
+
+    def broken(*args):
+        raise RuntimeError("returned solution misses a rectangle")
+
+    monkeypatch.setattr(module, solver, broken)
+    out = tmp_path / "bench.csv"
+    with pytest.raises(RuntimeError):
+        main(["bench", str(fixtures), flag, "--out", str(out)])
+    assert not out.exists()  # no "error" row stands in for the violated guarantee
+
+
+def test_bench_bad_max_size_exits_2(tmp_path, capsys):
+    fixtures = tmp_path / "fx"
+    fixtures.mkdir()
+    main(["gen", "planted", "--k", "2", "--n", "6", "--seed", "1",
+          "--out", str(fixtures / "ok.json")])
+    out = tmp_path / "bench.csv"
+    code, _, err = run(capsys, "bench", str(fixtures), "--exact", "--max-size", "-1",
+                       "--out", str(out))
+    assert code == 2 and err.startswith("error:")
+    assert not out.exists()
 
 
 def test_solve_min_no_witness_exit(tmp_path, capsys):
