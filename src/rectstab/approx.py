@@ -21,11 +21,12 @@ that no size-k solution exists.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import twosat
 from .core import (
@@ -34,8 +35,10 @@ from .core import (
     Rect,
     Solution,
     Strip,
+    bits,
+    line_masks,
     rect_meets_strip,
-    rect_stabbed_by,
+    stab_mask,
     strips_of,
     transpose,
     verify,
@@ -70,11 +73,6 @@ class SearchStats:
     vertical_guesses: int = 0
     horizontal_guesses: int = 0
     twosat_calls: int = 0
-
-
-def _stab_positions(rects: Sequence[Rect], positions: Sequence[int], axis: Axis) -> list[int]:
-    iv = IntervalSet([r.interval(axis) for r in rects], positions)
-    return stab_1d(iv)
 
 
 def preselect(inst: Instance, k_v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -139,9 +137,9 @@ def preselect(inst: Instance, k_v: int) -> tuple[tuple[int, ...], tuple[int, ...
         i = j_star
 
     h1set = sorted(h1)
-    leftover = [r for r in rects if not rect_stabbed_by(r, h1set, ())]
+    missed = ((1 << len(rects)) - 1) & ~stab_mask(inst, h1set)
     try:
-        v0 = _stab_positions(leftover, vpos, Axis.VERTICAL)
+        v0 = stab_1d(IntervalSet([(rects[i].x1, rects[i].x2) for i in bits(missed)], vpos))
     except Infeasible as exc:
         raise GuessInfeasible("leftover rectangles are not vertically stabbable") from exc
     if len(v0) > k_v * (len(h1set) + 1):
@@ -212,15 +210,6 @@ def enumerate_horizontal_guesses(
         )
 
 
-def _boundary_lines(strip: Strip) -> list[int]:
-    out = []
-    if strip.lo is not None:
-        out.append(strip.lo)
-    if strip.hi is not None:
-        out.append(strip.hi)
-    return out
-
-
 def _wid_in_strip(rect: Rect, strip: Strip) -> int:
     a, b = rect.interval(strip.axis)
     lo = a if strip.lo is None else max(a, strip.lo)
@@ -234,8 +223,9 @@ def eliminate_redundant(
     v1: frozenset[int],
     gamma_v: tuple[Strip, ...],
     k: int,
-) -> tuple[list[Rect], tuple[int, ...]]:
-    """Kernelization: (K, H0).
+    _tables: Optional["_Orientation"] = None,
+) -> tuple[int, tuple[int, ...]]:
+    """Kernelization: (K, H0), with K a mask over inst.rects.
 
     Among rectangles stabbed by some horizontal candidate but missed by
     H1 and V1, repeatedly discard the widest-in-strip rectangle on a
@@ -243,51 +233,39 @@ def eliminate_redundant(
     lines; whatever a boundary line stabs that widely must be handled
     vertically, and the widest rectangle is stabbed by any in-strip
     vertical line that stabs a narrower one. K is everything kept, H0 a
-    minimum horizontal stabbing of the kept leftovers.
+    minimum horizontal stabbing of the kept leftovers. H1, V1 and the
+    strip boundaries are candidate lines. ``_tables`` (private) is inst's
+    _Orientation, shared by the guesses of one search.
     """
-    h1s = sorted(h1)
-    v1s = sorted(v1)
-    hpos = inst.hlines
-    rprime_idx = [
-        i
-        for i, r in enumerate(inst.rects)
-        if rect_stabbed_by(r, hpos, ()) and not rect_stabbed_by(r, h1s, v1s)
-    ]
-    removed: set[int] = set()
+    tables = _tables if _tables is not None else _Orientation(inst)
+    rects = inst.rects
+    full = (1 << len(rects)) - 1
+    rprime = full & ~(tables.v_only | tables.stabbed(h1, v1))
+    removed = 0
 
-    scan: list[tuple[Strip, int]] = []
-    for strip in sorted(gamma_v, key=lambda s: (s.lo is not None, s.lo or 0)):
-        for pos in _boundary_lines(strip):
-            scan.append((strip, pos))
-
-    def stabbed_by_boundary(pos: int) -> list[int]:
-        return [
-            i for i in rprime_idx if i not in removed and inst.rects[i].x1 <= pos <= inst.rects[i].x2
-        ]
-
-    while True:
+    strips = sorted(gamma_v, key=lambda s: (s.lo is not None, s.lo or 0))
+    scan = [(s, pos) for s in strips for pos in (s.lo, s.hi) if pos is not None]
+    fired = True
+    while fired:
         fired = False
         for strip, pos in scan:
-            group = stabbed_by_boundary(pos)
+            group = list(bits(tables.vmask[pos] & rprime & ~removed))
             if not group:
                 continue
-            ivs = IntervalSet([(inst.rects[i].y1, inst.rects[i].y2) for i in group], hpos)
+            ivs = IntervalSet([(rects[i].y1, rects[i].y2) for i in group], inst.hlines)
             try:
                 need = len(stab_1d(ivs))
             except Infeasible:  # pragma: no cover
                 raise RuntimeError("group drawn from horizontally stabbable rectangles")
             if need >= 2 * k + 2:
-                widest = max(group, key=lambda i: (_wid_in_strip(inst.rects[i], strip), -i))
-                removed.add(widest)
+                widest = max(group, key=lambda i: (_wid_in_strip(rects[i], strip), -i))
+                removed |= 1 << widest
                 fired = True
                 break  # rescan from the first boundary
-        if not fired:
-            break
 
-    kept = [r for i, r in enumerate(inst.rects) if i not in removed]
-    survivors = [inst.rects[i] for i in rprime_idx if i not in removed]
-    h0 = _stab_positions(survivors, hpos, Axis.HORIZONTAL)
-    return kept, tuple(h0)
+    survivors = [(rects[i].y1, rects[i].y2) for i in bits(rprime & ~removed)]
+    h0 = stab_1d(IntervalSet(survivors, inst.hlines))
+    return full & ~removed, tuple(h0)
 
 
 @dataclass
@@ -421,10 +399,17 @@ class SplitWitness:
 class _Orientation:
     """One orientation of an instance with the tables every split over it
     shares. None of them depends on k_h or k, so one object serves every
-    split of a search and every rung of a solve_min ladder."""
+    split of a search and every rung of a solve_min ladder. Every table is
+    built on first use, so a search that preselection ends builds no stab
+    masks."""
 
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, mirror: Optional["_Orientation"] = None):
         self.inst = inst
+        # the orientation this one is the transpose of; transpose keeps the
+        # rectangle order, so its stab masks are ours with the axes swapped.
+        # It owns this one, so a strong reference back would be a cycle that
+        # keeps both, transposed instance included, until the cyclic GC runs.
+        self._mirror = weakref.proxy(mirror) if mirror is not None else None
         # k_v -> (H1, V0, interior-candidate flag per V0 strip), or None
         # when preselect raised GuessInfeasible
         self._preselected: dict[int, Optional[tuple]] = {}
@@ -442,14 +427,33 @@ class _Orientation:
         return self._preselected[k_v]
 
     @cached_property
-    def v_only(self) -> list[Rect]:
+    def hmask(self) -> dict[int, int]:
+        """Stab mask of each horizontal candidate, by position."""
+        return self._mirror.vmask if self._mirror else line_masks(self.inst, Axis.HORIZONTAL)
+
+    @cached_property
+    def vmask(self) -> dict[int, int]:
+        """Stab mask of each vertical candidate, by position."""
+        return self._mirror.hmask if self._mirror else line_masks(self.inst, Axis.VERTICAL)
+
+    @cached_property
+    def v_only(self) -> int:
         """Rectangles no horizontal candidate stabs."""
-        return [r for r in self.inst.rects if not rect_stabbed_by(r, self.inst.hlines, ())]
+        return ((1 << len(self.inst.rects)) - 1) & ~self.stabbed(self.hmask, ())
+
+    def stabbed(self, hlines: Iterable[int], vlines: Iterable[int]) -> int:
+        """Mask of the rectangles some of these candidate lines stab."""
+        mask = 0
+        for y in hlines:
+            mask |= self.hmask[y]
+        for x in vlines:
+            mask |= self.vmask[x]
+        return mask
 
     @cached_property
     def flipped(self) -> "_Orientation":
         """The transposed orientation, built on first use."""
-        return _Orientation(transpose(self.inst))
+        return _Orientation(transpose(self.inst), self)
 
 
 def solve_split(
@@ -473,25 +477,20 @@ def solve_split(
     if len(h1) > 2 * k_h:
         return None  # no horizontal guess can fit the budget
 
-    # Rectangles no horizontal candidate can stab must be covered by V1 or a
-    # viable guessed vertical strip; prune vertical guesses that cannot.
-    v_only = tables.v_only
-
+    rects = inst.rects
+    h1_mask = tables.stabbed(h1, ())
     for vg in enumerate_vertical_guesses(v0, k_v):
         stats.vertical_guesses += 1
         if any(not strip_has_cand[s] for s in vg.gamma_v):
             continue
-        v1s = sorted(vg.v1)
-        viable = True
-        for r in v_only:
-            if rect_stabbed_by(r, (), v1s):
-                continue
-            if not any(rect_meets_strip(s, r) for s in vg.gamma_v):
-                viable = False
-                break
-        if not viable:
+        # Rectangles no horizontal candidate can stab must be covered by V1
+        # or a viable guessed vertical strip; prune guesses that cannot.
+        v1_mask = tables.stabbed((), vg.v1)
+        uncovered = bits(tables.v_only & ~v1_mask)
+        if any(not any(rect_meets_strip(s, rects[i]) for s in vg.gamma_v) for i in uncovered):
             continue
-        kept, h0 = eliminate_redundant(inst, h1, vg.v1, vg.gamma_v, k)
+        kept, h0 = eliminate_redundant(inst, h1, vg.v1, vg.gamma_v, k, tables)
+        unstabbed = kept & ~(h1_mask | v1_mask)
         hbase = sorted(set(h1) | set(h0))
         hstrips = strips_of(Axis.HORIZONTAL, hbase)
         hstrip_ok = {
@@ -501,8 +500,7 @@ def solve_split(
             stats.horizontal_guesses += 1
             if any(not hstrip_ok[s] for s in hg.gamma_h):
                 continue
-            base_h = sorted(set(h1) | hg.h1prime)
-            kernel = [r for r in kept if not rect_stabbed_by(r, base_h, v1s)]
+            kernel = [rects[i] for i in bits(unstabbed & ~tables.stabbed(hg.h1prime, ()))]
             try:
                 formula, decode = assemble_2sat(kernel, vg.gamma_v, hg.gamma_h, inst)
             except GuessInfeasible:
@@ -513,7 +511,7 @@ def solve_split(
                 continue
             h2, v2 = decode(assignment)
             sol = Solution(hlines=set(h1) | hg.h1prime | h2, vlines=vg.v1 | v2)
-            return SplitWitness(h1, v0, vg, hg, kept, kernel, sol)
+            return SplitWitness(h1, v0, vg, hg, [rects[i] for i in bits(kept)], kernel, sol)
     return None
 
 

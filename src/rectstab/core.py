@@ -1,21 +1,25 @@
 """Exact-integer geometric primitives for rectangle stabbing.
 
-Lines, closed rectangles, problem instances, solutions, and the open-strip
-machinery shared by the solvers. All coordinates are plain Python integers
-kept within signed 64-bit range; every value is immutable and every
-operation is a pure function, so everything here is safe to share across
-threads.
+Lines, closed rectangles, problem instances, solutions, the stabbing
+kernel (stab masks: Python integers whose bit i stands for inst.rects[i])
+and the open-strip machinery shared by the solvers. All coordinates are
+plain Python integers kept within signed 64-bit range; every value is
+immutable and every operation is a pure function, so everything here is
+safe to share across threads.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from itertools import accumulate
+from operator import xor
+from typing import Iterable, Iterator, Optional, Sequence
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
+_ABOVE = I64_MAX + 1  # sentinel above every coordinate
 
 
 class Axis(Enum):
@@ -124,11 +128,6 @@ class Instance:
     def line_positions(self, axis: Axis) -> tuple[int, ...]:
         return self.vlines if axis is Axis.VERTICAL else self.hlines
 
-    def all_lines(self) -> list[Line]:
-        return [Line(Axis.HORIZONTAL, y) for y in self.hlines] + [
-            Line(Axis.VERTICAL, x) for x in self.vlines
-        ]
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -153,21 +152,54 @@ class Solution:
         ]
 
 
-def stabs(line: Line, rect: Rect) -> bool:
-    """True iff the line intersects the closed rectangle (boundary counts)."""
-    a, b = rect.interval(line.axis)
-    return a <= line.pos <= b
+def line_masks(inst: Instance, axis: Axis) -> dict[int, int]:
+    """Stab mask of every candidate line of one axis, keyed by position in
+    ascending order: bit i is set iff the line stabs inst.rects[i].
+
+    One sweep: each rectangle toggles its bit at its first stabbing
+    position and again past its last, and a running XOR accumulates them.
+    """
+    positions = inst.line_positions(axis)
+    toggles = [0] * (len(positions) + 1)
+    for i, r in enumerate(inst.rects):
+        a, b = r.interval(axis)
+        bit = 1 << i
+        toggles[bisect_left(positions, a)] ^= bit
+        toggles[bisect_right(positions, b)] ^= bit
+    return dict(zip(positions, accumulate(toggles, xor)))
 
 
-def _hits_sorted(points: Sequence[int], lo: int, hi: int) -> bool:
-    # any point of the sorted sequence inside [lo, hi]?
-    i = bisect_left(points, lo)
-    return i < len(points) and points[i] <= hi
+def stab_mask(inst: Instance, hlines: Iterable[int], vlines: Iterable[int] = ()) -> int:
+    """Mask of the rectangles some of the given lines stab: bit i is set iff
+    one of them stabs inst.rects[i]. Boundary contact counts.
+
+    One pass per nonempty pool with one bisection per rectangle. The flags
+    are collected as a string of binary digits and converted once, which
+    is cheaper than growing an integer bit by bit; the two axes are spelled
+    out because attribute access is the cost of each pass.
+    """
+    rects = inst.rects[::-1]  # the last rectangle is the leading digit
+    mask = 0
+    hs = sorted(hlines)
+    if hs:
+        hs.append(_ABOVE)
+        digits = ["1" if hs[bisect_left(hs, r.y1)] <= r.y2 else "0" for r in rects]
+        mask |= int("0" + "".join(digits), 2)
+    vs = sorted(vlines)
+    if vs:
+        vs.append(_ABOVE)
+        digits = ["1" if vs[bisect_left(vs, r.x1)] <= r.x2 else "0" for r in rects]
+        mask |= int("0" + "".join(digits), 2)
+    return mask
 
 
-def rect_stabbed_by(rect: Rect, hlines: Sequence[int], vlines: Sequence[int]) -> bool:
-    """True iff some line of the given sorted position pools stabs the rect."""
-    return _hits_sorted(hlines, rect.y1, rect.y2) or _hits_sorted(vlines, rect.x1, rect.x2)
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a nonnegative mask, ascending."""
+    digits = bin(mask)[:1:-1]  # least significant digit first
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def verify(inst: Instance, sol: Solution) -> list[Rect]:
@@ -180,9 +212,8 @@ def verify(inst: Instance, sol: Solution) -> list[Rect]:
     foreign += [Line(Axis.VERTICAL, x) for x in sorted(sol.vlines - set(inst.vlines))]
     if foreign:
         raise UnknownLineError(foreign)
-    hs = sorted(sol.hlines)
-    vs = sorted(sol.vlines)
-    return [r for r in inst.rects if not rect_stabbed_by(r, hs, vs)]
+    missed = ((1 << len(inst.rects)) - 1) & ~stab_mask(inst, sol.hlines, sol.vlines)
+    return [inst.rects[i] for i in bits(missed)]
 
 
 def transpose(inst: Instance) -> Instance:
@@ -203,39 +234,7 @@ def strips_of(axis: Axis, positions: Sequence[int]) -> list[Strip]:
     return [Strip(axis, bounds[i], bounds[i + 1]) for i in range(len(positions) + 1)]
 
 
-def strip_contains(strip: Strip, line: Line) -> bool:
-    """True iff the line lies strictly inside the open strip."""
-    if line.axis is not strip.axis:
-        raise ValueError("line axis does not match strip axis")
-    return strip.contains_pos(line.pos)
-
-
 def rect_meets_strip(strip: Strip, rect: Rect) -> bool:
     """True iff the rectangle's extent intersects the strip's open interior."""
     a, b = rect.interval(strip.axis)
     return strip.meets_interval(a, b)
-
-
-def separated(strips: Sequence[Strip], line_positions: Iterable[int]) -> bool:
-    """Separation predicate for a family of disjoint parallel strips.
-
-    True iff every pair of strips has a line between them (weakly touching
-    both boundaries counts: the strips lie on opposite sides) and no line
-    meets any strip's interior.
-    """
-    pool = sorted(set(line_positions))
-    for s in strips:
-        for p in pool:
-            if s.contains_pos(p):
-                return False
-
-    def key(s: Strip) -> tuple[int, int]:
-        return (0, s.lo) if s.lo is not None else (-1, 0)
-
-    ordered = sorted(strips, key=key)
-    for left, right in zip(ordered, ordered[1:]):
-        if left.hi is None or right.lo is None:
-            return False  # overlapping unbounded strips cannot be separated
-        if not any(left.hi <= p <= right.lo for p in pool):
-            return False
-    return True

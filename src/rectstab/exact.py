@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .core import Axis, Instance, Line, Rect, Solution, stabs
-from .greedy1d import Infeasible, stab_axis
+from .core import Axis, Instance, Line, Solution, bits, line_masks, stab_mask
+from .greedy1d import stab_axis
 
 
 @dataclass(frozen=True)
@@ -39,15 +39,12 @@ def dedup_lines(inst: Instance) -> list[tuple[Line, int]]:
     stabbed sets only the canonically smallest survives; lines stabbing
     nothing are dropped since no minimal solution can use them.
     """
-    seen: dict[int, tuple[Line, int]] = {}
-    for ln in inst.all_lines():  # already in canonical order
-        mask = 0
-        for i, r in enumerate(inst.rects):
-            if stabs(ln, r):
-                mask |= 1 << i
-        if mask and mask not in seen:
-            seen[mask] = (ln, mask)
-    return list(seen.values())
+    seen: dict[int, Line] = {}
+    for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
+        for pos, mask in line_masks(inst, axis).items():
+            if mask and mask not in seen:
+                seen[mask] = Line(axis, pos)
+    return [(ln, mask) for mask, ln in seen.items()]
 
 
 def _lines_to_solution(lines: list[Line]) -> Solution:
@@ -55,16 +52,6 @@ def _lines_to_solution(lines: list[Line]) -> Solution:
         hlines=[ln.pos for ln in lines if ln.axis is Axis.HORIZONTAL],
         vlines=[ln.pos for ln in lines if ln.axis is Axis.VERTICAL],
     )
-
-
-def _single_axis_lb(rects: list[Rect], inst: Instance, axis: Axis) -> Optional[int]:
-    """Exact 1-D optimum for rects only the given axis can stab; None = stuck."""
-    if not rects:
-        return 0
-    try:
-        return len(stab_axis(rects, inst, axis))
-    except Infeasible:
-        return None
 
 
 def opt_exact(inst: Instance, budget: SearchBudget) -> Optional[Solution]:
@@ -78,43 +65,32 @@ def opt_exact(inst: Instance, budget: SearchBudget) -> Optional[Solution]:
     full = (1 << n) - 1
     pool = dedup_lines(inst)
     masks = [m for _, m in pool]
-    hset = set(inst.hlines)
-    vset = set(inst.vlines)
 
     # Which rects can each axis stab at all? Fixed per instance.
-    h_possible = [any(r.y1 <= y <= r.y2 for y in hset) for r in inst.rects]
-    v_possible = [any(r.x1 <= x <= r.x2 for x in vset) for r in inst.rects]
+    h_any = stab_mask(inst, inst.hlines)
+    v_any = stab_mask(inst, (), inst.vlines)
 
     stabbers: list[list[int]] = [[] for _ in range(n)]
     for j, m in enumerate(masks):
-        mm = m
-        while mm:
-            i = (mm & -mm).bit_length() - 1
+        for i in bits(m):
             stabbers[i].append(j)
-            mm &= mm - 1
+    n_stabbers = [len(s) for s in stabbers]
 
     best: Optional[list[int]] = None
     best_size = budget.max_size + 1
     nodes = 0
 
     def lower_bound(unstabbed: int) -> Optional[int]:
-        v_only: list[Rect] = []
-        h_only: list[Rect] = []
-        mm = unstabbed
-        while mm:
-            i = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            if not h_possible[i] and not v_possible[i]:
-                return None
-            if not h_possible[i]:
-                v_only.append(inst.rects[i])
-            elif not v_possible[i]:
-                h_only.append(inst.rects[i])
-        lv = _single_axis_lb(v_only, inst, Axis.VERTICAL)
-        lh = _single_axis_lb(h_only, inst, Axis.HORIZONTAL)
-        if lv is None or lh is None:
-            return None
-        return lv + lh
+        if unstabbed & ~(h_any | v_any):
+            return None  # some rectangle no candidate stabs
+        # Rectangles only one axis can stab need that axis's 1-D optimum;
+        # that axis stabs each of them, so stab_axis cannot raise here.
+        lb = 0
+        for axis, other_any in ((Axis.VERTICAL, h_any), (Axis.HORIZONTAL, v_any)):
+            only = unstabbed & ~other_any
+            if only:
+                lb += len(stab_axis([inst.rects[i] for i in bits(only)], inst, axis))
+        return lb
 
     def dfs(unstabbed: int, chosen: list[int]) -> None:
         nonlocal best, best_size, nodes
@@ -132,18 +108,8 @@ def opt_exact(inst: Instance, budget: SearchBudget) -> Optional[Solution]:
         if len(chosen) + max(lb, 1) >= best_size:
             return
         # fail-first: branch on the rectangle with the fewest stabbing lines
-        pick = -1
-        pick_opts: list[int] = []
-        mm = unstabbed
-        while mm:
-            i = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            opts = stabbers[i]
-            if pick < 0 or len(opts) < len(pick_opts):
-                pick, pick_opts = i, opts
-        if not pick_opts:
-            return
-        for j in pick_opts:
+        pick = min(bits(unstabbed), key=n_stabbers.__getitem__)
+        for j in stabbers[pick]:
             chosen.append(j)
             dfs(unstabbed & ~masks[j], chosen)
             chosen.pop()

@@ -124,13 +124,19 @@ def _adjacency_rect(r: int, i: int, j: int, p: int, q: int) -> Rect:
     return Rect(2 * i * r + p + 1, 2 * i * r + r + p - 1, 2 * j * r + q + 1, 2 * j * r + r + q - 1)
 
 
+MAX_CROSS_PAIRS = 10**6  # k(k-1)r^2 cap; each pair may become a rectangle
+
+
 def build(g: MCGraph) -> ReducedInstance:
     """Emit the full rectangle families and in-strip candidate lines.
 
     Cardinalities: 4*k*r lines, 20*k^2 force rectangles, 8*k*(r-1) equality
     rectangles, and two adjacency rectangles per cross-part non-edge.
+    Raises ValueError when k*(k-1)*r^2 exceeds MAX_CROSS_PAIRS.
     """
     k, r = g.k, g.r
+    if k * (k - 1) * r * r > MAX_CROSS_PAIRS:
+        raise ValueError(f"graph too large to reduce: k(k-1)r^2 exceeds {MAX_CROSS_PAIRS}")
     nonedges = g.cross_nonedges()
     if r == 1 and nonedges:
         raise ValueError("adjacency rectangles are undefined for r = 1 with cross-part non-edges")

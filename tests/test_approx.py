@@ -1,7 +1,9 @@
+import gc
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from collections import Counter
 from itertools import chain, combinations
 from pathlib import Path
@@ -27,7 +29,7 @@ from rectstab.core import (
     Rect,
     Solution,
     Strip,
-    separated,
+    bits,
     strips_of,
     transpose,
     verify,
@@ -35,6 +37,8 @@ from rectstab.core import (
 from rectstab.exact import SearchBudget, opt_exact
 from rectstab.generators import gen_planted, gen_uniform
 from rectstab.twosat import solve as solve_2sat
+
+from oracles import separated
 
 H, V = Axis.HORIZONTAL, Axis.VERTICAL
 
@@ -230,13 +234,14 @@ def _widest_fixture():
 def test_eliminate_noop_without_strips():
     inst, _, _ = _widest_fixture()
     kept, h0 = eliminate_redundant(inst, h1=(), v1=frozenset(), gamma_v=(), k=1)
-    assert kept == list(inst.rects)
+    assert [inst.rects[i] for i in bits(kept)] == list(inst.rects)
     assert h0 == (0, 10, 20, 40)
 
 
 def test_eliminate_removes_widest_only():
     inst, gamma_v, wide = _widest_fixture()
     kept, h0 = eliminate_redundant(inst, h1=(), v1=frozenset(), gamma_v=gamma_v, k=1)
+    kept = [inst.rects[i] for i in bits(kept)]
     assert wide not in kept
     assert len(kept) == 4
     assert h0 == (0, 10, 20)
@@ -247,6 +252,7 @@ def test_eliminate_extension_property():
     # per guessed strip extends to the removed ones (k=1 here)
     inst, gamma_v, wide = _widest_fixture()
     kept, _ = eliminate_redundant(inst, h1=(), v1=frozenset(), gamma_v=gamma_v, k=1)
+    kept = [inst.rects[i] for i in bits(kept)]
     in_strip = [x for x in inst.vlines if gamma_v[0].contains_pos(x)]
     for a in chain.from_iterable(combinations(inst.hlines, n) for n in range(3)):
         for v in in_strip:
@@ -331,6 +337,7 @@ def test_witness_guided_pipeline_is_satisfiable():
         h1, v0 = preselect(work, k_v)
         gamma_v, v1 = witness_vertical_guess(v0, vstar)
         kept, h0 = eliminate_redundant(work, h1, v1, gamma_v, k)
+        kept = [work.rects[i] for i in bits(kept)]
         gamma_h, h1p = witness_horizontal_guess(h1, h0, hstar, k_h)
         base_h = sorted(set(h1) | h1p)
         kprime = [
@@ -491,6 +498,45 @@ def test_transpose_coherence():
             assert (a is None) == (b is None)
             if a is not None:
                 assert verify(transpose(inst), b) == []
+
+
+def test_search_counters_pinned():
+    """SearchStats and answer sizes on pinned instances, recorded before the
+    stabbing questions moved onto bit masks. A change that prunes guesses
+    must update these literals and say why."""
+    stats = SearchStats()
+    k, sol = solve_min(gen_uniform(60, 60, 40, 5), 12, stats)
+    assert (k, len(sol)) == (5, 8)
+    assert stats == SearchStats(
+        splits=53, vertical_guesses=266, horizontal_guesses=139, twosat_calls=3
+    )
+
+    inst, _ = gen_planted(k=7, n=300, coord_range=10**4, seed=3)
+    stats = SearchStats()
+    assert solve_with_budget(inst, 6, stats) is None
+    assert stats == SearchStats(splits=28, vertical_guesses=0, horizontal_guesses=0, twosat_calls=0)
+    stats = SearchStats()
+    assert len(solve_with_budget(inst, 7, stats)) == 7
+    assert stats == SearchStats(
+        splits=29, vertical_guesses=4238, horizontal_guesses=33, twosat_calls=33
+    )
+
+
+def test_orientations_are_freed_without_the_cyclic_gc():
+    """The transposed orientation borrows its owner's stab masks without a
+    reference cycle, so both go as soon as the search drops them."""
+    inst, _ = gen_planted(k=3, n=30, coord_range=20, seed=1)
+    gc.disable()
+    try:
+        upright = approx._Orientation(inst)
+        flipped = upright.flipped
+        assert flipped.hmask == upright.vmask and flipped.vmask == upright.hmask
+        assert flipped.v_only == approx._Orientation(transpose(inst)).v_only
+        gone = [weakref.ref(upright), weakref.ref(flipped)]
+        del upright, flipped
+        assert [ref() for ref in gone] == [None, None]
+    finally:
+        gc.enable()
 
 
 def _unshared_solve(inst, k, stats):

@@ -374,3 +374,35 @@ def test_solve_node_limit_reports_error(tmp_path, capsys):
     assert code == 1
     assert json.loads(out)["outcome"] == "error"
     assert "search nodes" in err
+
+
+def test_reduce_refuses_oversized_graph_before_allocating(tmp_path):
+    """k(k-1)r^2 = 4e18 cross-part pairs: reduce must exit 2 at once, well
+    inside a 600 MB address-space limit, instead of listing the pairs."""
+    resource = pytest.importorskip("resource")
+    graph = tmp_path / "g.json"
+    graph.write_text('{"k": 2, "r": 1000000000, "edges": []}')
+    script = (
+        "import sys, time\n"
+        "from rectstab.cli import main\n"
+        "t = time.perf_counter()\n"
+        "code = main(['reduce', sys.argv[1]])\n"
+        "print(time.perf_counter() - t)\n"
+        "sys.exit(code)\n"
+    )
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(graph)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=limit_memory,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert float(proc.stdout) < 1.0

@@ -8,15 +8,17 @@ from rectstab.core import (
     Solution,
     Strip,
     UnknownLineError,
+    bits,
+    line_masks,
     rect_meets_strip,
-    separated,
-    stabs,
-    strip_contains,
+    stab_mask,
     strips_of,
     transpose,
     verify,
 )
 from rectstab.rng import Xoshiro256StarStar
+
+from oracles import separated, stabs
 
 H, V = Axis.HORIZONTAL, Axis.VERTICAL
 
@@ -82,11 +84,24 @@ def test_verify_rejects_foreign_lines():
 
 
 def test_verify_matches_naive_double_loop():
+    """verify and the stabbing kernel (line_masks, stab_mask, bits) against
+    the stabs oracle. Besides random rectangles the inputs hold degenerate
+    rectangles, duplicates, lines on rectangle boundaries and empty pools."""
     rng = Xoshiro256StarStar(12)
-    for _ in range(100):
-        rects = [rand_rect(rng) for _ in range(rng.randint(0, 8))]
+    for _ in range(300):
+        rects = [rand_rect(rng, c=rng.choice([3, 20])) for _ in range(rng.randint(0, 8))]
+        if rects and rng.chance(1, 3):
+            rects.append(rng.choice(rects))  # duplicate
+        if rng.chance(1, 3):
+            x, y = rng.randint(-20, 20), rng.randint(-20, 20)
+            rects.append(Rect(x, x, y, y + rng.randint(0, 2)))  # degenerate
         hl = [rng.randint(-20, 20) for _ in range(rng.randint(0, 5))]
         vl = [rng.randint(-20, 20) for _ in range(rng.randint(0, 5))]
+        for r in rects:  # lines on rectangle boundaries
+            if rng.chance(1, 4):
+                hl.append(rng.choice([r.y1, r.y2]))
+            if rng.chance(1, 4):
+                vl.append(rng.choice([r.x1, r.x2]))
         inst = Instance(rects, hl, vl)
         sol = Solution(
             hlines=[y for y in inst.hlines if rng.chance(1, 2)],
@@ -98,6 +113,22 @@ def test_verify_matches_naive_double_loop():
             if not any(stabs(ln, r) for ln in sol.lines())
         ]
         assert verify(inst, sol) == naive
+
+        def oracle_mask(lines):
+            hit = [any(stabs(ln, r) for ln in lines) for r in inst.rects]
+            return sum(1 << i for i, h in enumerate(hit) if h)
+
+        for axis in (H, V):
+            table = line_masks(inst, axis)
+            assert list(table) == list(inst.line_positions(axis))
+            for pos, mask in table.items():
+                assert mask == oracle_mask([Line(axis, pos)])
+        assert stab_mask(inst, sol.hlines, sol.vlines) == oracle_mask(sol.lines())
+        assert stab_mask(inst, sol.hlines) == oracle_mask([Line(H, y) for y in sol.hlines])
+        assert stab_mask(inst, (), ()) == 0
+        for mask in (oracle_mask(sol.lines()), rng.next_u64() << 64 | rng.next_u64()):
+            assert sum(1 << i for i in bits(mask)) == mask
+            assert list(bits(mask)) == sorted(bits(mask))
 
 
 def test_transpose_example_and_involution():
@@ -138,13 +169,6 @@ def test_strips_of_counts_and_coverage():
                 assert inside == []
             else:
                 assert len(inside) == 1
-
-
-def test_strip_contains_open_boundary():
-    assert not strip_contains(Strip(V, 0, 5), Line(V, 5))
-    assert strip_contains(Strip(V, 0, 5), Line(V, 3))
-    with pytest.raises(ValueError):
-        strip_contains(Strip(V, 0, 5), Line(H, 3))
 
 
 def test_rect_meets_strip_boundary_touch_is_not_meeting():

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from rectstab.core import Axis, Instance, Line, Rect, Solution, stabs, verify
+from rectstab.core import Axis, Instance, Line, Rect, Solution, verify
 from rectstab.exact import SearchBudget, opt_exact
 from rectstab.generators import gen_mcgraph, gen_uniform
 from rectstab.reduction import (
@@ -15,6 +15,8 @@ from rectstab.reduction import (
     map_solution_back,
     reverse,
 )
+
+from oracles import stabs
 
 
 def count_families(red):
