@@ -18,6 +18,7 @@ from .core import (
     Rect,
     Solution,
     UnknownLineError,
+    drop_dominated,
     transpose,
     verify,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "brute_force",
     "build",
     "discretization_to_stabbing",
+    "drop_dominated",
     "forward",
     "gen_mcgraph",
     "gen_planted",

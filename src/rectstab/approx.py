@@ -1,8 +1,9 @@
 """Parameterized 7/4-approximation for rectangle stabbing.
 
-Given a budget k, the solver guesses how an unknown size-k solution splits
-into k_h horizontal and k_v vertical lines (k_h <= k_v after transposing),
-then per split:
+Given a budget k, the solver first drops dominated rectangles and lines
+(core.drop_dominated), which keeps the optimum, then guesses how an unknown
+size-k solution of what is left splits into k_h horizontal and k_v vertical
+lines (k_h <= k_v after transposing), and per split:
 
   1. greedily preselects horizontal lines H1 and an auxiliary vertical
      candidate pool V0 that together stab everything,
@@ -36,6 +37,7 @@ from .core import (
     Solution,
     Strip,
     bits,
+    drop_dominated,
     line_masks,
     rect_meets_strip,
     stab_mask,
@@ -528,20 +530,22 @@ def solve_with_budget(
     has k_h <= k_v. None is returned only after every split and guess is
     exhausted, which certifies that no stabbing subset of size <= k exists.
 
-    The instance is transposed at most once and preselected at most once
-    per orientation and k_v; ``_upright`` (private) carries these tables
-    across the budgets of solve_min.
+    Every split runs on drop_dominated(inst), which has the same optimum;
+    the answer is checked against inst itself. The reduced instance is
+    transposed at most once and preselected at most once per orientation
+    and k_v; ``_upright`` (private) carries these tables across the budgets
+    of solve_min.
     """
     if k < 0:
         raise ValueError("budget must be nonnegative")
     stats = stats if stats is not None else SearchStats()
-    upright = _upright if _upright is not None else _Orientation(inst)
+    upright = _upright if _upright is not None else _Orientation(drop_dominated(inst))
     for total in range(k + 1):
         for k_h in range(total + 1):
             stats.splits += 1
             k_v = total - k_h
             if k_h <= k_v:
-                found = solve_split(inst, k_h, k_v, k, stats, upright)
+                found = solve_split(upright.inst, k_h, k_v, k, stats, upright)
                 sol = found.solution if found is not None else None
             else:
                 flipped = upright.flipped
@@ -561,7 +565,7 @@ def solve_min(
 ) -> Optional[tuple[int, Solution]]:
     """Smallest budget k <= k_max the approximation succeeds at, with its
     solution; an upper bound witness for the optimum, not the optimum."""
-    upright = _Orientation(inst)
+    upright = _Orientation(drop_dominated(inst))
     for k in range(k_max + 1):
         sol = solve_with_budget(inst, k, stats, upright)
         if sol is not None:

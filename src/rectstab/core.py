@@ -1,11 +1,12 @@
 """Exact-integer geometric primitives for rectangle stabbing.
 
 Lines, closed rectangles, problem instances, solutions, the stabbing
-kernel (stab masks: Python integers whose bit i stands for inst.rects[i])
-and the open-strip machinery shared by the solvers. All coordinates are
-plain Python integers kept within signed 64-bit range; every value is
-immutable and every operation is a pure function, so everything here is
-safe to share across threads.
+kernel (stab masks: Python integers whose bit i stands for inst.rects[i]),
+the dominance reduction both solvers start from, and the open-strip
+machinery shared by the solvers. All coordinates are plain Python integers
+kept within signed 64-bit range; every value is immutable and every
+operation is a pure function, so everything here is safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from itertools import accumulate
-from operator import xor
+from operator import or_, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 I64_MIN = -(2**63)
@@ -154,19 +156,27 @@ class Solution:
 
 def line_masks(inst: Instance, axis: Axis) -> dict[int, int]:
     """Stab mask of every candidate line of one axis, keyed by position in
-    ascending order: bit i is set iff the line stabs inst.rects[i].
-
-    One sweep: each rectangle toggles its bit at its first stabbing
-    position and again past its last, and a running XOR accumulates them.
-    """
+    ascending order: bit i is set iff the line stabs inst.rects[i]."""
     positions = inst.line_positions(axis)
-    toggles = [0] * (len(positions) + 1)
-    for i, r in enumerate(inst.rects):
-        a, b = r.interval(axis)
-        bit = 1 << i
-        toggles[bisect_left(positions, a)] ^= bit
-        toggles[bisect_right(positions, b)] ^= bit
-    return dict(zip(positions, accumulate(toggles, xor)))
+    spans = (
+        (bisect_left(positions, a), bisect_right(positions, b), 1 << i)
+        for i, (a, b) in enumerate(r.interval(axis) for r in inst.rects)
+    )
+    return dict(zip(positions, _range_masks(spans, len(positions))))
+
+
+def _range_masks(spans: Iterable[tuple[int, int, int]], m: int) -> list[int]:
+    """Masks of m candidates from (s, e, bits) triples: the bits of a triple
+    are set in masks[t] for s <= t < e.
+
+    One sweep: each triple toggles its bits at s and again at e, and a
+    running XOR accumulates them.
+    """
+    toggles = [0] * (m + 1)
+    for s, e, mask in spans:
+        toggles[s] ^= mask
+        toggles[e] ^= mask
+    return list(accumulate(toggles[:m], xor))
 
 
 def stab_mask(inst: Instance, hlines: Iterable[int], vlines: Iterable[int] = ()) -> int:
@@ -214,6 +224,138 @@ def verify(inst: Instance, sol: Solution) -> list[Rect]:
         raise UnknownLineError(foreign)
     missed = ((1 << len(inst.rects)) - 1) & ~stab_mask(inst, sol.hlines, sol.vlines)
     return [inst.rects[i] for i in bits(missed)]
+
+
+def drop_dominated(inst: Instance) -> Instance:
+    """Subinstance with the same optimum, every solution of which stabs inst.
+
+    A rectangle goes when its stabber set strictly contains another one's,
+    or equals that of an earlier rectangle: whatever stabs the other one
+    stabs it too. A line goes when it stabs nothing, when its stab set lies
+    strictly inside another line's on either axis, or when it equals that
+    of a canonically smaller line (horizontal before vertical, ascending):
+    the other line can replace it in any solution. Dropping lines can make
+    more rectangles dominated and dropping rectangles more lines, so the
+    two passes repeat until neither drops anything. Rectangles keep their
+    input order; inst itself is returned when nothing goes.
+
+    Both passes work on candidate indices: a rectangle's stabbers are one
+    index range per axis, and a line's dominators are the intersection of
+    the ranges of the rectangles it stabs.
+    """
+    while True:
+        spans = _stabber_ranges(inst)
+        keep = list(bits(_undominated_rects(spans, len(inst.hlines), len(inst.vlines))))
+        hlines, vlines = _undominated_lines(inst.hlines, inst.vlines, [spans[i] for i in keep])
+        if (len(keep), len(hlines), len(vlines)) == (
+            len(inst.rects), len(inst.hlines), len(inst.vlines)
+        ):
+            return inst
+        inst = Instance([inst.rects[i] for i in keep], hlines, vlines)
+
+
+def _stabber_ranges(inst: Instance) -> list[tuple[int, int, int, int]]:
+    """(a, b, c, d) per rectangle: the candidates stabbing it are
+    inst.hlines[a:b] and inst.vlines[c:d]. An empty range is (0, 0), so
+    equal stabber sets have equal ranges. Masks built from these ranges
+    have bit i for inst.rects[i]."""
+    hs, vs = inst.hlines, inst.vlines
+    spans = []
+    for r in inst.rects:
+        a, b = bisect_left(hs, r.y1), bisect_right(hs, r.y2)
+        c, d = bisect_left(vs, r.x1), bisect_right(vs, r.x2)
+        if a == b:
+            a = b = 0
+        if c == d:
+            c = d = 0
+        spans.append((a, b, c, d))
+    return spans
+
+
+def _undominated_rects(spans: list[tuple[int, int, int, int]], mh: int, mv: int) -> int:
+    """Mask of the rectangles drop_dominated keeps. The rectangles with no
+    stabber outside one class of equal ranges are those whose stabber set
+    lies inside the class's (an empty range (0, 0) puts its whole axis
+    outside); the class keeps its first rectangle iff they are exactly its
+    members."""
+    same: dict[tuple[int, int, int, int], int] = {}
+    for i, span in enumerate(spans):
+        same[span] = same.get(span, 0) | 1 << i
+    hmasks = _range_masks([(a, b, m) for (a, b, _, _), m in same.items()], mh)
+    vmasks = _range_masks([(c, d, m) for (_, _, c, d), m in same.items()], mv)
+    pre_h, suf_h = _prefix_suffix_or(hmasks)
+    pre_v, suf_v = _prefix_suffix_or(vmasks)
+    full = (1 << len(spans)) - 1
+    kept = 0
+    for (a, b, c, d), members in same.items():
+        if full & ~(pre_h[a] | suf_h[b] | pre_v[c] | suf_v[d]) == members:
+            kept |= members & -members
+    return kept
+
+
+def _prefix_suffix_or(masks: list[int]) -> tuple[list[int], list[int]]:
+    """pre[t] = OR of masks[:t] and suf[t] = OR of masks[t:], for t = 0..len."""
+    pre = list(accumulate(masks, or_, initial=0))
+    suf = list(accumulate(reversed(masks), or_, initial=0))[::-1]
+    return pre, suf
+
+
+def _undominated_lines(
+    hlines: Sequence[int], vlines: Sequence[int], spans: list[tuple[int, int, int, int]]
+) -> tuple[list[int], list[int]]:
+    """(hlines, vlines) that drop_dominated keeps. A line that stabs
+    something is dominated by exactly the candidates in the intersection of
+    its rectangles' ranges, itself included; it stays iff they all have its
+    stab set and it is the canonically smallest of them."""
+    hmasks = _range_masks([(a, b, 1 << i) for i, (a, b, _, _) in enumerate(spans)], len(hlines))
+    vmasks = _range_masks([(c, d, 1 << i) for i, (_, _, c, d) in enumerate(spans)], len(vlines))
+    # the third field is where the line's own axis sits in an (a, b, c, d) span
+    axes = ((hlines, hmasks, 0), (vlines, vmasks, 2))
+    first: dict[int, tuple[int, int]] = {}
+    count: dict[int, int] = {}
+    for _, masks, own in axes:
+        for t, mask in enumerate(masks):
+            if mask:
+                first.setdefault(mask, (own, t))
+                count[mask] = count.get(mask, 0) + 1
+    kept: tuple[list[int], list[int]] = ([], [])
+    for (positions, masks, own), out in zip(axes, kept):
+        by_own = [(s[own], s[own + 1]) for s in spans]
+        by_other = [(s[2 - own], s[3 - own]) for s in spans]
+        meets = zip(_meet(by_own, by_own, len(positions)), _meet(by_own, by_other, len(positions)))
+        for t, ((lo, hi), (lo2, hi2)) in enumerate(meets):
+            mask = masks[t]
+            if mask and first[mask] == (own, t) and hi - lo + max(0, hi2 - lo2) == count[mask]:
+                out.append(positions[t])
+    return kept
+
+
+def _meet(
+    spans: list[tuple[int, int]], ranges: list[tuple[int, int]], m: int
+) -> list[tuple[int, int]]:
+    """For each index t < m, the intersection (lo, hi) of ranges[i] over the
+    i whose span (s, e) holds t (s <= t < e); (0, 0) when no span does.
+
+    One sweep over t with two heaps, the largest lo and the smallest hi of
+    the spans entered so far; each drops the spans ended at its top.
+    """
+    order = sorted((i for i, (s, e) in enumerate(spans) if s < e), key=lambda i: spans[i][0])
+    los: list[tuple[int, int]] = []  # (-lo, e)
+    his: list[tuple[int, int]] = []  # (hi, e)
+    out = []
+    p = 0
+    for t in range(m):
+        while p < len(order) and spans[order[p]][0] <= t:
+            i = order[p]
+            heappush(los, (-ranges[i][0], spans[i][1]))
+            heappush(his, (ranges[i][1], spans[i][1]))
+            p += 1
+        while los and los[0][1] <= t:
+            heappop(los)
+        while his and his[0][1] <= t:
+            heappop(his)
+        out.append((-los[0][0], his[0][0]) if los else (0, 0))
+    return out
 
 
 def transpose(inst: Instance) -> Instance:

@@ -156,6 +156,9 @@ def gen_mcgraph(
     return MCGraph(k=k, r=r, edges=frozenset(edges)), clique
 
 
+MAX_CUT_LINES = 10**6  # cap on the odd lines of a doubled bounding box
+
+
 def discretization_to_stabbing(pts: ColoredPointSet) -> Instance:
     """Stabbing instance whose solutions are exactly the axis-parallel cut
     sets separating every bichromatic point pair.
@@ -164,17 +167,33 @@ def discretization_to_stabbing(pts: ColoredPointSet) -> Instance:
     x-range [2*min+1, 2*max-1] (odd cut positions strictly between them)
     and an equal coordinate becomes a zero-width even range no odd line can
     stab, forcing separation on the other axis. Candidate lines are all odd
-    integers inside the doubled bounding box.
+    integers inside the doubled bounding box, (max x - min x) + (max y -
+    min y) of them; raises ValueError before building anything when that
+    exceeds MAX_CUT_LINES.
     """
+    points = pts.points
+    vlines: list[int] = []
+    hlines: list[int] = []
+    if points:
+        x_lo, x_hi = min(x for x, _, _ in points), max(x for x, _, _ in points)
+        y_lo, y_hi = min(y for _, y, _ in points), max(y for _, y, _ in points)
+        n_lines = (x_hi - x_lo) + (y_hi - y_lo)
+        if n_lines > MAX_CUT_LINES:
+            raise ValueError(
+                f"point set too spread out: its doubled bounding box has {n_lines} "
+                f"odd cut lines, more than {MAX_CUT_LINES}"
+            )
+        vlines = list(range(2 * x_lo + 1, 2 * x_hi, 2))
+        hlines = list(range(2 * y_lo + 1, 2 * y_hi, 2))
+
     by_pos: dict[tuple[int, int], int] = {}
-    for x, y, color in pts.points:
+    for x, y, color in points:
         prev = by_pos.get((x, y))
         if prev is not None and prev != color:
             raise InseparablePoints(f"points at ({x}, {y}) carry colors {prev} and {color}")
         by_pos[(x, y)] = color
 
     rects = []
-    points = pts.points
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             px, py, pc = points[i]
@@ -190,13 +209,4 @@ def discretization_to_stabbing(pts: ColoredPointSet) -> Instance:
             else:
                 yr = (2 * py, 2 * py)
             rects.append(Rect(xr[0], xr[1], yr[0], yr[1]))
-
-    if points:
-        xs = [x for x, _, _ in points]
-        ys = [y for _, y, _ in points]
-        vlines = list(range(2 * min(xs) + 1, 2 * max(xs), 2))
-        hlines = list(range(2 * min(ys) + 1, 2 * max(ys), 2))
-    else:
-        vlines = []
-        hlines = []
     return Instance(rects=rects, hlines=hlines, vlines=vlines)

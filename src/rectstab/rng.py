@@ -54,9 +54,12 @@ class Xoshiro256StarStar:
         return Xoshiro256StarStar(self.next_u64())
 
     def randrange(self, n: int) -> int:
-        """Unbiased uniform draw from [0, n) by rejection."""
+        """Unbiased uniform draw from [0, n) by rejection; n is at most
+        2**64, the number of distinct 64-bit words."""
         if n <= 0:
             raise ValueError("randrange bound must be positive")
+        if n > 1 << 64:
+            raise ValueError(f"randrange bound {n} exceeds 2**64")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             u = self.next_u64()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from rectstab.core import Line, Rect, Strip
+from rectstab.core import Axis, Instance, Line, Rect, Strip
 
 
 def stabs(line: Line, rect: Rect) -> bool:
@@ -41,3 +41,43 @@ def separated(strips: Sequence[Strip], line_positions: Iterable[int]) -> bool:
         if not any(left.hi <= p <= right.lo for p in pool):
             return False
     return True
+
+
+def dominance_reduce(inst: Instance) -> Instance:
+    """Pairwise reference for core.drop_dominated, by the definition.
+
+    Rectangle pass: drop a rectangle when another one's stabber set is a
+    strict subset of its own, or an equal set of an earlier rectangle. Line
+    pass: drop a line that stabs nothing, whose stab set is a strict subset
+    of another line's, or equal to that of a line earlier in canonical
+    order (horizontal before vertical, ascending). Repeat both passes until
+    nothing changes.
+    """
+    while True:
+        lines = [Line(Axis.HORIZONTAL, y) for y in inst.hlines]
+        lines += [Line(Axis.VERTICAL, x) for x in inst.vlines]
+        stabbers = [frozenset(ln for ln in lines if stabs(ln, r)) for r in inst.rects]
+        rects = [
+            r
+            for i, r in enumerate(inst.rects)
+            if not any(
+                s < stabbers[i] or (j < i and s == stabbers[i]) for j, s in enumerate(stabbers)
+            )
+        ]
+        stabbed = [frozenset(j for j, r in enumerate(rects) if stabs(ln, r)) for ln in lines]
+        kept = [
+            ln
+            for i, ln in enumerate(lines)
+            if stabbed[i]
+            and not any(
+                stabbed[i] < s or (j < i and s == stabbed[i]) for j, s in enumerate(stabbed)
+            )
+        ]
+        reduced = Instance(
+            rects,
+            [ln.pos for ln in kept if ln.axis is Axis.HORIZONTAL],
+            [ln.pos for ln in kept if ln.axis is Axis.VERTICAL],
+        )
+        if reduced == inst:
+            return inst
+        inst = reduced

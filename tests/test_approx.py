@@ -30,6 +30,7 @@ from rectstab.core import (
     Solution,
     Strip,
     bits,
+    drop_dominated,
     strips_of,
     transpose,
     verify,
@@ -501,14 +502,14 @@ def test_transpose_coherence():
 
 
 def test_search_counters_pinned():
-    """SearchStats and answer sizes on pinned instances, recorded before the
-    stabbing questions moved onto bit masks. A change that prunes guesses
-    must update these literals and say why."""
+    """SearchStats and answer sizes on pinned instances, recorded once the
+    search ran on the instance without dominated rectangles and lines. A
+    change that prunes guesses must update these literals and say why."""
     stats = SearchStats()
     k, sol = solve_min(gen_uniform(60, 60, 40, 5), 12, stats)
     assert (k, len(sol)) == (5, 8)
     assert stats == SearchStats(
-        splits=53, vertical_guesses=266, horizontal_guesses=139, twosat_calls=3
+        splits=53, vertical_guesses=266, horizontal_guesses=2, twosat_calls=1
     )
 
     inst, _ = gen_planted(k=7, n=300, coord_range=10**4, seed=3)
@@ -518,7 +519,7 @@ def test_search_counters_pinned():
     stats = SearchStats()
     assert len(solve_with_budget(inst, 7, stats)) == 7
     assert stats == SearchStats(
-        splits=29, vertical_guesses=4238, horizontal_guesses=33, twosat_calls=33
+        splits=29, vertical_guesses=4238, horizontal_guesses=1, twosat_calls=1
     )
 
 
@@ -541,8 +542,9 @@ def test_orientations_are_freed_without_the_cyclic_gc():
 
 def _unshared_solve(inst, k, stats):
     """solve_with_budget with nothing shared between splits: every split
-    runs solve_split on its own, on a freshly transposed instance when
-    k_h > k_v."""
+    runs solve_split on its own, on the instance without dominated
+    rectangles and lines, freshly transposed when k_h > k_v."""
+    inst = drop_dominated(inst)
     for total in range(k + 1):
         for k_h in range(total + 1):
             stats.splits += 1

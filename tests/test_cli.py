@@ -8,7 +8,7 @@ import pytest
 
 from rectstab.cli import main
 from rectstab import approx, exact, formats
-from rectstab.core import Solution, verify
+from rectstab.core import Solution, drop_dominated, verify
 from rectstab.reduction import build, forward
 
 
@@ -376,17 +376,15 @@ def test_solve_node_limit_reports_error(tmp_path, capsys):
     assert "search nodes" in err
 
 
-def test_reduce_refuses_oversized_graph_before_allocating(tmp_path):
-    """k(k-1)r^2 = 4e18 cross-part pairs: reduce must exit 2 at once, well
-    inside a 600 MB address-space limit, instead of listing the pairs."""
+def _exits_2_at_once(*argv):
+    """Run main(argv) in a subprocess under a 600 MB address-space limit: it
+    must exit 2 with one error line, under 1 s inside main."""
     resource = pytest.importorskip("resource")
-    graph = tmp_path / "g.json"
-    graph.write_text('{"k": 2, "r": 1000000000, "edges": []}')
     script = (
         "import sys, time\n"
         "from rectstab.cli import main\n"
         "t = time.perf_counter()\n"
-        "code = main(['reduce', sys.argv[1]])\n"
+        "code = main(sys.argv[1:])\n"
         "print(time.perf_counter() - t)\n"
         "sys.exit(code)\n"
     )
@@ -396,7 +394,7 @@ def test_reduce_refuses_oversized_graph_before_allocating(tmp_path):
 
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(graph)],
+        [sys.executable, "-c", script, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -406,3 +404,39 @@ def test_reduce_refuses_oversized_graph_before_allocating(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
     assert float(proc.stdout) < 1.0
+
+
+def test_reduce_refuses_oversized_graph_before_allocating(tmp_path):
+    """k(k-1)r^2 = 4e18 cross-part pairs: reduce must exit 2 at once, well
+    inside a 600 MB address-space limit, instead of listing the pairs."""
+    graph = tmp_path / "g.json"
+    graph.write_text('{"k": 2, "r": 1000000000, "edges": []}')
+    _exits_2_at_once("reduce", str(graph))
+
+
+def test_discretize_refuses_spread_points_before_allocating(tmp_path):
+    """x spans 0..4e18, so the doubled box has 4e18 odd vertical lines:
+    gen discretize must exit 2 at once instead of listing them."""
+    points = tmp_path / "pts.csv"
+    points.write_text("x,y,color\n0,0,0\n4000000000000000000,1,1\n")
+    _exits_2_at_once("gen", "discretize", str(points), "--out", str(tmp_path / "o.json"))
+
+
+def test_gen_uniform_coordinate_range_beyond_64_bits_exits_2(tmp_path):
+    """randint(-c, c) with c = 2**63 draws from 2**64 + 1 values, more than
+    one 64-bit word holds; the draw is refused instead of rejecting forever."""
+    _exits_2_at_once("gen", "uniform", "--n", "2", "--m-lines", "2", "--coord-range",
+                     str(2**63), "--seed", "1", "--out", str(tmp_path / "u.json"))
+
+
+def test_solve_report_gives_reduced_sizes(planted_paths, capsys):
+    inst_path, _ = planted_paths
+    code, out, _ = run(capsys, "solve", str(inst_path), "--approx", "-k", "2")
+    assert code == 0
+    report = json.loads(out)
+    reduced = drop_dominated(formats.load_instance(inst_path))
+    assert report["reduced"] == {
+        "rects": len(reduced.rects), "hlines": len(reduced.hlines), "vlines": len(reduced.vlines)
+    }
+    assert report["instance"] == {"rects": 12, "hlines": 1, "vlines": 5}
+    assert report["reduced"]["rects"] < 12

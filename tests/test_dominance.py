@@ -1,0 +1,116 @@
+"""Differential tests of core.drop_dominated against the pairwise reference
+oracles.dominance_reduce, and of both solvers on the reduced instance
+against the raw one."""
+
+import time
+
+from rectstab.approx import solve_with_budget
+from rectstab.core import Instance, Rect, Solution, drop_dominated, verify
+from rectstab.exact import SearchBudget, brute_force, opt_exact
+from rectstab.generators import gen_planted, gen_uniform
+from rectstab.rng import Xoshiro256StarStar
+
+from oracles import dominance_reduce
+
+
+def _pool() -> list[Instance]:
+    """300 pinned small instances, coordinates in a range of 3 to 13 so
+    duplicate and zero-extent rectangles and lines on rectangle boundaries
+    are common, plus the empty instance and a lone unstabbable rectangle."""
+    rng = Xoshiro256StarStar(7)
+    pool = [Instance([], [], []), Instance([Rect(0, 1, 0, 1)], [5], [-5])]
+    for seed in range(300):
+        c = rng.randint(1, 6)
+        if seed % 3:
+            pool.append(gen_uniform(rng.randint(0, 10), rng.randint(0, 10), c, seed))
+        else:
+            k = rng.randint(1, 3)
+            pool.append(gen_planted(k, rng.randint(1, 10), max(c, k), seed)[0])
+    return pool
+
+
+POOL = _pool()
+
+
+def _is_subsequence(part, whole) -> bool:
+    it = iter(whole)
+    return all(any(x == y for y in it) for x in part)
+
+
+def test_pool_covers_the_corner_cases():
+    def unstabbable(inst):
+        return bool(verify(inst, Solution(inst.hlines, inst.vlines)))
+
+    assert any(not inst.rects for inst in POOL)
+    assert sum(len(set(inst.rects)) < len(inst.rects) for inst in POOL) >= 30
+    assert sum(any(r.x1 == r.x2 or r.y1 == r.y2 for r in inst.rects) for inst in POOL) >= 30
+    assert sum(unstabbable(inst) for inst in POOL) >= 30
+    on_boundary = sum(
+        any(y in (r.y1, r.y2) for r in inst.rects for y in inst.hlines)
+        or any(x in (r.x1, r.x2) for r in inst.rects for x in inst.vlines)
+        for inst in POOL
+    )
+    assert on_boundary >= 100
+
+
+def test_drop_dominated_matches_pairwise_reference():
+    for inst in POOL:
+        reduced = drop_dominated(inst)
+        assert reduced == dominance_reduce(inst), inst
+        assert drop_dominated(reduced) == reduced
+        assert _is_subsequence(reduced.rects, inst.rects)
+        assert set(reduced.hlines) <= set(inst.hlines)
+        assert set(reduced.vlines) <= set(inst.vlines)
+
+
+def test_reduced_instance_keeps_the_optimum_and_its_answers_stab_the_original():
+    for inst in POOL:
+        reduced = drop_dominated(inst)
+        n_lines = len(inst.hlines) + len(inst.vlines)
+        raw = brute_force(inst, n_lines)
+        opt = brute_force(reduced, n_lines)
+        assert (raw is None) == (opt is None)
+        exact = opt_exact(reduced, SearchBudget(n_lines))
+        if raw is None:
+            assert exact is None
+            assert solve_with_budget(reduced, n_lines) is None
+            continue
+        assert len(raw) == len(opt) == len(exact)
+        assert verify(inst, exact) == []
+        for k in range(len(opt) + 1):
+            sol = solve_with_budget(reduced, k)
+            if sol is None:
+                assert k < len(opt)  # a no-witness must be a true certificate
+                continue
+            assert len(opt) <= len(sol) <= (7 * k) // 4
+            assert verify(inst, sol) == []
+
+
+def test_dropping_lines_can_dominate_rectangles():
+    # v@0 and v@5 each stab a subset of what h@0 stabs, so they go; then
+    # both rectangles have the stabber set {h@0} and the second one goes
+    first, second = Rect(0, 0, 0, 0), Rect(5, 5, 0, 0)
+    inst = Instance([first, second], hlines=[0], vlines=[0, 5])
+    assert drop_dominated(inst) == Instance([first], hlines=[0], vlines=[])
+
+
+def test_unstabbable_rectangle_dominates_everything():
+    lone = Rect(10, 11, 10, 11)
+    inst = Instance([Rect(0, 1, 0, 1), lone, Rect(0, 2, 0, 2), lone], hlines=[0], vlines=[1])
+    assert drop_dominated(inst) == Instance([lone], [], [])
+
+
+def test_returns_the_input_when_nothing_is_dominated():
+    inst = Instance([Rect(0, 0, 0, 0), Rect(5, 5, 5, 5)], hlines=[0], vlines=[5])
+    assert drop_dominated(inst) is inst
+
+
+def test_large_uniform_instance_in_index_space():
+    """2,500 rectangles and 4,000 candidate lines: the sizes a pairwise
+    prototype gave, in well under a second."""
+    inst = gen_uniform(2500, 4000, 10**6, 1)
+    start = time.perf_counter()
+    reduced = drop_dominated(inst)
+    elapsed = time.perf_counter() - start
+    assert (len(reduced.rects), len(reduced.hlines), len(reduced.vlines)) == (320, 150, 151)
+    assert elapsed < 1.0

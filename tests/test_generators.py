@@ -195,3 +195,10 @@ def test_discretize_matches_cut_brute_force():
         got = len(sol) if sol is not None else None
         assert got == oracle
         done += 1
+
+
+def test_randrange_refuses_bounds_beyond_64_bits():
+    rng = Xoshiro256StarStar(1)
+    assert 0 <= rng.randrange(2**64) < 2**64
+    with pytest.raises(ValueError):
+        rng.randrange(2**64 + 1)
