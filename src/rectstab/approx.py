@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import twosat
 from .core import (
@@ -40,8 +40,8 @@ from .core import (
     drop_dominated,
     line_masks,
     rect_meets_strip,
+    slot_masks,
     stab_mask,
-    strips_of,
     transpose,
     verify,
 )
@@ -56,6 +56,7 @@ class GuessInfeasible(Exception):
 class VerticalGuess:
     gamma_v: tuple[Strip, ...]
     v1: frozenset[int]
+    slots: tuple[int, ...]  # index of each gamma_v strip among the strips V0 cuts out
 
     def size(self) -> int:
         return len(self.gamma_v) + len(self.v1)
@@ -149,65 +150,144 @@ def preselect(inst: Instance, k_v: int) -> tuple[tuple[int, ...], tuple[int, ...
     return tuple(h1set), tuple(v0)
 
 
-def _separated_index_combo(strip_idx: tuple[int, ...], line_idx_set: frozenset[int]) -> bool:
-    # line t (0-based among base positions) separates strips i < j iff i <= t <= j-1
-    for a, b in zip(strip_idx, strip_idx[1:]):
-        if not any(a <= t <= b - 1 for t in line_idx_set):
-            return False
-    return True
+def _candidate_slots(base: Sequence[int], candidates: Sequence[int]) -> list[int]:
+    """Indices of the slots (the strips the sorted positions base cut out)
+    with a sorted candidate position strictly inside."""
+    above = [0] + [bisect_right(candidates, p) for p in base]
+    below = [bisect_left(candidates, p) for p in base] + [len(candidates)]
+    return [i for i, (a, b) in enumerate(zip(above, below)) if a < b]
+
+
+def _hitting_picks(
+    free: Sequence[int], gaps: Sequence[tuple[int, int]], n: int, start: int = 0, g: int = 0
+) -> Iterator[tuple[int, ...]]:
+    """The n-subsets of free[start:] that hit every index range [lo, hi) of
+    gaps[g:], in lexicographic order; the ranges are nonempty, disjoint and
+    ascending, and there are at most n of them.
+
+    Each pick either hits the first range not hit yet or lies before it,
+    and is kept only when the picks after it can still hit the rest, so
+    every branch yields."""
+    if n == 0:
+        yield ()
+        return
+    lo, hi = gaps[g] if g < len(gaps) else (len(free), len(free))
+    stop = min(hi, len(free) - n + 1)  # past hi, range g stays unhit
+    if n == 1:
+        for q in range(start if g == len(gaps) else max(start, lo), stop):
+            yield (free[q],)
+        return
+    for q in range(start, stop):
+        g_next = g + 1 if q >= lo else g
+        if len(gaps) - g_next < n:
+            for rest in _hitting_picks(free, gaps, n - 1, q + 1, g_next):
+                yield (free[q], *rest)
+
+
+class Cover(NamedTuple):
+    """Rectangles a guess must reach, as masks over inst.rects: each
+    rectangle of need meets a chosen slot (slots[i]: the rectangles meeting
+    slot i) or is stabbed by a picked line (lines[t]: the rectangles base
+    position t stabs)."""
+
+    need: int
+    slots: Sequence[int]
+    lines: Sequence[int]
 
 
 def _separated_families(
-    n_base: int, fixed_idx: frozenset[int], free_idx: Sequence[int], budget: int
+    n_base: int,
+    cand_slots: Sequence[int],
+    fixed_idx: frozenset[int],
+    budget: int,
+    cover: Optional[Cover] = None,
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Index pairs (strip combo, line pick) over n_base sorted positions:
-    strips among the n_base + 1 strips they cut out, lines picked from
-    free_idx, with |strips| + |picked| <= budget and every pair of
-    consecutive chosen strips separated by a fixed or picked line.
+    """Index pairs (slot combo, line pick) over n_base sorted positions:
+    slots drawn from cand_slots (ascending) among the n_base + 1 strips the
+    positions cut out, lines picked from the positions not in fixed_idx,
+    with |slots| + |picked| <= budget and every pair of consecutive chosen
+    slots separated by a fixed or picked line; with a cover, only pairs
+    reaching it.
 
-    Deterministic order: nondecreasing combined size, then fewer strips
-    first, then lexicographic by strip and line index combinations.
+    Line picks are built, not filtered: line t separates slots i < j iff
+    i <= t < j, so a gap with no fixed line between its slots becomes a
+    range of free lines the pick must hit. Deterministic order:
+    nondecreasing combined size, then fewer slots first, then
+    lexicographic by slot and line index combinations.
     """
+    fixed = sorted(fixed_idx)
+    free = [t for t in range(n_base) if t not in fixed_idx]
+    need, slot_meets, line_stabs = cover or Cover(0, [0] * (n_base + 1), [0] * n_base)
     for total in range(budget + 1):
-        for n_strips in range(total + 1):
-            n_lines = total - n_strips
-            if n_strips > n_base + 1 or n_lines > len(free_idx):
+        for n_slots in range(total + 1):
+            n_lines = total - n_slots
+            if n_lines > len(free):
                 continue
-            for strip_combo in combinations(range(n_base + 1), n_strips):
-                for line_pick in combinations(free_idx, n_lines):
-                    if _separated_index_combo(strip_combo, fixed_idx.union(line_pick)):
-                        yield strip_combo, line_pick
+            for slot_combo in combinations(cand_slots, n_slots):
+                gaps = [
+                    (bisect_left(free, a), bisect_left(free, b))
+                    for a, b in zip(slot_combo, slot_combo[1:])
+                    if bisect_left(fixed, a) == bisect_left(fixed, b)
+                ]
+                if len(gaps) > n_lines or any(lo == hi for lo, hi in gaps):
+                    continue
+                missing = need
+                for i in slot_combo:
+                    missing &= ~slot_meets[i]
+                for line_pick in _hitting_picks(free, gaps, n_lines):
+                    if missing:
+                        left = missing
+                        for t in line_pick:
+                            left &= ~line_stabs[t]
+                        if left:
+                            continue
+                    yield slot_combo, line_pick
 
 
-def enumerate_vertical_guesses(v0: Sequence[int], k_v: int) -> Iterator[VerticalGuess]:
-    """All (gamma_v, V1) with |gamma_v| + |V1| <= floor(3*k_v/2) and gamma_v
-    separated by V1, in the order of _separated_families."""
+def enumerate_vertical_guesses(
+    v0: Sequence[int], k_v: int, vlines: Sequence[int], cover: Optional[Cover] = None
+) -> Iterator[VerticalGuess]:
+    """All (gamma_v, V1) with |gamma_v| + |V1| <= floor(3*k_v/2), gamma_v
+    separated by V1 and every guessed strip holding a candidate of the
+    sorted vlines strictly inside, in the order of _separated_families. A
+    strip with no interior candidate can hold no solution line, so it is
+    never guessed. With a cover (slots and lines indexed over sorted v0),
+    only guesses reaching it are yielded; guess counters count yields."""
     base = tuple(sorted(v0))
-    strips = strips_of(Axis.VERTICAL, base)
-    for strip_combo, line_pick in _separated_families(
-        len(base), frozenset(), range(len(base)), (3 * k_v) // 2
-    ):
+    bounds = (None, *base, None)
+    families = _separated_families(
+        len(base), _candidate_slots(base, vlines), frozenset(), (3 * k_v) // 2, cover
+    )
+    for slot_combo, line_pick in families:
         yield VerticalGuess(
-            gamma_v=tuple(strips[i] for i in strip_combo),
+            gamma_v=tuple(Strip(Axis.VERTICAL, bounds[i], bounds[i + 1]) for i in slot_combo),
             v1=frozenset(base[t] for t in line_pick),
+            slots=slot_combo,
         )
 
 
 def enumerate_horizontal_guesses(
-    h1: Sequence[int], h0: Sequence[int], k_h: int
+    h1: Sequence[int],
+    h0: Sequence[int],
+    k_h: int,
+    hlines: Sequence[int],
+    cover: Optional[Cover] = None,
 ) -> Iterator[HorizontalGuess]:
     """All (gamma_h, H1') with |H1| + |gamma_h| + |H1'| <= 2*k_h, H1' drawn
-    from H0, and gamma_h (strips of the H1-union-H0 arrangement) separated
-    by H1 together with H1'. Same deterministic order as the vertical
-    enumeration."""
+    from H0, and gamma_h (strips of the H1-union-H0 arrangement, each with
+    a candidate of the sorted hlines strictly inside) separated by H1
+    together with H1'. Same order, cover and counting as the vertical
+    enumeration; cover slots and lines are indexed over sorted H1 | H0."""
     base = tuple(sorted(set(h1) | set(h0)))
-    strips = strips_of(Axis.HORIZONTAL, base)
+    bounds = (None, *base, None)
     h1set = set(h1)
     h1_idx = frozenset(t for t, p in enumerate(base) if p in h1set)
-    h0_idx = tuple(t for t, p in enumerate(base) if p not in h1set)
-    for strip_combo, line_pick in _separated_families(len(base), h1_idx, h0_idx, 2 * k_h - len(h1)):
+    families = _separated_families(
+        len(base), _candidate_slots(base, hlines), h1_idx, 2 * k_h - len(h1), cover
+    )
+    for slot_combo, line_pick in families:
         yield HorizontalGuess(
-            gamma_h=tuple(strips[i] for i in strip_combo),
+            gamma_h=tuple(Strip(Axis.HORIZONTAL, bounds[i], bounds[i + 1]) for i in slot_combo),
             h1prime=frozenset(base[t] for t in line_pick),
         )
 
@@ -379,10 +459,6 @@ def assemble_2sat(
     return f, decode
 
 
-def _strip_interior_candidates(strips: list[Strip], positions: Sequence[int]) -> list[bool]:
-    return [any(s.contains_pos(p) for p in positions) for s in strips]
-
-
 @dataclass(frozen=True)
 class SplitWitness:
     """The first satisfiable guess of a split: the preselection, both
@@ -412,21 +488,28 @@ class _Orientation:
         # It owns this one, so a strong reference back would be a cycle that
         # keeps both, transposed instance included, until the cyclic GC runs.
         self._mirror = weakref.proxy(mirror) if mirror is not None else None
-        # k_v -> (H1, V0, interior-candidate flag per V0 strip), or None
-        # when preselect raised GuessInfeasible
+        # k_v -> (H1, V0), or None when preselect raised GuessInfeasible
         self._preselected: dict[int, Optional[tuple]] = {}
+        self._vcovers: dict[tuple[int, ...], Cover] = {}  # by V0
 
     def preselected(self, k_v: int) -> Optional[tuple]:
         if k_v not in self._preselected:
             try:
-                h1, v0 = preselect(self.inst, k_v)
+                self._preselected[k_v] = preselect(self.inst, k_v)
             except GuessInfeasible:
                 self._preselected[k_v] = None
-            else:
-                vstrips = strips_of(Axis.VERTICAL, list(v0))
-                ok = _strip_interior_candidates(vstrips, self.inst.vlines)
-                self._preselected[k_v] = (h1, v0, dict(zip(vstrips, ok)))
         return self._preselected[k_v]
+
+    def vertical_cover(self, v0: tuple[int, ...]) -> Cover:
+        """What every vertical guess over the pool v0 must reach: the
+        rectangles no horizontal candidate stabs. Its slot masks hold every
+        rectangle, so solve_split also reads from them which kernel
+        rectangles a vertical guess's strips meet."""
+        if v0 not in self._vcovers:
+            full = (1 << len(self.inst.rects)) - 1
+            meets = slot_masks(self.inst, Axis.VERTICAL, v0, full)
+            self._vcovers[v0] = Cover(self.v_only, meets, [self.vmask[x] for x in v0])
+        return self._vcovers[v0]
 
     @cached_property
     def hmask(self) -> dict[int, int]:
@@ -475,33 +558,32 @@ def solve_split(
     pre = tables.preselected(k_v)
     if pre is None:
         return None
-    h1, v0, strip_has_cand = pre
+    h1, v0 = pre
     if len(h1) > 2 * k_h:
         return None  # no horizontal guess can fit the budget
 
     rects = inst.rects
+    vcover = tables.vertical_cover(v0)
     h1_mask = tables.stabbed(h1, ())
-    for vg in enumerate_vertical_guesses(v0, k_v):
+    # A guess can succeed only if every rectangle no horizontal candidate
+    # stabs meets a guessed vertical strip or is stabbed by V1 (vcover), and
+    # every kernel rectangle meets a guessed strip of either axis or is
+    # stabbed by H1' (hcover; assemble_2sat raises otherwise).
+    for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines, vcover):
         stats.vertical_guesses += 1
-        if any(not strip_has_cand[s] for s in vg.gamma_v):
-            continue
-        # Rectangles no horizontal candidate can stab must be covered by V1
-        # or a viable guessed vertical strip; prune guesses that cannot.
-        v1_mask = tables.stabbed((), vg.v1)
-        uncovered = bits(tables.v_only & ~v1_mask)
-        if any(not any(rect_meets_strip(s, rects[i]) for s in vg.gamma_v) for i in uncovered):
-            continue
         kept, h0 = eliminate_redundant(inst, h1, vg.v1, vg.gamma_v, k, tables)
-        unstabbed = kept & ~(h1_mask | v1_mask)
+        unstabbed = kept & ~(h1_mask | tables.stabbed((), vg.v1))
+        off_vstrips = unstabbed
+        for i in vg.slots:
+            off_vstrips &= ~vcover.slots[i]
         hbase = sorted(set(h1) | set(h0))
-        hstrips = strips_of(Axis.HORIZONTAL, hbase)
-        hstrip_ok = {
-            s: ok for s, ok in zip(hstrips, _strip_interior_candidates(hstrips, inst.hlines))
-        }
-        for hg in enumerate_horizontal_guesses(h1, h0, k_h):
+        hcover = Cover(
+            off_vstrips,
+            slot_masks(inst, Axis.HORIZONTAL, hbase, off_vstrips),
+            [tables.hmask[y] for y in hbase],
+        )
+        for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines, hcover):
             stats.horizontal_guesses += 1
-            if any(not hstrip_ok[s] for s in hg.gamma_h):
-                continue
             kernel = [rects[i] for i in bits(unstabbed & ~tables.stabbed(hg.h1prime, ()))]
             try:
                 formula, decode = assemble_2sat(kernel, vg.gamma_v, hg.gamma_h, inst)

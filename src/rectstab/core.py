@@ -376,6 +376,19 @@ def strips_of(axis: Axis, positions: Sequence[int]) -> list[Strip]:
     return [Strip(axis, bounds[i], bounds[i + 1]) for i in range(len(positions) + 1)]
 
 
+def slot_masks(inst: Instance, axis: Axis, positions: Sequence[int], mask: int) -> list[int]:
+    """Meet mask of each of the n+1 strips (slots) that n sorted positions
+    cut out, in strips_of order, over the rectangles of mask: bit i is set
+    iff it is set in mask and inst.rects[i] meets the slot's open interior.
+    A rectangle with extent [a, b] meets slots bisect_right(positions, a)
+    .. bisect_left(positions, b)."""
+    spans = []
+    for i in bits(mask):
+        a, b = inst.rects[i].interval(axis)
+        spans.append((bisect_right(positions, a), bisect_left(positions, b) + 1, 1 << i))
+    return _range_masks(spans, len(positions) + 1)
+
+
 def rect_meets_strip(strip: Strip, rect: Rect) -> bool:
     """True iff the rectangle's extent intersects the strip's open interior."""
     a, b = rect.interval(strip.axis)

@@ -7,7 +7,8 @@ rectstab.core.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 from rectstab.core import Axis, Instance, Line, Rect, Strip
 
@@ -41,6 +42,32 @@ def separated(strips: Sequence[Strip], line_positions: Iterable[int]) -> bool:
         if not any(left.hi <= p <= right.lo for p in pool):
             return False
     return True
+
+
+def separated_families(
+    n_base: int, fixed_idx: frozenset[int], free_idx: Sequence[int], budget: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Filter-then-yield reference for rectstab.approx._separated_families
+    without its candidate slots and cover: every (strip combo, line pick)
+    over the n_base + 1 strips of n_base sorted positions and the lines
+    free_idx, with |strips| + |picked| <= budget, kept when each pair of
+    consecutive strips i < j has a fixed or picked line t with
+    i <= t <= j - 1. Order: nondecreasing combined size, then fewer strips
+    first, then lexicographic by strip and line index combinations.
+    """
+    for total in range(budget + 1):
+        for n_strips in range(total + 1):
+            n_lines = total - n_strips
+            if n_strips > n_base + 1 or n_lines > len(free_idx):
+                continue
+            for strip_combo in combinations(range(n_base + 1), n_strips):
+                for line_pick in combinations(free_idx, n_lines):
+                    lines = fixed_idx.union(line_pick)
+                    if all(
+                        any(a <= t <= b - 1 for t in lines)
+                        for a, b in zip(strip_combo, strip_combo[1:])
+                    ):
+                        yield strip_combo, line_pick
 
 
 def dominance_reduce(inst: Instance) -> Instance:

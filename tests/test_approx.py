@@ -110,8 +110,11 @@ def test_preselect_nicely_positioned_wrt_witness():
 
 # ------------------------------------------------------------- enumerations
 
-def brute_vertical_guesses(v0, k_v):
-    strips = strips_of(V, sorted(v0))
+def brute_vertical_guesses(v0, k_v, vlines):
+    """Every separated guess within the budget, by exhaustive search over
+    the strips with a candidate of vlines strictly inside: a strip without
+    one is never guessed."""
+    strips = [s for s in strips_of(V, sorted(v0)) if any(s.contains_pos(p) for p in vlines)]
     budget = (3 * k_v) // 2
     found = set()
     idx = range(len(strips))
@@ -127,17 +130,22 @@ def brute_vertical_guesses(v0, k_v):
     return found
 
 
+# candidate pools: one inside every strip, one inside some strips, none inside
+VLINE_POOLS = (range(-2, 12), (-1, 3, 9), (0, 5, 9))
+
+
 def test_vertical_guesses_match_exhaustive_oracle():
     for v0, k_v in (((), 0), ((5,), 2), ((0, 5), 2), ((0, 5, 9), 3)):
-        got = [(g.gamma_v, g.v1) for g in enumerate_vertical_guesses(v0, k_v)]
-        assert len(set(got)) == len(got)  # no duplicates
-        assert set(got) == brute_vertical_guesses(v0, k_v)
-        sizes = [len(a) + len(b) for a, b in got]
-        assert sizes == sorted(sizes)  # nondecreasing combined size
+        for vlines in VLINE_POOLS:
+            got = [(g.gamma_v, g.v1) for g in enumerate_vertical_guesses(v0, k_v, vlines)]
+            assert len(set(got)) == len(got)  # no duplicates
+            assert set(got) == brute_vertical_guesses(v0, k_v, vlines)
+            sizes = [len(a) + len(b) for a, b in got]
+            assert sizes == sorted(sizes)  # nondecreasing combined size
 
 
 def test_vertical_guesses_single_position_examples():
-    got = {(g.gamma_v, g.v1) for g in enumerate_vertical_guesses((5,), 2)}
+    got = {(g.gamma_v, g.v1) for g in enumerate_vertical_guesses((5,), 2, range(10))}
     assert (tuple([Strip(V, None, 5)]), frozenset()) in got
     assert (tuple([Strip(V, 5, None)]), frozenset({5})) in got
     assert ((Strip(V, None, 5), Strip(V, 5, None)), frozenset({5})) in got
@@ -146,17 +154,20 @@ def test_vertical_guesses_single_position_examples():
 
 
 def test_vertical_guess_empty_pool():
-    assert [(g.gamma_v, g.v1) for g in enumerate_vertical_guesses((), 0)] == [((), frozenset())]
+    assert [(g.gamma_v, g.v1) for g in enumerate_vertical_guesses((), 0, (1,))] == [
+        ((), frozenset())
+    ]
 
 
 def test_horizontal_guesses_budget_and_separation():
     h1 = (0, 10)
     h0 = (4, 7, 20)
     # |H1| = 2k_h exhausts the budget: only the empty guess fits
-    got = list(enumerate_horizontal_guesses(h1, h0, 1))
+    hlines = range(-5, 30)
+    got = list(enumerate_horizontal_guesses(h1, h0, 1, hlines))
     assert [(g.gamma_h, g.h1prime) for g in got] == [((), frozenset())]
 
-    got3 = list(enumerate_horizontal_guesses(h1, h0, 3))
+    got3 = list(enumerate_horizontal_guesses(h1, h0, 3, hlines))
     assert all(
         len(h1) + len(g.gamma_h) + len(g.h1prime) <= 6 and separated(g.gamma_h, set(h1) | g.h1prime)
         for g in got3
@@ -168,9 +179,11 @@ def test_horizontal_guesses_budget_and_separation():
     assert any(g.gamma_h == pair and not g.h1prime for g in got3)
 
 
-def brute_horizontal_guesses(h1, h0, k_h):
+def brute_horizontal_guesses(h1, h0, k_h, hlines):
+    """As brute_vertical_guesses, over the strips of the H1-union-H0
+    arrangement with H1 as fixed separators."""
     base = sorted(set(h1) | set(h0))
-    strips = strips_of(H, base)
+    strips = [s for s in strips_of(H, base) if any(s.contains_pos(p) for p in hlines)]
     budget = 2 * k_h - len(h1)
     found = set()
     if budget < 0:
@@ -196,19 +209,22 @@ def test_horizontal_guesses_match_exhaustive_oracle():
         ((0, 10), (4, 7, 20), 3),
     )
     for h1, h0, k_h in cases:
-        got = [(g.gamma_h, g.h1prime) for g in enumerate_horizontal_guesses(h1, h0, k_h)]
-        assert len(set(got)) == len(got)
-        assert set(got) == brute_horizontal_guesses(h1, h0, k_h)
+        for hlines in (range(-2, 25), (-1, 2, 8, 15), (*h1, *h0)):
+            got = [
+                (g.gamma_h, g.h1prime) for g in enumerate_horizontal_guesses(h1, h0, k_h, hlines)
+            ]
+            assert len(set(got)) == len(got)
+            assert set(got) == brute_horizontal_guesses(h1, h0, k_h, hlines)
 
 
 def test_horizontal_guesses_empty():
-    assert [(g.gamma_h, g.h1prime) for g in enumerate_horizontal_guesses((), (), 0)] == [
+    assert [(g.gamma_h, g.h1prime) for g in enumerate_horizontal_guesses((), (), 0, ())] == [
         ((), frozenset())
     ]
 
 
 def test_horizontal_guesses_overfull_h1_yields_nothing():
-    assert list(enumerate_horizontal_guesses((0, 1, 2), (), 1)) == []
+    assert list(enumerate_horizontal_guesses((0, 1, 2), (), 1, range(5))) == []
 
 
 # ------------------------------------------------------- eliminate_redundant
@@ -503,13 +519,21 @@ def test_transpose_coherence():
 
 def test_search_counters_pinned():
     """SearchStats and answer sizes on pinned instances, recorded once the
-    search ran on the instance without dominated rectangles and lines. A
-    change that prunes guesses must update these literals and say why."""
+    enumerators stopped yielding guesses that cannot reach 2-SAT: a strip
+    with no interior candidate, a rectangle no horizontal candidate stabs
+    left to no vertical strip or V1 line, or a kernel rectangle left to no
+    strip or H1' line. A change that prunes guesses must update these
+    literals and say why."""
     stats = SearchStats()
     k, sol = solve_min(gen_uniform(60, 60, 40, 5), 12, stats)
     assert (k, len(sol)) == (5, 8)
+    assert stats == SearchStats(splits=53, vertical_guesses=1, horizontal_guesses=1, twosat_calls=1)
+
+    stats = SearchStats()
+    k, sol = solve_min(gen_uniform(60, 60, 40, 3), 12, stats)
+    assert (k, len(sol)) == (5, 8)
     assert stats == SearchStats(
-        splits=53, vertical_guesses=266, horizontal_guesses=2, twosat_calls=1
+        splits=54, vertical_guesses=24, horizontal_guesses=2, twosat_calls=2
     )
 
     inst, _ = gen_planted(k=7, n=300, coord_range=10**4, seed=3)
@@ -518,9 +542,7 @@ def test_search_counters_pinned():
     assert stats == SearchStats(splits=28, vertical_guesses=0, horizontal_guesses=0, twosat_calls=0)
     stats = SearchStats()
     assert len(solve_with_budget(inst, 7, stats)) == 7
-    assert stats == SearchStats(
-        splits=29, vertical_guesses=4238, horizontal_guesses=1, twosat_calls=1
-    )
+    assert stats == SearchStats(splits=29, vertical_guesses=1, horizontal_guesses=1, twosat_calls=1)
 
 
 def test_orientations_are_freed_without_the_cyclic_gc():
@@ -622,9 +644,10 @@ def test_guess_streams_respect_invariants_under_pipeline():
         h1, v0 = preselect(inst, k_v)
     except GuessInfeasible:
         pytest.skip("split infeasible for this fixture")
-    for g in enumerate_vertical_guesses(v0, k_v):
+    for g in enumerate_vertical_guesses(v0, k_v, inst.vlines):
         assert g.size() <= (3 * k_v) // 2
         assert separated(g.gamma_v, g.v1)
+        assert all(any(s.contains_pos(x) for x in inst.vlines) for s in g.gamma_v)
 
 
 def test_final_check_survives_optimized_mode():

@@ -11,6 +11,7 @@ from rectstab.core import (
     bits,
     line_masks,
     rect_meets_strip,
+    slot_masks,
     stab_mask,
     strips_of,
     transpose,
@@ -175,6 +176,25 @@ def test_rect_meets_strip_boundary_touch_is_not_meeting():
     s = Strip(V, 0, 5)
     assert not rect_meets_strip(s, Rect(5, 9, 0, 1))
     assert rect_meets_strip(s, Rect(3, 9, 0, 1))
+
+
+def test_slot_masks_match_rect_meets_strip():
+    rng = Xoshiro256StarStar(17)
+    for _ in range(60):
+        rects = []
+        for _ in range(rng.randint(0, 8)):
+            x1, y1 = rng.randint(-6, 6), rng.randint(-6, 6)
+            rects.append(Rect(x1, x1 + rng.randint(0, 4), y1, y1 + rng.randint(0, 4)))
+        positions = sorted({rng.randint(-7, 7) for _ in range(rng.randint(0, 6))})
+        inst = Instance(rects, hlines=positions, vlines=positions)
+        mask = rng.randrange(1 << len(rects))
+        for axis in (H, V):
+            strips = strips_of(axis, positions)
+            expected = [
+                sum(1 << i for i, r in enumerate(rects) if rect_meets_strip(s, r)) for s in strips
+            ]
+            assert slot_masks(inst, axis, positions, (1 << len(rects)) - 1) == expected
+            assert slot_masks(inst, axis, positions, mask) == [m & mask for m in expected]
 
 
 def test_separated_predicate():

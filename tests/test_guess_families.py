@@ -1,0 +1,187 @@
+"""The guess-family generator against its filter-then-yield reference.
+
+approx._separated_families builds line picks gap by gap over the slots that
+hold a candidate; oracles.separated_families filters every raw combination.
+On every small arrangement they must agree pair for pair, in order.
+"""
+
+import random
+from itertools import combinations
+
+from rectstab.approx import (
+    Cover,
+    GuessInfeasible,
+    SearchStats,
+    _separated_families,
+    assemble_2sat,
+    eliminate_redundant,
+    enumerate_horizontal_guesses,
+    enumerate_vertical_guesses,
+    preselect,
+    solve_split,
+)
+from rectstab.core import Axis, Solution, Strip, bits, drop_dominated, rect_meets_strip, transpose
+from rectstab.generators import gen_planted, gen_uniform
+from rectstab.twosat import solve as solve_2sat
+
+from oracles import separated_families
+
+V = Axis.VERTICAL
+MAX_BUDGET = 5
+
+
+def _subsets(items):
+    return [c for n in range(len(items) + 1) for c in combinations(items, n)]
+
+
+def _reference(n_base, fixed):
+    """Reference families at MAX_BUDGET; those of a smaller budget are its
+    prefix of combined size <= budget, since size is the outer order."""
+    free = [t for t in range(n_base) if t not in fixed]
+    full = list(separated_families(n_base, fixed, free, MAX_BUDGET))
+    for budget in range(MAX_BUDGET):
+        assert list(separated_families(n_base, fixed, free, budget)) == [
+            (s, l) for s, l in full if len(s) + len(l) <= budget
+        ]
+    return full
+
+
+def test_families_match_reference_on_every_small_arrangement():
+    checked = 0
+    for n_base in range(7):
+        for fixed in map(frozenset, _subsets(range(n_base))):
+            full = [
+                (sum(1 << i for i in s), len(s) + len(l), (s, l))
+                for s, l in _reference(n_base, fixed)
+            ]
+            for cand in _subsets(range(n_base + 1)):
+                off = ~sum(1 << i for i in cand)
+                kept = [(size, pair) for slots, size, pair in full if not slots & off]
+                for budget in range(MAX_BUDGET + 1):
+                    expected = [pair for size, pair in kept if size <= budget]
+                    assert list(_separated_families(n_base, cand, fixed, budget)) == expected
+                    checked += 1
+    assert checked == sum(6 * 2 ** (2 * n + 1) for n in range(7))
+
+
+def test_families_with_a_cover_match_the_filtered_reference():
+    rng = random.Random(8)
+    for n_base in range(6):
+        for fixed in map(frozenset, _subsets(range(n_base))):
+            full = _reference(n_base, fixed)
+            for _ in range(4):
+                cand = [i for i in range(n_base + 1) if rng.random() < 0.7]
+                cover = Cover(
+                    need=rng.getrandbits(4),
+                    slots=[rng.getrandbits(4) for _ in range(n_base + 1)],
+                    lines=[rng.getrandbits(4) for _ in range(n_base)],
+                )
+
+                def reaches(s, l):
+                    got = 0
+                    for i in s:
+                        got |= cover.slots[i]
+                    for t in l:
+                        got |= cover.lines[t]
+                    return cover.need & ~got == 0
+
+                expected = [(s, l) for s, l in full if set(s) <= set(cand) and reaches(s, l)]
+                assert list(_separated_families(n_base, cand, fixed, MAX_BUDGET, cover)) == expected
+
+
+def test_empty_pool_guesses_the_whole_plane_only_with_a_candidate():
+    guesses = [(g.gamma_v, g.v1) for g in enumerate_vertical_guesses((), 2, (4,))]
+    assert guesses == [((), frozenset()), ((Strip(V, None, None),), frozenset())]
+    assert [(g.gamma_v, g.v1) for g in enumerate_vertical_guesses((), 2, ())] == [
+        ((), frozenset())
+    ]
+
+
+def test_no_candidate_slot_leaves_pure_line_picks():
+    # every candidate sits on a pool line, so no strip has one inside
+    v0 = (0, 5, 9)
+    guesses = [(g.gamma_v, g.v1) for g in enumerate_vertical_guesses(v0, 3, v0)]
+    assert guesses == [((), frozenset(pick)) for pick in _subsets(v0) if len(pick) <= 4]
+
+
+def test_unbounded_end_slots():
+    guesses = {(g.gamma_v, g.v1) for g in enumerate_vertical_guesses((5,), 2, (1, 9))}
+    assert guesses == {
+        ((), frozenset()),
+        ((), frozenset({5})),
+        ((Strip(V, None, 5),), frozenset()),
+        ((Strip(V, 5, None),), frozenset()),
+        ((Strip(V, None, 5),), frozenset({5})),
+        ((Strip(V, 5, None),), frozenset({5})),
+        ((Strip(V, None, 5), Strip(V, 5, None)), frozenset({5})),
+    }
+    # a candidate on one side only: the other end slot is never guessed
+    one_side = [g.gamma_v for g in enumerate_vertical_guesses((5,), 2, (9,))]
+    assert all(s == Strip(V, 5, None) for gamma in one_side for s in gamma)
+
+
+def test_full_h1_leaves_only_the_empty_guess():
+    h1, h0 = (0, 10), (4, 7)
+    hlines = range(-3, 14)
+    assert [(g.gamma_h, g.h1prime) for g in enumerate_horizontal_guesses(h1, h0, 1, hlines)] == [
+        ((), frozenset())
+    ]
+    # ... and nothing once the empty guess cannot reach what the cover needs
+    cover = Cover(need=1, slots=[0] * 5, lines=[0] * 4)
+    assert list(enumerate_horizontal_guesses(h1, h0, 1, hlines, cover)) == []
+
+
+def _uncovered_split(inst, k_h, k_v, k):
+    """solve_split with no cover: every separated guess of candidate strips
+    is built, a vertical guess leaving a rectangle no horizontal candidate
+    stabs to no strip or V1 line is skipped by a scan, and a horizontal
+    guess leaving a kernel rectangle to no strip fails in assemble_2sat.
+    Returns the first satisfiable guess's solution and the 2-SAT calls."""
+    try:
+        h1, v0 = preselect(inst, k_v)
+    except GuessInfeasible:
+        return None, 0
+    if len(h1) > 2 * k_h:
+        return None, 0
+    calls = 0
+    v_only = [r for r in inst.rects if not any(r.y1 <= y <= r.y2 for y in inst.hlines)]
+    for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines):
+        if any(
+            not any(r.x1 <= x <= r.x2 for x in vg.v1)
+            and not any(rect_meets_strip(s, r) for s in vg.gamma_v)
+            for r in v_only
+        ):
+            continue
+        kept, h0 = eliminate_redundant(inst, h1, vg.v1, vg.gamma_v, k)
+        for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines):
+            hs = set(h1) | hg.h1prime
+            kernel = [
+                r
+                for r in (inst.rects[i] for i in bits(kept))
+                if not any(r.y1 <= y <= r.y2 for y in hs)
+                and not any(r.x1 <= x <= r.x2 for x in vg.v1)
+            ]
+            try:
+                formula, decode = assemble_2sat(kernel, vg.gamma_v, hg.gamma_h, inst)
+            except GuessInfeasible:
+                continue
+            calls += 1
+            values = solve_2sat(formula)
+            if values is not None:
+                h2, v2 = decode(values)
+                return Solution(hlines=hs | h2, vlines=vg.v1 | v2), calls
+    return None, calls
+
+
+def test_covers_keep_every_first_satisfiable_guess_and_2sat_call():
+    pool = [gen_uniform(60, 60, 40, seed) for seed in range(12)]
+    pool += [gen_planted(k=4 + seed % 2, n=60, coord_range=40, seed=seed)[0] for seed in range(8)]
+    for raw in pool:
+        for inst in (drop_dominated(raw), drop_dominated(transpose(raw))):
+            for k in range(7):
+                for k_h in range(k // 2 + 1):
+                    for k_v in range(k_h, k - k_h + 1):
+                        stats = SearchStats()
+                        found = solve_split(inst, k_h, k_v, k, stats)
+                        sol = found.solution if found is not None else None
+                        assert (sol, stats.twosat_calls) == _uncovered_split(inst, k_h, k_v, k)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from rectstab import approx, exact, twosat
 from rectstab.exact import SearchBudget
-from rectstab.generators import gen_mcgraph, gen_planted
+from rectstab.generators import gen_mcgraph, gen_planted, gen_uniform
 from rectstab.reduction import build
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -40,3 +40,18 @@ def test_every_traced_layer_records_calls():
     ]
     silent = [name for name in layers if tracer.calls.get(name, 0) == 0]
     assert not silent, f"layers without a recorded call: {silent}"
+
+
+def test_traced_yields_equal_the_guess_counters():
+    """solve_split counts one guess per yield of the enumerators it looks up
+    in approx, so under the tracer the yield counts equal SearchStats."""
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    stats = approx.SearchStats()
+    with spans.installed(tracer):
+        for seed in (3, 4, 10):
+            approx.solve_min(gen_uniform(60, 60, 40, seed), 12, stats)
+    assert stats.horizontal_guesses > 0 and stats.vertical_guesses > stats.twosat_calls
+    yields = tracer.counts
+    assert yields.get("approx.enumerate_vertical_guesses.yields") == stats.vertical_guesses
+    assert yields.get("approx.enumerate_horizontal_guesses.yields") == stats.horizontal_guesses
