@@ -1,7 +1,7 @@
 """Parameterized 7/4-approximation for rectangle stabbing.
 
 Given a budget k, the solver first drops dominated rectangles and lines
-(core.drop_dominated), which keeps the optimum, then guesses how an unknown
+(Instance.reduced), which keeps the optimum, then guesses how an unknown
 size-k solution of what is left splits into k_h horizontal and k_v vertical
 lines (k_h <= k_v after transposing), and per split:
 
@@ -37,7 +37,6 @@ from .core import (
     Solution,
     Strip,
     bits,
-    drop_dominated,
     line_masks,
     rect_meets_strip,
     slot_masks,
@@ -477,9 +476,8 @@ class SplitWitness:
 class _Orientation:
     """One orientation of an instance with the tables every split over it
     shares. None of them depends on k_h or k, so one object serves every
-    split of a search and every rung of a solve_min ladder. Every table is
-    built on first use, so a search that preselection ends builds no stab
-    masks."""
+    split of every search of an instance (see of). Every table is built on
+    first use, so a search that preselection ends builds no stab masks."""
 
     def __init__(self, inst: Instance, mirror: Optional["_Orientation"] = None):
         self.inst = inst
@@ -491,6 +489,18 @@ class _Orientation:
         # k_v -> (H1, V0), or None when preselect raised GuessInfeasible
         self._preselected: dict[int, Optional[tuple]] = {}
         self._vcovers: dict[tuple[int, ...], Cover] = {}  # by V0
+
+    @classmethod
+    def of(cls, inst: Instance) -> "_Orientation":
+        """The upright orientation of inst.reduced, kept in inst's memo next
+        to inst.reduced, so every search of that object shares its tables.
+        It refers to inst.reduced, never to inst, so the memo makes no
+        reference cycle."""
+        memo = vars(inst)
+        upright = memo.get("_approx_upright")
+        if upright is None:
+            upright = memo.setdefault("_approx_upright", cls(inst.reduced))
+        return upright
 
     def preselected(self, k_v: int) -> Optional[tuple]:
         if k_v not in self._preselected:
@@ -600,10 +610,7 @@ def solve_split(
 
 
 def solve_with_budget(
-    inst: Instance,
-    k: int,
-    stats: Optional[SearchStats] = None,
-    _upright: Optional[_Orientation] = None,
+    inst: Instance, k: int, stats: Optional[SearchStats] = None
 ) -> Optional[Solution]:
     """Stabbing set of size <= floor(7k/4), or None.
 
@@ -612,16 +619,16 @@ def solve_with_budget(
     has k_h <= k_v. None is returned only after every split and guess is
     exhausted, which certifies that no stabbing subset of size <= k exists.
 
-    Every split runs on drop_dominated(inst), which has the same optimum;
-    the answer is checked against inst itself. The reduced instance is
-    transposed at most once and preselected at most once per orientation
-    and k_v; ``_upright`` (private) carries these tables across the budgets
-    of solve_min.
+    Every split runs on inst.reduced, which has the same optimum; the
+    answer is checked against inst itself. The reduction and the split
+    tables are kept on inst, so calls with several budgets on one object
+    reduce it once, transpose it at most once and preselect at most once
+    per orientation and k_v. Time a cold search on a new Instance.
     """
     if k < 0:
         raise ValueError("budget must be nonnegative")
     stats = stats if stats is not None else SearchStats()
-    upright = _upright if _upright is not None else _Orientation(drop_dominated(inst))
+    upright = _Orientation.of(inst)
     for total in range(k + 1):
         for k_h in range(total + 1):
             stats.splits += 1
@@ -647,9 +654,8 @@ def solve_min(
 ) -> Optional[tuple[int, Solution]]:
     """Smallest budget k <= k_max the approximation succeeds at, with its
     solution; an upper bound witness for the optimum, not the optimum."""
-    upright = _Orientation(drop_dominated(inst))
     for k in range(k_max + 1):
-        sol = solve_with_budget(inst, k, stats, upright)
+        sol = solve_with_budget(inst, k, stats)
         if sol is not None:
             return k, sol
     return None

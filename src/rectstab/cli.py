@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import approx, exact, formats, generators, reduction
-from .core import Instance, Solution, drop_dominated, verify
+from .core import Instance, Solution, verify
 
 
 def _sidecar(out: str, name: str) -> str:
@@ -87,7 +87,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "out": args.out,
         },
         instance=_instance_stats(inst),
-        reduced=_instance_stats(drop_dominated(inst)),
+        reduced=_instance_stats(inst.reduced),
         outcome=outcome,
         size=size,
         budget=budget,

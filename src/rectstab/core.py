@@ -6,7 +6,10 @@ the dominance reduction both solvers start from, and the open-strip
 machinery shared by the solvers. All coordinates are plain Python integers
 kept within signed 64-bit range; every value is immutable and every
 operation is a pure function, so everything here is safe to share across
-threads.
+threads. An Instance also carries a per-object memo of pure values derived
+from it (its reduced instance, and the solver tables built over that), so
+repeated questions about one object share the work; two threads racing on
+an empty memo can only compute the same value twice.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import accumulate
 from operator import or_, xor
@@ -129,6 +133,19 @@ class Instance:
 
     def line_positions(self, axis: Axis) -> tuple[int, ...]:
         return self.vlines if axis is Axis.VERTICAL else self.hlines
+
+    @cached_property
+    def reduced(self) -> "Instance":
+        """drop_dominated(self), computed once per object. When nothing
+        goes it is an equal copy rather than self, so the memo holds no
+        reference back to its own object: a cycle would outlive every
+        reference to the instance until the cyclic GC runs."""
+        reduced = drop_dominated(self)
+        return reduced if reduced is not self else Instance(self.rects, self.hlines, self.vlines)
+
+    def __getstate__(self) -> dict:
+        # copies and pickles carry the fields only and start with no memo
+        return {"rects": self.rects, "hlines": self.hlines, "vlines": self.vlines}
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Exact minimum stabbing for small instances.
 
 Branch and bound over the undominated rectangles and candidate lines
-(core.drop_dominated), branching on the unstabbed rectangle with the fewest
+(Instance.reduced), branching on the unstabbed rectangle with the fewest
 stabbing candidates, with an additive lower bound from the two single-axis
 subproblems restricted to rectangles that only one axis can stab. A
 subset-enumeration brute force on the raw instance serves as the
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .core import Axis, Instance, Line, Solution, bits, drop_dominated, line_masks, stab_mask
+from .core import Axis, Instance, Line, Solution, bits, line_masks, stab_mask
 from .greedy1d import stab_axis
 
 
@@ -61,9 +61,9 @@ def opt_exact(inst: Instance, budget: SearchBudget) -> Optional[Solution]:
     None certifies that no stabbing subset within the budget exists.
     Raises NodeLimitExceeded when budget.node_limit is set and hit, which
     is deliberately distinct from the no-solution outcome. The search runs
-    on drop_dominated(inst), whose optimum and solutions are inst's.
+    on inst.reduced, whose optimum and solutions are inst's.
     """
-    inst = drop_dominated(inst)
+    inst = inst.reduced
     n = len(inst.rects)
     full = (1 << n) - 1
     pool = dedup_lines(inst)

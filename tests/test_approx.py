@@ -1,8 +1,11 @@
+import copy
 import gc
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
+import threading
 import weakref
 from collections import Counter
 from itertools import chain, combinations
@@ -10,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from rectstab import approx
+from rectstab import approx, core
 from rectstab.approx import (
     GuessInfeasible,
     SearchStats,
@@ -606,9 +609,24 @@ def test_shared_tables_match_unshared_splits():
         assert min_stats == ref_min_stats
 
 
+def _fresh(inst):
+    """An equal Instance with an empty memo."""
+    return Instance(inst.rects, inst.hlines, inst.vlines)
+
+
 def test_transpose_and_preselect_run_once_per_orientation(monkeypatch):
+    """All searches of one object share its tables: the budgets k = 0..6, a
+    solve_min ladder over the same budgets and an exact search reduce it
+    once, transpose it at most once and preselect at most once per
+    orientation and k_v."""
+    reductions = 0
     transposes = 0
     preselects = Counter()
+
+    def counting_drop_dominated(inst):
+        nonlocal reductions
+        reductions += 1
+        return drop_dominated(inst)
 
     def counting_transpose(inst):
         nonlocal transposes
@@ -619,22 +637,120 @@ def test_transpose_and_preselect_run_once_per_orientation(monkeypatch):
         preselects[inst, k_v] += 1
         return preselect(inst, k_v)
 
+    monkeypatch.setattr(core, "drop_dominated", counting_drop_dominated)
     monkeypatch.setattr(approx, "transpose", counting_transpose)
     monkeypatch.setattr(approx, "preselect", counting_preselect)
-    for inst in SHARED_TABLE_POOL:
-        for k in range(7):
-            transposes = 0
-            preselects.clear()
-            solve_with_budget(inst, k)
-            assert transposes <= 1
-            assert max(preselects.values(), default=0) <= 1
-        transposes = 0
+    for base in SHARED_TABLE_POOL:
+        inst = _fresh(base)
+        reductions = transposes = 0
         preselects.clear()
-        found = solve_min(inst, 6)
+        for k in range(7):
+            solve_with_budget(inst, k)
+        solve_min(inst, 6)
+        opt_exact(inst, SearchBudget(max_size=6))
+        assert reductions == 1
         assert transposes <= 1
         assert max(preselects.values(), default=0) <= 1
+        transposes = 0
+        found = solve_min(_fresh(base), 6)
         if found is not None and found[0] >= 2:
             assert transposes == 1  # the ladder reached splits with k_h > k_v
+
+
+# planted instances the reduction shrinks from 200 rectangles to a few
+MEMO_POOL = SHARED_TABLE_POOL + [
+    gen_planted(k=4 + seed % 2, n=200, coord_range=10**4, seed=seed)[0] for seed in range(3)
+]
+
+
+def test_memo_changes_no_answer_and_no_counter():
+    """Searches repeated on one object answer and count exactly as searches
+    of fresh equal copies do, and leave its eq, hash and repr as they were."""
+    for base in MEMO_POOL:
+        inst = _fresh(base)
+        for _ in range(2):
+            for k in range(7):
+                warm_stats, cold_stats = SearchStats(), SearchStats()
+                assert solve_with_budget(inst, k, warm_stats) == solve_with_budget(
+                    _fresh(base), k, cold_stats
+                )
+                assert warm_stats == cold_stats
+            warm_stats, cold_stats = SearchStats(), SearchStats()
+            assert solve_min(inst, 6, warm_stats) == solve_min(_fresh(base), 6, cold_stats)
+            assert warm_stats == cold_stats
+            budget = SearchBudget(max_size=6)
+            assert opt_exact(inst, budget) == opt_exact(_fresh(base), budget)
+        assert inst.reduced == drop_dominated(base)
+        assert inst == base and hash(inst) == hash(base) and repr(inst) == repr(base)
+
+
+def test_threads_sharing_one_instance_get_the_cold_answers():
+    """Threads racing on one object's empty memo may build a table twice,
+    but each gets the answer and the counters of a cold search."""
+    base = MEMO_POOL[-1]
+    cold_stats = SearchStats()
+    cold = solve_min(_fresh(base), 6, cold_stats)
+    inst = _fresh(base)
+    results = []
+
+    def work():
+        stats = SearchStats()
+        results.append((solve_min(inst, 6, stats), stats))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [(cold, cold_stats)] * 4
+
+
+def _memo_subject(shrinks: bool) -> Instance:
+    """An instance the reduction shrinks, or one it leaves as it is; the
+    solve_min ladder of either reaches a transposed split."""
+    if shrinks:
+        inst = gen_planted(k=3, n=30, coord_range=20, seed=1)[0]
+    else:
+        inst = Instance([Rect(0, 1, 0, 1), Rect(5, 6, 5, 6)], hlines=[0], vlines=[5])
+    if (drop_dominated(inst) != inst) != shrinks:
+        raise ValueError("subject does not fit the case")
+    return inst
+
+
+@pytest.mark.parametrize("shrinks", [True, False])
+def test_solved_instance_is_freed_without_the_cyclic_gc(shrinks):
+    """The memo puts the instance in no reference cycle, also when the
+    reduction drops nothing, so a solved instance goes at its last del."""
+    inst = _memo_subject(shrinks)
+    gc.disable()
+    try:
+        solve_with_budget(inst, 3)
+        solve_min(inst, 3)
+        opt_exact(inst, SearchBudget(max_size=3))
+        assert "reduced" in vars(inst) and "_approx_upright" in vars(inst)
+        assert approx._Orientation.of(inst).flipped is not None
+        gone = weakref.ref(inst)
+        del inst
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("shrinks", [True, False])
+def test_copies_of_a_solved_instance_start_cold(shrinks):
+    inst = _memo_subject(shrinks)
+    expected = solve_min(inst, 3)
+    assert approx._Orientation.of(inst).flipped is not None  # its memo holds a weak proxy
+    for other in (copy.copy(inst), copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
+        assert other == inst
+        assert vars(other) == {"rects": inst.rects, "hlines": inst.hlines, "vlines": inst.vlines}
+        assert solve_min(other, 3) == expected
 
 
 def test_guess_streams_respect_invariants_under_pipeline():
@@ -656,7 +772,7 @@ def test_final_check_survives_optimized_mode():
     still makes solve_with_budget raise."""
     script = textwrap.dedent(
         """
-        from rectstab import approx
+        from rectstab import approx, core
         from rectstab.core import Instance, Rect, Solution
 
         if __debug__:

@@ -105,6 +105,17 @@ def test_returns_the_input_when_nothing_is_dominated():
     assert drop_dominated(inst) is inst
 
 
+def test_reduced_is_computed_once_and_is_never_the_instance_itself():
+    first, second = Rect(0, 0, 0, 0), Rect(5, 5, 0, 0)
+    shrinks = Instance([first, second], hlines=[0], vlines=[0, 5])
+    unchanged = Instance([Rect(0, 0, 0, 0), Rect(5, 5, 5, 5)], hlines=[0], vlines=[5])
+    for inst in (shrinks, unchanged):
+        reduced = inst.reduced
+        assert reduced == drop_dominated(inst)
+        assert reduced is not inst
+        assert inst.reduced is reduced
+
+
 def test_large_uniform_instance_in_index_space():
     """2,500 rectangles and 4,000 candidate lines: the sizes a pairwise
     prototype gave, in well under a second."""
