@@ -5,8 +5,17 @@
 from rectstab import gen_planted, transpose, verify
 from rectstab.approx import solve_split
 
-K = 3
-inst, witness = gen_planted(k=K, n=16, coord_range=25, seed=11)
+K = 5
+
+
+def strips(guess):
+    """The guessed strips as open ranges between pool lines: slot i lies
+    between base[i - 1] and base[i], unbounded past either end."""
+    ends = ("-inf", *guess.base, "+inf")
+    return " ".join(f"({ends[i]}, {ends[i + 1]})" for i in guess.slots) or "none"
+
+
+inst, witness = gen_planted(k=K, n=16, coord_range=25, seed=53)
 k_h, k_v = len(witness.hstar), len(witness.vstar)
 if k_h > k_v:
     inst = transpose(inst)
@@ -21,8 +30,8 @@ if found is None:
 vguess, hguess, sol = found.vguess, found.hguess, found.solution
 print(f"preselect: H1={list(found.h1)} (kept for the answer), V0={list(found.v0)} (candidate pool)")
 print("\nfirst satisfiable guess:")
-print(f"  vertical strips={len(vguess.gamma_v)}, V1={sorted(vguess.v1)}")
-print(f"  horizontal strips={len(hguess.gamma_h)}, H1'={sorted(hguess.h1prime)}")
+print(f"  vertical strips (x ranges): {strips(vguess)}, V1={sorted(vguess.v1)}")
+print(f"  horizontal strips (y ranges): {strips(hguess)}, H1'={sorted(hguess.h1prime)}")
 print(f"  kernel size fed to 2-SAT: {len(found.kernel)} of {len(found.kept)} kept rectangles")
 # the per-strip lines lie strictly inside the guessed strips, so they are
 # exactly what the guesses themselves did not fix

@@ -31,14 +31,14 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import twosat
 from .core import (
+    I64_MAX,
+    I64_MIN,
     Axis,
     Instance,
     Rect,
     Solution,
-    Strip,
     bits,
     line_masks,
-    rect_meets_strip,
     slot_masks,
     stab_mask,
     transpose,
@@ -53,17 +53,21 @@ class GuessInfeasible(Exception):
 
 @dataclass(frozen=True)
 class VerticalGuess:
-    gamma_v: tuple[Strip, ...]
-    v1: frozenset[int]
-    slots: tuple[int, ...]  # index of each gamma_v strip among the strips V0 cuts out
+    """Guessed strips as slot indices over the sorted pool base (V0): slot i
+    is the open strip between base[i - 1] and base[i], unbounded past
+    either end. v1 holds the picked separator positions."""
 
-    def size(self) -> int:
-        return len(self.gamma_v) + len(self.v1)
+    base: tuple[int, ...]
+    slots: tuple[int, ...]
+    v1: frozenset[int]
 
 
 @dataclass(frozen=True)
 class HorizontalGuess:
-    gamma_h: tuple[Strip, ...]
+    """As VerticalGuess, over the sorted pool base = H1 | H0."""
+
+    base: tuple[int, ...]
+    slots: tuple[int, ...]
     h1prime: frozenset[int]
 
 
@@ -149,12 +153,19 @@ def preselect(inst: Instance, k_v: int) -> tuple[tuple[int, ...], tuple[int, ...
     return tuple(h1set), tuple(v0)
 
 
+def _inside(base: Sequence[int], candidates: Sequence[int], i: int) -> tuple[int, int]:
+    """Index range [lo, hi) of the sorted candidates strictly inside slot i
+    of the sorted positions base: the open strip between base[i - 1] and
+    base[i], unbounded past either end."""
+    lo = bisect_right(candidates, base[i - 1]) if i > 0 else 0
+    hi = bisect_left(candidates, base[i]) if i < len(base) else len(candidates)
+    return lo, hi
+
+
 def _candidate_slots(base: Sequence[int], candidates: Sequence[int]) -> list[int]:
-    """Indices of the slots (the strips the sorted positions base cut out)
-    with a sorted candidate position strictly inside."""
-    above = [0] + [bisect_right(candidates, p) for p in base]
-    below = [bisect_left(candidates, p) for p in base] + [len(candidates)]
-    return [i for i, (a, b) in enumerate(zip(above, below)) if a < b]
+    """Indices of the slots of base with a sorted candidate strictly inside."""
+    ranges = (_inside(base, candidates, i) for i in range(len(base) + 1))
+    return [i for i, (lo, hi) in enumerate(ranges) if lo < hi]
 
 
 def _hitting_picks(
@@ -246,23 +257,19 @@ def _separated_families(
 def enumerate_vertical_guesses(
     v0: Sequence[int], k_v: int, vlines: Sequence[int], cover: Optional[Cover] = None
 ) -> Iterator[VerticalGuess]:
-    """All (gamma_v, V1) with |gamma_v| + |V1| <= floor(3*k_v/2), gamma_v
-    separated by V1 and every guessed strip holding a candidate of the
-    sorted vlines strictly inside, in the order of _separated_families. A
-    strip with no interior candidate can hold no solution line, so it is
-    never guessed. With a cover (slots and lines indexed over sorted v0),
-    only guesses reaching it are yielded; guess counters count yields."""
+    """All guesses (slots, V1) over the sorted pool v0 with |slots| + |V1| <=
+    floor(3*k_v/2), the slots separated by V1 and each holding a candidate
+    of the sorted vlines strictly inside, in the order of
+    _separated_families. A strip with no interior candidate can hold no
+    solution line, so it is never guessed. With a cover (slots and lines
+    indexed over sorted v0), only guesses reaching it are yielded; guess
+    counters count yields."""
     base = tuple(sorted(v0))
-    bounds = (None, *base, None)
     families = _separated_families(
         len(base), _candidate_slots(base, vlines), frozenset(), (3 * k_v) // 2, cover
     )
     for slot_combo, line_pick in families:
-        yield VerticalGuess(
-            gamma_v=tuple(Strip(Axis.VERTICAL, bounds[i], bounds[i + 1]) for i in slot_combo),
-            v1=frozenset(base[t] for t in line_pick),
-            slots=slot_combo,
-        )
+        yield VerticalGuess(base, slot_combo, frozenset(base[t] for t in line_pick))
 
 
 def enumerate_horizontal_guesses(
@@ -272,37 +279,25 @@ def enumerate_horizontal_guesses(
     hlines: Sequence[int],
     cover: Optional[Cover] = None,
 ) -> Iterator[HorizontalGuess]:
-    """All (gamma_h, H1') with |H1| + |gamma_h| + |H1'| <= 2*k_h, H1' drawn
-    from H0, and gamma_h (strips of the H1-union-H0 arrangement, each with
-    a candidate of the sorted hlines strictly inside) separated by H1
+    """All guesses (slots, H1') over the sorted pool H1 | H0 with |H1| +
+    |slots| + |H1'| <= 2*k_h, H1' drawn from H0, and the slots (each with a
+    candidate of the sorted hlines strictly inside) separated by H1
     together with H1'. Same order, cover and counting as the vertical
     enumeration; cover slots and lines are indexed over sorted H1 | H0."""
     base = tuple(sorted(set(h1) | set(h0)))
-    bounds = (None, *base, None)
     h1set = set(h1)
     h1_idx = frozenset(t for t, p in enumerate(base) if p in h1set)
     families = _separated_families(
         len(base), _candidate_slots(base, hlines), h1_idx, 2 * k_h - len(h1), cover
     )
     for slot_combo, line_pick in families:
-        yield HorizontalGuess(
-            gamma_h=tuple(Strip(Axis.HORIZONTAL, bounds[i], bounds[i + 1]) for i in slot_combo),
-            h1prime=frozenset(base[t] for t in line_pick),
-        )
-
-
-def _wid_in_strip(rect: Rect, strip: Strip) -> int:
-    a, b = rect.interval(strip.axis)
-    lo = a if strip.lo is None else max(a, strip.lo)
-    hi = b if strip.hi is None else min(b, strip.hi)
-    return max(0, hi - lo)
+        yield HorizontalGuess(base, slot_combo, frozenset(base[t] for t in line_pick))
 
 
 def eliminate_redundant(
     inst: Instance,
     h1: Sequence[int],
-    v1: frozenset[int],
-    gamma_v: tuple[Strip, ...],
+    vg: VerticalGuess,
     k: int,
     _tables: Optional["_Orientation"] = None,
 ) -> tuple[int, tuple[int, ...]]:
@@ -313,23 +308,31 @@ def eliminate_redundant(
     guessed strip boundary whose co-stabbed group needs 2k+2 horizontal
     lines; whatever a boundary line stabs that widely must be handled
     vertically, and the widest rectangle is stabbed by any in-strip
-    vertical line that stabs a narrower one. K is everything kept, H0 a
-    minimum horizontal stabbing of the kept leftovers. H1, V1 and the
-    strip boundaries are candidate lines. ``_tables`` (private) is inst's
-    _Orientation, shared by the guesses of one search.
+    vertical line that stabs a narrower one. Boundaries are visited by
+    ascending slot. K is everything kept, H0 a minimum horizontal stabbing
+    of the kept leftovers. H1, V1 and vg.base are candidate lines.
+    ``_tables`` (private) is inst's _Orientation, shared by the guesses of
+    one search.
     """
     tables = _tables if _tables is not None else _Orientation(inst)
     rects = inst.rects
     full = (1 << len(rects)) - 1
-    rprime = full & ~(tables.v_only | tables.stabbed(h1, v1))
+    rprime = full & ~(tables.v_only | tables.stabbed(h1, vg.v1))
     removed = 0
 
-    strips = sorted(gamma_v, key=lambda s: (s.lo is not None, s.lo or 0))
-    scan = [(s, pos) for s in strips for pos in (s.lo, s.hi) if pos is not None]
+    # slot i spans clip[i]..clip[i + 1]; the sentinels clip nothing and are
+    # no boundary
+    clip = (I64_MIN, *vg.base, I64_MAX)
+    scan = [
+        (clip[j], clip[i], clip[i + 1])
+        for i in sorted(vg.slots)
+        for j in (i, i + 1)
+        if 0 < j <= len(vg.base)
+    ]
     fired = True
     while fired:
         fired = False
-        for strip, pos in scan:
+        for pos, lo, hi in scan:
             group = list(bits(tables.vmask[pos] & rprime & ~removed))
             if not group:
                 continue
@@ -339,7 +342,8 @@ def eliminate_redundant(
             except Infeasible:  # pragma: no cover
                 raise RuntimeError("group drawn from horizontally stabbable rectangles")
             if need >= 2 * k + 2:
-                widest = max(group, key=lambda i: (_wid_in_strip(rects[i], strip), -i))
+                # every group member holds pos, so its clipped width is >= 0
+                widest = max(group, key=lambda i: (min(rects[i].x2, hi) - max(rects[i].x1, lo), -i))
                 removed |= 1 << widest
                 fired = True
                 break  # rescan from the first boundary
@@ -351,11 +355,11 @@ def eliminate_redundant(
 
 @dataclass
 class _StripVars:
-    """Threshold variables of one guessed strip: candidates sorted ascending,
+    """Threshold variables of one guessed slot: its candidates, ascending;
     var t true means "the chosen line is at or beyond candidate t"."""
 
-    strip: Strip
-    candidates: list[int]
+    slot: int
+    candidates: Sequence[int]
     var_base: int
 
     def var(self, t: int) -> twosat.Lit:
@@ -377,8 +381,8 @@ def _window(sv: _StripVars, a: int, b: int) -> Optional[tuple[int, Optional[int]
 
 def assemble_2sat(
     kprime: Sequence[Rect],
-    gamma_v: tuple[Strip, ...],
-    gamma_h: tuple[Strip, ...],
+    vg: VerticalGuess,
+    hg: HorizontalGuess,
     inst: Instance,
 ) -> tuple[twosat.Formula, Callable[[list[bool]], tuple[frozenset[int], frozenset[int]]]]:
     """Formula whose satisfying assignments pick one candidate line inside
@@ -393,14 +397,14 @@ def assemble_2sat(
     """
     families: list[list[_StripVars]] = []
     counter = 0
-    for strips, axis in ((gamma_v, Axis.VERTICAL), (gamma_h, Axis.HORIZONTAL)):
+    for guess, positions in ((vg, inst.vlines), (hg, inst.hlines)):
         svs = []
-        for strip in strips:
-            cands = [p for p in inst.line_positions(axis) if strip.contains_pos(p)]
-            if not cands:
+        for i in guess.slots:
+            lo, hi = _inside(guess.base, positions, i)
+            if lo == hi:
                 raise GuessInfeasible("guessed strip contains no candidate line")
-            svs.append(_StripVars(strip=strip, candidates=cands, var_base=counter))
-            counter += len(cands)
+            svs.append(_StripVars(slot=i, candidates=positions[lo:hi], var_base=counter))
+            counter += hi - lo
         families.append(svs)
     v_svs, h_svs = families
 
@@ -410,19 +414,21 @@ def assemble_2sat(
             f.add_clause(sv.nvar(t + 1), sv.var(t))  # threshold t+1 implies threshold t
         f.add_unit(sv.var(0))
 
-    def met(svs: list[_StripVars], rect: Rect) -> Optional[_StripVars]:
-        hits = [sv for sv in svs if rect_meets_strip(sv.strip, rect)]
+    def met(base: Sequence[int], svs: list[_StripVars], a: int, b: int) -> Optional[_StripVars]:
+        # the extent [a, b] meets the open slots first..last
+        first, last = bisect_right(base, a), bisect_left(base, b)
+        hits = [sv for sv in svs if first <= sv.slot <= last]
         if len(hits) > 1:
             raise RuntimeError("kernel rectangle meets two strips of one family")
         return hits[0] if hits else None
 
     for rect in kprime:
-        pv = met(v_svs, rect)
-        qh = met(h_svs, rect)
+        pv = met(vg.base, v_svs, rect.x1, rect.x2)
+        qh = met(hg.base, h_svs, rect.y1, rect.y2)
         if pv is None and qh is None:
             raise GuessInfeasible("kernel rectangle meets no guessed strip")
-        wv = _window(pv, *rect.interval(Axis.VERTICAL)) if pv is not None else None
-        wh = _window(qh, *rect.interval(Axis.HORIZONTAL)) if qh is not None else None
+        wv = _window(pv, rect.x1, rect.x2) if pv is not None else None
+        wh = _window(qh, rect.y1, rect.y2) if qh is not None else None
         if pv is not None and qh is not None and wv is not None and wh is not None:
             lo_v, hi_v = wv
             lo_h, hi_h = wh
@@ -578,10 +584,13 @@ def solve_split(
     # A guess can succeed only if every rectangle no horizontal candidate
     # stabs meets a guessed vertical strip or is stabbed by V1 (vcover), and
     # every kernel rectangle meets a guessed strip of either axis or is
-    # stabbed by H1' (hcover; assemble_2sat raises otherwise).
+    # stabbed by H1' (hcover). The enumerators yield only guesses that reach
+    # their cover with a candidate inside every strip, so assemble_2sat has
+    # no GuessInfeasible to raise here; one would be a broken invariant and
+    # propagates instead of passing for a failed guess.
     for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines, vcover):
         stats.vertical_guesses += 1
-        kept, h0 = eliminate_redundant(inst, h1, vg.v1, vg.gamma_v, k, tables)
+        kept, h0 = eliminate_redundant(inst, h1, vg, k, tables)
         unstabbed = kept & ~(h1_mask | tables.stabbed((), vg.v1))
         off_vstrips = unstabbed
         for i in vg.slots:
@@ -595,10 +604,7 @@ def solve_split(
         for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines, hcover):
             stats.horizontal_guesses += 1
             kernel = [rects[i] for i in bits(unstabbed & ~tables.stabbed(hg.h1prime, ()))]
-            try:
-                formula, decode = assemble_2sat(kernel, vg.gamma_v, hg.gamma_h, inst)
-            except GuessInfeasible:
-                continue
+            formula, decode = assemble_2sat(kernel, vg, hg, inst)
             stats.twosat_calls += 1
             assignment = twosat.solve(formula)
             if assignment is None:

@@ -2,14 +2,14 @@
 
 Lines, closed rectangles, problem instances, solutions, the stabbing
 kernel (stab masks: Python integers whose bit i stands for inst.rects[i]),
-the dominance reduction both solvers start from, and the open-strip
-machinery shared by the solvers. All coordinates are plain Python integers
-kept within signed 64-bit range; every value is immutable and every
-operation is a pure function, so everything here is safe to share across
-threads. An Instance also carries a per-object memo of pure values derived
-from it (its reduced instance, and the solver tables built over that), so
-repeated questions about one object share the work; two threads racing on
-an empty memo can only compute the same value twice.
+the slot meet masks of the guess covers, and the dominance reduction both
+solvers start from. All coordinates are plain Python integers kept within
+signed 64-bit range; every value is immutable and every operation is a
+pure function, so everything here is safe to share across threads. An
+Instance also carries a per-object memo of pure values derived from it
+(its reduced instance, and the solver tables built over that), so
+repeated questions about one object share the work; two threads racing
+on an empty memo can only compute the same value twice.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from itertools import accumulate
 from operator import or_, xor
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
@@ -83,34 +83,6 @@ class Rect:
 
     def transpose(self) -> "Rect":
         return Rect(self.y1, self.y2, self.x1, self.x2)
-
-
-@dataclass(frozen=True)
-class Strip:
-    """Open region strictly between two parallel lines.
-
-    lo/hi are bounding-line positions; None means unbounded on that side.
-    A vertical strip is the set lo < x < hi, a horizontal one lo < y < hi.
-    """
-
-    axis: Axis
-    lo: Optional[int]
-    hi: Optional[int]
-
-    def __post_init__(self) -> None:
-        if self.lo is not None:
-            _check_i64(self.lo)
-        if self.hi is not None:
-            _check_i64(self.hi)
-        if self.lo is not None and self.hi is not None and self.lo >= self.hi:
-            raise ValueError(f"empty strip bounds ({self.lo}, {self.hi})")
-
-    def contains_pos(self, pos: int) -> bool:
-        return (self.lo is None or pos > self.lo) and (self.hi is None or pos < self.hi)
-
-    def meets_interval(self, a: int, b: int) -> bool:
-        """Does the closed interval [a,b] intersect the open strip interior?"""
-        return (self.hi is None or a < self.hi) and (self.lo is None or b > self.lo)
 
 
 @dataclass(frozen=True)
@@ -384,19 +356,10 @@ def transpose(inst: Instance) -> Instance:
     )
 
 
-def strips_of(axis: Axis, positions: Sequence[int]) -> list[Strip]:
-    """The n+1 open strips cut out of the plane by n sorted line positions."""
-    for a, b in zip(positions, positions[1:]):
-        if a >= b:
-            raise ValueError("line positions must be strictly increasing")
-    bounds: list[Optional[int]] = [None, *positions, None]
-    return [Strip(axis, bounds[i], bounds[i + 1]) for i in range(len(positions) + 1)]
-
-
 def slot_masks(inst: Instance, axis: Axis, positions: Sequence[int], mask: int) -> list[int]:
-    """Meet mask of each of the n+1 strips (slots) that n sorted positions
-    cut out, in strips_of order, over the rectangles of mask: bit i is set
-    iff it is set in mask and inst.rects[i] meets the slot's open interior.
+    """Meet mask of each of the n+1 open strips (slots) that n sorted
+    positions cut out, left to right, over the rectangles of mask: bit i is
+    set iff it is set in mask and inst.rects[i] meets the slot's interior.
     A rectangle with extent [a, b] meets slots bisect_right(positions, a)
     .. bisect_left(positions, b)."""
     spans = []
@@ -404,9 +367,3 @@ def slot_masks(inst: Instance, axis: Axis, positions: Sequence[int], mask: int) 
         a, b = inst.rects[i].interval(axis)
         spans.append((bisect_right(positions, a), bisect_left(positions, b) + 1, 1 << i))
     return _range_masks(spans, len(positions) + 1)
-
-
-def rect_meets_strip(strip: Strip, rect: Rect) -> bool:
-    """True iff the rectangle's extent intersects the strip's open interior."""
-    a, b = rect.interval(strip.axis)
-    return strip.meets_interval(a, b)

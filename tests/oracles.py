@@ -7,10 +7,57 @@ rectstab.core.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from rectstab.core import Axis, Instance, Line, Rect, Strip
+from rectstab.core import Axis, Instance, Line, Rect
+
+
+@dataclass(frozen=True)
+class Strip:
+    """Open region strictly between two parallel lines.
+
+    lo/hi are bounding-line positions; None means unbounded on that side.
+    A vertical strip is the set lo < x < hi, a horizontal one lo < y < hi.
+    """
+
+    axis: Axis
+    lo: Optional[int]
+    hi: Optional[int]
+
+    def __post_init__(self) -> None:
+        if self.lo is not None and self.hi is not None and self.lo >= self.hi:
+            raise ValueError(f"empty strip bounds ({self.lo}, {self.hi})")
+
+    def contains_pos(self, pos: int) -> bool:
+        return (self.lo is None or pos > self.lo) and (self.hi is None or pos < self.hi)
+
+    def meets_interval(self, a: int, b: int) -> bool:
+        """Does the closed interval [a,b] intersect the open strip interior?"""
+        return (self.hi is None or a < self.hi) and (self.lo is None or b > self.lo)
+
+
+def strips_of(axis: Axis, positions: Sequence[int]) -> list[Strip]:
+    """The n+1 open strips cut out of the plane by n sorted line positions."""
+    for a, b in zip(positions, positions[1:]):
+        if a >= b:
+            raise ValueError("line positions must be strictly increasing")
+    bounds: list[Optional[int]] = [None, *positions, None]
+    return [Strip(axis, bounds[i], bounds[i + 1]) for i in range(len(positions) + 1)]
+
+
+def guess_strips(axis: Axis, base: Sequence[int], slots: Iterable[int]) -> tuple[Strip, ...]:
+    """The strips a guess's slot indices name: slot i of base is the i-th
+    strip of strips_of(axis, base)."""
+    strips = strips_of(axis, base)
+    return tuple(strips[i] for i in slots)
+
+
+def rect_meets_strip(strip: Strip, rect: Rect) -> bool:
+    """True iff the rectangle's extent intersects the strip's open interior."""
+    a, b = rect.interval(strip.axis)
+    return strip.meets_interval(a, b)
 
 
 def stabs(line: Line, rect: Rect) -> bool:

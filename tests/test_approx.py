@@ -8,15 +8,18 @@ import textwrap
 import threading
 import weakref
 from collections import Counter
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from pathlib import Path
 
 import pytest
 
 from rectstab import approx, core
 from rectstab.approx import (
+    Cover,
     GuessInfeasible,
+    HorizontalGuess,
     SearchStats,
+    VerticalGuess,
     assemble_2sat,
     eliminate_redundant,
     enumerate_horizontal_guesses,
@@ -31,10 +34,11 @@ from rectstab.core import (
     Instance,
     Rect,
     Solution,
-    Strip,
     bits,
     drop_dominated,
-    strips_of,
+    line_masks,
+    slot_masks,
+    stab_mask,
     transpose,
     verify,
 )
@@ -42,7 +46,7 @@ from rectstab.exact import SearchBudget, opt_exact
 from rectstab.generators import gen_planted, gen_uniform
 from rectstab.twosat import solve as solve_2sat
 
-from oracles import separated
+from oracles import Strip, guess_strips, separated, strips_of
 
 H, V = Axis.HORIZONTAL, Axis.VERTICAL
 
@@ -140,7 +144,10 @@ VLINE_POOLS = (range(-2, 12), (-1, 3, 9), (0, 5, 9))
 def test_vertical_guesses_match_exhaustive_oracle():
     for v0, k_v in (((), 0), ((5,), 2), ((0, 5), 2), ((0, 5, 9), 3)):
         for vlines in VLINE_POOLS:
-            got = [(g.gamma_v, g.v1) for g in enumerate_vertical_guesses(v0, k_v, vlines)]
+            got = [
+                (guess_strips(V, g.base, g.slots), g.v1)
+                for g in enumerate_vertical_guesses(v0, k_v, vlines)
+            ]
             assert len(set(got)) == len(got)  # no duplicates
             assert set(got) == brute_vertical_guesses(v0, k_v, vlines)
             sizes = [len(a) + len(b) for a, b in got]
@@ -148,7 +155,10 @@ def test_vertical_guesses_match_exhaustive_oracle():
 
 
 def test_vertical_guesses_single_position_examples():
-    got = {(g.gamma_v, g.v1) for g in enumerate_vertical_guesses((5,), 2, range(10))}
+    got = {
+        (guess_strips(V, g.base, g.slots), g.v1)
+        for g in enumerate_vertical_guesses((5,), 2, range(10))
+    }
     assert (tuple([Strip(V, None, 5)]), frozenset()) in got
     assert (tuple([Strip(V, 5, None)]), frozenset({5})) in got
     assert ((Strip(V, None, 5), Strip(V, 5, None)), frozenset({5})) in got
@@ -157,8 +167,8 @@ def test_vertical_guesses_single_position_examples():
 
 
 def test_vertical_guess_empty_pool():
-    assert [(g.gamma_v, g.v1) for g in enumerate_vertical_guesses((), 0, (1,))] == [
-        ((), frozenset())
+    assert [(g.base, g.slots, g.v1) for g in enumerate_vertical_guesses((), 0, (1,))] == [
+        ((), (), frozenset())
     ]
 
 
@@ -168,18 +178,19 @@ def test_horizontal_guesses_budget_and_separation():
     # |H1| = 2k_h exhausts the budget: only the empty guess fits
     hlines = range(-5, 30)
     got = list(enumerate_horizontal_guesses(h1, h0, 1, hlines))
-    assert [(g.gamma_h, g.h1prime) for g in got] == [((), frozenset())]
+    assert [(g.slots, g.h1prime) for g in got] == [((), frozenset())]
 
     got3 = list(enumerate_horizontal_guesses(h1, h0, 3, hlines))
     assert all(
-        len(h1) + len(g.gamma_h) + len(g.h1prime) <= 6 and separated(g.gamma_h, set(h1) | g.h1prime)
+        len(h1) + len(g.slots) + len(g.h1prime) <= 6
+        and separated(guess_strips(H, g.base, g.slots), set(h1) | g.h1prime)
         for g in got3
     )
     assert all(g.h1prime <= set(h0) for g in got3)
     # H1 lines are free separators: adjacent strips around 0 can both be chosen
     strips = strips_of(H, sorted(set(h1) | set(h0)))
     pair = (strips[0], strips[1])
-    assert any(g.gamma_h == pair and not g.h1prime for g in got3)
+    assert any(guess_strips(H, g.base, g.slots) == pair and not g.h1prime for g in got3)
 
 
 def brute_horizontal_guesses(h1, h0, k_h, hlines):
@@ -214,15 +225,16 @@ def test_horizontal_guesses_match_exhaustive_oracle():
     for h1, h0, k_h in cases:
         for hlines in (range(-2, 25), (-1, 2, 8, 15), (*h1, *h0)):
             got = [
-                (g.gamma_h, g.h1prime) for g in enumerate_horizontal_guesses(h1, h0, k_h, hlines)
+                (guess_strips(H, g.base, g.slots), g.h1prime)
+                for g in enumerate_horizontal_guesses(h1, h0, k_h, hlines)
             ]
             assert len(set(got)) == len(got)
             assert set(got) == brute_horizontal_guesses(h1, h0, k_h, hlines)
 
 
 def test_horizontal_guesses_empty():
-    assert [(g.gamma_h, g.h1prime) for g in enumerate_horizontal_guesses((), (), 0, ())] == [
-        ((), frozenset())
+    assert [(g.base, g.slots, g.h1prime) for g in enumerate_horizontal_guesses((), (), 0, ())] == [
+        ((), (), frozenset())
     ]
 
 
@@ -247,20 +259,20 @@ def _widest_fixture():
         hlines=[0, 10, 20, 30, 40],
         vlines=[0, 3, 5, 10],
     )
-    gamma_v = (Strip(V, 0, 10),)
-    return inst, gamma_v, wide
+    vg = VerticalGuess(base=(0, 10), slots=(1,), v1=frozenset())  # the strip 0 < x < 10
+    return inst, vg, wide
 
 
 def test_eliminate_noop_without_strips():
     inst, _, _ = _widest_fixture()
-    kept, h0 = eliminate_redundant(inst, h1=(), v1=frozenset(), gamma_v=(), k=1)
+    kept, h0 = eliminate_redundant(inst, h1=(), vg=VerticalGuess((0, 10), (), frozenset()), k=1)
     assert [inst.rects[i] for i in bits(kept)] == list(inst.rects)
     assert h0 == (0, 10, 20, 40)
 
 
 def test_eliminate_removes_widest_only():
-    inst, gamma_v, wide = _widest_fixture()
-    kept, h0 = eliminate_redundant(inst, h1=(), v1=frozenset(), gamma_v=gamma_v, k=1)
+    inst, vg, wide = _widest_fixture()
+    kept, h0 = eliminate_redundant(inst, h1=(), vg=vg, k=1)
     kept = [inst.rects[i] for i in bits(kept)]
     assert wide not in kept
     assert len(kept) == 4
@@ -270,10 +282,11 @@ def test_eliminate_removes_widest_only():
 def test_eliminate_extension_property():
     # any stabbing of the kept rects by <=2k horizontal lines plus one line
     # per guessed strip extends to the removed ones (k=1 here)
-    inst, gamma_v, wide = _widest_fixture()
-    kept, _ = eliminate_redundant(inst, h1=(), v1=frozenset(), gamma_v=gamma_v, k=1)
+    inst, vg, wide = _widest_fixture()
+    kept, _ = eliminate_redundant(inst, h1=(), vg=vg, k=1)
     kept = [inst.rects[i] for i in bits(kept)]
-    in_strip = [x for x in inst.vlines if gamma_v[0].contains_pos(x)]
+    (strip,) = guess_strips(V, vg.base, vg.slots)
+    in_strip = [x for x in inst.vlines if strip.contains_pos(x)]
     for a in chain.from_iterable(combinations(inst.hlines, n) for n in range(3)):
         for v in in_strip:
             sol = Solution(hlines=a, vlines=[v])
@@ -285,6 +298,36 @@ def test_eliminate_extension_property():
                 assert verify(inst, sol) == []
 
 
+@pytest.mark.parametrize("base, slot", [((0, 10), 1), ((0,), 1), ((0,), 0)])
+def test_eliminate_measures_width_inside_the_strip(base, slot):
+    # four rectangles on the boundary x=0 with one horizontal line each
+    # (k=1: a group of 4 fires, of 3 does not); "far" is the widest overall
+    # but reaches only 1 into the strip, "deep" reaches 5 and is removed
+    sign = 1 if slot == 1 else -1  # mirror x for the strip left of 0
+    far, deep = (-100, 1), (-2, 5)
+    shallow = [(-2, 1)] * 2
+    rects = [
+        Rect(*sorted((sign * a, sign * b)), 10 * t, 10 * t)
+        for t, (a, b) in enumerate([far, deep, *shallow])
+    ]
+    inst = Instance(rects, hlines=[0, 10, 20, 30], vlines=[-10, -3, 0, 3, 10])
+    kept, _ = eliminate_redundant(inst, h1=(), vg=VerticalGuess(base, (slot,), frozenset()), k=1)
+    assert list(bits(kept)) == [0, 2, 3]
+
+
+def test_eliminate_visits_boundaries_by_ascending_slot():
+    # strips (0, 10) and (20, 30). w crosses both; at x=10 it is the widest
+    # of a group of 4, at x=20 the group of 4 holds the wider x. Visiting
+    # x=10 first removes w, which leaves x=20 with 3; visiting x=20 first
+    # would remove x, then w.
+    spans = [(5, 25), (9, 11), (9, 11), (9, 11), (19, 30), (19, 21), (19, 21)]
+    rects = [Rect(a, b, 10 * t, 10 * t) for t, (a, b) in enumerate(spans)]
+    inst = Instance(rects, hlines=range(0, 70, 10), vlines=range(0, 35, 5))
+    vg = VerticalGuess((0, 10, 20, 30), (3, 1), frozenset())
+    kept, _ = eliminate_redundant(inst, h1=(), vg=vg, k=1)
+    assert list(bits(kept)) == [1, 2, 3, 4, 5, 6]
+
+
 def test_eliminate_h0_accounting_bound_on_planted():
     for seed in range(12):
         inst, witness = gen_planted(k=3, n=20, coord_range=25, seed=seed)
@@ -294,9 +337,10 @@ def test_eliminate_h0_accounting_bound_on_planted():
             h1, v0 = preselect(inst, k_v)
         except GuessInfeasible:
             continue
-        gamma_v, v1 = witness_vertical_guess(v0, sorted(witness.vstar))
-        kept, h0 = eliminate_redundant(inst, h1, v1, gamma_v, k)
-        boundaries = {b for s in gamma_v for b in (s.lo, s.hi) if b is not None}
+        vg = witness_vertical_guess(v0, sorted(witness.vstar))
+        kept, h0 = eliminate_redundant(inst, h1, vg, k)
+        strips = guess_strips(V, vg.base, vg.slots)
+        boundaries = {b for s in strips for b in (s.lo, s.hi) if b is not None}
         assert len(h0) <= (2 * k + 1) * len(boundaries) + k
 
 
@@ -306,26 +350,28 @@ def witness_vertical_guess(v0, vstar):
     """The strip/line guess a size-|vstar| vertical witness induces: odd light
     strips become the guess, boundaries of the others plus witness lines
     already in the pool become separators."""
-    strips = strips_of(V, sorted(v0))
-    light = [s for s in strips if sum(1 for v in vstar if s.contains_pos(v)) == 1]
-    heavy = [s for s in strips if sum(1 for v in vstar if s.contains_pos(v)) >= 2]
-    gamma_v = tuple(light[0::2])
+    base = tuple(sorted(v0))
+    strips = strips_of(V, base)
+    light = [i for i, s in enumerate(strips) if sum(1 for v in vstar if s.contains_pos(v)) == 1]
+    heavy = [i for i, s in enumerate(strips) if sum(1 for v in vstar if s.contains_pos(v)) >= 2]
+    gamma_v = tuple(strips[i] for i in light[0::2])
     v1 = set(v0) & set(vstar)
-    for s in light[1::2] + heavy:
+    for s in (strips[i] for i in light[1::2] + heavy):
         v1.update(b for b in (s.lo, s.hi) if b is not None)
     k_v = len(vstar)
     assert len(gamma_v) + len(v1) <= (3 * k_v) // 2
     assert separated(gamma_v, v1)
-    return gamma_v, frozenset(v1)
+    return VerticalGuess(base, tuple(light[0::2]), frozenset(v1))
 
 
 def witness_horizontal_guess(h1, h0, hstar, k_h):
     """All light strips of the H1+H0 arrangement, separated by heavy-strip
     boundaries, pool witness lines, and patch lines between consecutive
     unseparated light strips."""
-    base = sorted(set(h1) | set(h0))
+    base = tuple(sorted(set(h1) | set(h0)))
     strips = strips_of(H, base)
-    light = [s for s in strips if sum(1 for h in hstar if s.contains_pos(h)) == 1]
+    light_idx = [i for i, s in enumerate(strips) if sum(1 for h in hstar if s.contains_pos(h)) == 1]
+    light = [strips[i] for i in light_idx]
     heavy = [s for s in strips if sum(1 for h in hstar if s.contains_pos(h)) >= 2]
     gamma_h = tuple(light)
     h1p = set(h0) & set(hstar)
@@ -338,7 +384,7 @@ def witness_horizontal_guess(h1, h0, hstar, k_h):
             h1p.add(patch[0])
     assert len(h1) + len(gamma_h) + len(h1p) <= 2 * k_h
     assert separated(gamma_h, set(h1) | h1p)
-    return gamma_h, frozenset(h1p)
+    return HorizontalGuess(base, tuple(light_idx), frozenset(h1p))
 
 
 def test_witness_guided_pipeline_is_satisfiable():
@@ -355,10 +401,12 @@ def test_witness_guided_pipeline_is_satisfiable():
             hstar, vstar = vstar, hstar
         k_h, k_v = len(hstar), len(vstar)
         h1, v0 = preselect(work, k_v)
-        gamma_v, v1 = witness_vertical_guess(v0, vstar)
-        kept, h0 = eliminate_redundant(work, h1, v1, gamma_v, k)
+        vg = witness_vertical_guess(v0, vstar)
+        v1 = vg.v1
+        kept, h0 = eliminate_redundant(work, h1, vg, k)
         kept = [work.rects[i] for i in bits(kept)]
-        gamma_h, h1p = witness_horizontal_guess(h1, h0, hstar, k_h)
+        hg = witness_horizontal_guess(h1, h0, hstar, k_h)
+        h1p = hg.h1prime
         base_h = sorted(set(h1) | h1p)
         kprime = [
             r
@@ -366,7 +414,7 @@ def test_witness_guided_pipeline_is_satisfiable():
             if not any(r.y1 <= y <= r.y2 for y in base_h)
             and not any(r.x1 <= x <= r.x2 for x in v1)
         ]
-        formula, decode = assemble_2sat(kprime, gamma_v, gamma_h, work)
+        formula, decode = assemble_2sat(kprime, vg, hg, work)
         values = solve_2sat(formula)
         assert values is not None
         h2, v2 = decode(values)
@@ -379,11 +427,17 @@ def test_witness_guided_pipeline_is_satisfiable():
 
 # -------------------------------------------------------------- assemble_2sat
 
+NO_HGUESS = HorizontalGuess((), (), frozenset())
+
+
+def _between(lo, hi):
+    """Vertical and horizontal guesses of the one strip lo < x (or y) < hi."""
+    return VerticalGuess((lo, hi), (1,), frozenset()), HorizontalGuess((lo, hi), (1,), frozenset())
+
+
 def test_assemble_empty_kernel_decodes_one_line_per_strip():
     inst = Instance([], hlines=[0, 4, 8], vlines=[0, 4, 8])
-    gamma_v = (Strip(V, 0, 8),)
-    gamma_h = (Strip(H, 0, 8),)
-    formula, decode = assemble_2sat([], gamma_v, gamma_h, inst)
+    formula, decode = assemble_2sat([], *_between(0, 8), inst)
     values = solve_2sat(formula)
     assert values is not None
     h2, v2 = decode(values)
@@ -394,15 +448,14 @@ def test_assemble_empty_kernel_decodes_one_line_per_strip():
 def test_assemble_rejects_empty_strip():
     inst = Instance([], hlines=[], vlines=[0, 8])
     with pytest.raises(GuessInfeasible):
-        assemble_2sat([], (Strip(V, 0, 8),), (), Instance([], [], [0, 8]))
+        assemble_2sat([], _between(0, 8)[0], NO_HGUESS, Instance([], [], [0, 8]))
 
 
 def test_assemble_window_thresholds():
     # candidates v1..v5 at 1..5 inside strip (0,6); rect stabbable by {3,4}
     inst = Instance([], hlines=[], vlines=[0, 1, 2, 3, 4, 5, 6])
-    strip = Strip(V, 0, 6)
     rect = Rect(3, 4, 0, 1)
-    formula, decode = assemble_2sat([rect], (strip,), (), inst)
+    formula, decode = assemble_2sat([rect], _between(0, 6)[0], NO_HGUESS, inst)
     sat_choices = set()
     # enumerate the five monotone threshold assignments and check which satisfy
     for cut in range(1, 6):
@@ -421,23 +474,99 @@ def test_assemble_window_thresholds():
 
 def test_assemble_unstabbable_rect_in_both_strips_is_unsat():
     inst = Instance([], hlines=[0, 9], vlines=[0, 9])
-    gamma_v = (Strip(V, 0, 9),)
-    gamma_h = (Strip(H, 0, 9),)
+    vg, hg = _between(0, 9)
     # the rect meets both strips but contains no interior candidate on either axis
     rect = Rect(2, 3, 2, 3)
     inst = Instance([rect], hlines=[0, 9], vlines=[0, 9])
     with pytest.raises(GuessInfeasible):
         # strips have no interior candidates at all: rejected upfront
-        assemble_2sat([rect], gamma_v, gamma_h, inst)
+        assemble_2sat([rect], vg, hg, inst)
     inst2 = Instance([rect], hlines=[0, 5, 9], vlines=[0, 5, 9])
-    formula, _ = assemble_2sat([rect], gamma_v, gamma_h, inst2)
+    formula, _ = assemble_2sat([rect], vg, hg, inst2)
     assert solve_2sat(formula) is None
 
 
 def test_assemble_rect_meeting_no_strip_is_guess_infeasible():
     inst = Instance([Rect(20, 21, 20, 21)], hlines=[0, 5, 9], vlines=[0, 5, 9])
     with pytest.raises(GuessInfeasible):
-        assemble_2sat(list(inst.rects), (Strip(V, 0, 9),), (Strip(H, 0, 9),), inst)
+        assemble_2sat(list(inst.rects), *_between(0, 9), inst)
+
+
+def _covered_guesses(inst, k_h, k_v, k):
+    """(vertical guess, horizontal guess, kernel) for every pair the
+    enumerators yield under the covers solve_split builds, past the first
+    satisfiable one; the kernel is every rectangle the guess's lines (H1,
+    V1, H1') miss, so every kernel rectangle meets a guessed strip."""
+    try:
+        h1, v0 = preselect(inst, k_v)
+    except GuessInfeasible:
+        return
+    if len(h1) > 2 * k_h:
+        return
+    full = (1 << len(inst.rects)) - 1
+    hmask, vmask = line_masks(inst, H), line_masks(inst, V)
+    vmeets = slot_masks(inst, V, v0, full)
+    vcover = Cover(full & ~stab_mask(inst, inst.hlines), vmeets, [vmask[x] for x in v0])
+    for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines, vcover):
+        _, h0 = eliminate_redundant(inst, h1, vg, k)
+        missed = full & ~stab_mask(inst, h1, vg.v1)
+        off_vstrips = missed
+        for i in vg.slots:
+            off_vstrips &= ~vmeets[i]
+        hbase = sorted(set(h1) | set(h0))
+        hcover = Cover(
+            off_vstrips, slot_masks(inst, H, hbase, off_vstrips), [hmask[y] for y in hbase]
+        )
+        for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines, hcover):
+            kernel = missed & ~stab_mask(inst, hg.h1prime)
+            yield vg, hg, [inst.rects[i] for i in bits(kernel)]
+
+
+def test_assemble_matches_brute_force_on_covered_guesses():
+    """The formula is satisfiable iff some pick of one candidate inside
+    each guessed strip (oracle Strips) stabs the kernel, and decode returns
+    such a pick."""
+    seen = Counter()
+    for n, m, c in ((10, 10, 8), (14, 12, 10)):
+        for seed in range(30):
+            raw = gen_uniform(n, m, c, seed)
+            for inst in (raw, transpose(raw)):
+                for k in range(5):
+                    for k_h in range(k // 2 + 1):
+                        for k_v in range(k_h, k - k_h + 1):
+                            for vg, hg, kernel in _covered_guesses(inst, k_h, k_v, k):
+                                seen[_check_assembly(inst, vg, hg, kernel)] += 1
+    assert seen["sat"] > 500 and seen["unsat"] > 500 and seen["sat, both axes"] > 100
+
+
+def _check_assembly(inst, vg, hg, kernel):
+    vstrips = guess_strips(V, vg.base, vg.slots)
+    hstrips = guess_strips(H, hg.base, hg.slots)
+
+    def stabbed(hs, vs):
+        return all(
+            any(r.y1 <= y <= r.y2 for y in hs) or any(r.x1 <= x <= r.x2 for x in vs)
+            for r in kernel
+        )
+
+    def inside(strips, positions):
+        return [[p for p in positions if s.contains_pos(p)] for s in strips]
+
+    vcands, hcands = inside(vstrips, inst.vlines), inside(hstrips, inst.hlines)
+    brute = any(
+        stabbed(hs, vs) for vs in product(*vcands) for hs in product(*hcands)
+    )
+    formula, decode = assemble_2sat(kernel, vg, hg, inst)
+    values = solve_2sat(formula)
+    assert (values is not None) == brute
+    if values is None:
+        return "unsat"
+    h2, v2 = decode(values)
+    assert len(v2) == len(vstrips) and len(h2) == len(hstrips)
+    assert all(len(set(cands) & v2) == 1 for cands in vcands)
+    assert all(len(set(cands) & h2) == 1 for cands in hcands)
+    assert stabbed(h2, v2)
+    return "sat, both axes" if vstrips and hstrips else "sat"
 
 
 # ------------------------------------------------------------ full pipeline
@@ -761,9 +890,10 @@ def test_guess_streams_respect_invariants_under_pipeline():
     except GuessInfeasible:
         pytest.skip("split infeasible for this fixture")
     for g in enumerate_vertical_guesses(v0, k_v, inst.vlines):
-        assert g.size() <= (3 * k_v) // 2
-        assert separated(g.gamma_v, g.v1)
-        assert all(any(s.contains_pos(x) for x in inst.vlines) for s in g.gamma_v)
+        strips = guess_strips(V, g.base, g.slots)
+        assert len(strips) + len(g.v1) <= (3 * k_v) // 2
+        assert separated(strips, g.v1)
+        assert all(any(s.contains_pos(x) for x in inst.vlines) for s in strips)
 
 
 def test_final_check_survives_optimized_mode():

@@ -6,20 +6,17 @@ from rectstab.core import (
     Line,
     Rect,
     Solution,
-    Strip,
     UnknownLineError,
     bits,
     line_masks,
-    rect_meets_strip,
     slot_masks,
     stab_mask,
-    strips_of,
     transpose,
     verify,
 )
 from rectstab.rng import Xoshiro256StarStar
 
-from oracles import separated, stabs
+from oracles import Strip, rect_meets_strip, separated, stabs, strips_of
 
 H, V = Axis.HORIZONTAL, Axis.VERTICAL
 

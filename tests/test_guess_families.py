@@ -20,11 +20,11 @@ from rectstab.approx import (
     preselect,
     solve_split,
 )
-from rectstab.core import Axis, Solution, Strip, bits, drop_dominated, rect_meets_strip, transpose
+from rectstab.core import Axis, Solution, bits, drop_dominated, transpose
 from rectstab.generators import gen_planted, gen_uniform
 from rectstab.twosat import solve as solve_2sat
 
-from oracles import separated_families
+from oracles import Strip, guess_strips, rect_meets_strip, separated_families
 
 V = Axis.VERTICAL
 MAX_BUDGET = 5
@@ -89,23 +89,25 @@ def test_families_with_a_cover_match_the_filtered_reference():
                 assert list(_separated_families(n_base, cand, fixed, MAX_BUDGET, cover)) == expected
 
 
+def _strips_and_lines(guesses):
+    return [(guess_strips(V, g.base, g.slots), g.v1) for g in guesses]
+
+
 def test_empty_pool_guesses_the_whole_plane_only_with_a_candidate():
-    guesses = [(g.gamma_v, g.v1) for g in enumerate_vertical_guesses((), 2, (4,))]
+    guesses = _strips_and_lines(enumerate_vertical_guesses((), 2, (4,)))
     assert guesses == [((), frozenset()), ((Strip(V, None, None),), frozenset())]
-    assert [(g.gamma_v, g.v1) for g in enumerate_vertical_guesses((), 2, ())] == [
-        ((), frozenset())
-    ]
+    assert _strips_and_lines(enumerate_vertical_guesses((), 2, ())) == [((), frozenset())]
 
 
 def test_no_candidate_slot_leaves_pure_line_picks():
     # every candidate sits on a pool line, so no strip has one inside
     v0 = (0, 5, 9)
-    guesses = [(g.gamma_v, g.v1) for g in enumerate_vertical_guesses(v0, 3, v0)]
+    guesses = _strips_and_lines(enumerate_vertical_guesses(v0, 3, v0))
     assert guesses == [((), frozenset(pick)) for pick in _subsets(v0) if len(pick) <= 4]
 
 
 def test_unbounded_end_slots():
-    guesses = {(g.gamma_v, g.v1) for g in enumerate_vertical_guesses((5,), 2, (1, 9))}
+    guesses = set(_strips_and_lines(enumerate_vertical_guesses((5,), 2, (1, 9))))
     assert guesses == {
         ((), frozenset()),
         ((), frozenset({5})),
@@ -116,14 +118,14 @@ def test_unbounded_end_slots():
         ((Strip(V, None, 5), Strip(V, 5, None)), frozenset({5})),
     }
     # a candidate on one side only: the other end slot is never guessed
-    one_side = [g.gamma_v for g in enumerate_vertical_guesses((5,), 2, (9,))]
+    one_side = [gamma for gamma, _ in _strips_and_lines(enumerate_vertical_guesses((5,), 2, (9,)))]
     assert all(s == Strip(V, 5, None) for gamma in one_side for s in gamma)
 
 
 def test_full_h1_leaves_only_the_empty_guess():
     h1, h0 = (0, 10), (4, 7)
     hlines = range(-3, 14)
-    assert [(g.gamma_h, g.h1prime) for g in enumerate_horizontal_guesses(h1, h0, 1, hlines)] == [
+    assert [(g.slots, g.h1prime) for g in enumerate_horizontal_guesses(h1, h0, 1, hlines)] == [
         ((), frozenset())
     ]
     # ... and nothing once the empty guess cannot reach what the cover needs
@@ -148,11 +150,11 @@ def _uncovered_split(inst, k_h, k_v, k):
     for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines):
         if any(
             not any(r.x1 <= x <= r.x2 for x in vg.v1)
-            and not any(rect_meets_strip(s, r) for s in vg.gamma_v)
+            and not any(rect_meets_strip(s, r) for s in guess_strips(V, vg.base, vg.slots))
             for r in v_only
         ):
             continue
-        kept, h0 = eliminate_redundant(inst, h1, vg.v1, vg.gamma_v, k)
+        kept, h0 = eliminate_redundant(inst, h1, vg, k)
         for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines):
             hs = set(h1) | hg.h1prime
             kernel = [
@@ -162,7 +164,7 @@ def _uncovered_split(inst, k_h, k_v, k):
                 and not any(r.x1 <= x <= r.x2 for x in vg.v1)
             ]
             try:
-                formula, decode = assemble_2sat(kernel, vg.gamma_v, hg.gamma_h, inst)
+                formula, decode = assemble_2sat(kernel, vg, hg, inst)
             except GuessInfeasible:
                 continue
             calls += 1
