@@ -7,7 +7,7 @@ the gap-preserving hardness reduction from Multicolored Clique with both
 direction maps, seeded generators, a verifier, and a CLI.
 
 This package exports the public API; the approximation's pipeline stages
-live in rectstab.approx and the strip helpers in rectstab.core.
+live in rectstab.approx and the bit-mask stabbing kernel in rectstab.core.
 """
 
 from .approx import GuessInfeasible, SearchStats, solve_min, solve_with_budget
@@ -22,7 +22,7 @@ from .core import (
     transpose,
     verify,
 )
-from .exact import NodeLimitExceeded, SearchBudget, brute_force, opt_exact
+from .exact import ExactStats, NodeLimitExceeded, SearchBudget, brute_force, opt_exact
 from .generators import (
     ColoredPointSet,
     InseparablePoints,
@@ -53,6 +53,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Axis",
     "ColoredPointSet",
+    "ExactStats",
     "Formula",
     "GuessInfeasible",
     "Infeasible",

@@ -47,7 +47,7 @@ def _is_infeasible(inst: Instance) -> bool:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = formats.load_instance(args.instance)
-    stats = approx.SearchStats()
+    stats = exact.ExactStats() if args.exact else approx.SearchStats()
     start = time.perf_counter()
     outcome = "no-witness"
     size: Optional[int] = None
@@ -57,10 +57,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         outcome = "infeasible"
     elif args.exact:
         try:
-            sol = exact.opt_exact(inst, exact.SearchBudget(args.max_size, args.node_limit))
+            sol = exact.opt_exact(
+                inst, exact.SearchBudget(args.max_size, args.node_limit), stats
+            )
         except exact.NodeLimitExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
-            outcome = "error"
+            outcome = "budget-exhausted"
         if sol is not None:
             outcome, size, budget = "solved", len(sol), args.max_size
     elif args.min:

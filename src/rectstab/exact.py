@@ -1,11 +1,27 @@
 """Exact minimum stabbing for small instances.
 
 Branch and bound over the undominated rectangles and candidate lines
-(Instance.reduced), branching on the unstabbed rectangle with the fewest
-stabbing candidates, with an additive lower bound from the two single-axis
+(Instance.reduced), with an additive lower bound from the two single-axis
 subproblems restricted to rectangles that only one axis can stab. A
 subset-enumeration brute force on the raw instance serves as the
 independent cross-check oracle.
+
+Each search node carries the chosen lines and a mask of excluded lines.
+It branches on the unstabbed rectangle with the fewest stabbers that are
+not excluded (fail-first; ties go to the lowest index), and cuts the node
+when that rectangle has none left. Branch j over the live stabbers j1 <
+j2 < ... of that rectangle chooses j and excludes j1..j(i-1) for its whole
+subtree (sibling exclusion), so each line set is reached at most once,
+not once per ordering of its lines.
+
+Completeness: let T be any solution that contains the chosen lines and
+avoids the excluded ones. T stabs the picked rectangle; let j be the first
+of its live stabbers that lies in T. Branch j adds j to the chosen lines
+and excludes only stabbers before j, none of which is in T, so T is a
+solution of branch j's node. By induction T is reached, or a node on its
+path is cut by the bound because it cannot hold a solution smaller than
+the incumbent. A node whose picked rectangle has no live stabber holds no
+such T. A None result is therefore still a certificate.
 """
 
 from __future__ import annotations
@@ -32,6 +48,13 @@ class NodeLimitExceeded(Exception):
     """The branch-and-bound node budget ran out before the search finished."""
 
 
+@dataclass
+class ExactStats:
+    """Counters over the branch and bound, for run reports."""
+
+    nodes: int = 0
+
+
 def dedup_lines(inst: Instance) -> list[tuple[Line, int]]:
     """Candidate lines deduplicated by stabbed-rectangle set.
 
@@ -55,13 +78,16 @@ def _lines_to_solution(lines: list[Line]) -> Solution:
     )
 
 
-def opt_exact(inst: Instance, budget: SearchBudget) -> Optional[Solution]:
+def opt_exact(
+    inst: Instance, budget: SearchBudget, stats: Optional[ExactStats] = None
+) -> Optional[Solution]:
     """Minimum-size stabbing solution of size <= budget.max_size, else None.
 
     None certifies that no stabbing subset within the budget exists.
     Raises NodeLimitExceeded when budget.node_limit is set and hit, which
     is deliberately distinct from the no-solution outcome. The search runs
-    on inst.reduced, whose optimum and solutions are inst's.
+    on inst.reduced, whose optimum and solutions are inst's. stats, when
+    given, gains the number of search nodes, also when the limit is hit.
     """
     inst = inst.reduced
     n = len(inst.rects)
@@ -73,21 +99,20 @@ def opt_exact(inst: Instance, budget: SearchBudget) -> Optional[Solution]:
     h_any = stab_mask(inst, inst.hlines)
     v_any = stab_mask(inst, (), inst.vlines)
 
-    stabbers: list[list[int]] = [[] for _ in range(n)]
+    # stab_lines[i]: mask of the pool lines that stab rectangle i
+    stab_lines = [0] * n
     for j, m in enumerate(masks):
         for i in bits(m):
-            stabbers[i].append(j)
-    n_stabbers = [len(s) for s in stabbers]
+            stab_lines[i] |= 1 << j
 
     best: Optional[list[int]] = None
     best_size = budget.max_size + 1
     nodes = 0
 
-    def lower_bound(unstabbed: int) -> Optional[int]:
-        if unstabbed & ~(h_any | v_any):
-            return None  # some rectangle no candidate stabs
-        # Rectangles only one axis can stab need that axis's 1-D optimum;
-        # that axis stabs each of them, so stab_axis cannot raise here.
+    def lower_bound(unstabbed: int) -> int:
+        # Rectangles only one axis can stab need that axis's 1-D optimum.
+        # dfs calls this only when every unstabbed rectangle has a live
+        # stabber, so that axis stabs each of them and stab_axis cannot raise.
         lb = 0
         for axis, other_any in ((Axis.VERTICAL, h_any), (Axis.HORIZONTAL, v_any)):
             only = unstabbed & ~other_any
@@ -95,7 +120,7 @@ def opt_exact(inst: Instance, budget: SearchBudget) -> Optional[Solution]:
                 lb += len(stab_axis([inst.rects[i] for i in bits(only)], inst, axis))
         return lb
 
-    def dfs(unstabbed: int, chosen: list[int]) -> None:
+    def dfs(unstabbed: int, chosen: list[int], excluded: int) -> None:
         nonlocal best, best_size, nodes
         nodes += 1
         if budget.node_limit is not None and nodes > budget.node_limit:
@@ -105,19 +130,25 @@ def opt_exact(inst: Instance, budget: SearchBudget) -> Optional[Solution]:
                 best = list(chosen)
                 best_size = len(chosen)
             return
-        lb = lower_bound(unstabbed)
-        if lb is None:
+        # fail-first on the stabbers not excluded; a rectangle with none is a dead end
+        live = ~excluded
+        pick = min(bits(unstabbed), key=lambda i: (stab_lines[i] & live).bit_count())
+        branches = stab_lines[pick] & live
+        if not branches:
             return
-        if len(chosen) + max(lb, 1) >= best_size:
+        if len(chosen) + max(lower_bound(unstabbed), 1) >= best_size:
             return
-        # fail-first: branch on the rectangle with the fewest stabbing lines
-        pick = min(bits(unstabbed), key=n_stabbers.__getitem__)
-        for j in stabbers[pick]:
+        for j in bits(branches):
             chosen.append(j)
-            dfs(unstabbed & ~masks[j], chosen)
+            dfs(unstabbed & ~masks[j], chosen, excluded)
             chosen.pop()
+            excluded |= 1 << j
 
-    dfs(full, [])
+    try:
+        dfs(full, [], 0)
+    finally:
+        if stats is not None:
+            stats.nodes += nodes
     if best is None:
         return None
     return _lines_to_solution([pool[j][0] for j in best])

@@ -8,7 +8,7 @@ import pytest
 
 from rectstab.cli import main
 from rectstab import approx, exact, formats
-from rectstab.core import Solution, drop_dominated, verify
+from rectstab.core import Instance, Rect, Solution, drop_dominated, verify
 from rectstab.reduction import build, forward
 
 
@@ -55,6 +55,23 @@ def test_solve_exact_empty_instance(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["outcome"] == "solved" and report["size"] == 0
+
+
+def test_solve_exact_reports_node_count(tmp_path, capsys):
+    # four spread-out rects, each stabbed by one line per axis: the search
+    # needs more than the root node, and the count matches the API's
+    rects = [Rect(10 * i, 10 * i + 1, 10 * i, 10 * i + 1) for i in range(4)]
+    inst = Instance(rects, hlines=[0, 10, 20, 30], vlines=[0, 10, 20, 30])
+    path = tmp_path / "i.json"
+    formats.dump_instance(inst, path)
+    code, out, _ = run(capsys, "solve", str(path), "--exact", "--max-size", "4")
+    assert code == 0
+    report = json.loads(out)
+    assert report["outcome"] == "solved" and report["size"] == 4
+    stats = exact.ExactStats()
+    exact.opt_exact(inst, exact.SearchBudget(4), stats)
+    assert stats.nodes > 1
+    assert report["counters"] == {"nodes": stats.nodes}
 
 
 def test_solve_approx_planted(planted_paths, tmp_path, capsys):
@@ -372,7 +389,9 @@ def test_solve_node_limit_reports_error(tmp_path, capsys):
     code, out, err = run(capsys, "solve", str(inst), "--exact", "--max-size", "4",
                          "--node-limit", "1")
     assert code == 1
-    assert json.loads(out)["outcome"] == "error"
+    report = json.loads(out)
+    assert report["outcome"] == "budget-exhausted"
+    assert report["counters"] == {"nodes": 2}  # the limit is checked on entry to a node
     assert "search nodes" in err
 
 

@@ -1,7 +1,14 @@
 import pytest
 
 from rectstab.core import Instance, Rect, Solution, verify
-from rectstab.exact import NodeLimitExceeded, SearchBudget, brute_force, dedup_lines, opt_exact
+from rectstab.exact import (
+    ExactStats,
+    NodeLimitExceeded,
+    SearchBudget,
+    brute_force,
+    dedup_lines,
+    opt_exact,
+)
 from rectstab.rng import Xoshiro256StarStar
 
 
@@ -66,6 +73,58 @@ def test_agreement_with_brute_force_on_random_suite():
             assert verify(inst, bb) == []
             solved += 1
     assert solved > 80  # the suite must actually exercise feasible cases
+
+
+def edge_instance(rng, max_lines=6, max_edges=20):
+    """Every rectangle stabbed by exactly two candidate lines.
+
+    Lines are vertices: hline a at y = 10a, vline b at x = 10b. Each
+    rectangle is an edge, between an hline and a vline, two neighbouring
+    hlines or two neighbouring vlines, so a stabbing set is a vertex cover.
+    """
+    nh, nv = rng.randint(1, max_lines), rng.randint(1, max_lines)
+    rects = []
+    for _ in range(rng.randint(1, max_edges)):
+        a, b = rng.randint(0, nh - 1), rng.randint(0, nv - 1)
+        kind = rng.randint(0, 2)
+        if kind == 1 and a + 1 < nh:  # hlines a and a+1, between two vlines
+            rects.append(Rect(10 * b + 2, 10 * b + 5, 10 * a - 1, 10 * a + 11))
+        elif kind == 2 and b + 1 < nv:  # vlines b and b+1, between two hlines
+            rects.append(Rect(10 * b - 1, 10 * b + 11, 10 * a + 2, 10 * a + 5))
+        else:  # hline a and vline b
+            rects.append(Rect(10 * b - 1, 10 * b + 1, 10 * a - 1, 10 * a + 1))
+    return Instance(rects, [10 * a for a in range(nh)], [10 * b for b in range(nv)])
+
+
+def test_agreement_with_brute_force_on_vertex_cover_shapes():
+    # Two stabbers per rectangle is where sibling exclusion cuts the most.
+    rng = Xoshiro256StarStar(4242)
+    for _ in range(1000):
+        inst = edge_instance(rng)
+        assert all(
+            sum(r.y1 <= y <= r.y2 for y in inst.hlines)
+            + sum(r.x1 <= x <= r.x2 for x in inst.vlines) == 2
+            for r in inst.rects
+        )
+        n_lines = len(inst.hlines) + len(inst.vlines)
+        bf = brute_force(inst, n_lines)
+        bb = opt_exact(inst, SearchBudget(max_size=n_lines))
+        assert len(bb) == len(bf)
+        assert verify(inst, bb) == []
+        # one line less: both answer None, and None is a certificate
+        assert opt_exact(inst, SearchBudget(max_size=len(bf) - 1)) is None
+        assert brute_force(inst, len(bf) - 1) is None
+
+
+def test_stats_count_every_node_also_at_the_limit():
+    rects = [Rect(10 * i, 10 * i + 1, 10 * i, 10 * i + 1) for i in range(4)]
+    inst = Instance(rects, hlines=[0, 10, 20, 30], vlines=[])
+    stats = ExactStats()
+    assert len(opt_exact(inst, SearchBudget(max_size=4), stats)) == 4
+    assert stats.nodes == 5  # the root and one line per level
+    with pytest.raises(NodeLimitExceeded):
+        opt_exact(inst, SearchBudget(max_size=4, node_limit=3), stats)
+    assert stats.nodes == 5 + 4  # adds up across calls; the 4th node raised
 
 
 def test_minimality_certified_by_brute_force():

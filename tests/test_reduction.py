@@ -205,6 +205,24 @@ def test_soundness_small():
         assert opt_exact(red.inst, SearchBudget(max_size=4 * red.k)) is None
 
 
+@pytest.mark.parametrize("k, r", [(3, 3), (3, 4), (4, 3)])
+def test_exact_certifies_the_hard_family(k, r):
+    # Instances far past the brute-force oracles: 4k lines stab the
+    # reduction exactly when the graph has a multicolored clique.
+    outcomes = set()
+    for plant in (True, False):
+        for seed in range(6):
+            g, _ = gen_mcgraph(k, r, 1, 3, seed=seed, plant=plant)
+            red = build(g)
+            sol = opt_exact(red.inst, SearchBudget(max_size=4 * k, node_limit=200_000))
+            assert (sol is None) == (brute_force_multicolored_clique(g) is None)
+            if sol is not None:
+                assert len(sol) == 4 * k
+                assert verify(red.inst, sol) == []
+            outcomes.add(sol is None)
+    assert outcomes == {True, False}  # both a solution and a certificate
+
+
 def test_exact_solution_feeds_reverse():
     g, clique = gen_mcgraph(2, 3, 1, 2, seed=42, plant=True)
     red = build(g)
