@@ -2,8 +2,8 @@
 # A guided tour through the approximation pipeline's stages on one instance,
 # showing the intermediate objects the solver normally keeps to itself.
 
-from rectstab import gen_planted, transpose, verify
-from rectstab.approx import solve_split
+from rectstab import gen_planted, verify
+from rectstab.approx import Orientation, solve_split
 
 K = 5
 
@@ -16,27 +16,28 @@ def strips(guess):
 
 
 inst, witness = gen_planted(k=K, n=16, coord_range=25, seed=53)
+tables = Orientation(inst)
 k_h, k_v = len(witness.hstar), len(witness.vstar)
 if k_h > k_v:
-    inst = transpose(inst)
+    tables = tables.flipped
     k_h, k_v = k_v, k_h
 print(f"witness split: k_h={k_h}, k_v={k_v}")
 
 # stages 1-5 for this split, up to the first satisfiable guess in enumeration order
-found = solve_split(inst, k_h, k_v, K)
+found = solve_split(tables, k_h, k_v, K)
 if found is None:
     print("no satisfiable guess at this split (try a larger budget)")
     raise SystemExit(0)
 vguess, hguess, sol = found.vguess, found.hguess, found.solution
 print(f"preselect: H1={list(found.h1)} (kept for the answer), V0={list(found.v0)} (candidate pool)")
 print("\nfirst satisfiable guess:")
-print(f"  vertical strips (x ranges): {strips(vguess)}, V1={sorted(vguess.v1)}")
-print(f"  horizontal strips (y ranges): {strips(hguess)}, H1'={sorted(hguess.h1prime)}")
+print(f"  vertical strips (x ranges): {strips(vguess)}, V1={sorted(vguess.lines)}")
+print(f"  horizontal strips (y ranges): {strips(hguess)}, H1'={sorted(hguess.lines)}")
 print(f"  kernel size fed to 2-SAT: {len(found.kernel)} of {len(found.kept)} kept rectangles")
 # the per-strip lines lie strictly inside the guessed strips, so they are
 # exactly what the guesses themselves did not fix
-h2 = sol.hlines - set(found.h1) - hguess.h1prime
-v2 = sol.vlines - vguess.v1
+h2 = sol.hlines - set(found.h1) - hguess.lines
+v2 = sol.vlines - vguess.lines
 print(f"  decoded per-strip lines: H2={sorted(h2)}, V2={sorted(v2)}")
 print(f"solution: {len(sol)} lines <= 2*{k_h} + floor(3*{k_v}/2) "
-      f"= {2 * k_h + (3 * k_v) // 2}; unstabbed = {verify(inst, sol)}")
+      f"= {2 * k_h + (3 * k_v) // 2}; unstabbed = {verify(tables.inst, sol)}")

@@ -22,7 +22,7 @@ from .core import (
     transpose,
     verify,
 )
-from .exact import ExactStats, NodeLimitExceeded, SearchBudget, brute_force, opt_exact
+from .exact import ExactStats, NodeLimitExceeded, SearchBudget, opt_exact
 from .generators import (
     ColoredPointSet,
     InseparablePoints,
@@ -73,7 +73,6 @@ __all__ = [
     "SearchStats",
     "Solution",
     "UnknownLineError",
-    "brute_force",
     "build",
     "discretization_to_stabbing",
     "drop_dominated",

@@ -22,7 +22,6 @@ that no size-k solution exists.
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,23 +51,15 @@ class GuessInfeasible(Exception):
 
 
 @dataclass(frozen=True)
-class VerticalGuess:
-    """Guessed strips as slot indices over the sorted pool base (V0): slot i
-    is the open strip between base[i - 1] and base[i], unbounded past
-    either end. v1 holds the picked separator positions."""
+class Guess:
+    """Guessed strips of one axis as slot indices over the sorted pool
+    base: slot i is the open strip between base[i - 1] and base[i],
+    unbounded past either end. lines holds the picked separator positions:
+    V1 for a vertical guess over V0, H1' for a horizontal one over H1 | H0."""
 
     base: tuple[int, ...]
     slots: tuple[int, ...]
-    v1: frozenset[int]
-
-
-@dataclass(frozen=True)
-class HorizontalGuess:
-    """As VerticalGuess, over the sorted pool base = H1 | H0."""
-
-    base: tuple[int, ...]
-    slots: tuple[int, ...]
-    h1prime: frozenset[int]
+    lines: frozenset[int]
 
 
 @dataclass
@@ -256,7 +247,7 @@ def _separated_families(
 
 def enumerate_vertical_guesses(
     v0: Sequence[int], k_v: int, vlines: Sequence[int], cover: Optional[Cover] = None
-) -> Iterator[VerticalGuess]:
+) -> Iterator[Guess]:
     """All guesses (slots, V1) over the sorted pool v0 with |slots| + |V1| <=
     floor(3*k_v/2), the slots separated by V1 and each holding a candidate
     of the sorted vlines strictly inside, in the order of
@@ -269,7 +260,7 @@ def enumerate_vertical_guesses(
         len(base), _candidate_slots(base, vlines), frozenset(), (3 * k_v) // 2, cover
     )
     for slot_combo, line_pick in families:
-        yield VerticalGuess(base, slot_combo, frozenset(base[t] for t in line_pick))
+        yield Guess(base, slot_combo, frozenset(base[t] for t in line_pick))
 
 
 def enumerate_horizontal_guesses(
@@ -278,7 +269,7 @@ def enumerate_horizontal_guesses(
     k_h: int,
     hlines: Sequence[int],
     cover: Optional[Cover] = None,
-) -> Iterator[HorizontalGuess]:
+) -> Iterator[Guess]:
     """All guesses (slots, H1') over the sorted pool H1 | H0 with |H1| +
     |slots| + |H1'| <= 2*k_h, H1' drawn from H0, and the slots (each with a
     candidate of the sorted hlines strictly inside) separated by H1
@@ -291,17 +282,13 @@ def enumerate_horizontal_guesses(
         len(base), _candidate_slots(base, hlines), h1_idx, 2 * k_h - len(h1), cover
     )
     for slot_combo, line_pick in families:
-        yield HorizontalGuess(base, slot_combo, frozenset(base[t] for t in line_pick))
+        yield Guess(base, slot_combo, frozenset(base[t] for t in line_pick))
 
 
 def eliminate_redundant(
-    inst: Instance,
-    h1: Sequence[int],
-    vg: VerticalGuess,
-    k: int,
-    _tables: Optional["_Orientation"] = None,
+    tables: Orientation, h1: Sequence[int], vg: Guess, k: int
 ) -> tuple[int, tuple[int, ...]]:
-    """Kernelization: (K, H0), with K a mask over inst.rects.
+    """Kernelization: (K, H0), with K a mask over tables.inst.rects.
 
     Among rectangles stabbed by some horizontal candidate but missed by
     H1 and V1, repeatedly discard the widest-in-strip rectangle on a
@@ -311,13 +298,11 @@ def eliminate_redundant(
     vertical line that stabs a narrower one. Boundaries are visited by
     ascending slot. K is everything kept, H0 a minimum horizontal stabbing
     of the kept leftovers. H1, V1 and vg.base are candidate lines.
-    ``_tables`` (private) is inst's _Orientation, shared by the guesses of
-    one search.
     """
-    tables = _tables if _tables is not None else _Orientation(inst)
+    inst = tables.inst
     rects = inst.rects
     full = (1 << len(rects)) - 1
-    rprime = full & ~(tables.v_only | tables.stabbed(h1, vg.v1))
+    rprime = full & ~(tables.v_only | tables.stabbed(h1, vg.lines))
     removed = 0
 
     # slot i spans clip[i]..clip[i + 1]; the sentinels clip nothing and are
@@ -381,8 +366,8 @@ def _window(sv: _StripVars, a: int, b: int) -> Optional[tuple[int, Optional[int]
 
 def assemble_2sat(
     kprime: Sequence[Rect],
-    vg: VerticalGuess,
-    hg: HorizontalGuess,
+    vg: Guess,
+    hg: Guess,
     inst: Instance,
 ) -> tuple[twosat.Formula, Callable[[list[bool]], tuple[frozenset[int], frozenset[int]]]]:
     """Formula whose satisfying assignments pick one candidate line inside
@@ -472,32 +457,28 @@ class SplitWitness:
 
     h1: tuple[int, ...]
     v0: tuple[int, ...]
-    vguess: VerticalGuess
-    hguess: HorizontalGuess
+    vguess: Guess
+    hguess: Guess
     kept: list[Rect]
     kernel: list[Rect]
     solution: Solution
 
 
-class _Orientation:
+class Orientation:
     """One orientation of an instance with the tables every split over it
-    shares. None of them depends on k_h or k, so one object serves every
-    split of every search of an instance (see of). Every table is built on
-    first use, so a search that preselection ends builds no stab masks."""
+    shares; solve_split and eliminate_redundant work on its inst. None of
+    the tables depends on k_h or k, so one object serves every split of
+    every search of an instance (see of). Every table is built on first
+    use, so a search that preselection ends builds no stab masks."""
 
-    def __init__(self, inst: Instance, mirror: Optional["_Orientation"] = None):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        # the orientation this one is the transpose of; transpose keeps the
-        # rectangle order, so its stab masks are ours with the axes swapped.
-        # It owns this one, so a strong reference back would be a cycle that
-        # keeps both, transposed instance included, until the cyclic GC runs.
-        self._mirror = weakref.proxy(mirror) if mirror is not None else None
         # k_v -> (H1, V0), or None when preselect raised GuessInfeasible
         self._preselected: dict[int, Optional[tuple]] = {}
         self._vcovers: dict[tuple[int, ...], Cover] = {}  # by V0
 
     @classmethod
-    def of(cls, inst: Instance) -> "_Orientation":
+    def of(cls, inst: Instance) -> Orientation:
         """The upright orientation of inst.reduced, kept in inst's memo next
         to inst.reduced, so every search of that object shares its tables.
         It refers to inst.reduced, never to inst, so the memo makes no
@@ -530,12 +511,12 @@ class _Orientation:
     @cached_property
     def hmask(self) -> dict[int, int]:
         """Stab mask of each horizontal candidate, by position."""
-        return self._mirror.vmask if self._mirror else line_masks(self.inst, Axis.HORIZONTAL)
+        return line_masks(self.inst, Axis.HORIZONTAL)
 
     @cached_property
     def vmask(self) -> dict[int, int]:
         """Stab mask of each vertical candidate, by position."""
-        return self._mirror.hmask if self._mirror else line_masks(self.inst, Axis.VERTICAL)
+        return line_masks(self.inst, Axis.VERTICAL)
 
     @cached_property
     def v_only(self) -> int:
@@ -552,25 +533,19 @@ class _Orientation:
         return mask
 
     @cached_property
-    def flipped(self) -> "_Orientation":
+    def flipped(self) -> Orientation:
         """The transposed orientation, built on first use."""
-        return _Orientation(transpose(self.inst), self)
+        return Orientation(transpose(self.inst))
 
 
 def solve_split(
-    inst: Instance,
-    k_h: int,
-    k_v: int,
-    k: int,
-    stats: Optional[SearchStats] = None,
-    _tables: Optional[_Orientation] = None,
+    tables: Orientation, k_h: int, k_v: int, k: int, stats: Optional[SearchStats] = None
 ) -> Optional[SplitWitness]:
-    """Run the pipeline for one split with k_h <= k_v under budget k: the
-    first satisfiable guess in enumeration order, or None when every guess
-    of the split fails. ``_tables`` (private) is inst's _Orientation, shared
-    by the splits of one search."""
+    """Run the pipeline for one split with k_h <= k_v under budget k on
+    tables.inst: the first satisfiable guess in enumeration order, or None
+    when every guess of the split fails."""
     stats = stats if stats is not None else SearchStats()
-    tables = _tables if _tables is not None else _Orientation(inst)
+    inst = tables.inst
     pre = tables.preselected(k_v)
     if pre is None:
         return None
@@ -590,8 +565,8 @@ def solve_split(
     # propagates instead of passing for a failed guess.
     for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines, vcover):
         stats.vertical_guesses += 1
-        kept, h0 = eliminate_redundant(inst, h1, vg, k, tables)
-        unstabbed = kept & ~(h1_mask | tables.stabbed((), vg.v1))
+        kept, h0 = eliminate_redundant(tables, h1, vg, k)
+        unstabbed = kept & ~(h1_mask | tables.stabbed((), vg.lines))
         off_vstrips = unstabbed
         for i in vg.slots:
             off_vstrips &= ~vcover.slots[i]
@@ -603,14 +578,14 @@ def solve_split(
         )
         for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines, hcover):
             stats.horizontal_guesses += 1
-            kernel = [rects[i] for i in bits(unstabbed & ~tables.stabbed(hg.h1prime, ()))]
+            kernel = [rects[i] for i in bits(unstabbed & ~tables.stabbed(hg.lines, ()))]
             formula, decode = assemble_2sat(kernel, vg, hg, inst)
             stats.twosat_calls += 1
             assignment = twosat.solve(formula)
             if assignment is None:
                 continue
             h2, v2 = decode(assignment)
-            sol = Solution(hlines=set(h1) | hg.h1prime | h2, vlines=vg.v1 | v2)
+            sol = Solution(hlines=set(h1) | hg.lines | h2, vlines=vg.lines | v2)
             return SplitWitness(h1, v0, vg, hg, [rects[i] for i in bits(kept)], kernel, sol)
     return None
 
@@ -634,17 +609,16 @@ def solve_with_budget(
     if k < 0:
         raise ValueError("budget must be nonnegative")
     stats = stats if stats is not None else SearchStats()
-    upright = _Orientation.of(inst)
+    upright = Orientation.of(inst)
     for total in range(k + 1):
         for k_h in range(total + 1):
             stats.splits += 1
             k_v = total - k_h
             if k_h <= k_v:
-                found = solve_split(upright.inst, k_h, k_v, k, stats, upright)
+                found = solve_split(upright, k_h, k_v, k, stats)
                 sol = found.solution if found is not None else None
             else:
-                flipped = upright.flipped
-                found = solve_split(flipped.inst, k_v, k_h, k, stats, flipped)
+                found = solve_split(upright.flipped, k_v, k_h, k, stats)
                 sol = found.solution.transpose() if found is not None else None
             if sol is None:
                 continue

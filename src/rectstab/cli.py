@@ -231,6 +231,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not fixture_dir.is_dir():
         print(f"error: {fixture_dir} is not a directory", file=sys.stderr)
         return 2
+    if args.kmax < 0:  # an empty budget ladder would report a false no-witness
+        print("error: --kmax must be nonnegative", file=sys.stderr)
+        return 2
     run_approx = args.approx or not args.exact
     run_exact = args.exact
     paths = sorted(

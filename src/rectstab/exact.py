@@ -2,9 +2,9 @@
 
 Branch and bound over the undominated rectangles and candidate lines
 (Instance.reduced), with an additive lower bound from the two single-axis
-subproblems restricted to rectangles that only one axis can stab. A
-subset-enumeration brute force on the raw instance serves as the
-independent cross-check oracle.
+subproblems restricted to rectangles that only one axis can stab. The
+tests cross-check it against a subset-enumeration brute force on the raw
+instance (tests/oracles.py).
 
 Each search node carries the chosen lines and a mask of excluded lines.
 It branches on the unstabbed rectangle with the fewest stabbers that are
@@ -27,7 +27,6 @@ such T. A None result is therefore still a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .core import Axis, Instance, Line, Solution, bits, line_masks, stab_mask
@@ -152,22 +151,3 @@ def opt_exact(
     if best is None:
         return None
     return _lines_to_solution([pool[j][0] for j in best])
-
-
-def brute_force(inst: Instance, max_size: int) -> Optional[Solution]:
-    """First stabbing line subset in (size, lexicographic) enumeration order.
-
-    Enumerates subsets of the deduplicated candidate pool; intended for
-    instances with at most ~20 deduplicated lines.
-    """
-    n = len(inst.rects)
-    full = (1 << n) - 1
-    pool = dedup_lines(inst)
-    for size in range(0, max_size + 1):
-        for combo in combinations(range(len(pool)), size):
-            covered = 0
-            for j in combo:
-                covered |= pool[j][1]
-            if covered == full:
-                return _lines_to_solution([pool[j][0] for j in combo])
-    return None

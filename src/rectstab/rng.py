@@ -26,12 +26,7 @@ def _rotl(x: int, k: int) -> int:
 
 
 class Xoshiro256StarStar:
-    """xoshiro256** with SplitMix64 seed expansion.
-
-    split() spawns an independently seeded child generator from the next
-    output word, so derived streams are reproducible functions of the
-    root seed.
-    """
+    """xoshiro256** with SplitMix64 seed expansion."""
 
     def __init__(self, seed: int):
         stream = _splitmix64_stream(seed)
@@ -49,9 +44,6 @@ class Xoshiro256StarStar:
         s3 = _rotl(s3, 45)
         self._s = [s0, s1, s2, s3]
         return result
-
-    def split(self) -> "Xoshiro256StarStar":
-        return Xoshiro256StarStar(self.next_u64())
 
     def randrange(self, n: int) -> int:
         """Unbiased uniform draw from [0, n) by rejection; n is at most

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from rectstab.core import Axis, Instance, Line, Rect
+from rectstab.core import Axis, Instance, Line, Rect, Solution
 
 
 @dataclass(frozen=True)
@@ -155,3 +155,34 @@ def dominance_reduce(inst: Instance) -> Instance:
         if reduced == inst:
             return inst
         inst = reduced
+
+
+def brute_force(inst: Instance, max_size: int) -> Optional[Solution]:
+    """First stabbing line subset in (size, lexicographic) enumeration
+    order, by the definition.
+
+    The pool is every candidate line that stabs some rectangle, in
+    canonical order (horizontal before vertical, positions ascending),
+    keeping only the first line of each set of stabbed rectangles.
+    Enumerates subsets of that pool; intended for instances with at most
+    ~20 pool lines.
+    """
+    lines = [Line(Axis.HORIZONTAL, y) for y in inst.hlines]
+    lines += [Line(Axis.VERTICAL, x) for x in inst.vlines]
+    pool: dict[int, Line] = {}
+    for ln in lines:
+        stabbed = sum(1 << i for i, r in enumerate(inst.rects) if stabs(ln, r))
+        if stabbed:
+            pool.setdefault(stabbed, ln)
+    full = (1 << len(inst.rects)) - 1
+    for size in range(max_size + 1):
+        for combo in combinations(pool.items(), size):
+            covered = 0
+            for stabbed, _ in combo:
+                covered |= stabbed
+            if covered == full:
+                return Solution(
+                    hlines=[ln.pos for _, ln in combo if ln.axis is Axis.HORIZONTAL],
+                    vlines=[ln.pos for _, ln in combo if ln.axis is Axis.VERTICAL],
+                )
+    return None

@@ -16,10 +16,10 @@ import pytest
 from rectstab import approx, core
 from rectstab.approx import (
     Cover,
+    Guess,
     GuessInfeasible,
-    HorizontalGuess,
+    Orientation,
     SearchStats,
-    VerticalGuess,
     assemble_2sat,
     eliminate_redundant,
     enumerate_horizontal_guesses,
@@ -145,7 +145,7 @@ def test_vertical_guesses_match_exhaustive_oracle():
     for v0, k_v in (((), 0), ((5,), 2), ((0, 5), 2), ((0, 5, 9), 3)):
         for vlines in VLINE_POOLS:
             got = [
-                (guess_strips(V, g.base, g.slots), g.v1)
+                (guess_strips(V, g.base, g.slots), g.lines)
                 for g in enumerate_vertical_guesses(v0, k_v, vlines)
             ]
             assert len(set(got)) == len(got)  # no duplicates
@@ -156,7 +156,7 @@ def test_vertical_guesses_match_exhaustive_oracle():
 
 def test_vertical_guesses_single_position_examples():
     got = {
-        (guess_strips(V, g.base, g.slots), g.v1)
+        (guess_strips(V, g.base, g.slots), g.lines)
         for g in enumerate_vertical_guesses((5,), 2, range(10))
     }
     assert (tuple([Strip(V, None, 5)]), frozenset()) in got
@@ -167,7 +167,7 @@ def test_vertical_guesses_single_position_examples():
 
 
 def test_vertical_guess_empty_pool():
-    assert [(g.base, g.slots, g.v1) for g in enumerate_vertical_guesses((), 0, (1,))] == [
+    assert [(g.base, g.slots, g.lines) for g in enumerate_vertical_guesses((), 0, (1,))] == [
         ((), (), frozenset())
     ]
 
@@ -178,19 +178,19 @@ def test_horizontal_guesses_budget_and_separation():
     # |H1| = 2k_h exhausts the budget: only the empty guess fits
     hlines = range(-5, 30)
     got = list(enumerate_horizontal_guesses(h1, h0, 1, hlines))
-    assert [(g.slots, g.h1prime) for g in got] == [((), frozenset())]
+    assert [(g.slots, g.lines) for g in got] == [((), frozenset())]
 
     got3 = list(enumerate_horizontal_guesses(h1, h0, 3, hlines))
     assert all(
-        len(h1) + len(g.slots) + len(g.h1prime) <= 6
-        and separated(guess_strips(H, g.base, g.slots), set(h1) | g.h1prime)
+        len(h1) + len(g.slots) + len(g.lines) <= 6
+        and separated(guess_strips(H, g.base, g.slots), set(h1) | g.lines)
         for g in got3
     )
-    assert all(g.h1prime <= set(h0) for g in got3)
+    assert all(g.lines <= set(h0) for g in got3)
     # H1 lines are free separators: adjacent strips around 0 can both be chosen
     strips = strips_of(H, sorted(set(h1) | set(h0)))
     pair = (strips[0], strips[1])
-    assert any(guess_strips(H, g.base, g.slots) == pair and not g.h1prime for g in got3)
+    assert any(guess_strips(H, g.base, g.slots) == pair and not g.lines for g in got3)
 
 
 def brute_horizontal_guesses(h1, h0, k_h, hlines):
@@ -225,7 +225,7 @@ def test_horizontal_guesses_match_exhaustive_oracle():
     for h1, h0, k_h in cases:
         for hlines in (range(-2, 25), (-1, 2, 8, 15), (*h1, *h0)):
             got = [
-                (guess_strips(H, g.base, g.slots), g.h1prime)
+                (guess_strips(H, g.base, g.slots), g.lines)
                 for g in enumerate_horizontal_guesses(h1, h0, k_h, hlines)
             ]
             assert len(set(got)) == len(got)
@@ -233,7 +233,7 @@ def test_horizontal_guesses_match_exhaustive_oracle():
 
 
 def test_horizontal_guesses_empty():
-    assert [(g.base, g.slots, g.h1prime) for g in enumerate_horizontal_guesses((), (), 0, ())] == [
+    assert [(g.base, g.slots, g.lines) for g in enumerate_horizontal_guesses((), (), 0, ())] == [
         ((), (), frozenset())
     ]
 
@@ -259,20 +259,21 @@ def _widest_fixture():
         hlines=[0, 10, 20, 30, 40],
         vlines=[0, 3, 5, 10],
     )
-    vg = VerticalGuess(base=(0, 10), slots=(1,), v1=frozenset())  # the strip 0 < x < 10
+    vg = Guess(base=(0, 10), slots=(1,), lines=frozenset())  # the strip 0 < x < 10
     return inst, vg, wide
 
 
 def test_eliminate_noop_without_strips():
     inst, _, _ = _widest_fixture()
-    kept, h0 = eliminate_redundant(inst, h1=(), vg=VerticalGuess((0, 10), (), frozenset()), k=1)
+    vg = Guess((0, 10), (), frozenset())
+    kept, h0 = eliminate_redundant(Orientation(inst), h1=(), vg=vg, k=1)
     assert [inst.rects[i] for i in bits(kept)] == list(inst.rects)
     assert h0 == (0, 10, 20, 40)
 
 
 def test_eliminate_removes_widest_only():
     inst, vg, wide = _widest_fixture()
-    kept, h0 = eliminate_redundant(inst, h1=(), vg=vg, k=1)
+    kept, h0 = eliminate_redundant(Orientation(inst), h1=(), vg=vg, k=1)
     kept = [inst.rects[i] for i in bits(kept)]
     assert wide not in kept
     assert len(kept) == 4
@@ -283,7 +284,7 @@ def test_eliminate_extension_property():
     # any stabbing of the kept rects by <=2k horizontal lines plus one line
     # per guessed strip extends to the removed ones (k=1 here)
     inst, vg, wide = _widest_fixture()
-    kept, _ = eliminate_redundant(inst, h1=(), vg=vg, k=1)
+    kept, _ = eliminate_redundant(Orientation(inst), h1=(), vg=vg, k=1)
     kept = [inst.rects[i] for i in bits(kept)]
     (strip,) = guess_strips(V, vg.base, vg.slots)
     in_strip = [x for x in inst.vlines if strip.contains_pos(x)]
@@ -311,7 +312,8 @@ def test_eliminate_measures_width_inside_the_strip(base, slot):
         for t, (a, b) in enumerate([far, deep, *shallow])
     ]
     inst = Instance(rects, hlines=[0, 10, 20, 30], vlines=[-10, -3, 0, 3, 10])
-    kept, _ = eliminate_redundant(inst, h1=(), vg=VerticalGuess(base, (slot,), frozenset()), k=1)
+    vg = Guess(base, (slot,), frozenset())
+    kept, _ = eliminate_redundant(Orientation(inst), h1=(), vg=vg, k=1)
     assert list(bits(kept)) == [0, 2, 3]
 
 
@@ -323,8 +325,8 @@ def test_eliminate_visits_boundaries_by_ascending_slot():
     spans = [(5, 25), (9, 11), (9, 11), (9, 11), (19, 30), (19, 21), (19, 21)]
     rects = [Rect(a, b, 10 * t, 10 * t) for t, (a, b) in enumerate(spans)]
     inst = Instance(rects, hlines=range(0, 70, 10), vlines=range(0, 35, 5))
-    vg = VerticalGuess((0, 10, 20, 30), (3, 1), frozenset())
-    kept, _ = eliminate_redundant(inst, h1=(), vg=vg, k=1)
+    vg = Guess((0, 10, 20, 30), (3, 1), frozenset())
+    kept, _ = eliminate_redundant(Orientation(inst), h1=(), vg=vg, k=1)
     assert list(bits(kept)) == [1, 2, 3, 4, 5, 6]
 
 
@@ -338,7 +340,7 @@ def test_eliminate_h0_accounting_bound_on_planted():
         except GuessInfeasible:
             continue
         vg = witness_vertical_guess(v0, sorted(witness.vstar))
-        kept, h0 = eliminate_redundant(inst, h1, vg, k)
+        kept, h0 = eliminate_redundant(Orientation(inst), h1, vg, k)
         strips = guess_strips(V, vg.base, vg.slots)
         boundaries = {b for s in strips for b in (s.lo, s.hi) if b is not None}
         assert len(h0) <= (2 * k + 1) * len(boundaries) + k
@@ -361,7 +363,7 @@ def witness_vertical_guess(v0, vstar):
     k_v = len(vstar)
     assert len(gamma_v) + len(v1) <= (3 * k_v) // 2
     assert separated(gamma_v, v1)
-    return VerticalGuess(base, tuple(light[0::2]), frozenset(v1))
+    return Guess(base, tuple(light[0::2]), frozenset(v1))
 
 
 def witness_horizontal_guess(h1, h0, hstar, k_h):
@@ -384,7 +386,7 @@ def witness_horizontal_guess(h1, h0, hstar, k_h):
             h1p.add(patch[0])
     assert len(h1) + len(gamma_h) + len(h1p) <= 2 * k_h
     assert separated(gamma_h, set(h1) | h1p)
-    return HorizontalGuess(base, tuple(light_idx), frozenset(h1p))
+    return Guess(base, tuple(light_idx), frozenset(h1p))
 
 
 def test_witness_guided_pipeline_is_satisfiable():
@@ -402,11 +404,11 @@ def test_witness_guided_pipeline_is_satisfiable():
         k_h, k_v = len(hstar), len(vstar)
         h1, v0 = preselect(work, k_v)
         vg = witness_vertical_guess(v0, vstar)
-        v1 = vg.v1
-        kept, h0 = eliminate_redundant(work, h1, vg, k)
+        v1 = vg.lines
+        kept, h0 = eliminate_redundant(Orientation(work), h1, vg, k)
         kept = [work.rects[i] for i in bits(kept)]
         hg = witness_horizontal_guess(h1, h0, hstar, k_h)
-        h1p = hg.h1prime
+        h1p = hg.lines
         base_h = sorted(set(h1) | h1p)
         kprime = [
             r
@@ -427,12 +429,12 @@ def test_witness_guided_pipeline_is_satisfiable():
 
 # -------------------------------------------------------------- assemble_2sat
 
-NO_HGUESS = HorizontalGuess((), (), frozenset())
+NO_HGUESS = Guess((), (), frozenset())
 
 
 def _between(lo, hi):
     """Vertical and horizontal guesses of the one strip lo < x (or y) < hi."""
-    return VerticalGuess((lo, hi), (1,), frozenset()), HorizontalGuess((lo, hi), (1,), frozenset())
+    return Guess((lo, hi), (1,), frozenset()), Guess((lo, hi), (1,), frozenset())
 
 
 def test_assemble_empty_kernel_decodes_one_line_per_strip():
@@ -507,9 +509,10 @@ def _covered_guesses(inst, k_h, k_v, k):
     hmask, vmask = line_masks(inst, H), line_masks(inst, V)
     vmeets = slot_masks(inst, V, v0, full)
     vcover = Cover(full & ~stab_mask(inst, inst.hlines), vmeets, [vmask[x] for x in v0])
+    tables = Orientation(inst)
     for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines, vcover):
-        _, h0 = eliminate_redundant(inst, h1, vg, k)
-        missed = full & ~stab_mask(inst, h1, vg.v1)
+        _, h0 = eliminate_redundant(tables, h1, vg, k)
+        missed = full & ~stab_mask(inst, h1, vg.lines)
         off_vstrips = missed
         for i in vg.slots:
             off_vstrips &= ~vmeets[i]
@@ -518,7 +521,7 @@ def _covered_guesses(inst, k_h, k_v, k):
             off_vstrips, slot_masks(inst, H, hbase, off_vstrips), [hmask[y] for y in hbase]
         )
         for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines, hcover):
-            kernel = missed & ~stab_mask(inst, hg.h1prime)
+            kernel = missed & ~stab_mask(inst, hg.lines)
             yield vg, hg, [inst.rects[i] for i in bits(kernel)]
 
 
@@ -678,15 +681,15 @@ def test_search_counters_pinned():
 
 
 def test_orientations_are_freed_without_the_cyclic_gc():
-    """The transposed orientation borrows its owner's stab masks without a
-    reference cycle, so both go as soon as the search drops them."""
+    """The transposed orientation holds no reference back to its owner,
+    so both go as soon as the search drops them."""
     inst, _ = gen_planted(k=3, n=30, coord_range=20, seed=1)
     gc.disable()
     try:
-        upright = approx._Orientation(inst)
+        upright = Orientation(inst)
         flipped = upright.flipped
         assert flipped.hmask == upright.vmask and flipped.vmask == upright.hmask
-        assert flipped.v_only == approx._Orientation(transpose(inst)).v_only
+        assert flipped.v_only == Orientation(transpose(inst)).v_only
         gone = [weakref.ref(upright), weakref.ref(flipped)]
         del upright, flipped
         assert [ref() for ref in gone] == [None, None]
@@ -704,11 +707,11 @@ def _unshared_solve(inst, k, stats):
             stats.splits += 1
             k_v = total - k_h
             if k_h <= k_v:
-                found = solve_split(inst, k_h, k_v, k, stats)
+                found = solve_split(Orientation(inst), k_h, k_v, k, stats)
                 if found is not None:
                     return found.solution
             else:
-                found = solve_split(transpose(inst), k_v, k_h, k, stats)
+                found = solve_split(Orientation(transpose(inst)), k_v, k_h, k, stats)
                 if found is not None:
                     return found.solution.transpose()
     return None
@@ -863,7 +866,7 @@ def test_solved_instance_is_freed_without_the_cyclic_gc(shrinks):
         solve_min(inst, 3)
         opt_exact(inst, SearchBudget(max_size=3))
         assert "reduced" in vars(inst) and "_approx_upright" in vars(inst)
-        assert approx._Orientation.of(inst).flipped is not None
+        assert Orientation.of(inst).flipped is not None
         gone = weakref.ref(inst)
         del inst
         assert gone() is None
@@ -875,7 +878,7 @@ def test_solved_instance_is_freed_without_the_cyclic_gc(shrinks):
 def test_copies_of_a_solved_instance_start_cold(shrinks):
     inst = _memo_subject(shrinks)
     expected = solve_min(inst, 3)
-    assert approx._Orientation.of(inst).flipped is not None  # its memo holds a weak proxy
+    assert Orientation.of(inst).flipped is not None  # its memo holds both orientations
     for other in (copy.copy(inst), copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
         assert other == inst
         assert vars(other) == {"rects": inst.rects, "hlines": inst.hlines, "vlines": inst.vlines}
@@ -891,8 +894,8 @@ def test_guess_streams_respect_invariants_under_pipeline():
         pytest.skip("split infeasible for this fixture")
     for g in enumerate_vertical_guesses(v0, k_v, inst.vlines):
         strips = guess_strips(V, g.base, g.slots)
-        assert len(strips) + len(g.v1) <= (3 * k_v) // 2
-        assert separated(strips, g.v1)
+        assert len(strips) + len(g.lines) <= (3 * k_v) // 2
+        assert separated(strips, g.lines)
         assert all(any(s.contains_pos(x) for x in inst.vlines) for s in strips)
 
 

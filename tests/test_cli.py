@@ -330,6 +330,18 @@ def test_bench_bad_max_size_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_negative_kmax_exits_2(tmp_path, capsys):
+    # an empty budget ladder tries no budget, so its no-witness would be false
+    fixtures = tmp_path / "fx"
+    fixtures.mkdir()
+    main(["gen", "planted", "--k", "3", "--n", "6", "--seed", "1",
+          "--out", str(fixtures / "ok.json")])
+    out = tmp_path / "bench.csv"
+    code, _, err = run(capsys, "bench", str(fixtures), "--kmax", "-1", "--out", str(out))
+    assert code == 2 and err.startswith("error:") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_solve_min_no_witness_exit(tmp_path, capsys):
     inst = tmp_path / "two.json"
     inst.write_text(

@@ -6,11 +6,11 @@ import time
 
 from rectstab.approx import solve_with_budget
 from rectstab.core import Instance, Rect, Solution, drop_dominated, verify
-from rectstab.exact import SearchBudget, brute_force, opt_exact
+from rectstab.exact import SearchBudget, opt_exact
 from rectstab.generators import gen_planted, gen_uniform
 from rectstab.rng import Xoshiro256StarStar
 
-from oracles import dominance_reduce
+from oracles import brute_force, dominance_reduce
 
 
 def _pool() -> list[Instance]:

@@ -5,11 +5,12 @@ from rectstab.exact import (
     ExactStats,
     NodeLimitExceeded,
     SearchBudget,
-    brute_force,
     dedup_lines,
     opt_exact,
 )
 from rectstab.rng import Xoshiro256StarStar
+
+from oracles import brute_force
 
 
 def rand_instance(rng, max_rects=12, max_lines=10):

@@ -11,6 +11,7 @@ from itertools import combinations
 from rectstab.approx import (
     Cover,
     GuessInfeasible,
+    Orientation,
     SearchStats,
     _separated_families,
     assemble_2sat,
@@ -90,7 +91,7 @@ def test_families_with_a_cover_match_the_filtered_reference():
 
 
 def _strips_and_lines(guesses):
-    return [(guess_strips(V, g.base, g.slots), g.v1) for g in guesses]
+    return [(guess_strips(V, g.base, g.slots), g.lines) for g in guesses]
 
 
 def test_empty_pool_guesses_the_whole_plane_only_with_a_candidate():
@@ -125,7 +126,7 @@ def test_unbounded_end_slots():
 def test_full_h1_leaves_only_the_empty_guess():
     h1, h0 = (0, 10), (4, 7)
     hlines = range(-3, 14)
-    assert [(g.slots, g.h1prime) for g in enumerate_horizontal_guesses(h1, h0, 1, hlines)] == [
+    assert [(g.slots, g.lines) for g in enumerate_horizontal_guesses(h1, h0, 1, hlines)] == [
         ((), frozenset())
     ]
     # ... and nothing once the empty guess cannot reach what the cover needs
@@ -147,21 +148,22 @@ def _uncovered_split(inst, k_h, k_v, k):
         return None, 0
     calls = 0
     v_only = [r for r in inst.rects if not any(r.y1 <= y <= r.y2 for y in inst.hlines)]
+    tables = Orientation(inst)
     for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines):
         if any(
-            not any(r.x1 <= x <= r.x2 for x in vg.v1)
+            not any(r.x1 <= x <= r.x2 for x in vg.lines)
             and not any(rect_meets_strip(s, r) for s in guess_strips(V, vg.base, vg.slots))
             for r in v_only
         ):
             continue
-        kept, h0 = eliminate_redundant(inst, h1, vg, k)
+        kept, h0 = eliminate_redundant(tables, h1, vg, k)
         for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines):
-            hs = set(h1) | hg.h1prime
+            hs = set(h1) | hg.lines
             kernel = [
                 r
                 for r in (inst.rects[i] for i in bits(kept))
                 if not any(r.y1 <= y <= r.y2 for y in hs)
-                and not any(r.x1 <= x <= r.x2 for x in vg.v1)
+                and not any(r.x1 <= x <= r.x2 for x in vg.lines)
             ]
             try:
                 formula, decode = assemble_2sat(kernel, vg, hg, inst)
@@ -171,7 +173,7 @@ def _uncovered_split(inst, k_h, k_v, k):
             values = solve_2sat(formula)
             if values is not None:
                 h2, v2 = decode(values)
-                return Solution(hlines=hs | h2, vlines=vg.v1 | v2), calls
+                return Solution(hlines=hs | h2, vlines=vg.lines | v2), calls
     return None, calls
 
 
@@ -184,6 +186,6 @@ def test_covers_keep_every_first_satisfiable_guess_and_2sat_call():
                 for k_h in range(k // 2 + 1):
                     for k_v in range(k_h, k - k_h + 1):
                         stats = SearchStats()
-                        found = solve_split(inst, k_h, k_v, k, stats)
+                        found = solve_split(Orientation(inst), k_h, k_v, k, stats)
                         sol = found.solution if found is not None else None
                         assert (sol, stats.twosat_calls) == _uncovered_split(inst, k_h, k_v, k)
