@@ -8,7 +8,9 @@ lines (k_h <= k_v after transposing), and per split:
   1. greedily preselects horizontal lines H1 and an auxiliary vertical
      candidate pool V0 that together stab everything,
   2. enumerates guesses of vertical strips (each believed to hold exactly
-     one solution line) separated by chosen lines V1,
+     one solution line) separated by chosen lines V1, keeping only those
+     that leave the rectangles H1 misses to at most 2*k_h - |H1| open H1
+     slots, which is all a horizontal guess can still reach,
   3. prunes rectangles that any viable completion stabs anyway, yielding a
      kernel K and a horizontal candidate pool H0,
   4. enumerates horizontal strip guesses separated by H1 plus chosen H1',
@@ -25,7 +27,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import twosat
@@ -160,40 +161,90 @@ def _candidate_slots(base: Sequence[int], candidates: Sequence[int]) -> list[int
 
 
 def _hitting_picks(
-    free: Sequence[int], gaps: Sequence[tuple[int, int]], n: int, start: int = 0, g: int = 0
+    free: Sequence[int],
+    gaps: Sequence[tuple[int, int]],
+    n: int,
+    missing: int,
+    stabs: Sequence[int],
+    reach: Sequence[int],
+    fits: Callable[[int], bool],
+    start: int = 0,
+    g: int = 0,
 ) -> Iterator[tuple[int, ...]]:
     """The n-subsets of free[start:] that hit every index range [lo, hi) of
-    gaps[g:], in lexicographic order; the ranges are nonempty, disjoint and
-    ascending, and there are at most n of them.
+    gaps[g:] and leave of missing a mask that fits, in lexicographic order;
+    the ranges are nonempty, disjoint and ascending, and there are at most n
+    of them. stabs[q] is the stab mask of free[q], reach[q] the OR of
+    stabs[q:].
 
-    Each pick either hits the first range not hit yet or lies before it,
-    and is kept only when the picks after it can still hit the rest, so
-    every branch yields."""
+    Each pick either hits the first range not hit yet or lies before it.
+    It is kept only when the picks after it can still hit the rest, and
+    when what even all of free after it would leave of missing still fits."""
     if n == 0:
-        yield ()
+        if fits(missing):
+            yield ()
         return
     lo, hi = gaps[g] if g < len(gaps) else (len(free), len(free))
     stop = min(hi, len(free) - n + 1)  # past hi, range g stays unhit
     if n == 1:
         for q in range(start if g == len(gaps) else max(start, lo), stop):
-            yield (free[q],)
+            if fits(missing & ~stabs[q]):
+                yield (free[q],)
         return
     for q in range(start, stop):
         g_next = g + 1 if q >= lo else g
         if len(gaps) - g_next < n:
-            for rest in _hitting_picks(free, gaps, n - 1, q + 1, g_next):
-                yield (free[q], *rest)
+            left = missing & ~stabs[q]
+            if fits(left & ~reach[q + 1]):
+                for rest in _hitting_picks(
+                    free, gaps, n - 1, left, stabs, reach, fits, q + 1, g_next
+                ):
+                    yield (free[q], *rest)
 
 
 class Cover(NamedTuple):
-    """Rectangles a guess must reach, as masks over inst.rects: each
-    rectangle of need meets a chosen slot (slots[i]: the rectangles meeting
-    slot i) or is stabbed by a picked line (lines[t]: the rectangles base
-    position t stabs)."""
+    """Rectangles a guess must reach, as masks: each rectangle of need
+    meets a chosen slot (slots[i]: the rectangles meeting slot i) or is
+    stabbed by a picked line (lines[t]: the rectangles base position t
+    stabs). What a guess leaves of need may lie inside at most spare of
+    the disjoint masks of groups; a bit of need outside every group must
+    be reached.
+
+    The vertical cover (Orientation.vertical_cover) indexes every
+    rectangle r twice. Bit r, for the rectangles no horizontal candidate
+    stabs, must meet an open guessed slot or be stabbed by V1, since no
+    horizontal line can stab it. Bit n + r, for each of the n rectangles
+    that H1 misses, is reached when r meets a closed guessed slot
+    [base[i-1], base[i]] or is stabbed by V1; its groups are the open H1
+    slots, and solve_split sets spare to the horizontal budget
+    b = 2k_h - |H1|. The bound is sound: call U the rectangles such a
+    guess leaves unreached in the high half.
+      - Kernelization removes only rectangles that a boundary line of a
+        guessed slot stabs, and those meet the closed slot, so U is kept;
+        it is missed by H1 and V1 and meets no guessed open slot, so U
+        lies in what the horizontal guess must reach (hcover).
+      - A horizontal guess has at most b items. Each is a slot of the
+        H1 | H0 arrangement or an H1' line of H0 off H1, so it lies inside
+        one open H1 slot, and it meets or stabs only rectangles that meet
+        that slot.
+      - A rectangle H1 misses lies strictly inside one open H1 slot, so
+        each item reaches U in one group at most.
+    If U lies in more than b groups, no horizontal guess reaches hcover
+    and the vertical guess cannot reach 2-SAT."""
 
     need: int
     slots: Sequence[int]
     lines: Sequence[int]
+    groups: Sequence[int] = ()
+    spare: int = 0
+
+
+def _suffix_ors(masks: Sequence[int]) -> list[int]:
+    """reach[q] = the OR of masks[q:], for q up to len(masks)."""
+    reach = [0] * (len(masks) + 1)
+    for q in range(len(masks) - 1, -1, -1):
+        reach[q] = reach[q + 1] | masks[q]
+    return reach
 
 
 def _separated_families(
@@ -210,38 +261,65 @@ def _separated_families(
     slots separated by a fixed or picked line; with a cover, only pairs
     reaching it.
 
-    Line picks are built, not filtered: line t separates slots i < j iff
+    Pairs are built, not filtered: line t separates slots i < j iff
     i <= t < j, so a gap with no fixed line between its slots becomes a
-    range of free lines the pick must hit. Deterministic order:
-    nondecreasing combined size, then fewer slots first, then
-    lexicographic by slot and line index combinations.
+    range of free lines the pick must hit. Slots are chosen one by one,
+    and a branch is cut as soon as a gap it opens has no free line, it
+    opens more gaps than lines remain, or what it leaves of the cover
+    would not fit even if every later slot and line reached its share (a
+    suffix OR of their masks). Deterministic order: nondecreasing combined
+    size, then fewer slots first, then lexicographic by slot and line
+    index combinations.
     """
     fixed = sorted(fixed_idx)
     free = [t for t in range(n_base) if t not in fixed_idx]
-    need, slot_meets, line_stabs = cover or Cover(0, [0] * (n_base + 1), [0] * n_base)
+    need, slot_meets, line_stabs, groups, spare = cover or Cover(
+        0, [0] * (n_base + 1), [0] * n_base
+    )
+    grouped = 0
+    for mask in groups:
+        grouped |= mask
+    if len(groups) <= spare:  # every leftover fits in the groups
+        need &= ~grouped
+        groups, grouped = (), 0
+
+    def fits(left: int) -> bool:
+        return not left or (
+            not left & ~grouped and sum(1 for mask in groups if left & mask) <= spare
+        )
+
+    meets = [slot_meets[i] for i in cand_slots]
+    stabs = [line_stabs[t] for t in free]
+    slot_reach, line_reach = _suffix_ors(meets), _suffix_ors(stabs)
+
+    def slot_combos(n, n_lines, p, combo, gaps, missing):
+        """Combos extending combo by n slots of cand_slots[p:], with their
+        gaps and what they leave of missing."""
+        if n == 0:
+            yield combo, gaps, missing
+            return
+        lines_reach = line_reach[0] if n_lines else 0
+        for q in range(p, len(cand_slots) - n + 1):
+            b = cand_slots[q]
+            grown = gaps
+            if combo and bisect_left(fixed, combo[-1]) == bisect_left(fixed, b):
+                gap = (bisect_left(free, combo[-1]), bisect_left(free, b))
+                if gap[0] == gap[1] or len(gaps) == n_lines:
+                    continue
+                grown = [*gaps, gap]
+            left = missing & ~meets[q]
+            if fits(left & ~(slot_reach[q + 1] if n > 1 else 0) & ~lines_reach):
+                yield from slot_combos(n - 1, n_lines, q + 1, (*combo, b), grown, left)
+
     for total in range(budget + 1):
         for n_slots in range(total + 1):
             n_lines = total - n_slots
             if n_lines > len(free):
                 continue
-            for slot_combo in combinations(cand_slots, n_slots):
-                gaps = [
-                    (bisect_left(free, a), bisect_left(free, b))
-                    for a, b in zip(slot_combo, slot_combo[1:])
-                    if bisect_left(fixed, a) == bisect_left(fixed, b)
-                ]
-                if len(gaps) > n_lines or any(lo == hi for lo, hi in gaps):
-                    continue
-                missing = need
-                for i in slot_combo:
-                    missing &= ~slot_meets[i]
-                for line_pick in _hitting_picks(free, gaps, n_lines):
-                    if missing:
-                        left = missing
-                        for t in line_pick:
-                            left &= ~line_stabs[t]
-                        if left:
-                            continue
+            for slot_combo, gaps, missing in slot_combos(n_slots, n_lines, 0, (), [], need):
+                for line_pick in _hitting_picks(
+                    free, gaps, n_lines, missing, stabs, line_reach, fits
+                ):
                     yield slot_combo, line_pick
 
 
@@ -475,7 +553,7 @@ class Orientation:
         self.inst = inst
         # k_v -> (H1, V0), or None when preselect raised GuessInfeasible
         self._preselected: dict[int, Optional[tuple]] = {}
-        self._vcovers: dict[tuple[int, ...], Cover] = {}  # by V0
+        self._vcovers: dict[tuple, Cover] = {}  # by (H1, V0)
 
     @classmethod
     def of(cls, inst: Instance) -> Orientation:
@@ -497,16 +575,25 @@ class Orientation:
                 self._preselected[k_v] = None
         return self._preselected[k_v]
 
-    def vertical_cover(self, v0: tuple[int, ...]) -> Cover:
-        """What every vertical guess over the pool v0 must reach: the
-        rectangles no horizontal candidate stabs. Its slot masks hold every
-        rectangle, so solve_split also reads from them which kernel
-        rectangles a vertical guess's strips meet."""
-        if v0 not in self._vcovers:
-            full = (1 << len(self.inst.rects)) - 1
+    def vertical_cover(self, h1: tuple[int, ...], v0: tuple[int, ...]) -> Cover:
+        """What every vertical guess over the pool v0 must reach when H1 is
+        preselected, with spare 0 (see Cover): the rectangles no
+        horizontal candidate stabs, over open slots, and those H1 misses,
+        over closed slots and grouped by open H1 slot, at bit n + r. The
+        low half of its slot masks holds every rectangle, so solve_split
+        also reads from them which kernel rectangles a guess's strips meet."""
+        key = (h1, v0)
+        if key not in self._vcovers:
+            n = len(self.inst.rects)
+            full = (1 << n) - 1
+            missed = full & ~self.stabbed(h1, ())
             meets = slot_masks(self.inst, Axis.VERTICAL, v0, full)
-            self._vcovers[v0] = Cover(self.v_only, meets, [self.vmask[x] for x in v0])
-        return self._vcovers[v0]
+            walls = [0, *(self.vmask[x] for x in v0), 0]  # slot i lies between walls i, i + 1
+            slots = [m | (m | walls[i] | walls[i + 1]) << n for i, m in enumerate(meets)]
+            lines = [self.vmask[x] | self.vmask[x] << n for x in v0]
+            groups = [g << n for g in slot_masks(self.inst, Axis.HORIZONTAL, h1, missed)]
+            self._vcovers[key] = Cover(self.v_only | missed << n, slots, lines, groups)
+        return self._vcovers[key]
 
     @cached_property
     def hmask(self) -> dict[int, int]:
@@ -554,15 +641,17 @@ def solve_split(
         return None  # no horizontal guess can fit the budget
 
     rects = inst.rects
-    vcover = tables.vertical_cover(v0)
+    vcover = tables.vertical_cover(h1, v0)._replace(spare=2 * k_h - len(h1))
     h1_mask = tables.stabbed(h1, ())
     # A guess can succeed only if every rectangle no horizontal candidate
-    # stabs meets a guessed vertical strip or is stabbed by V1 (vcover), and
-    # every kernel rectangle meets a guessed strip of either axis or is
-    # stabbed by H1' (hcover). The enumerators yield only guesses that reach
-    # their cover with a candidate inside every strip, so assemble_2sat has
-    # no GuessInfeasible to raise here; one would be a broken invariant and
-    # propagates instead of passing for a failed guess.
+    # stabs meets a guessed vertical strip or is stabbed by V1, the
+    # rectangles H1 and V1 miss that meet no closed vertical slot lie in at
+    # most 2k_h - |H1| open H1 slots (vcover), and every kernel rectangle
+    # meets a guessed strip of either axis or is stabbed by H1' (hcover).
+    # The enumerators yield only guesses that reach their cover with a
+    # candidate inside every strip, so assemble_2sat has no GuessInfeasible
+    # to raise here; one would be a broken invariant and propagates instead
+    # of passing for a failed guess.
     for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines, vcover):
         stats.vertical_guesses += 1
         kept, h0 = eliminate_redundant(tables, h1, vg, k)

@@ -187,6 +187,7 @@ _BENCH_FIELDS = [
     "vertical_guesses",
     "horizontal_guesses",
     "twosat_calls",
+    "nodes",
 ]
 
 
@@ -202,8 +203,9 @@ def _bench_one(job: tuple[str, bool, bool, int, int]) -> list[dict]:
     rows = []
     exact_size: Optional[int] = None
     if run_exact:
-        row = dict(base, solver="exact")
-        sol = exact.opt_exact(inst, exact.SearchBudget(max_size))
+        exact_stats = exact.ExactStats()
+        sol = exact.opt_exact(inst, exact.SearchBudget(max_size), exact_stats)
+        row = dict(base, solver="exact", nodes=exact_stats.nodes)
         if sol is None:
             row["outcome"] = "no-witness"
         else:

@@ -117,6 +117,63 @@ def separated_families(
                         yield strip_combo, line_pick
 
 
+def cover_reached(cover, slots: Iterable[int], lines: Iterable[int]) -> bool:
+    """Does a guess with these slot and line indices reach an
+    approx.Cover, by its definition? The rectangles (bit indices) of need
+    that no chosen slot meets and no picked line stabs must each lie in a
+    group, and in at most cover.spare distinct groups."""
+
+    def members(mask: int) -> set[int]:
+        return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+    left = members(cover.need)
+    for i in slots:
+        left -= members(cover.slots[i])
+    for t in lines:
+        left -= members(cover.lines[t])
+    groups = [members(g) for g in cover.groups]
+    return all(any(r in g for g in groups) for r in left) and (
+        sum(1 for g in groups if g & left) <= cover.spare
+    )
+
+
+def horizontal_guess_reaches(
+    h1: Sequence[int],
+    h0: Sequence[int],
+    kept: Iterable[Rect],
+    vstrips: Sequence[Strip],
+    v1: Iterable[int],
+    budget: int,
+) -> bool:
+    """Can some horizontal guess complete a vertical guess (strips
+    vstrips, lines v1), by the definition? After kernelization (the kept
+    rectangles and the pool H0), it asks for a separated family of at most
+    budget open strips of the H1 | H0 arrangement and lines of H0 off H1
+    (separated_families) that meets or stabs every kept rectangle that
+    H1 and V1 miss and that meets no strip of vstrips. Strips with no
+    candidate inside count too, so this holds whenever the horizontal
+    enumerator yields a guess under solve_split's hcover."""
+    base = sorted(set(h1) | set(h0))
+    fixed = frozenset(t for t, y in enumerate(base) if y in set(h1))
+    free = [t for t in range(len(base)) if t not in fixed]
+    hstrips = strips_of(Axis.HORIZONTAL, base)
+    need = [
+        r
+        for r in kept
+        if not any(stabs(Line(Axis.HORIZONTAL, y), r) for y in h1)
+        and not any(stabs(Line(Axis.VERTICAL, x), r) for x in v1)
+        and not any(rect_meets_strip(s, r) for s in vstrips)
+    ]
+    for slot_combo, line_pick in separated_families(len(base), fixed, free, budget):
+        if all(
+            any(rect_meets_strip(hstrips[i], r) for i in slot_combo)
+            or any(stabs(Line(Axis.HORIZONTAL, base[t]), r) for t in line_pick)
+            for r in need
+        ):
+            return True
+    return False
+
+
 def dominance_reduce(inst: Instance) -> Instance:
     """Pairwise reference for core.drop_dominated, by the definition.
 

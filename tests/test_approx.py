@@ -656,9 +656,11 @@ def test_search_counters_pinned():
     """SearchStats and answer sizes on pinned instances, recorded once the
     enumerators stopped yielding guesses that cannot reach 2-SAT: a strip
     with no interior candidate, a rectangle no horizontal candidate stabs
-    left to no vertical strip or V1 line, or a kernel rectangle left to no
-    strip or H1' line. A change that prunes guesses must update these
-    literals and say why."""
+    left to no vertical strip or V1 line, a vertical guess leaving the
+    rectangles H1 misses to more open H1 slots than the horizontal budget
+    2k_h - |H1| has items, or a kernel rectangle left to no strip or H1'
+    line. A change that prunes guesses must update these literals and say
+    why."""
     stats = SearchStats()
     k, sol = solve_min(gen_uniform(60, 60, 40, 5), 12, stats)
     assert (k, len(sol)) == (5, 8)
@@ -668,7 +670,7 @@ def test_search_counters_pinned():
     k, sol = solve_min(gen_uniform(60, 60, 40, 3), 12, stats)
     assert (k, len(sol)) == (5, 8)
     assert stats == SearchStats(
-        splits=54, vertical_guesses=24, horizontal_guesses=2, twosat_calls=2
+        splits=54, vertical_guesses=4, horizontal_guesses=2, twosat_calls=2
     )
 
     inst, _ = gen_planted(k=7, n=300, coord_range=10**4, seed=3)

@@ -244,9 +244,9 @@ def test_bench_planted_dir(tmp_path, capsys):
     rows = out.read_text().splitlines()
     header = rows[0].split(",")
     assert len(rows) == 1 + 2 * 3  # two solvers per instance
-    k_i, size_i, ratio_i, solver_i, outcome_i = (
+    k_i, size_i, ratio_i, solver_i, outcome_i, nodes_i = (
         header.index("k"), header.index("size"), header.index("ratio"),
-        header.index("solver"), header.index("outcome"),
+        header.index("solver"), header.index("outcome"), header.index("nodes"),
     )
     from fractions import Fraction
 
@@ -257,6 +257,11 @@ def test_bench_planted_dir(tmp_path, capsys):
             k = int(cells[k_i])
             assert int(cells[size_i]) <= (7 * k) // 4
             assert Fraction(cells[ratio_i]) <= Fraction(7, 4)
+            assert cells[nodes_i] == ""
+        else:  # the exact row counts the B&B nodes of its solve
+            stats = exact.ExactStats()
+            exact.opt_exact(formats.load_instance(fixtures / cells[0]), exact.SearchBudget(4), stats)
+            assert int(cells[nodes_i]) == stats.nodes > 0
     summary = (tmp_path / "bench.summary.csv").read_text().splitlines()
     assert summary[0] == "k,count,max_size,size_bound,max_ratio"
     assert len(summary) >= 2

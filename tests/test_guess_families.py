@@ -6,6 +6,8 @@ On every small arrangement they must agree pair for pair, in order.
 """
 
 import random
+from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 from rectstab.approx import (
@@ -25,7 +27,15 @@ from rectstab.core import Axis, Solution, bits, drop_dominated, transpose
 from rectstab.generators import gen_planted, gen_uniform
 from rectstab.twosat import solve as solve_2sat
 
-from oracles import Strip, guess_strips, rect_meets_strip, separated_families
+from oracles import (
+    Strip,
+    cover_reached,
+    guess_strips,
+    horizontal_guess_reaches,
+    rect_meets_strip,
+    separated_families,
+    strips_of,
+)
 
 V = Axis.VERTICAL
 MAX_BUDGET = 5
@@ -35,6 +45,7 @@ def _subsets(items):
     return [c for n in range(len(items) + 1) for c in combinations(items, n)]
 
 
+@lru_cache(maxsize=None)
 def _reference(n_base, fixed):
     """Reference families at MAX_BUDGET; those of a smaller budget are its
     prefix of combined size <= budget, since size is the outer order."""
@@ -65,29 +76,44 @@ def test_families_match_reference_on_every_small_arrangement():
     assert checked == sum(6 * 2 ** (2 * n + 1) for n in range(7))
 
 
+def _random_cover(rng, n_base):
+    """A cover over 6 rectangles with sparse masks, so that suffix-OR cuts
+    fire, and each rectangle in one of 3 groups or in none."""
+
+    def sparse():
+        return rng.getrandbits(6) & rng.getrandbits(6)
+
+    group_of = [rng.randrange(-1, 3) for _ in range(6)]
+    return Cover(
+        need=rng.getrandbits(6),
+        slots=[sparse() for _ in range(n_base + 1)],
+        lines=[sparse() for _ in range(n_base)],
+        groups=[sum(1 << r for r in range(6) if group_of[r] == g) for g in range(3)],
+        spare=rng.randrange(4),
+    )
+
+
 def test_families_with_a_cover_match_the_filtered_reference():
+    """Cover-first generation, grouped leftovers included, yields exactly
+    the reference pairs that reach the cover, in order."""
     rng = random.Random(8)
-    for n_base in range(6):
+    cut = 0
+    for n_base in range(7):
         for fixed in map(frozenset, _subsets(range(n_base))):
             full = _reference(n_base, fixed)
-            for _ in range(4):
+            for _ in range(6):
                 cand = [i for i in range(n_base + 1) if rng.random() < 0.7]
-                cover = Cover(
-                    need=rng.getrandbits(4),
-                    slots=[rng.getrandbits(4) for _ in range(n_base + 1)],
-                    lines=[rng.getrandbits(4) for _ in range(n_base)],
-                )
-
-                def reaches(s, l):
-                    got = 0
-                    for i in s:
-                        got |= cover.slots[i]
-                    for t in l:
-                        got |= cover.lines[t]
-                    return cover.need & ~got == 0
-
-                expected = [(s, l) for s, l in full if set(s) <= set(cand) and reaches(s, l)]
+                cover = _random_cover(rng, n_base)
+                if rng.random() < 0.3:
+                    cover = cover._replace(groups=(), spare=0)
+                expected = [
+                    (s, l)
+                    for s, l in full
+                    if set(s) <= set(cand) and cover_reached(cover, s, l)
+                ]
                 assert list(_separated_families(n_base, cand, fixed, MAX_BUDGET, cover)) == expected
+                cut += len(expected) < sum(set(s) <= set(cand) for s, _ in full)
+    assert cut > 500
 
 
 def _strips_and_lines(guesses):
@@ -134,6 +160,101 @@ def test_full_h1_leaves_only_the_empty_guess():
     assert list(enumerate_horizontal_guesses(h1, h0, 1, hlines, cover)) == []
 
 
+def _leaves_v_only(inst, vg):
+    """Does the vertical guess leave a rectangle no horizontal candidate
+    stabs to no strip and no V1 line? By the definition."""
+    strips = guess_strips(V, vg.base, vg.slots)
+    return any(
+        not any(r.y1 <= y <= r.y2 for y in inst.hlines)
+        and not any(r.x1 <= x <= r.x2 for x in vg.lines)
+        and not any(rect_meets_strip(s, r) for s in strips)
+        for r in inst.rects
+    )
+
+
+def test_vertical_cover_masks_by_definition():
+    """Bit r: a rectangle no horizontal candidate stabs, over open V0
+    slots; bit n + r: a rectangle H1 misses, over closed V0 slots, in the
+    group of the open H1 slot that holds it. Lines stab both halves."""
+    H = Axis.HORIZONTAL
+    for seed in range(6):
+        inst = drop_dominated(gen_uniform(40, 40, 30, seed))
+        tables = Orientation(inst)
+        n = len(inst.rects)
+        for k_v in range(1, 5):
+            pre = tables.preselected(k_v)
+            if pre is None:
+                continue
+            h1, v0 = pre
+            cover = tables.vertical_cover(h1, v0)
+            bounds = [None, *v0, None]
+
+            def mask(pred):
+                return sum(1 << i for i, r in enumerate(inst.rects) if pred(r))
+
+            def closed(i):
+                lo, hi = bounds[i], bounds[i + 1]
+                return lambda r: (lo is None or r.x2 >= lo) and (hi is None or r.x1 <= hi)
+
+            missed = mask(lambda r: not any(r.y1 <= y <= r.y2 for y in h1))
+            v_only = mask(lambda r: not any(r.y1 <= y <= r.y2 for y in inst.hlines))
+            assert cover.need == v_only | missed << n and cover.spare == 0
+            for i, strip in enumerate(strips_of(V, v0)):
+                meets = mask(lambda r: rect_meets_strip(strip, r))
+                assert cover.slots[i] == meets | mask(closed(i)) << n
+            for t, x in enumerate(v0):
+                stabbed = mask(lambda r: r.x1 <= x <= r.x2)
+                assert cover.lines[t] == stabbed | stabbed << n
+            groups = [
+                mask(lambda r: s.contains_pos(r.y1) and s.contains_pos(r.y2))
+                for s in strips_of(H, h1)
+            ]
+            assert cover.groups == [g << n for g in groups] and sum(groups) == missed
+
+
+def test_budget_bound_drops_only_guesses_no_horizontal_guess_completes():
+    """The vertical cover's horizontal-budget bound against its reference:
+    the guesses it drops from the unbounded stream (every separated guess
+    that reaches the rectangles no horizontal candidate stabs) are those
+    no horizontal guess of at most 2k_h - |H1| items can complete after
+    kernelization, and the rest keep their order."""
+    pool = [gen_uniform(60, 60, 40, seed) for seed in range(24)]
+    pool += [gen_planted(k=3 + seed % 3, n=24, coord_range=30, seed=seed)[0] for seed in range(12)]
+    dropped = Counter()
+    for raw in pool:
+        for inst in (drop_dominated(raw), drop_dominated(transpose(raw))):
+            tables = Orientation(inst)
+            splits = [(k_h, k_v) for k_v in range(7) for k_h in range(min(k_v, 6 - k_v) + 1)]
+            for k_h, k_v in splits:
+                pre = tables.preselected(k_v)
+                if pre is None or len(pre[0]) > 2 * k_h:
+                    continue
+                h1, v0 = pre
+                spare = 2 * k_h - len(h1)
+                bounded = list(
+                    enumerate_vertical_guesses(
+                        v0, k_v, inst.vlines, tables.vertical_cover(h1, v0)._replace(spare=spare)
+                    )
+                )
+                old = [
+                    vg
+                    for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines)
+                    if not _leaves_v_only(inst, vg)
+                ]
+                kept = set(bounded)
+                assert bounded == [vg for vg in old if vg in kept]
+                for vg in old:
+                    if vg in kept:
+                        continue
+                    strips = guess_strips(V, vg.base, vg.slots)
+                    for k in range(k_h + k_v, 7):
+                        mask, h0 = eliminate_redundant(tables, h1, vg, k)
+                        rects = [inst.rects[i] for i in bits(mask)]
+                        assert not horizontal_guess_reaches(h1, h0, rects, strips, vg.lines, spare)
+                    dropped["spare > 0" if spare else "spare 0"] += 1
+    assert dropped["spare 0"] > 100 and dropped["spare > 0"] > 100, dropped
+
+
 def _uncovered_split(inst, k_h, k_v, k):
     """solve_split with no cover: every separated guess of candidate strips
     is built, a vertical guess leaving a rectangle no horizontal candidate
@@ -147,14 +268,9 @@ def _uncovered_split(inst, k_h, k_v, k):
     if len(h1) > 2 * k_h:
         return None, 0
     calls = 0
-    v_only = [r for r in inst.rects if not any(r.y1 <= y <= r.y2 for y in inst.hlines)]
     tables = Orientation(inst)
     for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines):
-        if any(
-            not any(r.x1 <= x <= r.x2 for x in vg.lines)
-            and not any(rect_meets_strip(s, r) for s in guess_strips(V, vg.base, vg.slots))
-            for r in v_only
-        ):
+        if _leaves_v_only(inst, vg):
             continue
         kept, h0 = eliminate_redundant(tables, h1, vg, k)
         for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines):
