@@ -32,7 +32,7 @@ from .generators import (
     gen_planted,
     gen_uniform,
 )
-from .greedy1d import Infeasible, IntervalSet, stab_1d, stab_axis
+from .greedy1d import Infeasible, stab_1d
 from .reduction import (
     MCClique,
     MCGraph,
@@ -59,7 +59,6 @@ __all__ = [
     "Infeasible",
     "InseparablePoints",
     "Instance",
-    "IntervalSet",
     "Line",
     "MCClique",
     "MCGraph",
@@ -88,7 +87,6 @@ __all__ = [
     "solve_min",
     "solve_with_budget",
     "stab_1d",
-    "stab_axis",
     "transpose",
     "verify",
 ]

@@ -41,14 +41,15 @@ from .core import (
     line_masks,
     slot_masks,
     stab_mask,
+    suffix_ors,
     transpose,
     verify,
 )
-from .greedy1d import Infeasible, IntervalSet, stab_1d
+from .greedy1d import Infeasible, stab_1d
 
 
 class GuessInfeasible(Exception):
-    """The current split or guess cannot be completed to a solution."""
+    """The current guess cannot be completed to a solution."""
 
 
 @dataclass(frozen=True)
@@ -73,76 +74,66 @@ class SearchStats:
     twosat_calls: int = 0
 
 
-def preselect(inst: Instance, k_v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Greedy horizontal preselection: (H1, V0).
+def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Greedy horizontal preselection: (H1, V0), or None.
 
-    Sweeping bottom-up from a sentinel below all rectangles, repeatedly
-    jump to the furthest candidate line such that the rectangles strictly
-    between the current line and it are stabbable by at most k_v vertical
-    candidates, collecting the jump targets into H1; V0 then stabs whatever
-    H1 missed. Raises GuessInfeasible when some gap between consecutive
-    candidates already needs more than k_v vertical lines, or the leftover
-    rectangles cannot be stabbed vertically at all: no solution with k_v
-    vertical lines exists.
+    Sweeping bottom-up from below every rectangle, repeatedly jump to the
+    furthest candidate line such that the rectangles strictly between the
+    current line and it are stabbable by at most k_v vertical candidates,
+    collecting the jump targets into H1; V0 then stabs whatever H1 missed.
+    Returns None when some gap between consecutive candidates already
+    needs more than k_v vertical lines, or the leftover rectangles cannot
+    be stabbed vertically at all: no solution with k_v vertical lines
+    exists.
+
+    The sweep runs over candidate indices. A rectangle whose horizontal
+    stabbers are hlines[a:b] lies strictly between hlines[i - 1] and
+    hlines[j - 1] (unbounded past either end) iff i <= a and b < j, so
+    from anchor i the extents join bucket by bucket of b, ascending.
 
     Always satisfies |V0| <= k_v * (|H1| + 1); when a solution whose
     vertical part has size k_v exists, H1 additionally has at most as many
     lines as that solution's horizontal part and tracks it gap by gap.
     """
-    rects = inst.rects
-    hpos = inst.hlines
-    vpos = inst.vlines
+    hpos, vpos = inst.hlines, inst.vlines
     m = len(hpos)
-    if rects:
-        below = min(r.y1 for r in rects) - 1
-        above = max(r.y2 for r in rects) + 1
-    else:
-        below, above = 0, 1
-    # sentinel positions; sentinels are never added to H1
-    pos_of = [below] + [p for p in hpos] + [max(above, (hpos[-1] + 1) if hpos else above)]
+    by_b: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(m + 1)]
+    for r in inst.rects:
+        by_b[bisect_right(hpos, r.y2)].append((bisect_left(hpos, r.y1), (r.x1, r.x2)))
 
-    def opt_le_kv(intervals: list[tuple[int, int]]) -> bool:
+    def fits(extents: list[tuple[int, int]]) -> bool:
         try:
-            return len(stab_1d(IntervalSet(intervals, vpos))) <= k_v
+            return len(stab_1d(extents, vpos)) <= k_v
         except Infeasible:
             return False
 
-    by_top = sorted(range(len(rects)), key=lambda i: rects[i].y2)
     h1: list[int] = []
     i = 0
     while i <= m:
-        anchor = pos_of[i]
-        acc: list[tuple[int, int]] = []
-        ptr = 0
-        j_star = None
-        for j in range(i + 1, m + 2):
-            top = pos_of[j]
-            while ptr < len(by_top) and rects[by_top[ptr]].y2 < top:
-                r = rects[by_top[ptr]]
-                if r.y1 > anchor:
-                    acc.append((r.x1, r.x2))
-                ptr += 1
-            if opt_le_kv(acc):
-                j_star = j
-            else:
-                break  # infeasibility is monotone in j
-        if j_star is None:
-            raise GuessInfeasible(
-                f"rectangles between consecutive horizontal candidates need more than {k_v} vertical lines"
-            )
-        if j_star <= m:
-            h1.append(pos_of[j_star])
-        i = j_star
+        # at step b, extents holds the rectangles strictly between
+        # hlines[i - 1] and hlines[b]; fitting is monotone in b
+        extents: list[tuple[int, int]] = []
+        b = i
+        while b <= m:
+            extents += [ext for a, ext in by_b[b] if a >= i]
+            if not fits(extents):
+                break
+            b += 1
+        if b == i:
+            return None  # the gap between two consecutive candidates does not fit
+        if b <= m:
+            h1.append(hpos[b - 1])  # the furthest line that fits
+        i = b
 
-    h1set = sorted(h1)
-    missed = ((1 << len(rects)) - 1) & ~stab_mask(inst, h1set)
+    rects = inst.rects
+    missed = ((1 << len(rects)) - 1) & ~stab_mask(inst, h1)
     try:
-        v0 = stab_1d(IntervalSet([(rects[i].x1, rects[i].x2) for i in bits(missed)], vpos))
-    except Infeasible as exc:
-        raise GuessInfeasible("leftover rectangles are not vertically stabbable") from exc
-    if len(v0) > k_v * (len(h1set) + 1):
+        v0 = stab_1d([(rects[i].x1, rects[i].x2) for i in bits(missed)], vpos)
+    except Infeasible:
+        return None  # leftover rectangles are not vertically stabbable
+    if len(v0) > k_v * (len(h1) + 1):
         raise RuntimeError("vertical pool exceeded its per-gap accounting bound")
-    return tuple(h1set), tuple(v0)
+    return tuple(h1), tuple(v0)
 
 
 def _inside(base: Sequence[int], candidates: Sequence[int], i: int) -> tuple[int, int]:
@@ -239,14 +230,6 @@ class Cover(NamedTuple):
     spare: int = 0
 
 
-def _suffix_ors(masks: Sequence[int]) -> list[int]:
-    """reach[q] = the OR of masks[q:], for q up to len(masks)."""
-    reach = [0] * (len(masks) + 1)
-    for q in range(len(masks) - 1, -1, -1):
-        reach[q] = reach[q + 1] | masks[q]
-    return reach
-
-
 def _separated_families(
     n_base: int,
     cand_slots: Sequence[int],
@@ -290,7 +273,7 @@ def _separated_families(
 
     meets = [slot_meets[i] for i in cand_slots]
     stabs = [line_stabs[t] for t in free]
-    slot_reach, line_reach = _suffix_ors(meets), _suffix_ors(stabs)
+    slot_reach, line_reach = suffix_ors(meets), suffix_ors(stabs)
 
     def slot_combos(n, n_lines, p, combo, gaps, missing):
         """Combos extending combo by n slots of cand_slots[p:], with their
@@ -399,9 +382,8 @@ def eliminate_redundant(
             group = list(bits(tables.vmask[pos] & rprime & ~removed))
             if not group:
                 continue
-            ivs = IntervalSet([(rects[i].y1, rects[i].y2) for i in group], inst.hlines)
             try:
-                need = len(stab_1d(ivs))
+                need = len(stab_1d([(rects[i].y1, rects[i].y2) for i in group], inst.hlines))
             except Infeasible:  # pragma: no cover
                 raise RuntimeError("group drawn from horizontally stabbable rectangles")
             if need >= 2 * k + 2:
@@ -412,7 +394,7 @@ def eliminate_redundant(
                 break  # rescan from the first boundary
 
     survivors = [(rects[i].y1, rects[i].y2) for i in bits(rprime & ~removed)]
-    h0 = stab_1d(IntervalSet(survivors, inst.hlines))
+    h0 = stab_1d(survivors, inst.hlines)
     return full & ~removed, tuple(h0)
 
 
@@ -551,7 +533,7 @@ class Orientation:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        # k_v -> (H1, V0), or None when preselect raised GuessInfeasible
+        # k_v -> preselect's (H1, V0), or its None for an infeasible split
         self._preselected: dict[int, Optional[tuple]] = {}
         self._vcovers: dict[tuple, Cover] = {}  # by (H1, V0)
 
@@ -569,10 +551,7 @@ class Orientation:
 
     def preselected(self, k_v: int) -> Optional[tuple]:
         if k_v not in self._preselected:
-            try:
-                self._preselected[k_v] = preselect(self.inst, k_v)
-            except GuessInfeasible:
-                self._preselected[k_v] = None
+            self._preselected[k_v] = preselect(self.inst, k_v)
         return self._preselected[k_v]
 
     def vertical_cover(self, h1: tuple[int, ...], v0: tuple[int, ...]) -> Cover:

@@ -272,8 +272,9 @@ def _undominated_rects(spans: list[tuple[int, int, int, int]], mh: int, mv: int)
         same[span] = same.get(span, 0) | 1 << i
     hmasks = _range_masks([(a, b, m) for (a, b, _, _), m in same.items()], mh)
     vmasks = _range_masks([(c, d, m) for (_, _, c, d), m in same.items()], mv)
-    pre_h, suf_h = _prefix_suffix_or(hmasks)
-    pre_v, suf_v = _prefix_suffix_or(vmasks)
+    pre_h = list(accumulate(hmasks, or_, initial=0))
+    pre_v = list(accumulate(vmasks, or_, initial=0))
+    suf_h, suf_v = suffix_ors(hmasks), suffix_ors(vmasks)
     full = (1 << len(spans)) - 1
     kept = 0
     for (a, b, c, d), members in same.items():
@@ -282,11 +283,9 @@ def _undominated_rects(spans: list[tuple[int, int, int, int]], mh: int, mv: int)
     return kept
 
 
-def _prefix_suffix_or(masks: list[int]) -> tuple[list[int], list[int]]:
-    """pre[t] = OR of masks[:t] and suf[t] = OR of masks[t:], for t = 0..len."""
-    pre = list(accumulate(masks, or_, initial=0))
-    suf = list(accumulate(reversed(masks), or_, initial=0))[::-1]
-    return pre, suf
+def suffix_ors(masks: Sequence[int]) -> list[int]:
+    """suf[t] = the OR of masks[t:], for t = 0..len(masks)."""
+    return list(accumulate(reversed(masks), or_, initial=0))[::-1]
 
 
 def _undominated_lines(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Axis, Instance, Line, Solution, bits, line_masks, stab_mask
-from .greedy1d import stab_axis
+from .greedy1d import stab_1d
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,13 @@ def opt_exact(
     def lower_bound(unstabbed: int) -> int:
         # Rectangles only one axis can stab need that axis's 1-D optimum.
         # dfs calls this only when every unstabbed rectangle has a live
-        # stabber, so that axis stabs each of them and stab_axis cannot raise.
+        # stabber, so that axis stabs each of them and stab_1d cannot raise.
         lb = 0
         for axis, other_any in ((Axis.VERTICAL, h_any), (Axis.HORIZONTAL, v_any)):
             only = unstabbed & ~other_any
             if only:
-                lb += len(stab_axis([inst.rects[i] for i in bits(only)], inst, axis))
+                extents = [inst.rects[i].interval(axis) for i in bits(only)]
+                lb += len(stab_1d(extents, inst.line_positions(axis)))
         return lb
 
     def dfs(unstabbed: int, chosen: list[int], excluded: int) -> None:

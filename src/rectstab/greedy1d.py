@@ -3,32 +3,16 @@
 Projecting rectangles and lines of one axis onto that axis turns single-axis
 stabbing into interval piercing, solved exactly by the classic greedy rule:
 process intervals by right endpoint; whenever one is unpierced, take the
-rightmost candidate point inside it.
+rightmost candidate point inside it. Callers pass the projections as plain
+sequences: closed (lo, hi) extents and candidate positions, such as
+[rect.interval(axis) for rect in rects] and inst.line_positions(axis).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Sequence
-
-from .core import Axis, Instance, Rect
-
-
-@dataclass(frozen=True)
-class IntervalSet:
-    """Closed integer intervals plus sorted candidate points."""
-
-    intervals: tuple[tuple[int, int], ...]
-    points: tuple[int, ...]
-
-    def __init__(self, intervals, points):
-        ivs = tuple((int(a), int(b)) for a, b in intervals)
-        for a, b in ivs:
-            if a > b:
-                raise ValueError(f"malformed interval ({a}, {b})")
-        object.__setattr__(self, "intervals", ivs)
-        object.__setattr__(self, "points", tuple(sorted(points)))
+from operator import itemgetter
+from typing import Iterable
 
 
 class Infeasible(Exception):
@@ -39,16 +23,22 @@ class Infeasible(Exception):
         super().__init__(f"interval [{witness[0]}, {witness[1]}] contains no candidate point")
 
 
-def stab_1d(iv: IntervalSet) -> list[int]:
-    """Minimum-cardinality point subset piercing every interval.
+def stab_1d(intervals: Iterable[tuple[int, int]], points: Iterable[int]) -> list[int]:
+    """Minimum-cardinality subset of points piercing every closed interval.
 
-    Deterministic: the greedy rule forces each choice (largest point <= hi
-    of the first unpierced interval, and >= its lo). Raises Infeasible with
-    the first witnessing interval when some interval contains no point.
+    points need not be sorted; the result is ascending. Raises ValueError
+    on an interval with lo > hi. Deterministic: the greedy rule forces
+    each choice (largest point <= hi of the first unpierced interval, and
+    >= its lo). Raises Infeasible with the first witnessing interval when
+    some interval contains no point.
     """
-    points = iv.points
+    order = sorted(intervals, key=itemgetter(1, 0))
+    for lo, hi in order:
+        if lo > hi:
+            raise ValueError(f"malformed interval ({lo}, {hi})")
+    points = sorted(points)
     chosen: list[int] = []
-    for lo, hi in sorted(iv.intervals, key=lambda t: (t[1], t[0])):
+    for lo, hi in order:
         if chosen and chosen[-1] >= lo:
             continue  # chosen ascending, last one is the only useful check
         i = bisect_right(points, hi) - 1
@@ -56,17 +46,3 @@ def stab_1d(iv: IntervalSet) -> list[int]:
             raise Infeasible((lo, hi))
         chosen.append(points[i])
     return chosen
-
-
-def stab_axis(rects: Sequence[Rect], inst: Instance, axis: Axis) -> list[int]:
-    """Single-axis stabbing of the given rectangles with inst's candidates.
-
-    Projects rectangles to their extent on the chosen axis and candidate
-    lines of that axis to points, then runs stab_1d. Returns sorted line
-    positions; Infeasible propagates.
-    """
-    iv = IntervalSet(
-        intervals=[r.interval(axis) for r in rects],
-        points=inst.line_positions(axis),
-    )
-    return stab_1d(iv)

@@ -12,6 +12,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from rectstab.core import Axis, Instance, Line, Rect, Solution
+from rectstab.greedy1d import Infeasible, stab_1d
 
 
 @dataclass(frozen=True)
@@ -172,6 +173,70 @@ def horizontal_guess_reaches(
         ):
             return True
     return False
+
+
+def preselect_by_sweep(
+    inst: Instance, k_v: int
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Coordinate-sweep reference for rectstab.approx.preselect: (H1, V0),
+    or None when the split is infeasible.
+
+    From a sentinel below every rectangle, try each higher candidate (and
+    finally a sentinel above everything) as the next line, gathering by
+    coordinates the rectangles strictly between the anchor and it, until
+    they need more than k_v vertical lines; the last line that fit joins
+    H1 and becomes the anchor. V0 stabs, by stab_1d, whatever H1 misses.
+    """
+    rects = inst.rects
+    hpos = inst.hlines
+    vpos = inst.vlines
+    m = len(hpos)
+    if rects:
+        below = min(r.y1 for r in rects) - 1
+        above = max(r.y2 for r in rects) + 1
+    else:
+        below, above = 0, 1
+    # sentinel positions; sentinels are never added to H1
+    pos_of = [below] + [p for p in hpos] + [max(above, (hpos[-1] + 1) if hpos else above)]
+
+    def opt_le_kv(intervals: list[tuple[int, int]]) -> bool:
+        try:
+            return len(stab_1d(intervals, vpos)) <= k_v
+        except Infeasible:
+            return False
+
+    by_top = sorted(range(len(rects)), key=lambda i: rects[i].y2)
+    h1: list[int] = []
+    i = 0
+    while i <= m:
+        anchor = pos_of[i]
+        acc: list[tuple[int, int]] = []
+        ptr = 0
+        j_star = None
+        for j in range(i + 1, m + 2):
+            top = pos_of[j]
+            while ptr < len(by_top) and rects[by_top[ptr]].y2 < top:
+                r = rects[by_top[ptr]]
+                if r.y1 > anchor:
+                    acc.append((r.x1, r.x2))
+                ptr += 1
+            if opt_le_kv(acc):
+                j_star = j
+            else:
+                break  # infeasibility is monotone in j
+        if j_star is None:
+            return None
+        if j_star <= m:
+            h1.append(pos_of[j_star])
+        i = j_star
+
+    h1set = sorted(h1)
+    missed = [r for r in rects if not any(stabs(Line(Axis.HORIZONTAL, y), r) for y in h1set)]
+    try:
+        v0 = stab_1d([(r.x1, r.x2) for r in missed], vpos)
+    except Infeasible:
+        return None
+    return tuple(h1set), tuple(v0)
 
 
 def dominance_reduce(inst: Instance) -> Instance:

@@ -97,7 +97,7 @@ def test_criterion_03_ratio_vs_optimum(planted_pool):
 
 
 def test_criterion_04_greedy_1d_optimality():
-    from rectstab.greedy1d import Infeasible, IntervalSet, stab_1d
+    from rectstab.greedy1d import Infeasible, stab_1d
 
     def oracle(intervals, points):
         for size in range(len(points) + 1):
@@ -116,7 +116,7 @@ def test_criterion_04_greedy_1d_optimality():
         points = sorted({rng.randint(-15, 15) for _ in range(rng.randint(0, 12))})
         expected = oracle(intervals, points)
         try:
-            got = len(stab_1d(IntervalSet(intervals, points)))
+            got = len(stab_1d(intervals, points))
         except Infeasible:
             got = None
         agree += got == expected

@@ -46,7 +46,7 @@ from rectstab.exact import SearchBudget, opt_exact
 from rectstab.generators import gen_planted, gen_uniform
 from rectstab.twosat import solve as solve_2sat
 
-from oracles import Strip, guess_strips, separated, strips_of
+from oracles import Strip, guess_strips, preselect_by_sweep, separated, strips_of
 
 H, V = Axis.HORIZONTAL, Axis.VERTICAL
 
@@ -76,26 +76,24 @@ def test_preselect_infeasible_gap():
         hlines=[0, 3],
         vlines=[0, 5],
     )
-    with pytest.raises(GuessInfeasible):
-        preselect(inst, 1)
+    assert preselect(inst, 1) is None
     h1, v0 = preselect(inst, 2)  # budget 2 is enough
     assert h1 == () and v0 == (0, 5)
 
 
 def test_preselect_infeasible_leftover():
     inst = Instance([Rect(0, 1, 0, 1)], hlines=[5], vlines=[])
-    with pytest.raises(GuessInfeasible):
-        preselect(inst, 1)
+    assert preselect(inst, 1) is None
 
 
 def test_preselect_v0_accounting_bound():
     for seed in range(20):
         inst, witness = gen_planted(k=4, n=25, coord_range=30, seed=seed)
         k_v = len(witness.vstar)
-        try:
-            h1, v0 = preselect(inst, k_v)
-        except GuessInfeasible:
+        pre = preselect(inst, k_v)
+        if pre is None:
             continue
+        h1, v0 = pre
         assert len(v0) <= k_v * (len(h1) + 1)
 
 
@@ -113,6 +111,26 @@ def test_preselect_nicely_positioned_wrt_witness():
             prev = y
         hits += bool(h1)
     assert hits > 5  # the suite must exercise nonempty preselections
+
+
+def _preselect_pool():
+    """Empty, uniform and planted instances, each raw, transposed and reduced."""
+    bases = [Instance([], [], []), Instance([], hlines=[1, 2], vlines=[3])]
+    bases += [gen_uniform(10 + s % 51, 5 + s % 57, 20 + s % 41, s) for s in range(100)]
+    bases += [gen_planted(1 + s % 7, 5 + s % 60, 15 + s % 50, s)[0] for s in range(100)]
+    for base in bases:
+        yield from (base, transpose(base), base.reduced)
+
+
+def test_preselect_matches_the_coordinate_sweep():
+    outcomes = Counter()
+    for inst in _preselect_pool():
+        for k_v in range(7):
+            got = preselect(inst, k_v)
+            assert got == preselect_by_sweep(inst, k_v), (inst, k_v)
+            outcomes["infeasible" if got is None else "H1" if got[0] else "no H1"] += 1
+    # every outcome must be exercised
+    assert min(outcomes.values()) > 200, outcomes
 
 
 # ------------------------------------------------------------- enumerations
@@ -335,10 +353,10 @@ def test_eliminate_h0_accounting_bound_on_planted():
         inst, witness = gen_planted(k=3, n=20, coord_range=25, seed=seed)
         k = 3
         k_v = len(witness.vstar)
-        try:
-            h1, v0 = preselect(inst, k_v)
-        except GuessInfeasible:
+        pre = preselect(inst, k_v)
+        if pre is None:
             continue
+        h1, v0 = pre
         vg = witness_vertical_guess(v0, sorted(witness.vstar))
         kept, h0 = eliminate_redundant(Orientation(inst), h1, vg, k)
         strips = guess_strips(V, vg.base, vg.slots)
@@ -499,10 +517,10 @@ def _covered_guesses(inst, k_h, k_v, k):
     enumerators yield under the covers solve_split builds, past the first
     satisfiable one; the kernel is every rectangle the guess's lines (H1,
     V1, H1') miss, so every kernel rectangle meets a guessed strip."""
-    try:
-        h1, v0 = preselect(inst, k_v)
-    except GuessInfeasible:
+    pre = preselect(inst, k_v)
+    if pre is None:
         return
+    h1, v0 = pre
     if len(h1) > 2 * k_h:
         return
     full = (1 << len(inst.rects)) - 1
@@ -890,10 +908,10 @@ def test_copies_of_a_solved_instance_start_cold(shrinks):
 def test_guess_streams_respect_invariants_under_pipeline():
     inst, witness = gen_planted(k=3, n=12, coord_range=15, seed=9)
     k_v = 2
-    try:
-        h1, v0 = preselect(inst, k_v)
-    except GuessInfeasible:
+    pre = preselect(inst, k_v)
+    if pre is None:
         pytest.skip("split infeasible for this fixture")
+    h1, v0 = pre
     for g in enumerate_vertical_guesses(v0, k_v, inst.vlines):
         strips = guess_strips(V, g.base, g.slots)
         assert len(strips) + len(g.lines) <= (3 * k_v) // 2

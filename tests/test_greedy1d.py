@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from rectstab.core import Axis, Instance, Rect
-from rectstab.greedy1d import Infeasible, IntervalSet, stab_1d, stab_axis
+from rectstab.greedy1d import Infeasible, stab_1d
 from rectstab.rng import Xoshiro256StarStar
 
 
@@ -18,18 +18,18 @@ def min_piercing_size(intervals, points):
 
 def test_frozen_example():
     # oracle: min_piercing_size([(0,2),(1,3),(5,6)], range(7)) == 2
-    got = stab_1d(IntervalSet([(0, 2), (1, 3), (5, 6)], range(7)))
+    got = stab_1d([(0, 2), (1, 3), (5, 6)], range(7))
     assert got == [2, 6]
     assert min_piercing_size([(0, 2), (1, 3), (5, 6)], list(range(7))) == 2
 
 
 def test_empty_intervals():
-    assert stab_1d(IntervalSet([], [1, 2, 3])) == []
+    assert stab_1d([], [1, 2, 3]) == []
 
 
 def test_infeasible_carries_witness():
     with pytest.raises(Infeasible) as exc:
-        stab_1d(IntervalSet([(0, 1)], [5]))
+        stab_1d([(0, 1)], [5])
     assert exc.value.witness == (0, 1)
 
 
@@ -45,7 +45,7 @@ def test_optimal_on_exhaustive_suite():
         points = sorted({rng.randint(-15, 15) for _ in range(n_pt)})
         oracle = min_piercing_size(intervals, points)
         try:
-            got = stab_1d(IntervalSet(intervals, points))
+            got = stab_1d(intervals, points)
         except Infeasible:
             assert oracle is None
             continue
@@ -72,26 +72,34 @@ def test_monotone_in_intervals():
 
 
 def test_determinism():
-    iv = IntervalSet([(0, 4), (2, 9), (7, 8)], [0, 2, 4, 6, 8])
-    assert stab_1d(iv) == stab_1d(iv)
+    intervals, points = [(0, 4), (2, 9), (7, 8)], [0, 2, 4, 6, 8]
+    assert stab_1d(intervals, points) == stab_1d(intervals, points)
 
 
-def test_stab_axis_example():
+def test_unsorted_points():
+    assert stab_1d([(0, 4), (2, 9), (7, 8)], [8, 0, 6, 2, 4]) == [4, 8]
+
+
+def _extents(rects, axis):
+    return [r.interval(axis) for r in rects]
+
+
+def test_projected_extents_example():
     inst = Instance([Rect(0, 1, 0, 9), Rect(0, 1, 20, 30)], hlines=[], vlines=[0, 1])
-    assert stab_axis(list(inst.rects), inst, Axis.VERTICAL) == [1]
+    assert stab_1d(_extents(inst.rects, Axis.VERTICAL), inst.line_positions(Axis.VERTICAL)) == [1]
 
 
-def test_stab_axis_empty():
+def test_projected_extents_empty():
     inst = Instance([], hlines=[1], vlines=[2])
-    assert stab_axis([], inst, Axis.HORIZONTAL) == []
+    assert stab_1d(_extents([], Axis.HORIZONTAL), inst.line_positions(Axis.HORIZONTAL)) == []
 
 
-def test_stab_axis_infeasible():
+def test_projected_extents_infeasible():
     inst = Instance([Rect(0, 1, 0, 1)], hlines=[], vlines=[9])
     with pytest.raises(Infeasible):
-        stab_axis(list(inst.rects), inst, Axis.VERTICAL)
+        stab_1d(_extents(inst.rects, Axis.VERTICAL), inst.line_positions(Axis.VERTICAL))
 
 
 def test_malformed_interval_rejected():
     with pytest.raises(ValueError):
-        IntervalSet([(3, 1)], [])
+        stab_1d([(3, 1)], [])

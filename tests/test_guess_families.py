@@ -261,10 +261,10 @@ def _uncovered_split(inst, k_h, k_v, k):
     stabs to no strip or V1 line is skipped by a scan, and a horizontal
     guess leaving a kernel rectangle to no strip fails in assemble_2sat.
     Returns the first satisfiable guess's solution and the 2-SAT calls."""
-    try:
-        h1, v0 = preselect(inst, k_v)
-    except GuessInfeasible:
+    pre = preselect(inst, k_v)
+    if pre is None:
         return None, 0
+    h1, v0 = pre
     if len(h1) > 2 * k_h:
         return None, 0
     calls = 0

@@ -1,6 +1,8 @@
 """Cross-module checks: the approximation against the exact oracle on random
-instances, the pipeline on reduction geometry, and parallel bench output."""
+instances, the pipeline on reduction geometry, parallel bench output, and
+the package's public names."""
 
+import rectstab
 from rectstab.approx import SearchStats, solve_with_budget
 from rectstab.cli import main as cli_main
 from rectstab.core import Instance, Rect, transpose, verify
@@ -78,3 +80,10 @@ def test_bench_jobs_parallel_matches_serial(tmp_path):
     assert cli_main(["bench", str(fixtures), "--approx", "--exact", "--kmax", "3",
                      "--max-size", "3", "--jobs", "2", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_every_public_name_resolves_once():
+    names = rectstab.__all__
+    assert len(names) == len(set(names)), "duplicate names in rectstab.__all__"
+    missing = [name for name in names if not hasattr(rectstab, name)]
+    assert not missing, f"stale names in rectstab.__all__: {missing}"
