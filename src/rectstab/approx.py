@@ -111,13 +111,16 @@ def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple
     i = 0
     while i <= m:
         # at step b, extents holds the rectangles strictly between
-        # hlines[i - 1] and hlines[b]; fitting is monotone in b
+        # hlines[i - 1] and hlines[b]; fitting is monotone in b, so only a
+        # step that adds an extent needs a test (no extent fits k_v >= 0)
         extents: list[tuple[int, int]] = []
         b = i
         while b <= m:
-            extents += [ext for a, ext in by_b[b] if a >= i]
-            if not fits(extents):
-                break
+            added = [ext for a, ext in by_b[b] if a >= i]
+            if added:
+                extents += added
+                if not fits(extents):
+                    break
             b += 1
         if b == i:
             return None  # the gap between two consecutive candidates does not fit

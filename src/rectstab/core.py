@@ -3,13 +3,16 @@
 Lines, closed rectangles, problem instances, solutions, the stabbing
 kernel (stab masks: Python integers whose bit i stands for inst.rects[i]),
 the slot meet masks of the guess covers, and the dominance reduction both
-solvers start from. All coordinates are plain Python integers kept within
-signed 64-bit range; every value is immutable and every operation is a
-pure function, so everything here is safe to share across threads. An
-Instance also carries a per-object memo of pure values derived from it
-(its reduced instance, and the solver tables built over that), so
-repeated questions about one object share the work; two threads racing
-on an empty memo can only compute the same value twice.
+solvers start from. The reduction bisects each rectangle once, runs its
+rounds on stabber classes (rectangles with equal candidate index ranges)
+in index space and builds one Instance at the end. All coordinates are
+plain Python integers kept within signed 64-bit range; every value is
+immutable and every operation is a pure function, so everything here is
+safe to share across threads. An Instance also carries a per-object memo
+of pure values derived from it (its reduced instance, and the solver
+tables built over that), so repeated questions about one object share
+the work; two threads racing on an empty memo can only compute the same
+value twice.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from heapq import heappop, heappush
 from itertools import accumulate
 from operator import or_, xor
 from typing import Iterable, Iterator, Sequence
@@ -228,59 +230,71 @@ def drop_dominated(inst: Instance) -> Instance:
     two passes repeat until neither drops anything. Rectangles keep their
     input order; inst itself is returned when nothing goes.
 
-    Both passes work on candidate indices: a rectangle's stabbers are one
-    index range per axis, and a line's dominators are the intersection of
-    the ranges of the rectangles it stabs.
+    Each rectangle is bisected once: the candidates stabbing it are
+    inst.hlines[a:b] and inst.vlines[c:d], with an empty range made
+    (0, 0), so rectangles with equal stabber sets have equal ranges. They
+    form one stabber class, which keeps its lowest input index. The rounds
+    run on classes in index space: a round keeps the undominated classes
+    and the lines undominated over them, then renumbers the kept ranges by
+    prefix counts of the kept lines; classes that become equal merge and
+    keep the lower index. One Instance is built at the end. A line's
+    dominators on its own axis form an interval around it, and those on
+    the other axis lie in one range of its lowest class, so two short
+    scans find them all (_undominated_lines).
     """
-    while True:
-        spans = _stabber_ranges(inst)
-        keep = list(bits(_undominated_rects(spans, len(inst.hlines), len(inst.vlines))))
-        hlines, vlines = _undominated_lines(inst.hlines, inst.vlines, [spans[i] for i in keep])
-        if (len(keep), len(hlines), len(vlines)) == (
-            len(inst.rects), len(inst.hlines), len(inst.vlines)
-        ):
-            return inst
-        inst = Instance([inst.rects[i] for i in keep], hlines, vlines)
-
-
-def _stabber_ranges(inst: Instance) -> list[tuple[int, int, int, int]]:
-    """(a, b, c, d) per rectangle: the candidates stabbing it are
-    inst.hlines[a:b] and inst.vlines[c:d]. An empty range is (0, 0), so
-    equal stabber sets have equal ranges. Masks built from these ranges
-    have bit i for inst.rects[i]."""
-    hs, vs = inst.hlines, inst.vlines
-    spans = []
-    for r in inst.rects:
-        a, b = bisect_left(hs, r.y1), bisect_right(hs, r.y2)
-        c, d = bisect_left(vs, r.x1), bisect_right(vs, r.x2)
+    hpos, vpos = inst.hlines, inst.vlines
+    classes: dict[tuple[int, int, int, int], int] = {}  # ranges -> lowest index, ascending
+    for i, r in enumerate(inst.rects):
+        a, b = bisect_left(hpos, r.y1), bisect_right(hpos, r.y2)
+        c, d = bisect_left(vpos, r.x1), bisect_right(vpos, r.x2)
         if a == b:
             a = b = 0
         if c == d:
             c = d = 0
-        spans.append((a, b, c, d))
-    return spans
+        classes.setdefault((a, b, c, d), i)
+    while True:
+        spans = _undominated_classes(list(classes), len(hpos), len(vpos))
+        ht, vt = _undominated_lines(spans, len(hpos), len(vpos))
+        if (len(spans), len(ht), len(vt)) == (len(classes), len(hpos), len(vpos)):
+            break
+        # the new index of a kept line or range end: the kept lines below it
+        ph = [bisect_left(ht, t) for t in range(len(hpos) + 1)]
+        pv = [bisect_left(vt, t) for t in range(len(vpos) + 1)]
+        merged: dict[tuple[int, int, int, int], int] = {}
+        for span in spans:  # in ascending index, so a merged class keeps the lowest
+            a, b, c, d = ph[span[0]], ph[span[1]], pv[span[2]], pv[span[3]]
+            if a == b:
+                a = b = 0
+            if c == d:
+                c = d = 0
+            merged.setdefault((a, b, c, d), classes[span])
+        classes = merged
+        hpos, vpos = [hpos[t] for t in ht], [vpos[t] for t in vt]
+    if (len(classes), len(hpos), len(vpos)) == (
+        len(inst.rects), len(inst.hlines), len(inst.vlines)
+    ):
+        return inst
+    return Instance([inst.rects[i] for i in classes.values()], hpos, vpos)
 
 
-def _undominated_rects(spans: list[tuple[int, int, int, int]], mh: int, mv: int) -> int:
-    """Mask of the rectangles drop_dominated keeps. The rectangles with no
-    stabber outside one class of equal ranges are those whose stabber set
-    lies inside the class's (an empty range (0, 0) puts its whole axis
-    outside); the class keeps its first rectangle iff they are exactly its
-    members."""
-    same: dict[tuple[int, int, int, int], int] = {}
-    for i, span in enumerate(spans):
-        same[span] = same.get(span, 0) | 1 << i
-    hmasks = _range_masks([(a, b, m) for (a, b, _, _), m in same.items()], mh)
-    vmasks = _range_masks([(c, d, m) for (_, _, c, d), m in same.items()], mv)
+def _undominated_classes(
+    spans: list[tuple[int, int, int, int]], mh: int, mv: int
+) -> list[tuple[int, int, int, int]]:
+    """The spans, in order, whose stabber set holds no other one's. With
+    bit j for spans[j], the classes with no stabber outside a class's
+    ranges (an empty range (0, 0) puts its whole axis outside) are those
+    whose stabber set lies inside its own; it stays iff it is alone there."""
+    hmasks = _range_masks([(a, b, 1 << j) for j, (a, b, _, _) in enumerate(spans)], mh)
+    vmasks = _range_masks([(c, d, 1 << j) for j, (_, _, c, d) in enumerate(spans)], mv)
     pre_h = list(accumulate(hmasks, or_, initial=0))
     pre_v = list(accumulate(vmasks, or_, initial=0))
     suf_h, suf_v = suffix_ors(hmasks), suffix_ors(vmasks)
     full = (1 << len(spans)) - 1
-    kept = 0
-    for (a, b, c, d), members in same.items():
-        if full & ~(pre_h[a] | suf_h[b] | pre_v[c] | suf_v[d]) == members:
-            kept |= members & -members
-    return kept
+    return [
+        (a, b, c, d)
+        for j, (a, b, c, d) in enumerate(spans)
+        if full & ~(pre_h[a] | suf_h[b] | pre_v[c] | suf_v[d]) == 1 << j
+    ]
 
 
 def suffix_ors(masks: Sequence[int]) -> list[int]:
@@ -289,61 +303,38 @@ def suffix_ors(masks: Sequence[int]) -> list[int]:
 
 
 def _undominated_lines(
-    hlines: Sequence[int], vlines: Sequence[int], spans: list[tuple[int, int, int, int]]
+    spans: list[tuple[int, int, int, int]], mh: int, mv: int
 ) -> tuple[list[int], list[int]]:
-    """(hlines, vlines) that drop_dominated keeps. A line that stabs
-    something is dominated by exactly the candidates in the intersection of
-    its rectangles' ranges, itself included; it stays iff they all have its
-    stab set and it is the canonically smallest of them."""
-    hmasks = _range_masks([(a, b, 1 << i) for i, (a, b, _, _) in enumerate(spans)], len(hlines))
-    vmasks = _range_masks([(c, d, 1 << i) for i, (_, _, c, d) in enumerate(spans)], len(vlines))
-    # the third field is where the line's own axis sits in an (a, b, c, d) span
-    axes = ((hlines, hmasks, 0), (vlines, vmasks, 2))
-    first: dict[int, tuple[int, int]] = {}
-    count: dict[int, int] = {}
-    for _, masks, own in axes:
-        for t, mask in enumerate(masks):
-            if mask:
-                first.setdefault(mask, (own, t))
-                count[mask] = count.get(mask, 0) + 1
-    kept: tuple[list[int], list[int]] = ([], [])
-    for (positions, masks, own), out in zip(axes, kept):
-        by_own = [(s[own], s[own + 1]) for s in spans]
-        by_other = [(s[2 - own], s[3 - own]) for s in spans]
-        meets = zip(_meet(by_own, by_own, len(positions)), _meet(by_own, by_other, len(positions)))
-        for t, ((lo, hi), (lo2, hi2)) in enumerate(meets):
-            mask = masks[t]
-            if mask and first[mask] == (own, t) and hi - lo + max(0, hi2 - lo2) == count[mask]:
-                out.append(positions[t])
-    return kept
+    """Indices of the horizontal and the vertical candidates that
+    drop_dominated keeps over the classes spans (bit j for spans[j]).
 
-
-def _meet(
-    spans: list[tuple[int, int]], ranges: list[tuple[int, int]], m: int
-) -> list[tuple[int, int]]:
-    """For each index t < m, the intersection (lo, hi) of ranges[i] over the
-    i whose span (s, e) holds t (s <= t < e); (0, 0) when no span does.
-
-    One sweep over t with two heaps, the largest lo and the smallest hi of
-    the spans entered so far; each drops the spans ended at its top.
+    Both scans are complete. A line of t's own axis stabs all t does iff
+    it lies in every range of t's classes, an interval around t, so the
+    walk outward from t stops at the first line that does not. A line of
+    the other axis that does stabs t's lowest class, so it lies in that
+    class's range. t stays iff neither finds a larger stab set or an equal
+    one that comes first: an earlier one of its axis, or a horizontal one
+    when t is vertical.
     """
-    order = sorted((i for i, (s, e) in enumerate(spans) if s < e), key=lambda i: spans[i][0])
-    los: list[tuple[int, int]] = []  # (-lo, e)
-    his: list[tuple[int, int]] = []  # (hi, e)
-    out = []
-    p = 0
-    for t in range(m):
-        while p < len(order) and spans[order[p]][0] <= t:
-            i = order[p]
-            heappush(los, (-ranges[i][0], spans[i][1]))
-            heappush(his, (ranges[i][1], spans[i][1]))
-            p += 1
-        while los and los[0][1] <= t:
-            heappop(los)
-        while his and his[0][1] <= t:
-            heappop(his)
-        out.append((-los[0][0], his[0][0]) if los else (0, 0))
-    return out
+    hmasks = _range_masks([(a, b, 1 << j) for j, (a, b, _, _) in enumerate(spans)], mh)
+    vmasks = _range_masks([(c, d, 1 << j) for j, (_, _, c, d) in enumerate(spans)], mv)
+    kept: tuple[list[int], list[int]] = ([], [])
+    # own: where the line's own axis sits in an (a, b, c, d) span
+    for masks, others, own, out in ((hmasks, vmasks, 0, kept[0]), (vmasks, hmasks, 2, kept[1])):
+        for t, mask in enumerate(masks):
+            if not mask or t and masks[t - 1] & mask == mask:
+                continue  # stabs nothing, or the line before it stabs all it does
+            u = t + 1
+            while u < len(masks) and masks[u] == mask:
+                u += 1
+            if u < len(masks) and masks[u] & mask == mask:
+                continue  # a later line of its axis stabs more
+            low = spans[(mask & -mask).bit_length() - 1]
+            if not any(
+                o & mask == mask and (own or o != mask) for o in others[low[2 - own] : low[3 - own]]
+            ):
+                out.append(t)
+    return kept
 
 
 def transpose(inst: Instance) -> Instance:

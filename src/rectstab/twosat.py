@@ -34,7 +34,8 @@ class Formula:
         self.clauses.append((a, b))
 
     def add_unit(self, a: Lit) -> None:
-        self.add_clause(a, a)
+        self._check(a)
+        self.clauses.append((a, a))
 
 
 def _node(lit: Lit) -> int:

@@ -4,10 +4,11 @@ against the raw one."""
 
 import time
 
+from rectstab import reduction
 from rectstab.approx import solve_with_budget
-from rectstab.core import Instance, Rect, Solution, drop_dominated, verify
-from rectstab.exact import SearchBudget, opt_exact
-from rectstab.generators import gen_planted, gen_uniform
+from rectstab.core import Axis, Instance, Line, Rect, Solution, drop_dominated, transpose, verify
+from rectstab.exact import SearchBudget, dedup_lines, opt_exact
+from rectstab.generators import gen_mcgraph, gen_planted, gen_uniform
 from rectstab.rng import Xoshiro256StarStar
 
 from oracles import brute_force, dominance_reduce
@@ -32,6 +33,23 @@ def _pool() -> list[Instance]:
 POOL = _pool()
 
 
+def _classes_and_reductions() -> list[Instance]:
+    """Shapes the small pool lacks, with the transpose of each: 400
+    planted rectangles over a few lines, so many rectangles share a
+    stabber class, and clique reductions, whose rectangles nest."""
+    pool = [gen_planted(k, 400, 10**4, seed)[0] for k in range(1, 7) for seed in range(3)]
+    pool += [
+        reduction.build(gen_mcgraph(k, r, 1, 3, seed, plant)[0]).inst
+        for k, r in ((2, 2), (2, 3), (3, 2))
+        for seed in range(3)
+        for plant in (False, True)
+    ]
+    return pool + [transpose(inst) for inst in pool]
+
+
+LARGE_POOL = _classes_and_reductions()
+
+
 def _is_subsequence(part, whole) -> bool:
     it = iter(whole)
     return all(any(x == y for y in it) for x in part)
@@ -51,16 +69,30 @@ def test_pool_covers_the_corner_cases():
         for inst in POOL
     )
     assert on_boundary >= 100
+    planted = [inst for inst in LARGE_POOL if len(inst.rects) == 400]
+    assert len(planted) == 36
+    assert all(len(inst.hlines) + len(inst.vlines) <= 20 for inst in planted)
 
 
 def test_drop_dominated_matches_pairwise_reference():
-    for inst in POOL:
+    for inst in POOL + LARGE_POOL:
         reduced = drop_dominated(inst)
         assert reduced == dominance_reduce(inst), inst
         assert drop_dominated(reduced) == reduced
         assert _is_subsequence(reduced.rects, inst.rects)
         assert set(reduced.hlines) <= set(inst.hlines)
         assert set(reduced.vlines) <= set(inst.vlines)
+
+
+def test_exact_line_dedup_keeps_every_reduced_line():
+    """opt_exact branches over dedup_lines(inst.reduced). The reduction
+    leaves no line that stabs nothing and no two lines with equal stab
+    sets, so the dedup keeps every line, in canonical order."""
+    for inst in POOL + LARGE_POOL:
+        reduced = inst.reduced
+        lines = [Line(Axis.HORIZONTAL, y) for y in reduced.hlines]
+        lines += [Line(Axis.VERTICAL, x) for x in reduced.vlines]
+        assert [ln for ln, _ in dedup_lines(reduced)] == lines, inst
 
 
 def test_reduced_instance_keeps_the_optimum_and_its_answers_stab_the_original():
@@ -91,6 +123,16 @@ def test_dropping_lines_can_dominate_rectangles():
     # both rectangles have the stabber set {h@0} and the second one goes
     first, second = Rect(0, 0, 0, 0), Rect(5, 5, 0, 0)
     inst = Instance([first, second], hlines=[0], vlines=[0, 5])
+    assert drop_dominated(inst) == Instance([first], hlines=[0], vlines=[])
+
+
+def test_classes_merged_after_a_line_drop_keep_the_lowest_index():
+    # stabber sets {h@0, v@9}, {h@0, v@0} and {h@0, v@5}: three classes, of
+    # which the first rectangle's ranges sort last. Each vertical line stabs
+    # a subset of what h@0 stabs, so all go, and then the three classes are
+    # {h@0} and merge into the first rectangle's
+    first = Rect(9, 9, 0, 0)
+    inst = Instance([first, Rect(0, 0, 0, 0), Rect(5, 5, 0, 0)], hlines=[0], vlines=[0, 5, 9])
     assert drop_dominated(inst) == Instance([first], hlines=[0], vlines=[])
 
 

@@ -55,6 +55,18 @@ def test_index_out_of_range():
         raise AssertionError("expected IndexError")
 
 
+def test_unit_literal_checked():
+    f = Formula(num_vars=1)
+    for bad, error in (((1, False), IndexError), ((0, 0), TypeError)):
+        try:
+            f.add_unit(bad)
+        except error:
+            pass
+        else:
+            raise AssertionError(f"expected {error.__name__}")
+    assert f.clauses == []
+
+
 def rand_formula(rng) -> Formula:
     n = rng.randint(1, 12)
     f = Formula(num_vars=n)
