@@ -1,18 +1,31 @@
 """Exact minimum stabbing for small instances.
 
 Branch and bound over the undominated rectangles and candidate lines
-(Instance.reduced), with an additive lower bound from the two single-axis
-subproblems restricted to rectangles that only one axis can stab. The
-tests cross-check it against a subset-enumeration brute force on the raw
-instance (tests/oracles.py).
+(Instance.reduced), with a packing lower bound. The tests cross-check it
+against a subset-enumeration brute force on the raw instance
+(tests/oracles.py).
 
-Each search node carries the chosen lines and a mask of excluded lines.
-It branches on the unstabbed rectangle with the fewest stabbers that are
-not excluded (fail-first; ties go to the lowest index), and cuts the node
-when that rectangle has none left. Branch j over the live stabbers j1 <
-j2 < ... of that rectangle chooses j and excludes j1..j(i-1) for its whole
-subtree (sibling exclusion), so each line set is reached at most once,
-not once per ordering of its lines.
+Each search node carries the chosen lines and a mask of excluded lines;
+the lines not excluded are live. One pass per node sorts the unstabbed
+rectangles by (live stabber count, index). The head of that order is the
+branching rectangle (fail-first; ties go to the lowest index), and the
+node is cut when it has no live stabber. Branch j over the live stabbers
+j1 < j2 < ... of that rectangle chooses j and excludes j1..j(i-1) for its
+whole subtree (sibling exclusion), so each line set is reached at most
+once, not once per ordering of its lines.
+
+Bound: no live line stabs two rectangles whose live stabber sets are
+disjoint, so a set of such rectangles (a packing) needs one more line
+each, and its size bounds the lines still to choose. The packing is
+seeded per axis with the triggers of the 1-D greedy (greedy1d) over the
+unstabbed rectangles only that axis can stab: the rectangles it finds
+unpierced. Each trigger lies wholly above the line taken for the one
+before, so their stabbers are pairwise disjoint, and there are as many as
+that axis's 1-D optimum. The two axes' triggers have stabbers on
+different axes. The seed is therefore never below the additive
+single-axis bound, and the sorted order then extends it greedily. The
+node is cut when the chosen lines plus the packing reach the incumbent's
+size.
 
 Completeness: let T be any solution that contains the chosen lines and
 avoids the excluded ones. T stabs the picked rectangle; let j be the first
@@ -26,11 +39,11 @@ such T. A None result is therefore still a certificate.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Axis, Instance, Line, Solution, bits, line_masks, stab_mask
-from .greedy1d import stab_1d
+from .core import I64_MIN, Axis, Instance, Line, Solution, bits, line_masks, stab_mask
 
 
 @dataclass(frozen=True)
@@ -77,6 +90,24 @@ def _lines_to_solution(lines: list[Line]) -> Solution:
     )
 
 
+def _one_axis_chains(inst: Instance, h_any: int, v_any: int) -> list[list[tuple[int, int, int]]]:
+    """Per axis, the rectangles that axis stabs and the other cannot, as
+    (index, lo, point) in stab_1d's order (hi, then lo). point is the
+    largest candidate <= hi, the line the 1-D greedy takes when the
+    rectangle is the first one left unpierced; it is >= lo because the
+    axis stabs the rectangle."""
+    chains = []
+    for axis, only in ((Axis.VERTICAL, v_any & ~h_any), (Axis.HORIZONTAL, h_any & ~v_any)):
+        positions = inst.line_positions(axis)
+        extents = []
+        for i in bits(only):
+            lo, hi = inst.rects[i].interval(axis)
+            extents.append((hi, lo, i))
+        extents.sort()
+        chains.append([(i, lo, positions[bisect_right(positions, hi) - 1]) for hi, lo, i in extents])
+    return chains
+
+
 def opt_exact(
     inst: Instance, budget: SearchBudget, stats: Optional[ExactStats] = None
 ) -> Optional[Solution]:
@@ -93,10 +124,7 @@ def opt_exact(
     full = (1 << n) - 1
     pool = dedup_lines(inst)
     masks = [m for _, m in pool]
-
-    # Which rects can each axis stab at all? Fixed per instance.
-    h_any = stab_mask(inst, inst.hlines)
-    v_any = stab_mask(inst, (), inst.vlines)
+    chains = _one_axis_chains(inst, stab_mask(inst, inst.hlines), stab_mask(inst, (), inst.vlines))
 
     # stab_lines[i]: mask of the pool lines that stab rectangle i
     stab_lines = [0] * n
@@ -108,18 +136,6 @@ def opt_exact(
     best_size = budget.max_size + 1
     nodes = 0
 
-    def lower_bound(unstabbed: int) -> int:
-        # Rectangles only one axis can stab need that axis's 1-D optimum.
-        # dfs calls this only when every unstabbed rectangle has a live
-        # stabber, so that axis stabs each of them and stab_1d cannot raise.
-        lb = 0
-        for axis, other_any in ((Axis.VERTICAL, h_any), (Axis.HORIZONTAL, v_any)):
-            only = unstabbed & ~other_any
-            if only:
-                extents = [inst.rects[i].interval(axis) for i in bits(only)]
-                lb += len(stab_1d(extents, inst.line_positions(axis)))
-        return lb
-
     def dfs(unstabbed: int, chosen: list[int], excluded: int) -> None:
         nonlocal best, best_size, nodes
         nodes += 1
@@ -130,15 +146,32 @@ def opt_exact(
                 best = list(chosen)
                 best_size = len(chosen)
             return
-        # fail-first on the stabbers not excluded; a rectangle with none is a dead end
         live = ~excluded
-        pick = min(bits(unstabbed), key=lambda i: (stab_lines[i] & live).bit_count())
-        branches = stab_lines[pick] & live
-        if not branches:
+        need = best_size - len(chosen)
+        # The seed may cut before the sort: a trigger with no live stabber
+        # makes the node a dead end anyway.
+        pack = 0
+        used = 0
+        for chain in chains:
+            last = I64_MIN - 1  # below every coordinate
+            for i, lo, point in chain:
+                if lo > last and unstabbed >> i & 1:
+                    last = point
+                    used |= stab_lines[i] & live
+                    pack += 1
+        if pack >= need:
             return
-        if len(chosen) + max(lower_bound(unstabbed), 1) >= best_size:
-            return
-        for j in bits(branches):
+        order = sorted([((stab_lines[i] & live).bit_count(), i) for i in bits(unstabbed)])
+        if not order[0][0]:
+            return  # fail-first: a rectangle with no live stabber is a dead end
+        for _, i in order:
+            s = stab_lines[i] & live
+            if not s & used:
+                used |= s
+                pack += 1
+                if pack >= need:
+                    return
+        for j in bits(stab_lines[order[0][1]] & live):
             chosen.append(j)
             dfs(unstabbed & ~masks[j], chosen, excluded)
             chosen.pop()

@@ -177,6 +177,18 @@ def test_node_limit_is_distinct():
         opt_exact(inst, SearchBudget(max_size=4, node_limit=1))
 
 
+def test_unstabbable_rectangle_next_to_one_axis_rectangles():
+    # The rectangle at (5, 6) meets no candidate line. The one-axis tables
+    # must hold only rectangles their own axis stabs, not everything the
+    # other axis misses: the vertical axis has no candidate at all.
+    inst = Instance(
+        [Rect(0, 1, 0, 1), Rect(5, 6, 5, 6), Rect(3, 4, 10, 11)],
+        hlines=[0, 10],
+        vlines=[],
+    )
+    assert opt_exact(inst, SearchBudget(max_size=3)) is None
+
+
 def test_no_solution_within_budget():
     inst = Instance(
         [Rect(0, 1, 0, 1), Rect(10, 11, 10, 11)],

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from rectstab.core import Axis, Instance, Line, Rect, Solution, verify
-from rectstab.exact import SearchBudget, opt_exact
+from rectstab.exact import ExactStats, SearchBudget, opt_exact
 from rectstab.generators import gen_mcgraph, gen_uniform
 from rectstab.reduction import (
     MCClique,
@@ -131,16 +131,17 @@ def test_forward_rejects_partial_or_nonclique():
         forward(red, MCClique(chosen={1: 1, 2: 1}))  # not adjacent
 
 
-def brute_force_multicolored_clique(g: MCGraph):
-    for combo in product(range(1, g.r + 1), repeat=g.k):
-        ids = [(i - 1) * g.r + (p - 1) for i, p in enumerate(combo, start=1)]
-        if all(
-            g.adjacent(ids[a], ids[b])
-            for a in range(len(ids))
-            for b in range(a + 1, len(ids))
+def largest_multicolored_clique(g: MCGraph) -> int:
+    """omega: the most pairwise adjacent vertices with at most one per part,
+    by brute force over every choice of a vertex or none per part."""
+    best = 0
+    for combo in product(range(g.r + 1), repeat=g.k):  # 0: no vertex of that part
+        ids = [(i - 1) * g.r + (p - 1) for i, p in enumerate(combo, start=1) if p]
+        if len(ids) > best and all(
+            g.adjacent(ids[a], ids[b]) for a in range(len(ids)) for b in range(a + 1, len(ids))
         ):
-            return MCClique(chosen=dict(enumerate(combo, start=1)))
-    return None
+            best = len(ids)
+    return best
 
 
 def test_roundtrip_reverse_of_forward():
@@ -187,8 +188,7 @@ def test_completeness_and_tightness_small():
             assert sol is not None and len(sol) == 4 * k
             extracted = reverse(red, sol, eps_num=1, eps_den=1)
             assert len(extracted) == k
-            got = brute_force_multicolored_clique(g)
-            assert got is not None
+            assert largest_multicolored_clique(g) == k
 
 
 def test_soundness_small():
@@ -198,29 +198,54 @@ def test_soundness_small():
     while found < 4:
         g, _ = gen_mcgraph(2, 3, 1, 3, seed=300 + seed, plant=False)
         seed += 1
-        if brute_force_multicolored_clique(g) is not None:
+        if largest_multicolored_clique(g) == g.k:
             continue
         found += 1
         red = build(g)
         assert opt_exact(red.inst, SearchBudget(max_size=4 * red.k)) is None
 
 
-@pytest.mark.parametrize("k, r", [(3, 3), (3, 4), (4, 3)])
+# Summed ExactStats.nodes of each class's twelve searches below, recorded
+# with the packing bound. A change to the bound or the branching order
+# must update these literals and say why; a larger one is a regression.
+HARD_FAMILY_NODES = {(3, 3): 1054, (3, 4): 1576, (4, 3): 2338, (4, 4): 6029, (5, 3): 5505}
+
+
+@pytest.mark.parametrize("k, r", sorted(HARD_FAMILY_NODES))
 def test_exact_certifies_the_hard_family(k, r):
     # Instances far past the brute-force oracles: 4k lines stab the
     # reduction exactly when the graph has a multicolored clique.
     outcomes = set()
+    stats = ExactStats()
     for plant in (True, False):
         for seed in range(6):
             g, _ = gen_mcgraph(k, r, 1, 3, seed=seed, plant=plant)
             red = build(g)
-            sol = opt_exact(red.inst, SearchBudget(max_size=4 * k, node_limit=200_000))
-            assert (sol is None) == (brute_force_multicolored_clique(g) is None)
+            sol = opt_exact(red.inst, SearchBudget(max_size=4 * k, node_limit=200_000), stats)
+            assert (sol is None) == (largest_multicolored_clique(g) < k)
             if sol is not None:
                 assert len(sol) == 4 * k
                 assert verify(red.inst, sol) == []
             outcomes.add(sol is None)
     assert outcomes == {True, False}  # both a solution and a certificate
+    assert stats.nodes == HARD_FAMILY_NODES[(k, r)]
+
+
+@pytest.mark.parametrize("k, r", [(3, 3), (3, 4), (4, 3)])
+def test_gap_beyond_4k(k, r):
+    # The reduction's gap, which rules out a (5/4 - eps)-approximation:
+    # OPT >= 5k - omega, and a solution of OPT = (5 - eps)k lines gives
+    # back a clique of at least eps*k = 5k - OPT vertices.
+    for seed in range(4):
+        g, _ = gen_mcgraph(k, r, 1, 3, seed=seed, plant=False)
+        red = build(g)
+        sol = opt_exact(red.inst, SearchBudget(max_size=5 * k))
+        assert sol is not None and verify(red.inst, sol) == []
+        assert len(sol) >= 5 * k - largest_multicolored_clique(g)
+        gap = 5 * k - len(sol)
+        ids = sorted(reverse(red, sol, eps_num=gap, eps_den=k).vertex_ids(red.r))
+        assert len(ids) >= gap
+        assert all(g.adjacent(u, v) for a, u in enumerate(ids) for v in ids[a + 1:])
 
 
 def test_exact_solution_feeds_reverse():
