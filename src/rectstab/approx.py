@@ -15,7 +15,9 @@ lines (k_h <= k_v after transposing), and per split:
      kernel K and a horizontal candidate pool H0,
   4. enumerates horizontal strip guesses separated by H1 plus chosen H1',
   5. encodes "pick one line inside every guessed strip so the kernel is
-     stabbed" as a 2-SAT formula.
+     stabbed" as a 2-SAT formula with one threshold variable per candidate
+     inside a guessed strip, numbered in one sequence over the vertical
+     strips, then the horizontal ones.
 
 Any satisfiable guess assembles a verified solution of size at most
 2*k_h + floor(3*k_v/2) <= floor(7k/4); exhausting every guess certifies
@@ -27,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import twosat
@@ -401,32 +404,6 @@ def eliminate_redundant(
     return full & ~removed, tuple(h0)
 
 
-@dataclass
-class _StripVars:
-    """Threshold variables of one guessed slot: its candidates, ascending;
-    var t true means "the chosen line is at or beyond candidate t"."""
-
-    slot: int
-    candidates: Sequence[int]
-    var_base: int
-
-    def var(self, t: int) -> twosat.Lit:
-        return (self.var_base + t, False)
-
-    def nvar(self, t: int) -> twosat.Lit:
-        return (self.var_base + t, True)
-
-
-def _window(sv: _StripVars, a: int, b: int) -> Optional[tuple[int, Optional[int]]]:
-    """Indices (first stabbing candidate, first non-stabbing beyond) for the
-    closed extent [a, b]; None when no candidate stabs it."""
-    lo = bisect_left(sv.candidates, a)
-    hi = bisect_right(sv.candidates, b)
-    if lo == hi:
-        return None
-    return (lo, hi if hi < len(sv.candidates) else None)
-
-
 def assemble_2sat(
     kprime: Sequence[Rect],
     vg: Guess,
@@ -436,78 +413,74 @@ def assemble_2sat(
     """Formula whose satisfying assignments pick one candidate line inside
     every guessed strip such that every kernel rectangle is stabbed.
 
-    Variables are per-strip monotone thresholds, chained by ordering
-    clauses; a unit clause pins the first threshold of each strip so the
-    decoded set holds exactly one line per strip. Raises GuessInfeasible
-    when a guessed strip has no interior candidate or some rectangle meets
-    no guessed strip at all; a rectangle that meets strips but cannot be
-    stabbed inside them makes the formula unsatisfiable instead.
+    cands lists the candidates strictly inside the guessed strips, vertical
+    strips first, each strip's ascending, so a strip is a variable range
+    [s, e). Variable t means "the strip's line is at or beyond cands[t]":
+    ordering clauses chain each strip's thresholds and a unit clause pins
+    its first, so the decoded set holds exactly one line per strip. A
+    rectangle stabbed inside a strip exactly by cands[lo:hi] needs lo and
+    not hi (when hi < e); meeting one strip of each family, it needs either
+    strip's condition. Raises GuessInfeasible when a guessed strip has no
+    interior candidate or some rectangle meets no guessed strip at all; a
+    rectangle that meets strips but cannot be stabbed inside them makes the
+    formula unsatisfiable instead.
     """
-    families: list[list[_StripVars]] = []
-    counter = 0
+    cands: list[int] = []
+    families: list[list[tuple[int, int, int]]] = []  # (slot, s, e) per strip
     for guess, positions in ((vg, inst.vlines), (hg, inst.hlines)):
-        svs = []
+        strips = []
         for i in guess.slots:
             lo, hi = _inside(guess.base, positions, i)
             if lo == hi:
                 raise GuessInfeasible("guessed strip contains no candidate line")
-            svs.append(_StripVars(slot=i, candidates=positions[lo:hi], var_base=counter))
-            counter += hi - lo
-        families.append(svs)
-    v_svs, h_svs = families
+            strips.append((i, len(cands), len(cands) + hi - lo))
+            cands.extend(positions[lo:hi])
+        families.append(strips)
+    v_strips, h_strips = families
 
-    f = twosat.Formula(num_vars=counter)
-    for sv in v_svs + h_svs:
-        for t in range(len(sv.candidates) - 1):
-            f.add_clause(sv.nvar(t + 1), sv.var(t))  # threshold t+1 implies threshold t
-        f.add_unit(sv.var(0))
-
-    def met(base: Sequence[int], svs: list[_StripVars], a: int, b: int) -> Optional[_StripVars]:
-        # the extent [a, b] meets the open slots first..last
-        first, last = bisect_right(base, a), bisect_left(base, b)
-        hits = [sv for sv in svs if first <= sv.slot <= last]
-        if len(hits) > 1:
-            raise RuntimeError("kernel rectangle meets two strips of one family")
-        return hits[0] if hits else None
+    f = twosat.Formula(num_vars=len(cands))
+    for _, s, e in v_strips + h_strips:
+        for t in range(s, e - 1):
+            f.add_clause((t + 1, True), (t, False))  # threshold t+1 implies threshold t
+        f.add_unit((s, False))
 
     for rect in kprime:
-        pv = met(vg.base, v_svs, rect.x1, rect.x2)
-        qh = met(hg.base, h_svs, rect.y1, rect.y2)
-        if pv is None and qh is None:
+        met: list[int] = []  # first variable of each strip the rectangle meets
+        stabs: list[list[twosat.Lit]] = []  # per met strip with a stabbing candidate
+        for strips, base, a, b in (
+            (v_strips, vg.base, rect.x1, rect.x2),
+            (h_strips, hg.base, rect.y1, rect.y2),
+        ):
+            # the extent [a, b] meets the open slots first..last
+            first, last = bisect_right(base, a), bisect_left(base, b)
+            hits = [(s, e) for i, s, e in strips if first <= i <= last]
+            if len(hits) > 1:
+                raise RuntimeError("kernel rectangle meets two strips of one family")
+            for s, e in hits:
+                met.append(s)
+                lo, hi = bisect_left(cands, a, s, e), bisect_right(cands, b, s, e)
+                if lo < hi:
+                    stabs.append([(lo, False), (hi, True)] if hi < e else [(lo, False)])
+        if not met:
             raise GuessInfeasible("kernel rectangle meets no guessed strip")
-        wv = _window(pv, rect.x1, rect.x2) if pv is not None else None
-        wh = _window(qh, rect.y1, rect.y2) if qh is not None else None
-        if pv is not None and qh is not None and wv is not None and wh is not None:
-            lo_v, hi_v = wv
-            lo_h, hi_h = wh
-            f.add_clause(pv.var(lo_v), qh.var(lo_h))
-            if hi_h is not None:
-                f.add_clause(pv.var(lo_v), qh.nvar(hi_h))
-            if hi_v is not None:
-                f.add_clause(pv.nvar(hi_v), qh.var(lo_h))
-            if hi_v is not None and hi_h is not None:
-                f.add_clause(pv.nvar(hi_v), qh.nvar(hi_h))
-            continue
-        # at most one side can still stab the rectangle
-        side, window = (pv, wv) if wv is not None else (qh, wh)
-        if window is None:
-            anchor = pv if pv is not None else qh
-            f.add_unit(anchor.var(0))
-            f.add_unit(anchor.nvar(0))  # unstabbable under this guess
-            continue
-        lo, hi = window
-        f.add_unit(side.var(lo))
-        if hi is not None:
-            f.add_unit(side.nvar(hi))
+        if len(stabs) == 2:
+            for x, y in product(*stabs):
+                f.add_clause(x, y)
+        elif stabs:
+            for lit in stabs[0]:
+                f.add_unit(lit)
+        else:
+            f.add_unit((met[0], False))
+            f.add_unit((met[0], True))  # unstabbable under this guess
 
     def decode(values: list[bool]) -> tuple[frozenset[int], frozenset[int]]:
-        def pick(sv: _StripVars) -> int:
-            t = max(t for t in range(len(sv.candidates)) if values[sv.var_base + t])
-            return sv.candidates[t]
+        def pick(s: int, e: int) -> int:
+            return cands[max(t for t in range(s, e) if values[t])]
 
-        h2 = frozenset(pick(sv) for sv in h_svs)
-        v2 = frozenset(pick(sv) for sv in v_svs)
-        return h2, v2
+        return (
+            frozenset(pick(s, e) for _, s, e in h_strips),
+            frozenset(pick(s, e) for _, s, e in v_strips),
+        )
 
     return f, decode
 

@@ -236,6 +236,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.kmax < 0:  # an empty budget ladder would report a false no-witness
         print("error: --kmax must be nonnegative", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print("error: --jobs must be positive", file=sys.stderr)
+        return 2
     run_approx = args.approx or not args.exact
     run_exact = args.exact
     paths = sorted(

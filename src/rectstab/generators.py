@@ -101,6 +101,8 @@ def gen_planted(k: int, n: int, coord_range: int, seed: int) -> tuple[Instance, 
 
 def gen_uniform(n: int, m_lines: int, coord_range: int, seed: int) -> Instance:
     """Uniform random rectangles and candidate lines; possibly infeasible."""
+    if n < 0 or m_lines < 0 or coord_range < 0:
+        raise ValueError("need n, m_lines and coord_range >= 0")
     rng = Xoshiro256StarStar(seed)
     c = coord_range
     rects = []

@@ -1,6 +1,7 @@
 """2-SAT via implication graph and strongly connected components.
 
-Literals are (variable index, negated) pairs. A clause (a or b) yields the
+Literals are (variable index, negated) pairs; literal (v, neg) is graph
+node 2v + neg, so its negation is node ^ 1. A clause (a or b) yields the
 implication edges not-a -> b and not-b -> a; the formula is unsatisfiable
 iff some variable shares an SCC with its own negation, otherwise assigning
 each literal by reverse topological component order satisfies every clause.
@@ -36,16 +37,6 @@ class Formula:
     def add_unit(self, a: Lit) -> None:
         self._check(a)
         self.clauses.append((a, a))
-
-
-def _node(lit: Lit) -> int:
-    var, neg = lit
-    return 2 * var + (1 if neg else 0)
-
-
-def _evaluate(values: list[bool], lit: Lit) -> bool:
-    var, neg = lit
-    return values[var] != neg
 
 
 def _tarjan_scc(adj: list[list[int]]) -> list[int]:
@@ -107,11 +98,10 @@ def solve(f: Formula) -> Optional[list[bool]]:
     against all clauses before being handed back.
     """
     adj: list[list[int]] = [[] for _ in range(2 * f.num_vars)]
-    for a, b in f.clauses:
-        na = (a[0], not a[1])
-        nb = (b[0], not b[1])
-        adj[_node(na)].append(_node(b))
-        adj[_node(nb)].append(_node(a))
+    for (av, an), (bv, bn) in f.clauses:
+        a, b = 2 * av + an, 2 * bv + bn
+        adj[a ^ 1].append(b)
+        adj[b ^ 1].append(a)
     comp = _tarjan_scc(adj)
     for v in range(f.num_vars):
         if comp[2 * v] == comp[2 * v + 1]:
@@ -119,7 +109,7 @@ def solve(f: Formula) -> Optional[list[bool]]:
     # Tarjan ids grow in reverse topological order, so the smaller id is the
     # later component in topological order; make the literal in it true.
     values = [comp[2 * v] < comp[2 * v + 1] for v in range(f.num_vars)]
-    for a, b in f.clauses:
-        if not (_evaluate(values, a) or _evaluate(values, b)):
+    for (av, an), (bv, bn) in f.clauses:
+        if values[av] == an and values[bv] == bn:
             raise RuntimeError("2-SAT produced a falsifying assignment")
     return values

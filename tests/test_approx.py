@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import os
 import pickle
 import subprocess
@@ -543,12 +544,11 @@ def _covered_guesses(inst, k_h, k_v, k):
             yield vg, hg, [inst.rects[i] for i in bits(kernel)]
 
 
-def test_assemble_matches_brute_force_on_covered_guesses():
-    """The formula is satisfiable iff some pick of one candidate inside
-    each guessed strip (oracle Strips) stabs the kernel, and decode returns
-    such a pick."""
-    seen = Counter()
-    for n, m, c in ((10, 10, 8), (14, 12, 10)):
+def _covered_pool(sizes):
+    """(instance, vertical guess, horizontal guess, kernel) for every
+    covered guess pair over gen_uniform(n, m, c, seed) for each (n, m, c)
+    of sizes, seeds 0-29, both orientations, every split of every k < 5."""
+    for n, m, c in sizes:
         for seed in range(30):
             raw = gen_uniform(n, m, c, seed)
             for inst in (raw, transpose(raw)):
@@ -556,8 +556,44 @@ def test_assemble_matches_brute_force_on_covered_guesses():
                     for k_h in range(k // 2 + 1):
                         for k_v in range(k_h, k - k_h + 1):
                             for vg, hg, kernel in _covered_guesses(inst, k_h, k_v, k):
-                                seen[_check_assembly(inst, vg, hg, kernel)] += 1
+                                yield inst, vg, hg, kernel
+
+
+def test_assemble_matches_brute_force_on_covered_guesses():
+    """The formula is satisfiable iff some pick of one candidate inside
+    each guessed strip (oracle Strips) stabs the kernel, and decode returns
+    such a pick."""
+    seen = Counter(
+        _check_assembly(*case) for case in _covered_pool(((10, 10, 8), (14, 12, 10)))
+    )
     assert seen["sat"] > 500 and seen["unsat"] > 500 and seen["sat, both axes"] > 100
+
+
+def test_assembled_formulas_pinned():
+    """Every formula over the covered-guess pool, clause for clause, with
+    its assignment and decoded picks, hashes to the digest of the 2-SAT
+    stage as first written; a change to variable numbering, clause order or
+    the solver's adjacency order shows here."""
+    digest = hashlib.sha256()
+    count = 0
+    for inst, vg, hg, kernel in _covered_pool(((10, 10, 8), (14, 12, 10), (30, 24, 20))):
+        formula, decode = assemble_2sat(kernel, vg, hg, inst)
+        values = solve_2sat(formula)
+        picks = None if values is None else tuple(map(sorted, decode(values)))
+        digest.update(repr((formula.num_vars, formula.clauses, values, picks)).encode())
+        count += 1
+    assert count == 3304
+    assert digest.hexdigest() == "fe5bb315582522ec582cf75fb2f5940ffaa294341eb879c47de8ac167dd3f036"
+
+
+@pytest.mark.parametrize("slots", [(0, 2), (2, 0)])
+def test_assemble_rejects_a_rectangle_meeting_two_strips_of_one_family(slots):
+    # strips x < 0 and x > 10 hold the candidates -3 and 12; the rectangle
+    # spans both, which kernelization rules out for any enumerated guess
+    rect = Rect(-5, 15, 0, 1)
+    inst = Instance([rect], hlines=[], vlines=[-3, 0, 10, 12])
+    with pytest.raises(RuntimeError, match="meets two strips of one family"):
+        assemble_2sat([rect], Guess((0, 10), slots, frozenset()), NO_HGUESS, inst)
 
 
 def _check_assembly(inst, vg, hg, kernel):

@@ -90,6 +90,12 @@ def test_uniform_empty():
     assert inst.rects == ()
 
 
+@pytest.mark.parametrize("n, m_lines, coord_range", [(-2, 4, 10), (3, -1, 10), (3, 4, -1)])
+def test_uniform_rejects_negative_counts(n, m_lines, coord_range):
+    with pytest.raises(ValueError):
+        gen_uniform(n=n, m_lines=m_lines, coord_range=coord_range, seed=1)
+
+
 def test_mcgraph_planted_clique_edges_only():
     g, clique = gen_mcgraph(k=3, r=3, extra_edge_prob_num=0, extra_edge_prob_den=1, seed=5, plant=True)
     assert clique is not None and len(clique) == 3

@@ -61,7 +61,8 @@ def base(tmp_path):
 
 
 def run(capsys, base, argv):
-    argv = [str(base / a) if a.endswith((".json", ".csv")) else a for a in argv]
+    """cli.main on argv, with file names and "." resolved inside base."""
+    argv = [str(base / a) if a == "." or a.endswith((".json", ".csv")) else a for a in argv]
     code = cli.main(argv)
     return code, capsys.readouterr().err
 
@@ -177,6 +178,9 @@ PROBES = [
     ("inst.json", "[" * 100_000, COMMANDS["inst.json"]),
     ("sol.json", "\xff{", COMMANDS["sol.json"]),
     ("pts.csv", "x,y,color\n" + "1" * 200_000 + ",0,0\n", COMMANDS["pts.csv"]),  # csv.Error
+    (None, None, ["gen", "uniform", "--n", "-2", "--m-lines", "4", "--seed", "1",
+                  "--out", "out.json"]),
+    (None, None, ["bench", ".", "--jobs", "-3", "--out", "out.csv"]),
 ]
 
 
