@@ -42,8 +42,8 @@ from .core import (
     Solution,
     bits,
     line_masks,
+    prefix_counts,
     slot_masks,
-    stab_mask,
     suffix_ors,
     transpose,
     verify,
@@ -89,10 +89,15 @@ def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple
     be stabbed vertically at all: no solution with k_v vertical lines
     exists.
 
-    The sweep runs over candidate indices. A rectangle whose horizontal
-    stabbers are hlines[a:b] lies strictly between hlines[i - 1] and
-    hlines[j - 1] (unbounded past either end) iff i <= a and b < j, so
-    from anchor i the extents join bucket by bucket of b, ascending.
+    The sweep runs over candidate indices and over the stabber classes of
+    inst (Instance.stabbers), whose rectangles all have the same
+    candidates. A class whose horizontal stabbers are hlines[a:b] lies
+    strictly between hlines[i - 1] and hlines[j - 1] (unbounded past
+    either end) iff i <= a and b < j, so from anchor i the classes join
+    bucket by bucket of b, ascending. The 1-D stabbing runs in index space
+    too: vertical candidate t sits at 2t + 1, and a class with vertical
+    stabbers vlines[c:d] is the extent [2c, 2d], which holds exactly their
+    points, and none when c == d. The greedy picks the same lines there.
 
     Always satisfies |V0| <= k_v * (|H1| + 1); when a solution whose
     vertical part has size k_v exists, H1 additionally has at most as many
@@ -100,20 +105,22 @@ def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple
     """
     hpos, vpos = inst.hlines, inst.vlines
     m = len(hpos)
+    ranges = inst.stabbers.ranges
     by_b: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(m + 1)]
-    for r in inst.rects:
-        by_b[bisect_right(hpos, r.y2)].append((bisect_left(hpos, r.y1), (r.x1, r.x2)))
+    for a, b, c, d in ranges:
+        by_b[b].append((a, (2 * c, 2 * d)))
+    points = range(1, 2 * len(vpos), 2)
 
     def fits(extents: list[tuple[int, int]]) -> bool:
         try:
-            return len(stab_1d(extents, vpos)) <= k_v
+            return len(stab_1d(extents, points)) <= k_v
         except Infeasible:
             return False
 
-    h1: list[int] = []
+    h1: list[int] = []  # indices into hpos
     i = 0
     while i <= m:
-        # at step b, extents holds the rectangles strictly between
+        # at step b, extents holds the classes strictly between
         # hlines[i - 1] and hlines[b]; fitting is monotone in b, so only a
         # step that adds an extent needs a test (no extent fits k_v >= 0)
         extents: list[tuple[int, int]] = []
@@ -128,18 +135,18 @@ def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple
         if b == i:
             return None  # the gap between two consecutive candidates does not fit
         if b <= m:
-            h1.append(hpos[b - 1])  # the furthest line that fits
+            h1.append(b - 1)  # the furthest line that fits
         i = b
 
-    rects = inst.rects
-    missed = ((1 << len(rects)) - 1) & ~stab_mask(inst, h1)
+    hit = prefix_counts(h1, m)
+    missed = [(2 * c, 2 * d) for a, b, c, d in ranges if hit[a] == hit[b]]
     try:
-        v0 = stab_1d([(rects[i].x1, rects[i].x2) for i in bits(missed)], vpos)
+        v0 = [vpos[p // 2] for p in stab_1d(missed, points)]
     except Infeasible:
         return None  # leftover rectangles are not vertically stabbable
     if len(v0) > k_v * (len(h1) + 1):
         raise RuntimeError("vertical pool exceeded its per-gap accounting bound")
-    return tuple(h1), tuple(v0)
+    return tuple(hpos[t] for t in h1), tuple(v0)
 
 
 def _inside(base: Sequence[int], candidates: Sequence[int], i: int) -> tuple[int, int]:

@@ -89,6 +89,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "out": args.out,
         },
         instance=_instance_stats(inst),
+        classes=len(inst.stabbers.ranges),
         reduced=_instance_stats(inst.reduced),
         outcome=outcome,
         size=size,

@@ -3,31 +3,48 @@
 Lines, closed rectangles, problem instances, solutions, the stabbing
 kernel (stab masks: Python integers whose bit i stands for inst.rects[i]),
 the slot meet masks of the guess covers, and the dominance reduction both
-solvers start from. The reduction bisects each rectangle once, runs its
-rounds on stabber classes (rectangles with equal candidate index ranges)
-in index space and builds one Instance at the end. All coordinates are
-plain Python integers kept within signed 64-bit range; every value is
-immutable and every operation is a pure function, so everything here is
-safe to share across threads. An Instance also carries a per-object memo
-of pure values derived from it (its reduced instance, and the solver
-tables built over that), so repeated questions about one object share
-the work; two threads racing on an empty memo can only compute the same
-value twice.
+solvers start from. All coordinates are plain Python integers kept within
+signed 64-bit range; every value is immutable and every operation is a
+pure function, so everything here is safe to share across threads.
+
+The stabbing kernel reads one table per instance (Instance.stabbers),
+built by a single pass that bisects each rectangle once: a rectangle
+stabbed by exactly hlines[a:b] and vlines[c:d] has the ranges
+(a, b, c, d), rectangles with equal ranges form one stabber class, and
+the table holds each class's ranges once and the class id of every
+rectangle. The ranges are raw: an empty range keeps where it lies
+(a == b counts the candidates below the rectangle), which preselection
+needs, so rectangles with equal stabber sets can fall into several
+classes; the dominance reduction makes empty ranges (0, 0) per class,
+so that equal stabber sets have equal ranges. stab_mask (and
+through it verify) decides one hit per class and maps the answers back
+over the class ids; line_masks, approx.preselect and exact.opt_exact read
+the ranges, and drop_dominated starts its rounds from them. The instances
+the kernel derives come with a ready table and never bisect again: the
+reduced instance gets its kept classes' raw ranges renumbered to the kept
+lines, the equal copy Instance.reduced makes when nothing goes shares its
+source's table, and transpose swaps the two axes' ranges.
+
+An Instance carries a per-object memo of pure values derived from it (its
+stabber table, its reduced instance, and the solver tables built over
+that), so repeated questions about one object share the work; two
+threads racing on an empty memo can only compute the same value twice.
+Copies and pickles carry the fields only and start with no memo.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
 from operator import or_, xor
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
-_ABOVE = I64_MAX + 1  # sentinel above every coordinate
 
 
 class Axis(Enum):
@@ -87,6 +104,23 @@ class Rect:
         return Rect(self.y1, self.y2, self.x1, self.x2)
 
 
+class Stabbers(NamedTuple):
+    """The stabber table of an instance (see the module docstring):
+    ranges[j] = (a, b, c, d) when the rectangles of class j are stabbed by
+    exactly hlines[a:b] and vlines[c:d], with raw empty ranges, and ids[i]
+    is the class of rects[i]. Classes are numbered in the order of their
+    first rectangle. The ids are an unsigned 32-bit array, half the size of
+    a list of them."""
+
+    ranges: list[tuple[int, int, int, int]]
+    ids: array
+
+    def mask(self, flags: Sequence[str]) -> int:
+        """Mask of the rectangles whose class j has flags[j] == "1"."""
+        digits = "".join(map(flags.__getitem__, self.ids))  # rects[0] first
+        return int("0" + digits[::-1], 2)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A set of rectangles plus candidate lines, split by axis.
@@ -109,13 +143,32 @@ class Instance:
         return self.vlines if axis is Axis.VERTICAL else self.hlines
 
     @cached_property
+    def stabbers(self) -> Stabbers:
+        """The stabber table, built by one pass that bisects each rectangle
+        once, unless a derived instance was handed its table."""
+        hpos, vpos = self.hlines, self.vlines
+        classes: dict[tuple[int, int, int, int], int] = {}
+        ids = [
+            classes.setdefault(
+                (bisect_left(hpos, r.y1), bisect_right(hpos, r.y2),
+                 bisect_left(vpos, r.x1), bisect_right(vpos, r.x2)),
+                len(classes),
+            )
+            for r in self.rects
+        ]
+        return Stabbers(list(classes), array("I", ids))
+
+    @cached_property
     def reduced(self) -> "Instance":
         """drop_dominated(self), computed once per object. When nothing
         goes it is an equal copy rather than self, so the memo holds no
         reference back to its own object: a cycle would outlive every
-        reference to the instance until the cyclic GC runs."""
+        reference to the instance until the cyclic GC runs. The copy
+        shares self's stabber table."""
         reduced = drop_dominated(self)
-        return reduced if reduced is not self else Instance(self.rects, self.hlines, self.vlines)
+        if reduced is self:
+            reduced = _with_stabbers(Instance(self.rects, self.hlines, self.vlines), self.stabbers)
+        return reduced
 
     def __getstate__(self) -> dict:
         # copies and pickles carry the fields only and start with no memo
@@ -145,14 +198,26 @@ class Solution:
         ]
 
 
+def _with_stabbers(inst: Instance, table: Stabbers) -> Instance:
+    """inst with its stabber table already in the memo."""
+    vars(inst)["stabbers"] = table
+    return inst
+
+
 def line_masks(inst: Instance, axis: Axis) -> dict[int, int]:
     """Stab mask of every candidate line of one axis, keyed by position in
-    ascending order: bit i is set iff the line stabs inst.rects[i]."""
+    ascending order: bit i is set iff the line stabs inst.rects[i].
+
+    Read off the stabber table without bisecting: one pass over the class
+    ids gathers each class's rectangles, and each class sets its mask in
+    the masks of its range of the axis's candidates."""
     positions = inst.line_positions(axis)
-    spans = (
-        (bisect_left(positions, a), bisect_right(positions, b), 1 << i)
-        for i, (a, b) in enumerate(r.interval(axis) for r in inst.rects)
-    )
+    table = inst.stabbers
+    members = [0] * len(table.ranges)
+    for i, j in enumerate(table.ids):
+        members[j] |= 1 << i
+    own = 0 if axis is Axis.HORIZONTAL else 2  # where the axis sits in (a, b, c, d)
+    spans = ((r[own], r[own + 1], m) for r, m in zip(table.ranges, members))
     return dict(zip(positions, _range_masks(spans, len(positions))))
 
 
@@ -170,28 +235,46 @@ def _range_masks(spans: Iterable[tuple[int, int, int]], m: int) -> list[int]:
     return list(accumulate(toggles[:m], xor))
 
 
+def prefix_counts(indices: Iterable[int], m: int) -> list[int]:
+    """counts[t] = how many of the distinct indices (each below m) are
+    below t, for t = 0..m. Some index lies in [s, e) iff counts[s] <
+    counts[e]."""
+    marks = [0] * m
+    for t in indices:
+        marks[t] = 1
+    return list(accumulate(marks, initial=0))
+
+
 def stab_mask(inst: Instance, hlines: Iterable[int], vlines: Iterable[int] = ()) -> int:
     """Mask of the rectangles some of the given lines stab: bit i is set iff
     one of them stabs inst.rects[i]. Boundary contact counts.
 
-    One pass per nonempty pool with one bisection per rectangle. The flags
-    are collected as a string of binary digits and converted once, which
-    is cheaper than growing an integer bit by bit; the two axes are spelled
-    out because attribute access is the cost of each pass.
+    The lines must be candidates of inst: the kernel works on candidate
+    indices, so any other line raises UnknownLineError (all such lines,
+    sorted, horizontal first) instead of being bisected to a neighbour.
+    With prefix counts of the lines' indices, one test per stabber class
+    decides whether a line lies in its ranges, and the table maps the
+    answers back over the class ids.
     """
-    rects = inst.rects[::-1]  # the last rectangle is the leading digit
-    mask = 0
-    hs = sorted(hlines)
-    if hs:
-        hs.append(_ABOVE)
-        digits = ["1" if hs[bisect_left(hs, r.y1)] <= r.y2 else "0" for r in rects]
-        mask |= int("0" + "".join(digits), 2)
-    vs = sorted(vlines)
-    if vs:
-        vs.append(_ABOVE)
-        digits = ["1" if vs[bisect_left(vs, r.x1)] <= r.x2 else "0" for r in rects]
-        mask |= int("0" + "".join(digits), 2)
-    return mask
+    counts = []
+    foreign = []
+    for axis, lines in ((Axis.HORIZONTAL, hlines), (Axis.VERTICAL, vlines)):
+        positions = inst.line_positions(axis)
+        index = []
+        for pos in sorted(set(lines)):
+            t = bisect_left(positions, pos)
+            if t < len(positions) and positions[t] == pos:
+                index.append(t)
+            else:
+                foreign.append(Line(axis, pos))
+        counts.append(prefix_counts(index, len(positions)))
+    if foreign:
+        raise UnknownLineError(foreign)
+    ch, cv = counts
+    table = inst.stabbers
+    return table.mask(
+        ["1" if ch[a] < ch[b] or cv[c] < cv[d] else "0" for a, b, c, d in table.ranges]
+    )
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -206,13 +289,10 @@ def bits(mask: int) -> Iterator[int]:
 def verify(inst: Instance, sol: Solution) -> list[Rect]:
     """Return the rectangles stabbed by no solution line, in input order.
 
-    Raises UnknownLineError if the solution uses lines outside the
-    instance's candidate sets instead of silently dropping them.
+    Raises UnknownLineError (from stab_mask) if the solution uses lines
+    outside the instance's candidate sets instead of silently dropping
+    them.
     """
-    foreign = [Line(Axis.HORIZONTAL, y) for y in sorted(sol.hlines - set(inst.hlines))]
-    foreign += [Line(Axis.VERTICAL, x) for x in sorted(sol.vlines - set(inst.vlines))]
-    if foreign:
-        raise UnknownLineError(foreign)
     missed = ((1 << len(inst.rects)) - 1) & ~stab_mask(inst, sol.hlines, sol.vlines)
     return [inst.rects[i] for i in bits(missed)]
 
@@ -230,36 +310,38 @@ def drop_dominated(inst: Instance) -> Instance:
     two passes repeat until neither drops anything. Rectangles keep their
     input order; inst itself is returned when nothing goes.
 
-    Each rectangle is bisected once: the candidates stabbing it are
-    inst.hlines[a:b] and inst.vlines[c:d], with an empty range made
-    (0, 0), so rectangles with equal stabber sets have equal ranges. They
-    form one stabber class, which keeps its lowest input index. The rounds
-    run on classes in index space: a round keeps the undominated classes
-    and the lines undominated over them, then renumbers the kept ranges by
-    prefix counts of the kept lines; classes that become equal merge and
-    keep the lower index. One Instance is built at the end. A line's
-    dominators on its own axis form an interval around it, and those on
-    the other axis lie in one range of its lowest class, so two short
-    scans find them all (_undominated_lines).
+    The rounds start from inst's stabber table and bisect nothing. Its
+    classes with an empty range made (0, 0) on that axis merge where their
+    stabber sets are equal, keeping the lowest class and so the lowest
+    input index. The rounds run on classes in index space: a round keeps
+    the undominated classes and the lines undominated over them, then
+    renumbers the kept ranges by prefix counts of the kept lines; classes
+    that become equal merge and keep the lower index. One Instance is
+    built at the end, from each kept class's first rectangle, and it is
+    handed its table: those rectangles' raw ranges renumbered by prefix
+    counts of the kept lines, one class each. A line's dominators on its
+    own axis form an interval around it, and those on the other axis lie
+    in one range of its lowest class, so two short scans find them all
+    (_undominated_lines).
     """
-    hpos, vpos = inst.hlines, inst.vlines
-    classes: dict[tuple[int, int, int, int], int] = {}  # ranges -> lowest index, ascending
-    for i, r in enumerate(inst.rects):
-        a, b = bisect_left(hpos, r.y1), bisect_right(hpos, r.y2)
-        c, d = bisect_left(vpos, r.x1), bisect_right(vpos, r.x2)
+    table = inst.stabbers
+    classes: dict[tuple[int, int, int, int], int] = {}  # ranges -> lowest class, ascending
+    for j, (a, b, c, d) in enumerate(table.ranges):
         if a == b:
             a = b = 0
         if c == d:
             c = d = 0
-        classes.setdefault((a, b, c, d), i)
+        classes.setdefault((a, b, c, d), j)
+    # the input indices of the lines still in play
+    hkept: Sequence[int] = range(len(inst.hlines))
+    vkept: Sequence[int] = range(len(inst.vlines))
     while True:
-        spans = _undominated_classes(list(classes), len(hpos), len(vpos))
-        ht, vt = _undominated_lines(spans, len(hpos), len(vpos))
-        if (len(spans), len(ht), len(vt)) == (len(classes), len(hpos), len(vpos)):
+        spans = _undominated_classes(list(classes), len(hkept), len(vkept))
+        ht, vt = _undominated_lines(spans, len(hkept), len(vkept))
+        if (len(spans), len(ht), len(vt)) == (len(classes), len(hkept), len(vkept)):
             break
         # the new index of a kept line or range end: the kept lines below it
-        ph = [bisect_left(ht, t) for t in range(len(hpos) + 1)]
-        pv = [bisect_left(vt, t) for t in range(len(vpos) + 1)]
+        ph, pv = prefix_counts(ht, len(hkept)), prefix_counts(vt, len(vkept))
         merged: dict[tuple[int, int, int, int], int] = {}
         for span in spans:  # in ascending index, so a merged class keeps the lowest
             a, b, c, d = ph[span[0]], ph[span[1]], pv[span[2]], pv[span[3]]
@@ -269,12 +351,21 @@ def drop_dominated(inst: Instance) -> Instance:
                 c = d = 0
             merged.setdefault((a, b, c, d), classes[span])
         classes = merged
-        hpos, vpos = [hpos[t] for t in ht], [vpos[t] for t in vt]
-    if (len(classes), len(hpos), len(vpos)) == (
+        hkept, vkept = [hkept[t] for t in ht], [vkept[t] for t in vt]
+    if (len(classes), len(hkept), len(vkept)) == (
         len(inst.rects), len(inst.hlines), len(inst.vlines)
     ):
         return inst
-    return Instance([inst.rects[i] for i in classes.values()], hpos, vpos)
+    ph, pv = prefix_counts(hkept, len(inst.hlines)), prefix_counts(vkept, len(inst.vlines))
+    rects, ranges = [], []
+    i = 0
+    for j in classes.values():  # ascending, and so are the classes' first rectangles
+        i = table.ids.index(j, i)
+        a, b, c, d = table.ranges[j]
+        rects.append(inst.rects[i])
+        ranges.append((ph[a], ph[b], pv[c], pv[d]))
+    reduced = Instance(rects, [inst.hlines[t] for t in hkept], [inst.vlines[t] for t in vkept])
+    return _with_stabbers(reduced, Stabbers(ranges, array("I", range(len(ranges)))))
 
 
 def _undominated_classes(
@@ -338,12 +429,15 @@ def _undominated_lines(
 
 
 def transpose(inst: Instance) -> Instance:
-    """Swap x and y everywhere; an involution mapping solutions likewise."""
-    return Instance(
+    """Swap x and y everywhere; an involution mapping solutions likewise.
+    The result is handed inst's stabber table with the axes swapped."""
+    flipped = Instance(
         rects=[r.transpose() for r in inst.rects],
         hlines=inst.vlines,
         vlines=inst.hlines,
     )
+    ranges, ids = inst.stabbers
+    return _with_stabbers(flipped, Stabbers([(c, d, a, b) for a, b, c, d in ranges], ids))
 
 
 def slot_masks(inst: Instance, axis: Axis, positions: Sequence[int], mask: int) -> list[int]:

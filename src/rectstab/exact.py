@@ -39,11 +39,10 @@ such T. A None result is therefore still a certificate.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import I64_MIN, Axis, Instance, Line, Solution, bits, line_masks, stab_mask
+from .core import I64_MIN, Axis, Instance, Line, Solution, bits, line_masks
 
 
 @dataclass(frozen=True)
@@ -90,21 +89,29 @@ def _lines_to_solution(lines: list[Line]) -> Solution:
     )
 
 
-def _one_axis_chains(inst: Instance, h_any: int, v_any: int) -> list[list[tuple[int, int, int]]]:
+def _one_axis_chains(inst: Instance) -> list[list[tuple[int, int, int]]]:
     """Per axis, the rectangles that axis stabs and the other cannot, as
     (index, lo, point) in stab_1d's order (hi, then lo). point is the
     largest candidate <= hi, the line the 1-D greedy takes when the
     rectangle is the first one left unpierced; it is >= lo because the
-    axis stabs the rectangle."""
+    axis stabs the rectangle. Both are read off the stabber table: a
+    rectangle with ranges (a, b, c, d) has a horizontal stabber iff a < b,
+    and its largest horizontal candidate <= y2 is hlines[b - 1]."""
+    table = inst.stabbers
+    h_any = table.mask(["1" if a < b else "0" for a, b, _, _ in table.ranges])
+    v_any = table.mask(["1" if c < d else "0" for _, _, c, d in table.ranges])
     chains = []
-    for axis, only in ((Axis.VERTICAL, v_any & ~h_any), (Axis.HORIZONTAL, h_any & ~v_any)):
+    axes = ((Axis.VERTICAL, v_any & ~h_any, 3), (Axis.HORIZONTAL, h_any & ~v_any, 1))
+    for axis, only, end in axes:  # end: where the axis's range end sits in (a, b, c, d)
         positions = inst.line_positions(axis)
         extents = []
         for i in bits(only):
             lo, hi = inst.rects[i].interval(axis)
             extents.append((hi, lo, i))
         extents.sort()
-        chains.append([(i, lo, positions[bisect_right(positions, hi) - 1]) for hi, lo, i in extents])
+        chains.append(
+            [(i, lo, positions[table.ranges[table.ids[i]][end] - 1]) for hi, lo, i in extents]
+        )
     return chains
 
 
@@ -124,7 +131,7 @@ def opt_exact(
     full = (1 << n) - 1
     pool = dedup_lines(inst)
     masks = [m for _, m in pool]
-    chains = _one_axis_chains(inst, stab_mask(inst, inst.hlines), stab_mask(inst, (), inst.vlines))
+    chains = _one_axis_chains(inst)
 
     # stab_lines[i]: mask of the pool lines that stab rectangle i
     stab_lines = [0] * n

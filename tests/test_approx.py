@@ -941,6 +941,34 @@ def test_copies_of_a_solved_instance_start_cold(shrinks):
         assert solve_min(other, 3) == expected
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_core_bisects_each_rectangle_fewer_than_five_times(seed, monkeypatch):
+    """The benchmark's planted-large chain on one instance: the search at
+    the planted k - 1, then at k, then a verify of the answer. The stabber
+    table is its one per-rectangle bisection pass (four per rectangle);
+    the reduced and transposed instances are handed theirs, and stab_mask
+    bisects only the lines it is given. The instance is a memo-free copy,
+    as gen_planted's own verify leaves a table on the one it returns."""
+    k = 4 + seed % 4
+    inst = copy.copy(gen_planted(k, 2500, 10**6, seed)[0])
+    calls = 0
+
+    def counted(fn):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(core, "bisect_left", counted(core.bisect_left))
+    monkeypatch.setattr(core, "bisect_right", counted(core.bisect_right))
+    solve_with_budget(inst, k - 1)
+    sol = solve_with_budget(inst, k)
+    assert verify(inst, sol) == []
+    assert calls / len(inst.rects) < 5
+
+
 def test_guess_streams_respect_invariants_under_pipeline():
     inst, witness = gen_planted(k=3, n=12, coord_range=15, seed=9)
     k_v = 2

@@ -476,3 +476,16 @@ def test_solve_report_gives_reduced_sizes(planted_paths, capsys):
     }
     assert report["instance"] == {"rects": 12, "hlines": 1, "vlines": 5}
     assert report["reduced"]["rects"] < 12
+
+
+def test_solve_report_counts_stabber_classes(tmp_path, capsys):
+    """"classes" counts the classes of the input's stabber table:
+    duplicates and rectangles with the same candidate ranges share one."""
+    path = tmp_path / "inst.json"
+    rects = [Rect(0, 1, 0, 1), Rect(0, 1, 0, 1), Rect(0, 0, 1, 1), Rect(5, 6, 1, 3)]
+    formats.dump_instance(Instance(rects, hlines=[1], vlines=[0]), str(path))
+    code, out, _ = run(capsys, "solve", str(path), "--approx", "-k", "1")
+    report = json.loads(out)
+    assert code == 0
+    assert report["classes"] == 2
+    assert report["instance"] == {"rects": 4, "hlines": 1, "vlines": 1}

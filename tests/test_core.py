@@ -81,6 +81,38 @@ def test_verify_rejects_foreign_lines():
     assert exc.value.lines == (Line(H, 7),)
 
 
+def _check_kernel_against_oracle(inst: Instance, sol: Solution, rng) -> None:
+    naive = [
+        r
+        for r in inst.rects
+        if not any(stabs(ln, r) for ln in sol.lines())
+    ]
+    assert verify(inst, sol) == naive
+
+    def oracle_mask(lines):
+        hit = [any(stabs(ln, r) for ln in lines) for r in inst.rects]
+        return sum(1 << i for i, h in enumerate(hit) if h)
+
+    for axis in (H, V):
+        table = line_masks(inst, axis)
+        assert list(table) == list(inst.line_positions(axis))
+        for pos, mask in table.items():
+            assert mask == oracle_mask([Line(axis, pos)])
+    assert stab_mask(inst, sol.hlines, sol.vlines) == oracle_mask(sol.lines())
+    assert stab_mask(inst, sol.hlines) == oracle_mask([Line(H, y) for y in sol.hlines])
+    assert stab_mask(inst, (), ()) == 0
+    for mask in (oracle_mask(sol.lines()), rng.next_u64() << 64 | rng.next_u64()):
+        assert sum(1 << i for i in bits(mask)) == mask
+        assert list(bits(mask)) == sorted(bits(mask))
+
+
+def _random_solution(inst: Instance, rng) -> Solution:
+    return Solution(
+        hlines=[y for y in inst.hlines if rng.chance(1, 2)],
+        vlines=[x for x in inst.vlines if rng.chance(1, 2)],
+    )
+
+
 def test_verify_matches_naive_double_loop():
     """verify and the stabbing kernel (line_masks, stab_mask, bits) against
     the stabs oracle. Besides random rectangles the inputs hold degenerate
@@ -101,32 +133,35 @@ def test_verify_matches_naive_double_loop():
             if rng.chance(1, 4):
                 vl.append(rng.choice([r.x1, r.x2]))
         inst = Instance(rects, hl, vl)
-        sol = Solution(
-            hlines=[y for y in inst.hlines if rng.chance(1, 2)],
-            vlines=[x for x in inst.vlines if rng.chance(1, 2)],
+        _check_kernel_against_oracle(inst, _random_solution(inst, rng), rng)
+
+    # Many rectangles per stabber class, so the answers decided per class
+    # are mapped back over long runs of repeated class ids.
+    rng = Xoshiro256StarStar(19)
+    per_class = []
+    for _ in range(60):
+        rects = [rand_rect(rng, c=rng.choice([6, 20])) for _ in range(rng.randint(20, 70))]
+        inst = Instance(
+            rects,
+            [rng.randint(-20, 20) for _ in range(rng.randint(0, 3))],
+            [rng.randint(-20, 20) for _ in range(rng.randint(0, 3))],
         )
-        naive = [
-            r
-            for r in inst.rects
-            if not any(stabs(ln, r) for ln in sol.lines())
-        ]
-        assert verify(inst, sol) == naive
+        per_class.append(len(inst.rects) / max(1, len(inst.stabbers.ranges)))
+        _check_kernel_against_oracle(inst, _random_solution(inst, rng), rng)
+    assert sorted(per_class)[len(per_class) // 2] >= 4
 
-        def oracle_mask(lines):
-            hit = [any(stabs(ln, r) for ln in lines) for r in inst.rects]
-            return sum(1 << i for i, h in enumerate(hit) if h)
 
-        for axis in (H, V):
-            table = line_masks(inst, axis)
-            assert list(table) == list(inst.line_positions(axis))
-            for pos, mask in table.items():
-                assert mask == oracle_mask([Line(axis, pos)])
-        assert stab_mask(inst, sol.hlines, sol.vlines) == oracle_mask(sol.lines())
-        assert stab_mask(inst, sol.hlines) == oracle_mask([Line(H, y) for y in sol.hlines])
-        assert stab_mask(inst, (), ()) == 0
-        for mask in (oracle_mask(sol.lines()), rng.next_u64() << 64 | rng.next_u64()):
-            assert sum(1 << i for i in bits(mask)) == mask
-            assert list(bits(mask)) == sorted(bits(mask))
+def test_stab_mask_rejects_lines_that_are_not_candidates():
+    """The kernel works on candidate indices; a position that is no
+    candidate must not be bisected to a neighbouring candidate."""
+    inst = Instance([Rect(0, 4, 0, 4), Rect(10, 12, 10, 12)], hlines=[0, 11], vlines=[2])
+    assert stab_mask(inst, [0], [2]) == 0b01
+    with pytest.raises(UnknownLineError) as exc:
+        stab_mask(inst, [3, 0])  # y = 3 stabs rects[0] but is no candidate
+    assert exc.value.lines == (Line(H, 3),)
+    with pytest.raises(UnknownLineError) as exc:
+        stab_mask(inst, [12, 11], [11, 2])
+    assert exc.value.lines == (Line(H, 12), Line(V, 11))
 
 
 def test_transpose_example_and_involution():

@@ -2,6 +2,7 @@
 oracles.dominance_reduce, and of both solvers on the reduced instance
 against the raw one."""
 
+import copy
 import time
 
 from rectstab import reduction
@@ -50,6 +51,21 @@ def _classes_and_reductions() -> list[Instance]:
 LARGE_POOL = _classes_and_reductions()
 
 
+def _generated() -> list[Instance]:
+    """Pinned-RNG generator instances of assorted sizes, up to 300
+    rectangles."""
+    rng = Xoshiro256StarStar(23)
+    pool = []
+    for seed in range(40):
+        pool.append(gen_uniform(rng.randint(0, 120), rng.randint(0, 40), rng.randint(1, 60), seed))
+        k = rng.randint(1, 6)
+        pool.append(gen_planted(k, rng.randint(1, 300), 10 ** rng.randint(1, 4) + k, seed)[0])
+    return pool
+
+
+GENERATED = _generated()
+
+
 def _is_subsequence(part, whole) -> bool:
     it = iter(whole)
     return all(any(x == y for y in it) for x in part)
@@ -82,6 +98,28 @@ def test_drop_dominated_matches_pairwise_reference():
         assert _is_subsequence(reduced.rects, inst.rects)
         assert set(reduced.hlines) <= set(inst.hlines)
         assert set(reduced.vlines) <= set(inst.vlines)
+
+
+def test_derived_instances_are_handed_the_table_a_fresh_build_gives():
+    """drop_dominated, Instance.reduced and transpose hand their results a
+    stabber table instead of bisecting again. Each handed table must equal
+    the one a memo-free copy (copy.copy) of the result builds itself."""
+    # nothing is dominated when each line stabs one rectangle of its own
+    irreducible = [
+        Instance([Rect(10 * i, 10 * i + 1, 3 * i, 50) for i in range(n)], [], range(0, 10 * n, 10))
+        for n in range(1, 6)
+    ]
+    unchanged = 0
+    for inst in POOL + LARGE_POOL + GENERATED + irreducible:
+        reduced = drop_dominated(inst)
+        derived = [reduced, inst.reduced, transpose(inst), transpose(reduced)]
+        for result in derived:
+            assert "stabbers" in vars(result)
+            assert result.stabbers == copy.copy(result).stabbers, inst
+        if reduced is inst:
+            unchanged += 1
+            assert inst.reduced is not inst and inst.reduced.stabbers is inst.stabbers
+    assert unchanged >= len(irreducible)
 
 
 def test_exact_line_dedup_keeps_every_reduced_line():
