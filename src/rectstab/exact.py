@@ -14,18 +14,26 @@ j1 < j2 < ... of that rectangle chooses j and excludes j1..j(i-1) for its
 whole subtree (sibling exclusion), so each line set is reached at most
 once, not once per ordering of its lines.
 
+Lines are numbered by candidate index: the horizontal lines of
+inst.reduced are 0..mh-1 and its vertical lines mh.. (dedup_lines keeps
+every line of a reduced instance, in this order). A rectangle with
+stabber ranges (a, b, c, d) is then stabbed by the lines a..b-1 and
+mh+c..mh+d-1, read off the stabber table.
+
 Bound: no live line stabs two rectangles whose live stabber sets are
 disjoint, so a set of such rectangles (a packing) needs one more line
 each, and its size bounds the lines still to choose. The packing is
 seeded per axis with the triggers of the 1-D greedy (greedy1d) over the
-unstabbed rectangles only that axis can stab: the rectangles it finds
-unpierced. Each trigger lies wholly above the line taken for the one
-before, so their stabbers are pairwise disjoint, and there are as many as
-that axis's 1-D optimum. The two axes' triggers have stabbers on
-different axes. The seed is therefore never below the additive
-single-axis bound, and the sorted order then extends it greedily. The
-node is cut when the chosen lines plus the packing reach the incumbent's
-size.
+unstabbed rectangles only that axis can stab, run on their candidate
+index ranges [start, end) in order of end: a rectangle whose range
+starts after the candidate taken last is a trigger, and the greedy takes
+its candidate end - 1. Each trigger's range lies wholly above the
+candidate taken for the one before, so their stabbers are pairwise
+disjoint, and there are as many as that axis's 1-D optimum. The two axes'
+triggers have stabbers on different axes. The seed is therefore never
+below the additive single-axis bound, and the sorted order then extends
+it greedily. The node is cut when the chosen lines plus the packing reach
+the incumbent's size.
 
 Completeness: let T be any solution that contains the chosen lines and
 avoids the excluded ones. T stabs the picked rectangle; let j be the first
@@ -42,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import I64_MIN, Axis, Instance, Line, Solution, bits, line_masks
+from .core import Axis, Instance, Line, Solution, bits, line_masks
 
 
 @dataclass(frozen=True)
@@ -82,37 +90,17 @@ def dedup_lines(inst: Instance) -> list[tuple[Line, int]]:
     return [(ln, mask) for mask, ln in seen.items()]
 
 
-def _lines_to_solution(lines: list[Line]) -> Solution:
-    return Solution(
-        hlines=[ln.pos for ln in lines if ln.axis is Axis.HORIZONTAL],
-        vlines=[ln.pos for ln in lines if ln.axis is Axis.VERTICAL],
-    )
-
-
-def _one_axis_chains(inst: Instance) -> list[list[tuple[int, int, int]]]:
-    """Per axis, the rectangles that axis stabs and the other cannot, as
-    (index, lo, point) in stab_1d's order (hi, then lo). point is the
-    largest candidate <= hi, the line the 1-D greedy takes when the
-    rectangle is the first one left unpierced; it is >= lo because the
-    axis stabs the rectangle. Both are read off the stabber table: a
-    rectangle with ranges (a, b, c, d) has a horizontal stabber iff a < b,
-    and its largest horizontal candidate <= y2 is hlines[b - 1]."""
-    table = inst.stabbers
-    h_any = table.mask(["1" if a < b else "0" for a, b, _, _ in table.ranges])
-    v_any = table.mask(["1" if c < d else "0" for _, _, c, d in table.ranges])
-    chains = []
-    axes = ((Axis.VERTICAL, v_any & ~h_any, 3), (Axis.HORIZONTAL, h_any & ~v_any, 1))
-    for axis, only, end in axes:  # end: where the axis's range end sits in (a, b, c, d)
-        positions = inst.line_positions(axis)
-        extents = []
-        for i in bits(only):
-            lo, hi = inst.rects[i].interval(axis)
-            extents.append((hi, lo, i))
-        extents.sort()
-        chains.append(
-            [(i, lo, positions[table.ranges[table.ids[i]][end] - 1]) for hi, lo, i in extents]
-        )
-    return chains
+def _one_axis_chains(
+    ranges: list[tuple[int, int, int, int]],
+) -> list[list[tuple[int, int, int]]]:
+    """Per axis, vertical first, the rectangles that axis stabs and the
+    other cannot, as sorted (end, start, index) triples: ranges[index] is
+    the (a, b, c, d) of rects[index], and that axis's candidates
+    start..end-1 are its stabbers. The sort is the 1-D greedy's order."""
+    return [
+        sorted((d, c, i) for i, (a, b, c, d) in enumerate(ranges) if a == b and c < d),
+        sorted((b, a, i) for i, (a, b, c, d) in enumerate(ranges) if c == d and a < b),
+    ]
 
 
 def opt_exact(
@@ -127,17 +115,15 @@ def opt_exact(
     given, gains the number of search nodes, also when the limit is hit.
     """
     inst = inst.reduced
-    n = len(inst.rects)
-    full = (1 << n) - 1
-    pool = dedup_lines(inst)
-    masks = [m for _, m in pool]
-    chains = _one_axis_chains(inst)
-
-    # stab_lines[i]: mask of the pool lines that stab rectangle i
-    stab_lines = [0] * n
-    for j, m in enumerate(masks):
-        for i in bits(m):
-            stab_lines[i] |= 1 << j
+    mh = len(inst.hlines)
+    masks = [m for _, m in dedup_lines(inst)]
+    if len(masks) != mh + len(inst.vlines):
+        raise RuntimeError("the line pool of a reduced instance must hold every line")
+    table = inst.stabbers
+    ranges = [table.ranges[j] for j in table.ids]
+    chains = _one_axis_chains(ranges)
+    # stab_lines[i]: mask of the lines that stab rectangle i
+    stab_lines = [(1 << b) - (1 << a) | ((1 << d) - (1 << c)) << mh for a, b, c, d in ranges]
 
     best: Optional[list[int]] = None
     best_size = budget.max_size + 1
@@ -160,10 +146,10 @@ def opt_exact(
         pack = 0
         used = 0
         for chain in chains:
-            last = I64_MIN - 1  # below every coordinate
-            for i, lo, point in chain:
-                if lo > last and unstabbed >> i & 1:
-                    last = point
+            last = -1  # below every candidate
+            for end, start, i in chain:
+                if start > last and unstabbed >> i & 1:
+                    last = end - 1
                     used |= stab_lines[i] & live
                     pack += 1
         if pack >= need:
@@ -185,10 +171,13 @@ def opt_exact(
             excluded |= 1 << j
 
     try:
-        dfs(full, [], 0)
+        dfs((1 << len(ranges)) - 1, [], 0)
     finally:
         if stats is not None:
             stats.nodes += nodes
     if best is None:
         return None
-    return _lines_to_solution([pool[j][0] for j in best])
+    return Solution(
+        hlines=[inst.hlines[j] for j in best if j < mh],
+        vlines=[inst.vlines[j - mh] for j in best if j >= mh],
+    )

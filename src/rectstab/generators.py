@@ -8,6 +8,7 @@ stabbing instances on doubled coordinates.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,7 +95,8 @@ def gen_planted(k: int, n: int, coord_range: int, seed: int) -> tuple[Instance, 
 
     inst = Instance(rects=rects, hlines=hlines, vlines=vlines)
     witness = PlantedWitness(hstar=hstar, vstar=vstar)
-    if verify(inst, witness.as_solution()):
+    # checked on a memo-free copy, so the instance returned carries no stabber table
+    if verify(copy.copy(inst), witness.as_solution()):
         raise RuntimeError("planted witness must stab everything")
     return inst, witness
 

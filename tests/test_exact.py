@@ -1,5 +1,6 @@
 import pytest
 
+from rectstab import exact
 from rectstab.core import Instance, Rect, Solution, verify
 from rectstab.exact import (
     ExactStats,
@@ -8,6 +9,7 @@ from rectstab.exact import (
     dedup_lines,
     opt_exact,
 )
+from rectstab.generators import gen_planted, gen_uniform
 from rectstab.rng import Xoshiro256StarStar
 
 from oracles import brute_force
@@ -64,16 +66,46 @@ def test_brute_force_trivial():
 def test_agreement_with_brute_force_on_random_suite():
     rng = Xoshiro256StarStar(31337)
     solved = 0
+    stats = ExactStats()
     for _ in range(300):
         inst = rand_instance(rng)
         bf = brute_force(inst, 6)
-        bb = opt_exact(inst, SearchBudget(max_size=6))
+        bb = opt_exact(inst, SearchBudget(max_size=6), stats)
         assert (bf is None) == (bb is None)
         if bf is not None:
             assert len(bf) == len(bb)
             assert verify(inst, bb) == []
             solved += 1
     assert solved > 80  # the suite must actually exercise feasible cases
+    assert stats.nodes == 459  # pinned, like HARD_FAMILY_NODES, on general instances
+
+
+@pytest.mark.parametrize(
+    "pool, max_size, nodes",
+    [
+        ([gen_uniform(30, 24, 20, s) for s in range(40)], 12, 104),
+        ([gen_planted(4 + s % 3, 200, 60, s)[0] for s in range(20)], 8, 116),
+    ],
+    ids=["uniform", "planted"],
+)
+def test_node_sums_pinned_on_general_instances(pool, max_size, nodes):
+    # Unlike the clique family, where every one-axis-only rectangle spans a
+    # whole strip, these exercise the packing seed's chains on rectangles
+    # of any extent.
+    stats = ExactStats()
+    for inst in pool:
+        opt_exact(inst, SearchBudget(max_size), stats)
+    assert stats.nodes == nodes
+
+
+def test_a_pool_missing_a_line_of_the_reduced_instance_raises(monkeypatch):
+    # opt_exact numbers lines by candidate index, which holds only if the
+    # pool keeps every line of the reduced instance.
+    inst = Instance([Rect(0, 1, 0, 1), Rect(10, 11, 10, 11)], hlines=[0, 10], vlines=[])
+    dedup = exact.dedup_lines
+    monkeypatch.setattr(exact, "dedup_lines", lambda inst: dedup(inst)[1:])
+    with pytest.raises(RuntimeError, match="every line"):
+        opt_exact(inst, SearchBudget(max_size=2))
 
 
 def edge_instance(rng, max_lines=6, max_edges=20):

@@ -60,6 +60,13 @@ def test_planted_witness_check_survives_optimized_mode():
     assert proc.stdout.split() == ["raised"]
 
 
+def test_planted_instance_carries_no_stabber_table():
+    """The witness check runs on a memo-free copy, so a generated instance
+    holds no stabber table until something asks it a stabbing question."""
+    inst, _ = gen_planted(k=4, n=200, coord_range=60, seed=1)
+    assert "stabbers" not in vars(inst)
+
+
 def test_planted_opt_at_most_k():
     for seed in range(10):
         inst, witness = gen_planted(k=2, n=8, coord_range=15, seed=seed)
