@@ -6,7 +6,9 @@ size-k solution of what is left splits into k_h horizontal and k_v vertical
 lines (k_h <= k_v after transposing), and per split:
 
   1. greedily preselects horizontal lines H1 and an auxiliary vertical
-     candidate pool V0 that together stab everything,
+     candidate pool V0 that together stab everything, reading how many
+     vertical lines each horizontal gap needs off one table per
+     orientation that every budget asked of it shares,
   2. enumerates guesses of vertical strips (each believed to hold exactly
      one solution line) separated by chosen lines V1, keeping only those
      that leave the rectangles H1 misses to at most 2*k_h - |H1| open H1
@@ -30,6 +32,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from math import inf
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import twosat
@@ -93,45 +97,23 @@ def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple
     inst (Instance.stabbers), whose rectangles all have the same
     candidates. A class whose horizontal stabbers are hlines[a:b] lies
     strictly between hlines[i - 1] and hlines[j - 1] (unbounded past
-    either end) iff i <= a and b < j, so from anchor i the classes join
-    bucket by bucket of b, ascending. The 1-D stabbing runs in index space
-    too: vertical candidate t sits at 2t + 1, and a class with vertical
-    stabbers vlines[c:d] is the extent [2c, 2d], which holds exactly their
-    points, and none when c == d. The greedy picks the same lines there.
+    either end) iff i <= a and b < j. From anchor i the sweep reads row i
+    of the instance's need table (_NeedRows): how many vertical lines the
+    gaps from hlines[i - 1] up to hlines[i], hlines[i + 1], ... and past
+    the top need. The row is nondecreasing, so the furthest line that fits
+    k_v is found by bisection. V0 is the same 1-D greedy over the classes
+    H1 misses. Every budget asked of one instance reads the same rows.
 
     Always satisfies |V0| <= k_v * (|H1| + 1); when a solution whose
     vertical part has size k_v exists, H1 additionally has at most as many
     lines as that solution's horizontal part and tracks it gap by gap.
     """
-    hpos, vpos = inst.hlines, inst.vlines
-    m = len(hpos)
-    ranges = inst.stabbers.ranges
-    by_b: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(m + 1)]
-    for a, b, c, d in ranges:
-        by_b[b].append((a, (2 * c, 2 * d)))
-    points = range(1, 2 * len(vpos), 2)
-
-    def fits(extents: list[tuple[int, int]]) -> bool:
-        try:
-            return len(stab_1d(extents, points)) <= k_v
-        except Infeasible:
-            return False
-
-    h1: list[int] = []  # indices into hpos
+    m = len(inst.hlines)
+    table = _NeedRows.of(inst)
+    h1: list[int] = []  # indices into hlines
     i = 0
     while i <= m:
-        # at step b, extents holds the classes strictly between
-        # hlines[i - 1] and hlines[b]; fitting is monotone in b, so only a
-        # step that adds an extent needs a test (no extent fits k_v >= 0)
-        extents: list[tuple[int, int]] = []
-        b = i
-        while b <= m:
-            added = [ext for a, ext in by_b[b] if a >= i]
-            if added:
-                extents += added
-                if not fits(extents):
-                    break
-            b += 1
+        b = i + bisect_right(table.row(i, k_v), k_v)
         if b == i:
             return None  # the gap between two consecutive candidates does not fit
         if b <= m:
@@ -139,14 +121,78 @@ def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple
         i = b
 
     hit = prefix_counts(h1, m)
-    missed = [(2 * c, 2 * d) for a, b, c, d in ranges if hit[a] == hit[b]]
-    try:
-        v0 = [vpos[p // 2] for p in stab_1d(missed, points)]
-    except Infeasible:
+    v0 = _greedy_1d((c, d) for a, b, c, d in table.order if hit[a] == hit[b])
+    if v0 is None:
         return None  # leftover rectangles are not vertically stabbable
     if len(v0) > k_v * (len(h1) + 1):
         raise RuntimeError("vertical pool exceeded its per-gap accounting bound")
-    return tuple(hpos[t] for t in h1), tuple(v0)
+    return tuple(inst.hlines[t] for t in h1), tuple(inst.vlines[t] for t in v0)
+
+
+def _greedy_1d(ranges: Iterable[tuple[int, int]]) -> Optional[list[int]]:
+    """Indices of the vertical candidates, ascending, that the 1-D greedy
+    takes to stab the classes whose vertical stabbers are vlines[c:d],
+    given as (c, d) in order of d, then c. A class that starts above the
+    candidate taken last triggers and takes its highest candidate d - 1,
+    the index form of stab_1d's rightmost point; None when a triggering
+    class has no candidate (c == d)."""
+    taken: list[int] = []
+    last = -1  # below every candidate
+    for c, d in ranges:
+        if c > last:
+            if c == d:
+                return None
+            last = d - 1
+            taken.append(last)
+    return taken
+
+
+class _NeedRows:
+    """preselect's table over one instance, kept in its memo (see of).
+
+    order holds the stabber classes (a, b, c, d) of the instance sorted
+    once in the order the vertical 1-D greedy takes them: by d, then c.
+    rows[i] holds need(i, e) for e = i, i + 1, ...: the fewest vertical
+    candidates that stab the classes with a >= i and b <= e, one
+    _greedy_1d pass each, which is nondecreasing in e. A row ends at
+    e = len(hlines), or at its first infinite need, where such a class
+    has no vertical stabber. It is grown only as far as the largest
+    budget asked of it needs, so one budget makes no more passes than a
+    sweep from scratch. Each growth replaces the row whole, so threads
+    racing on one row compute equal values."""
+
+    def __init__(self, inst: Instance):
+        self.m = len(inst.hlines)
+        self.order = sorted(inst.stabbers.ranges, key=itemgetter(3, 2))
+        self.rows: list[tuple[float, ...]] = [()] * (self.m + 1)
+
+    @classmethod
+    def of(cls, inst: Instance) -> _NeedRows:
+        """The table of inst, kept in inst's memo."""
+        memo = vars(inst)
+        table = memo.get("_approx_need")
+        if table is None:
+            table = memo.setdefault("_approx_need", cls(inst))
+        return table
+
+    def row(self, i: int, k_v: int) -> tuple[float, ...]:
+        """Row i, grown until it ends or holds a need above k_v."""
+        row = self.rows[i]
+        e = i + len(row)
+        need = row[-1] if row else 0
+        if e > self.m or need > k_v:
+            return row
+        gap = [(b, c, d) for a, b, c, d in self.order if a >= i]
+        ends = {b for b, _, _ in gap}
+        grown = list(row)
+        while e <= self.m and need <= k_v:
+            if e in ends:  # classes join the gap: one greedy pass
+                taken = _greedy_1d([(c, d) for b, c, d in gap if b <= e])
+                need = inf if taken is None else len(taken)
+            grown.append(need)
+            e += 1
+        self.rows[i] = row = tuple(grown)
+        return row
 
 
 def _inside(base: Sequence[int], candidates: Sequence[int], i: int) -> tuple[int, int]:

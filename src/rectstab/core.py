@@ -16,20 +16,22 @@ rectangle. The ranges are raw: an empty range keeps where it lies
 (a == b counts the candidates below the rectangle), which preselection
 needs, so rectangles with equal stabber sets can fall into several
 classes; the dominance reduction makes empty ranges (0, 0) per class,
-so that equal stabber sets have equal ranges. stab_mask (and
-through it verify) decides one hit per class and maps the answers back
-over the class ids; line_masks, approx.preselect and exact.opt_exact read
-the ranges, and drop_dominated starts its rounds from them. The instances
-the kernel derives come with a ready table and never bisect again: the
-reduced instance gets its kept classes' raw ranges renumbered to the kept
-lines, the equal copy Instance.reduced makes when nothing goes shares its
-source's table, and transpose swaps the two axes' ranges.
+so that equal stabber sets have equal ranges. stab_mask (and through
+it verify) decides one hit per class and maps the answers back over the
+class ids, unless every class is hit; line_masks, approx.preselect and
+exact.opt_exact read the ranges, and drop_dominated starts its rounds
+from them. The instances the kernel derives come with a ready table and
+never bisect again: the reduced instance gets its kept classes' raw
+ranges renumbered to the kept lines, the equal copy Instance.reduced
+makes when nothing goes shares its source's table, and transpose swaps
+the two axes' ranges.
 
 An Instance carries a per-object memo of pure values derived from it (its
-stabber table, its reduced instance, and the solver tables built over
-that), so repeated questions about one object share the work; two
-threads racing on an empty memo can only compute the same value twice.
-Copies and pickles carry the fields only and start with no memo.
+stabber table, its reduced instance, the solver tables built over that,
+and the need rows preselection grows as budgets ask for them), so
+repeated questions about one object share the work; two threads racing
+on the memo can only compute the same value twice. Copies and pickles
+carry the fields only and start with no memo.
 """
 
 from __future__ import annotations
@@ -254,7 +256,8 @@ def stab_mask(inst: Instance, hlines: Iterable[int], vlines: Iterable[int] = ())
     sorted, horizontal first) instead of being bisected to a neighbour.
     With prefix counts of the lines' indices, one test per stabber class
     decides whether a line lies in its ranges, and the table maps the
-    answers back over the class ids.
+    answers back over the class ids; when every class is hit, the mask is
+    every rectangle and nothing is mapped.
     """
     counts = []
     foreign = []
@@ -272,9 +275,10 @@ def stab_mask(inst: Instance, hlines: Iterable[int], vlines: Iterable[int] = ())
         raise UnknownLineError(foreign)
     ch, cv = counts
     table = inst.stabbers
-    return table.mask(
-        ["1" if ch[a] < ch[b] or cv[c] < cv[d] else "0" for a, b, c, d in table.ranges]
-    )
+    flags = ["1" if ch[a] < ch[b] or cv[c] < cv[d] else "0" for a, b, c, d in table.ranges]
+    if "0" in flags:
+        return table.mask(flags)
+    return (1 << len(inst.rects)) - 1  # every class is hit
 
 
 def bits(mask: int) -> Iterator[int]:

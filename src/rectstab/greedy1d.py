@@ -3,9 +3,14 @@
 Projecting rectangles and lines of one axis onto that axis turns single-axis
 stabbing into interval piercing, solved exactly by the classic greedy rule:
 process intervals by right endpoint; whenever one is unpierced, take the
-rightmost candidate point inside it. Callers pass the projections as plain
-sequences: closed (lo, hi) extents and candidate positions, such as
+rightmost candidate point inside it. stab_1d serves coordinate extents:
+kernelization (approx.eliminate_redundant) passes the projections as plain
+sequences, closed (lo, hi) extents and candidate positions, such as
 [rect.interval(axis) for rect in rects] and inst.line_positions(axis).
+Preselection (approx.preselect) and the exact oracle's packing seed run
+the same rule on candidate index ranges read off the stabber table: a
+range [c, d) that starts above the candidate taken last triggers and
+takes candidate d - 1.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ from rectstab.core import (
 )
 from rectstab.exact import SearchBudget, opt_exact
 from rectstab.generators import gen_planted, gen_uniform
+from rectstab.rng import Xoshiro256StarStar
 from rectstab.twosat import solve as solve_2sat
 
 from oracles import Strip, guess_strips, preselect_by_sweep, separated, strips_of
@@ -132,6 +133,27 @@ def test_preselect_matches_the_coordinate_sweep():
             outcomes["infeasible" if got is None else "H1" if got[0] else "no H1"] += 1
     # every outcome must be exercised
     assert min(outcomes.values()) > 200, outcomes
+
+
+def test_preselect_answers_every_budget_in_any_order():
+    """The need rows one instance keeps for every budget give the sweep's
+    answers whatever order the budgets come in: descending, so the first
+    question grows the rows furthest, then shuffled, on one instance and
+    on a fresh one. The rows are memo only: copies and pickles start
+    without them."""
+    rng = Xoshiro256StarStar(20)
+    for base in _preselect_pool():
+        expected = {k_v: preselect_by_sweep(base, k_v) for k_v in range(7)}
+        shuffled = sorted(range(7), key=lambda _: rng.next_u64())
+        inst = _fresh(base)
+        for k_v in [*range(6, -1, -1), *shuffled]:
+            assert preselect(inst, k_v) == expected[k_v], (inst, k_v)
+        other = _fresh(base)
+        for k_v in shuffled:
+            assert preselect(other, k_v) == expected[k_v], (other, k_v)
+        assert "_approx_need" in vars(inst)
+        for copied in (copy.copy(inst), pickle.loads(pickle.dumps(inst))):
+            assert copied == inst and "_approx_need" not in vars(copied)
 
 
 # ------------------------------------------------------------- enumerations

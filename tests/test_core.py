@@ -116,7 +116,8 @@ def _random_solution(inst: Instance, rng) -> Solution:
 def test_verify_matches_naive_double_loop():
     """verify and the stabbing kernel (line_masks, stab_mask, bits) against
     the stabs oracle. Besides random rectangles the inputs hold degenerate
-    rectangles, duplicates, lines on rectangle boundaries and empty pools."""
+    rectangles, duplicates, lines on rectangle boundaries, empty pools,
+    solutions that stab everything and solutions that miss one class."""
     rng = Xoshiro256StarStar(12)
     for _ in range(300):
         rects = [rand_rect(rng, c=rng.choice([3, 20])) for _ in range(rng.randint(0, 8))]
@@ -149,6 +150,35 @@ def test_verify_matches_naive_double_loop():
         per_class.append(len(inst.rects) / max(1, len(inst.stabbers.ranges)))
         _check_kernel_against_oracle(inst, _random_solution(inst, rng), rng)
     assert sorted(per_class)[len(per_class) // 2] >= 4
+
+    # Solutions that stab everything, which stab_mask decides per class
+    # alone, and solutions that miss exactly one class of several
+    # rectangles (equal stabber sets, by the oracle).
+    rng = Xoshiro256StarStar(23)
+    one_class_misses = 0
+    for _ in range(60):
+        rects = [rand_rect(rng, c=6) for _ in range(rng.randint(20, 70))]
+        hl = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]
+        vl = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]
+        every = Solution(hl, vl).lines()
+        classes = {}  # stabber set -> its rectangles, in input order
+        for r in rects:
+            stabbers = frozenset(ln for ln in every if stabs(ln, r))
+            if stabbers:
+                classes.setdefault(stabbers, []).append(r)
+        inst = Instance([r for r in rects if any(stabs(ln, r) for ln in every)], hl, vl)
+        _check_kernel_against_oracle(inst, Solution(inst.hlines, inst.vlines), rng)
+        for stabbers, members in classes.items():
+            others = [ln for ln in every if ln not in stabbers]
+            if len(members) > 1 and all(s & set(others) for s in classes if s != stabbers):
+                one_class_misses += 1
+                sol = Solution(
+                    [ln.pos for ln in others if ln.axis is H],
+                    [ln.pos for ln in others if ln.axis is V],
+                )
+                assert verify(inst, sol) == members
+                _check_kernel_against_oracle(inst, sol, rng)
+    assert one_class_misses >= 100
 
 
 def test_stab_mask_rejects_lines_that_are_not_candidates():
