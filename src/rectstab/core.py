@@ -5,7 +5,9 @@ kernel (stab masks: Python integers whose bit i stands for inst.rects[i]),
 the slot meet masks of the guess covers, and the dominance reduction both
 solvers start from. All coordinates are plain Python integers kept within
 signed 64-bit range; every value is immutable and every operation is a
-pure function, so everything here is safe to share across threads.
+pure function, so everything here is safe to share across threads. Rect
+and Line are slotted (no per-object __dict__), and one chained
+comparison validates the common case of a new one.
 
 The stabbing kernel reads one table per instance (Instance.stabbers),
 built by a single pass that bisects each rectangle once: a rectangle
@@ -71,18 +73,21 @@ def _check_i64(*vals: int) -> None:
             raise OverflowError(f"coordinate {v} outside signed 64-bit range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Line:
     """An axis-parallel line: y = pos (horizontal) or x = pos (vertical)."""
 
     axis: Axis
     pos: int
 
-    def __post_init__(self) -> None:
-        _check_i64(self.pos)
+    def __init__(self, axis: Axis, pos: int) -> None:
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "pos", pos)
+        if not (type(pos) is int and I64_MIN <= pos <= I64_MAX):
+            _check_i64(pos)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Rect:
     """Closed axis-parallel rectangle [x1,x2] x [y1,y2]; zero extent allowed."""
 
@@ -91,10 +96,21 @@ class Rect:
     y1: int
     y2: int
 
-    def __post_init__(self) -> None:
-        _check_i64(self.x1, self.x2, self.y1, self.y2)
-        if self.x1 > self.x2 or self.y1 > self.y2:
-            raise ValueError(f"malformed rectangle {self}")
+    def __init__(self, x1: int, x2: int, y1: int, y2: int) -> None:
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "x2", x2)
+        object.__setattr__(self, "y1", y1)
+        object.__setattr__(self, "y2", y2)
+        # One test passes the common case. Anything else, bools and other
+        # int subclasses included, takes the full checks, which raise type
+        # and range errors before a malformed rectangle.
+        if not (
+            type(x1) is int and type(x2) is int and type(y1) is int and type(y2) is int
+            and I64_MIN <= x1 <= x2 <= I64_MAX and I64_MIN <= y1 <= y2 <= I64_MAX
+        ):
+            _check_i64(x1, x2, y1, y2)
+            if x1 > x2 or y1 > y2:
+                raise ValueError(f"malformed rectangle {self}")
 
     def interval(self, axis: Axis) -> tuple[int, int]:
         """Extent crossed by lines of the given axis (x for vertical lines)."""

@@ -1,3 +1,12 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+from dataclasses import FrozenInstanceError
+from pathlib import Path
+
 import pytest
 
 from rectstab.core import (
@@ -58,6 +67,113 @@ def test_rect_validation():
         Rect(1, 0, 0, 0)
     with pytest.raises(ValueError):
         Rect(0, 0, 5, 4)
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((0.5, 1, 0, 1), TypeError, "coordinate 0.5 is not an integer"),
+        (("a", 1, 0, 1), TypeError, "coordinate 'a' is not an integer"),
+        ((0, 1, 0, 1.0), TypeError, "coordinate 1.0 is not an integer"),
+        ((2, 1.5, 0, 0), TypeError, "coordinate 1.5 is not an integer"),
+        ((0, 2**63, 0, 1), OverflowError, "coordinate 9223372036854775808 outside signed 64-bit range"),
+        ((2**63, "a", 0, 0), OverflowError, "coordinate 9223372036854775808 outside signed 64-bit range"),
+        ((2, 1, -(2**63) - 1, 0), OverflowError, "coordinate -9223372036854775809 outside signed 64-bit range"),
+        ((2**63, 0, 0, 0), OverflowError, "coordinate 9223372036854775808 outside signed 64-bit range"),
+        ((2, 1, 0, 0), ValueError, "malformed rectangle Rect(x1=2, x2=1, y1=0, y2=0)"),
+        ((True, False, 0, 0), ValueError, "malformed rectangle Rect(x1=True, x2=False, y1=0, y2=0)"),
+    ],
+)
+def test_rect_construction_errors(args, error, message):
+    """Type and range errors come before a malformed rectangle, in
+    argument order, with the same messages as the checked constructor."""
+    with pytest.raises(error) as info:
+        Rect(*args)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "pos, error, message",
+    [
+        (1.5, TypeError, "coordinate 1.5 is not an integer"),
+        ("1", TypeError, "coordinate '1' is not an integer"),
+        (2**63, OverflowError, "coordinate 9223372036854775808 outside signed 64-bit range"),
+        (-(2**63) - 1, OverflowError, "coordinate -9223372036854775809 outside signed 64-bit range"),
+    ],
+)
+def test_line_construction_errors(pos, error, message):
+    with pytest.raises(error) as info:
+        Line(V, pos)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_rect_and_line_value_semantics():
+    """Bools and other int subclasses are accepted; the objects are frozen,
+    slotted, and keep their eq, hash, repr and keyword construction."""
+
+    class Sub(int):
+        pass
+
+    assert repr(Rect(True, 1, False, 0)) == "Rect(x1=True, x2=1, y1=False, y2=0)"
+    assert Rect(Sub(1), 2, 3, 4) == Rect(1, 2, 3, 4)
+    assert Line(V, True) == Line(V, 1)
+    assert Rect(-(2**63), 2**63 - 1, 0, 0).x2 == 2**63 - 1
+    r = Rect(x1=1, x2=2, y1=3, y2=4)
+    assert r == Rect(1, 2, 3, 4) and r != Rect(1, 2, 3, 5) and r != (1, 2, 3, 4)
+    assert hash(r) == hash((1, 2, 3, 4)) and repr(r) == "Rect(x1=1, x2=2, y1=3, y2=4)"
+    ln = Line(axis=H, pos=-3)
+    assert ln == Line(H, -3) and ln != Line(V, -3) and hash(ln) == hash((H, -3))
+    assert repr(ln) == "Line(axis=<Axis.HORIZONTAL: 'h'>, pos=-3)"
+    for obj, name in ((r, "x1"), (r, "y2"), (ln, "pos")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, name)
+    # no per-object __dict__: a dict-backed Rect costs about 40 more bytes
+    assert not hasattr(Rect(0, 0, 0, 0), "__dict__")
+    assert not hasattr(Line(V, 0), "__dict__")
+
+
+def test_values_survive_pickle_and_copy():
+    inst = Instance([Rect(0, 1, 0, 1), Rect(-5, 5, 2, 2)], hlines=[2, 0], vlines=[1])
+    values = [Rect(1, 2, 3, 4), Line(V, 7), Line(H, -(2**63)), inst, Solution(hlines=[0], vlines=[1])]
+    for obj in values:
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(obj, proto))
+            assert back == obj and type(back) is type(obj) and repr(back) == repr(obj)
+        for back in (copy.copy(obj), copy.deepcopy(obj)):
+            assert back == obj and type(back) is type(obj) and repr(back) == repr(obj)
+
+
+def test_construction_checks_survive_optimized_mode():
+    """With assertions stripped (python -O), bad rectangles and lines still
+    raise: the fast path is an if, not an assert."""
+    script = textwrap.dedent(
+        """
+        from rectstab.core import Axis, Line, Rect
+
+        if __debug__:
+            raise SystemExit("assertions are not stripped")
+        for make in (
+            lambda: Rect(2, 1, 0, 0),
+            lambda: Rect(0, 1, 0, 2**63),
+            lambda: Line(Axis.VERTICAL, 1.5),
+        ):
+            try:
+                make()
+            except (TypeError, OverflowError, ValueError) as e:
+                print(type(e).__name__)
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError", "OverflowError", "TypeError"]
 
 
 def test_verify_simple():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -65,6 +66,24 @@ def test_planted_instance_carries_no_stabber_table():
     holds no stabber table until something asks it a stabbing question."""
     inst, _ = gen_planted(k=4, n=200, coord_range=60, seed=1)
     assert "stabbers" not in vars(inst)
+
+
+def test_generated_instances_digest_pinned():
+    """A digest over the repr of every generator's output at a few seeds:
+    a change to the generators, the RNG, or the construction and repr of
+    Rect, Line and Instance that alters any generated instance fails it."""
+    digest = hashlib.sha256()
+    for s in range(3):
+        digest.update(repr(gen_planted(3 + s, 40, 50, s)).encode())
+        digest.update(repr(gen_uniform(30, 12, 20, s)).encode())
+        digest.update(repr(gen_mcgraph(3, 3, 1, 2, s, plant=s % 2 == 0)).encode())
+        rng = Xoshiro256StarStar(s)
+        pts = [(rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 1)) for _ in range(6)]
+        try:
+            digest.update(repr(discretization_to_stabbing(ColoredPointSet(pts))).encode())
+        except InseparablePoints as e:
+            digest.update(repr(e).encode())
+    assert digest.hexdigest() == "70acd438d6cbb6241e306c7a8684ba90868869a2537718504bbb98f249671350"
 
 
 def test_planted_opt_at_most_k():
