@@ -555,16 +555,26 @@ class SplitWitness:
 
 class Orientation:
     """One orientation of an instance with the tables every split over it
-    shares; solve_split and eliminate_redundant work on its inst. None of
-    the tables depends on k_h or k, so one object serves every split of
-    every search of an instance (see of). Every table is built on first
-    use, so a search that preselection ends builds no stab masks."""
+    shares; solve_split and eliminate_redundant work on its inst. Every
+    table is built on first use, so a search that preselection ends builds
+    no stab masks. No table depends on k, so one object serves every split
+    of every search of an instance (see of).
+
+    One record does depend on k: _exhausted maps (k_h, k_v) to the
+    smallest budget k at which solve_split exhausted that split while
+    kernelization removed nothing on any vertical guess it yielded. Each
+    entry is still a pure fact about inst, whichever searches found it:
+    the split fails at every budget k' >= k. A search removes nothing only
+    if every boundary group needs fewer than 2k + 2 <= 2k' + 2 lines, so
+    at k' the kernels, H0, covers and guesses are the same. Threads
+    racing on the record can only lose an entry, never add a wrong one."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
         # k_v -> preselect's (H1, V0), or its None for an infeasible split
         self._preselected: dict[int, Optional[tuple]] = {}
         self._vcovers: dict[tuple, Cover] = {}  # by (H1, V0)
+        self._exhausted: dict[tuple[int, int], int] = {}  # (k_h, k_v) -> k
 
     @classmethod
     def of(cls, inst: Instance) -> Orientation:
@@ -638,7 +648,12 @@ def solve_split(
 ) -> Optional[SplitWitness]:
     """Run the pipeline for one split with k_h <= k_v under budget k on
     tables.inst: the first satisfiable guess in enumeration order, or None
-    when every guess of the split fails."""
+    when every guess of the split fails. None comes at once, counting no
+    guess, when an earlier search of tables exhausted the split at a
+    budget <= k with nothing kernelized away (Orientation._exhausted)."""
+    split = (k_h, k_v)
+    if tables._exhausted.get(split, inf) <= k:
+        return None
     stats = stats if stats is not None else SearchStats()
     inst = tables.inst
     pre = tables.preselected(k_v)
@@ -649,6 +664,8 @@ def solve_split(
         return None  # no horizontal guess can fit the budget
 
     rects = inst.rects
+    full = (1 << len(rects)) - 1
+    removed_any = False
     vcover = tables.vertical_cover(h1, v0)._replace(spare=2 * k_h - len(h1))
     h1_mask = tables.stabbed(h1, ())
     # A guess can succeed only if every rectangle no horizontal candidate
@@ -663,6 +680,7 @@ def solve_split(
     for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines, vcover):
         stats.vertical_guesses += 1
         kept, h0 = eliminate_redundant(tables, h1, vg, k)
+        removed_any |= kept != full
         unstabbed = kept & ~(h1_mask | tables.stabbed((), vg.lines))
         off_vstrips = unstabbed
         for i in vg.slots:
@@ -684,6 +702,8 @@ def solve_split(
             h2, v2 = decode(assignment)
             sol = Solution(hlines=set(h1) | hg.lines | h2, vlines=vg.lines | v2)
             return SplitWitness(h1, v0, vg, hg, [rects[i] for i in bits(kept)], kernel, sol)
+    if not removed_any:
+        tables._exhausted[split] = min(k, tables._exhausted.get(split, k))
     return None
 
 
@@ -694,14 +714,18 @@ def solve_with_budget(
 
     Tries every split k_h + k_v <= k in ascending total then ascending k_h,
     transposing the instance when k_h > k_v so the executed pipeline always
-    has k_h <= k_v. None is returned only after every split and guess is
-    exhausted, which certifies that no stabbing subset of size <= k exists.
+    has k_h <= k_v. None is returned only after every split is exhausted,
+    in this call or by an earlier search of the same object at a budget
+    <= k that kernelized nothing away; that certifies that no stabbing
+    subset of size <= k exists.
 
     Every split runs on inst.reduced, which has the same optimum; the
     answer is checked against inst itself. The reduction and the split
     tables are kept on inst, so calls with several budgets on one object
-    reduce it once, transpose it at most once and preselect at most once
-    per orientation and k_v. Time a cold search on a new Instance.
+    reduce it once, transpose it at most once, preselect at most once per
+    orientation and k_v, and search a split that such a lower budget
+    exhausted no more (stats then count its split but no guess). Time or
+    count a cold search on a new Instance.
     """
     if k < 0:
         raise ValueError("budget must be nonnegative")

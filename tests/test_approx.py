@@ -10,11 +10,12 @@ import threading
 import weakref
 from collections import Counter
 from itertools import chain, combinations, product
+from math import inf
 from pathlib import Path
 
 import pytest
 
-from rectstab import approx, core
+from rectstab import approx, core, reduction
 from rectstab.approx import (
     Cover,
     Guess,
@@ -44,7 +45,7 @@ from rectstab.core import (
     verify,
 )
 from rectstab.exact import SearchBudget, opt_exact
-from rectstab.generators import gen_planted, gen_uniform
+from rectstab.generators import gen_mcgraph, gen_planted, gen_uniform
 from rectstab.rng import Xoshiro256StarStar
 from rectstab.twosat import solve as solve_2sat
 
@@ -749,6 +750,19 @@ def test_search_counters_pinned():
         splits=54, vertical_guesses=4, horizontal_guesses=2, twosat_calls=2
     )
 
+    # The ladder skips what an earlier budget exhausted: split (2, 2) yields
+    # one guess and fails at k = 4, and k = 5 does not search it again.
+    # Searches of each budget on fresh copies count it twice.
+    inst = gen_uniform(60, 60, 40, 4)
+    stats = SearchStats()
+    k, sol = solve_min(inst, 12, stats)
+    assert (k, len(sol)) == (5, 8)
+    assert stats == SearchStats(splits=53, vertical_guesses=3, horizontal_guesses=3, twosat_calls=3)
+    stats = SearchStats()
+    for j in range(k + 1):
+        solve_with_budget(_fresh(inst), j, stats)
+    assert stats == SearchStats(splits=53, vertical_guesses=4, horizontal_guesses=4, twosat_calls=4)
+
     inst, _ = gen_planted(k=7, n=300, coord_range=10**4, seed=3)
     stats = SearchStats()
     assert solve_with_budget(inst, 6, stats) is None
@@ -775,24 +789,73 @@ def test_orientations_are_freed_without_the_cyclic_gc():
         gc.enable()
 
 
-def _unshared_solve(inst, k, stats):
-    """solve_with_budget with nothing shared between splits: every split
-    runs solve_split on its own, on the instance without dominated
-    rectangles and lines, freshly transposed when k_h > k_v."""
+def _add(total, part):
+    """Add the counters of part into total."""
+    for name, value in vars(part).items():
+        setattr(total, name, getattr(total, name) + value)
+
+
+def _unshared_solve(inst, k, stats, exhausted=None, warm=None):
+    """solve_with_budget with nothing shared between splits, counting into
+    stats: every split runs solve_split on its own, on the instance
+    without dominated rectangles and lines, freshly transposed when
+    k_h > k_v.
+
+    exhausted is the record of the earlier searches of one object, from
+    split (k_h, k_v) to the lowest budget that exhausted it. warm counts
+    what a search of that object should: every split, but the guesses
+    only of the splits no budget <= k exhausted before. Those splits are
+    still run, and must fail again; the splits this search exhausts join
+    the record. The record holds the premise that kernelization removes
+    nothing, which the tests using it check (see removals)."""
     inst = drop_dominated(inst)
+    exhausted = {} if exhausted is None else exhausted
+    warm = SearchStats() if warm is None else warm
     for total in range(k + 1):
         for k_h in range(total + 1):
-            stats.splits += 1
             k_v = total - k_h
+            split_stats = SearchStats(splits=1)
             if k_h <= k_v:
-                found = solve_split(Orientation(inst), k_h, k_v, k, stats)
-                if found is not None:
-                    return found.solution
+                found = solve_split(Orientation(inst), k_h, k_v, k, split_stats)
+                sol = found.solution if found is not None else None
             else:
-                found = solve_split(Orientation(transpose(inst)), k_v, k_h, k, stats)
-                if found is not None:
-                    return found.solution.transpose()
+                found = solve_split(Orientation(transpose(inst)), k_v, k_h, k, split_stats)
+                sol = found.solution.transpose() if found is not None else None
+            _add(stats, split_stats)
+            if exhausted.get((k_h, k_v), inf) <= k:
+                assert sol is None, (k_h, k_v, k)
+                warm.splits += 1
+                continue
+            _add(warm, split_stats)
+            if sol is not None:
+                return sol
+            exhausted[k_h, k_v] = k
     return None
+
+
+def _unshared_min(inst, k_max, stats, exhausted, warm):
+    """solve_min as a ladder of _unshared_solve over one record."""
+    for k in range(k_max + 1):
+        sol = _unshared_solve(inst, k, stats, exhausted, warm)
+        if sol is not None:
+            return k, sol
+    return None
+
+
+@pytest.fixture
+def removals(monkeypatch):
+    """The rectangle masks eliminate_redundant removes during the test."""
+    seen = []
+
+    def recording(tables, h1, vg, k):
+        kept, h0 = eliminate_redundant(tables, h1, vg, k)
+        full = (1 << len(tables.inst.rects)) - 1
+        if kept != full:
+            seen.append(full & ~kept)
+        return kept, h0
+
+    monkeypatch.setattr(approx, "eliminate_redundant", recording)
+    return seen
 
 
 # pinned instances whose budget ladders run through no-witness rungs
@@ -802,21 +865,24 @@ SHARED_TABLE_POOL = [gen_uniform(24, 40, 24, seed) for seed in range(8)] + [
 ]
 
 
-def test_shared_tables_match_unshared_splits():
-    for inst in SHARED_TABLE_POOL:
-        expected_min = None
-        ref_min_stats = SearchStats()
+def test_shared_tables_match_unshared_splits(removals):
+    """Searches of one object answer as unshared searches do, and count
+    every split but the guesses only of the splits they search: a split
+    an earlier budget <= k exhausted counts none. The budgets k = 0..6,
+    then a solve_min ladder on a fresh copy and on the searched object."""
+    for base in SHARED_TABLE_POOL:
+        inst, history = _fresh(base), {}
         for k in range(7):
-            ref_stats, stats = SearchStats(), SearchStats()
-            expected = _unshared_solve(inst, k, ref_stats)
+            ref_stats, warm_ref, stats = SearchStats(), SearchStats(), SearchStats()
+            expected = _unshared_solve(base, k, ref_stats, history, warm_ref)
             assert solve_with_budget(inst, k, stats) == expected
-            assert stats == ref_stats
-            if expected_min is None:
-                sol = _unshared_solve(inst, k, ref_min_stats)
-                expected_min = (k, sol) if sol is not None else None
-        min_stats = SearchStats()
-        assert solve_min(inst, 6, min_stats) == expected_min
-        assert min_stats == ref_min_stats
+            assert stats == warm_ref
+        for target, record in ((_fresh(base), {}), (inst, history)):
+            ref_stats, warm_ref, stats = SearchStats(), SearchStats(), SearchStats()
+            expected = _unshared_min(base, 6, ref_stats, record, warm_ref)
+            assert solve_min(target, 6, stats) == expected
+            assert stats == warm_ref
+    assert removals == []
 
 
 def _fresh(inst):
@@ -873,25 +939,34 @@ MEMO_POOL = SHARED_TABLE_POOL + [
 ]
 
 
-def test_memo_changes_no_answer_and_no_counter():
-    """Searches repeated on one object answer and count exactly as searches
-    of fresh equal copies do, and leave its eq, hash and repr as they were."""
+def test_memo_changes_no_answer_and_skips_only_exhausted_splits(removals):
+    """Searches repeated on one object answer as searches of fresh equal
+    copies do, and leave its eq, hash and repr as they were. A fresh copy
+    counts every guess of its splits; the repeated searches skip the
+    guesses of the splits an earlier budget <= k exhausted, as the
+    unshared reference's record says."""
     for base in MEMO_POOL:
-        inst = _fresh(base)
+        inst, history = _fresh(base), {}
         for _ in range(2):
             for k in range(7):
                 warm_stats, cold_stats = SearchStats(), SearchStats()
                 assert solve_with_budget(inst, k, warm_stats) == solve_with_budget(
                     _fresh(base), k, cold_stats
                 )
-                assert warm_stats == cold_stats
+                ref_stats, warm_ref = SearchStats(), SearchStats()
+                _unshared_solve(base, k, ref_stats, history, warm_ref)
+                assert (warm_stats, cold_stats) == (warm_ref, ref_stats)
             warm_stats, cold_stats = SearchStats(), SearchStats()
             assert solve_min(inst, 6, warm_stats) == solve_min(_fresh(base), 6, cold_stats)
-            assert warm_stats == cold_stats
+            warm_ref, cold_ref = SearchStats(), SearchStats()
+            _unshared_min(base, 6, SearchStats(), history, warm_ref)
+            _unshared_min(base, 6, SearchStats(), {}, cold_ref)
+            assert (warm_stats, cold_stats) == (warm_ref, cold_ref)
             budget = SearchBudget(max_size=6)
             assert opt_exact(inst, budget) == opt_exact(_fresh(base), budget)
         assert inst.reduced == drop_dominated(base)
         assert inst == base and hash(inst) == hash(base) and repr(inst) == repr(base)
+    assert removals == []
 
 
 def test_threads_sharing_one_instance_get_the_cold_answers():
@@ -900,6 +975,12 @@ def test_threads_sharing_one_instance_get_the_cold_answers():
     base = MEMO_POOL[-1]
     cold_stats = SearchStats()
     cold = solve_min(_fresh(base), 6, cold_stats)
+    # The counters cannot depend on how the threads interleave their
+    # records: the splits this ladder exhausts yield no guesses, so
+    # skipping them or searching them counts the same.
+    every_split, skipping = SearchStats(), SearchStats()
+    assert _unshared_min(base, 6, every_split, {}, skipping) == cold
+    assert every_split == skipping == cold_stats
     inst = _fresh(base)
     results = []
 
@@ -919,6 +1000,84 @@ def test_threads_sharing_one_instance_get_the_cold_answers():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [(cold, cold_stats)] * 4
+
+
+# clique reductions with their budget tops 3k: their ladders exhaust
+# splits that yield guesses
+CLIQUE_POOL = [
+    (reduction.build(gen_mcgraph(k, r, 1, 3, seed, plant)[0]).inst, 3 * k)
+    for k, r in ((2, 2), (2, 3), (3, 2))
+    for seed in range(3)
+    for plant in (False, True)
+]
+# small uniform instances, on which a split (a, b) can fail upright while
+# (b, a) succeeds transposed
+UNIFORM_POOL = [(gen_uniform(60, 60, 40, seed), 6) for seed in range(8)]
+ORDER_POOL = [(inst, 6) for inst in MEMO_POOL] + CLIQUE_POOL + UNIFORM_POOL
+
+
+def test_descending_budgets_search_every_split_again(removals):
+    """Budgets asked of one object from the top down answer and count as
+    cold searches do: a split exhausted at k is searched again at k - 1.
+    Asked again at the top, the object skips what the lower budgets
+    exhausted, which on this pool saves guesses."""
+    saved = 0
+    for base, top in ORDER_POOL:
+        inst = _fresh(base)
+        cold = {}
+        for k in range(top, -1, -1):
+            warm_stats, cold[k] = SearchStats(), SearchStats()
+            assert solve_with_budget(inst, k, warm_stats) == solve_with_budget(
+                _fresh(base), k, cold[k]
+            )
+            assert warm_stats == cold[k], (base, k)
+        warm_stats = SearchStats()
+        assert solve_with_budget(inst, top, warm_stats) == solve_with_budget(_fresh(base), top)
+        saved += cold[top].vertical_guesses - warm_stats.vertical_guesses
+    assert saved > 0
+    assert removals == []
+
+
+def test_shuffled_budgets_answer_as_cold_searches(removals):
+    """Budgets asked of one object in a pinned shuffle, twice over, answer
+    as the unshared reference does, and count what its record says: a
+    budget below every one that exhausted a split searches it again."""
+    rng = Xoshiro256StarStar(22)
+    for base, top in ORDER_POOL:
+        budgets = sorted(range(top + 1), key=lambda _: rng.next_u64())
+        inst, history = _fresh(base), {}
+        for k in budgets * 2:
+            warm_ref, stats = SearchStats(), SearchStats()
+            expected = _unshared_solve(base, k, SearchStats(), history, warm_ref)
+            assert solve_with_budget(inst, k, stats) == expected
+            assert stats == warm_ref, (base, k)
+    assert removals == []
+
+
+def test_a_split_that_removed_a_rectangle_is_searched_again(monkeypatch):
+    """Split (2, 2) of this instance yields one guess and fails at k = 4.
+    Left alone, k = 5 skips it. When kernelization reports a removal (of
+    a rectangle H1 stabs, so the search itself is unchanged), the split
+    is not recorded, and k = 5 searches it again."""
+    inst = gen_uniform(60, 60, 40, 4).reduced
+    once = SearchStats(vertical_guesses=1, horizontal_guesses=1, twosat_calls=1)
+    tables, stats = Orientation(inst), SearchStats()
+    assert solve_split(tables, 2, 2, 4, stats) is None and stats == once
+    stats = SearchStats()
+    assert solve_split(tables, 2, 2, 5, stats) is None and stats == SearchStats()
+
+    def removing_one(tables, h1, vg, k):
+        kept, h0 = eliminate_redundant(tables, h1, vg, k)
+        h1_mask = tables.stabbed(h1, ())
+        assert h1_mask
+        return kept & ~(h1_mask & -h1_mask), h0
+
+    monkeypatch.setattr(approx, "eliminate_redundant", removing_one)
+    tables, stats = Orientation(inst), SearchStats()
+    assert solve_split(tables, 2, 2, 4, stats) is None and stats == once
+    monkeypatch.undo()
+    stats = SearchStats()
+    assert solve_split(tables, 2, 2, 5, stats) is None and stats == once
 
 
 def _memo_subject(shrinks: bool) -> Instance:
