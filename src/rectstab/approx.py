@@ -14,7 +14,8 @@ lines (k_h <= k_v after transposing), and per split:
      that leave the rectangles H1 misses to at most 2*k_h - |H1| open H1
      slots, which is all a horizontal guess can still reach,
   3. prunes rectangles that any viable completion stabs anyway, yielding a
-     kernel K and a horizontal candidate pool H0,
+     kernel K and a horizontal candidate pool H0, in one pass that decides
+     each guessed strip boundary once,
   4. enumerates horizontal strip guesses separated by H1 plus chosen H1',
   5. encodes "pick one line inside every guessed strip so the kernel is
      stabbed" as a 2-SAT formula with one threshold variable per candidate
@@ -411,13 +412,15 @@ def eliminate_redundant(
     """Kernelization: (K, H0), with K a mask over tables.inst.rects.
 
     Among rectangles stabbed by some horizontal candidate but missed by
-    H1 and V1, repeatedly discard the widest-in-strip rectangle on a
-    guessed strip boundary whose co-stabbed group needs 2k+2 horizontal
-    lines; whatever a boundary line stabs that widely must be handled
-    vertically, and the widest rectangle is stabbed by any in-strip
-    vertical line that stabs a narrower one. Boundaries are visited by
-    ascending slot. K is everything kept, H0 a minimum horizontal stabbing
-    of the kept leftovers. H1, V1 and vg.base are candidate lines.
+    H1 and V1, discard the widest-in-strip rectangle on a guessed strip
+    boundary while its co-stabbed group needs 2k+2 horizontal lines;
+    whatever a boundary line stabs that widely must be handled vertically,
+    and the widest rectangle is stabbed by any in-strip vertical line that
+    stabs a narrower one. Boundaries are decided once each, by ascending
+    slot, left first: a removal only shrinks groups, so a boundary passed
+    never fires again, and rescanning after each removal finds the same.
+    K is everything kept, H0 a minimum horizontal stabbing of the kept
+    leftovers. H1, V1 and vg.base are candidate lines.
     """
     inst = tables.inst
     rects = inst.rects
@@ -425,32 +428,23 @@ def eliminate_redundant(
     rprime = full & ~(tables.v_only | tables.stabbed(h1, vg.lines))
     removed = 0
 
-    # slot i spans clip[i]..clip[i + 1]; the sentinels clip nothing and are
-    # no boundary
-    clip = (I64_MIN, *vg.base, I64_MAX)
-    scan = [
-        (clip[j], clip[i], clip[i + 1])
-        for i in sorted(vg.slots)
-        for j in (i, i + 1)
-        if 0 < j <= len(vg.base)
-    ]
-    fired = True
-    while fired:
-        fired = False
-        for pos, lo, hi in scan:
-            group = list(bits(tables.vmask[pos] & rprime & ~removed))
-            if not group:
-                continue
-            try:
-                need = len(stab_1d([(rects[i].y1, rects[i].y2) for i in group], inst.hlines))
-            except Infeasible:  # pragma: no cover
-                raise RuntimeError("group drawn from horizontally stabbable rectangles")
-            if need >= 2 * k + 2:
+    clip = (I64_MIN, *vg.base, I64_MAX)  # slot s spans clip[s]..clip[s + 1]
+    for s in sorted(vg.slots):
+        lo, hi = clip[s], clip[s + 1]
+        for pos in vg.base[max(s - 1, 0) : s + 1]:  # the slot's boundaries, left first
+            while True:
+                group = list(bits(tables.vmask[pos] & rprime & ~removed))
+                if len(group) < 2 * k + 2:
+                    break  # too few rectangles to need 2k+2 lines
+                try:
+                    need = len(stab_1d([(rects[i].y1, rects[i].y2) for i in group], inst.hlines))
+                except Infeasible:  # pragma: no cover
+                    raise RuntimeError("group drawn from horizontally stabbable rectangles")
+                if need < 2 * k + 2:
+                    break
                 # every group member holds pos, so its clipped width is >= 0
                 widest = max(group, key=lambda i: (min(rects[i].x2, hi) - max(rects[i].x1, lo), -i))
                 removed |= 1 << widest
-                fired = True
-                break  # rescan from the first boundary
 
     survivors = [(rects[i].y1, rects[i].y2) for i in bits(rprime & ~removed)]
     h0 = stab_1d(survivors, inst.hlines)

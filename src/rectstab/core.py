@@ -338,22 +338,16 @@ def drop_dominated(inst: Instance) -> Instance:
     input index. The rounds run on classes in index space: a round keeps
     the undominated classes and the lines undominated over them, then
     renumbers the kept ranges by prefix counts of the kept lines; classes
-    that become equal merge and keep the lower index. One Instance is
-    built at the end, from each kept class's first rectangle, and it is
-    handed its table: those rectangles' raw ranges renumbered by prefix
-    counts of the kept lines, one class each. A line's dominators on its
-    own axis form an interval around it, and those on the other axis lie
-    in one range of its lowest class, so two short scans find them all
-    (_undominated_lines).
+    that become equal merge and keep the lower index (_merge_classes, one
+    rule for both). One Instance is built at the end, from each kept
+    class's first rectangle, and it is handed its table: those rectangles'
+    raw ranges renumbered by prefix counts of the kept lines, one class
+    each. A line's dominators on its own axis form an interval around it,
+    and those on the other axis lie in one range of its lowest class, so
+    two short scans find them all (_undominated_lines).
     """
     table = inst.stabbers
-    classes: dict[tuple[int, int, int, int], int] = {}  # ranges -> lowest class, ascending
-    for j, (a, b, c, d) in enumerate(table.ranges):
-        if a == b:
-            a = b = 0
-        if c == d:
-            c = d = 0
-        classes.setdefault((a, b, c, d), j)
+    classes = _merge_classes(enumerate(table.ranges))
     # the input indices of the lines still in play
     hkept: Sequence[int] = range(len(inst.hlines))
     vkept: Sequence[int] = range(len(inst.vlines))
@@ -364,15 +358,9 @@ def drop_dominated(inst: Instance) -> Instance:
             break
         # the new index of a kept line or range end: the kept lines below it
         ph, pv = prefix_counts(ht, len(hkept)), prefix_counts(vt, len(vkept))
-        merged: dict[tuple[int, int, int, int], int] = {}
-        for span in spans:  # in ascending index, so a merged class keeps the lowest
-            a, b, c, d = ph[span[0]], ph[span[1]], pv[span[2]], pv[span[3]]
-            if a == b:
-                a = b = 0
-            if c == d:
-                c = d = 0
-            merged.setdefault((a, b, c, d), classes[span])
-        classes = merged
+        classes = _merge_classes(
+            (classes[a, b, c, d], (ph[a], ph[b], pv[c], pv[d])) for a, b, c, d in spans
+        )
         hkept, vkept = [hkept[t] for t in ht], [vkept[t] for t in vt]
     if (len(classes), len(hkept), len(vkept)) == (
         len(inst.rects), len(inst.hlines), len(inst.vlines)
@@ -388,6 +376,22 @@ def drop_dominated(inst: Instance) -> Instance:
         ranges.append((ph[a], ph[b], pv[c], pv[d]))
     reduced = Instance(rects, [inst.hlines[t] for t in hkept], [inst.vlines[t] for t in vkept])
     return _with_stabbers(reduced, Stabbers(ranges, array("I", range(len(ranges)))))
+
+
+def _merge_classes(
+    ranged: Iterable[tuple[int, tuple[int, int, int, int]]]
+) -> dict[tuple[int, int, int, int], int]:
+    """Ranges -> class, from (class, ranges) pairs in ascending class. An
+    empty range is made (0, 0), and classes whose ranges are then equal
+    merge into the first, lowest one."""
+    merged: dict[tuple[int, int, int, int], int] = {}
+    for j, (a, b, c, d) in ranged:
+        if a == b:
+            a = b = 0
+        if c == d:
+            c = d = 0
+        merged.setdefault((a, b, c, d), j)
+    return merged
 
 
 def _undominated_classes(

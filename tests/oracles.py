@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from rectstab.core import Axis, Instance, Line, Rect, Solution
+from rectstab.approx import Guess, Orientation
+from rectstab.core import I64_MAX, I64_MIN, Axis, Instance, Line, Rect, Solution, bits
 from rectstab.greedy1d import Infeasible, stab_1d
 
 
@@ -237,6 +238,56 @@ def preselect_by_sweep(
     except Infeasible:
         return None
     return tuple(h1set), tuple(v0)
+
+
+def eliminate_by_rescan(
+    tables: Orientation, h1: Sequence[int], vg: Guess, k: int
+) -> tuple[int, tuple[int, ...]]:
+    """Rescan reference for rectstab.approx.eliminate_redundant: (K, H0).
+
+    The kernelization as the paper states it: while some guessed strip
+    boundary, scanned by ascending slot from the first one again after
+    every removal, has a group needing 2k+2 horizontal lines, discard that
+    group's widest-in-strip rectangle. Unlike the other references it reads
+    the library's stab masks (tables.vmask, tables.stabbed): it checks the
+    order of the removals, not the masks.
+    """
+    inst = tables.inst
+    rects = inst.rects
+    full = (1 << len(rects)) - 1
+    rprime = full & ~(tables.v_only | tables.stabbed(h1, vg.lines))
+    removed = 0
+
+    # slot i spans clip[i]..clip[i + 1]; the sentinels clip nothing and are
+    # no boundary
+    clip = (I64_MIN, *vg.base, I64_MAX)
+    scan = [
+        (clip[j], clip[i], clip[i + 1])
+        for i in sorted(vg.slots)
+        for j in (i, i + 1)
+        if 0 < j <= len(vg.base)
+    ]
+    fired = True
+    while fired:
+        fired = False
+        for pos, lo, hi in scan:
+            group = list(bits(tables.vmask[pos] & rprime & ~removed))
+            if not group:
+                continue
+            try:
+                need = len(stab_1d([(rects[i].y1, rects[i].y2) for i in group], inst.hlines))
+            except Infeasible:  # pragma: no cover
+                raise RuntimeError("group drawn from horizontally stabbable rectangles")
+            if need >= 2 * k + 2:
+                # every group member holds pos, so its clipped width is >= 0
+                widest = max(group, key=lambda i: (min(rects[i].x2, hi) - max(rects[i].x1, lo), -i))
+                removed |= 1 << widest
+                fired = True
+                break  # rescan from the first boundary
+
+    survivors = [(rects[i].y1, rects[i].y2) for i in bits(rprime & ~removed)]
+    h0 = stab_1d(survivors, inst.hlines)
+    return full & ~removed, tuple(h0)
 
 
 def dominance_reduce(inst: Instance) -> Instance:

@@ -49,7 +49,14 @@ from rectstab.generators import gen_mcgraph, gen_planted, gen_uniform
 from rectstab.rng import Xoshiro256StarStar
 from rectstab.twosat import solve as solve_2sat
 
-from oracles import Strip, guess_strips, preselect_by_sweep, separated, strips_of
+from oracles import (
+    Strip,
+    eliminate_by_rescan,
+    guess_strips,
+    preselect_by_sweep,
+    separated,
+    strips_of,
+)
 
 H, V = Axis.HORIZONTAL, Axis.VERTICAL
 
@@ -386,6 +393,35 @@ def test_eliminate_h0_accounting_bound_on_planted():
         strips = guess_strips(V, vg.base, vg.slots)
         boundaries = {b for s in strips for b in (s.lo, s.hi) if b is not None}
         assert len(h0) <= (2 * k + 1) * len(boundaries) + k
+
+
+def _random_guesses(rng, count):
+    """count random (tables, H1, vertical guess, k) per instance of a pinned
+    uniform pool: base, its slots, V1 and H1 each a random subset."""
+
+    def subset(seq, num, den):
+        return [x for x in seq if rng.chance(num, den)]
+
+    for seed in range(100):
+        inst = gen_uniform(100, 24, 40, seed)
+        tables = Orientation(inst)
+        for _ in range(count):
+            base = tuple(subset(inst.vlines, 1, 2))
+            slots = tuple(subset(range(len(base) + 1), 1, 2))
+            v1 = frozenset(subset(base, 1, 4))
+            h1 = tuple(subset(inst.hlines, 1, 4))
+            yield tables, h1, Guess(base, slots, v1), rng.randrange(3)
+
+
+def test_eliminate_one_pass_matches_the_rescan():
+    """Deciding each boundary once removes what rescanning from the first
+    boundary after every removal removes, and gives the same H0."""
+    removing = 0
+    for tables, h1, vg, k in _random_guesses(Xoshiro256StarStar(23), 40):
+        kept, h0 = eliminate_redundant(tables, h1, vg, k)
+        assert (kept, h0) == eliminate_by_rescan(tables, h1, vg, k), (vg, k)
+        removing += kept != (1 << len(tables.inst.rects)) - 1
+    assert removing >= 1000
 
 
 # ------------------------------------- witness-guided guesses (oracle)
