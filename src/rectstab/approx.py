@@ -261,15 +261,13 @@ class Cover(NamedTuple):
     the disjoint masks of groups; a bit of need outside every group must
     be reached.
 
-    The vertical cover (Orientation.vertical_cover) indexes every
-    rectangle r twice. Bit r, for the rectangles no horizontal candidate
-    stabs, must meet an open guessed slot or be stabbed by V1, since no
-    horizontal line can stab it. Bit n + r, for each of the n rectangles
-    that H1 misses, is reached when r meets a closed guessed slot
-    [base[i-1], base[i]] or is stabbed by V1; its groups are the open H1
-    slots, and solve_split sets spare to the horizontal budget
-    b = 2k_h - |H1|. The bound is sound: call U the rectangles such a
-    guess leaves unreached in the high half.
+    The vertical cover (Orientation.vertical_cover) needs each rectangle
+    H1 misses at one bit. One that no horizontal candidate stabs lies in
+    no group and must meet an open guessed slot or be stabbed by V1. Any
+    other is reached by a closed guessed slot [base[i-1], base[i]] it
+    meets or by V1; its groups are the open H1 slots, and solve_split sets
+    spare to the horizontal budget b = 2k_h - |H1|. The bound is sound:
+    call U the grouped rectangles such a guess leaves unreached.
       - Kernelization removes only rectangles that a boundary line of a
         guessed slot stabs, and those meet the closed slot, so U is kept;
         it is missed by H1 and V1 and meets no guessed open slot, so U
@@ -567,7 +565,7 @@ class Orientation:
         self.inst = inst
         # k_v -> preselect's (H1, V0), or its None for an infeasible split
         self._preselected: dict[int, Optional[tuple]] = {}
-        self._vcovers: dict[tuple, Cover] = {}  # by (H1, V0)
+        self._vcovers: dict[tuple, tuple[Cover, list[int]]] = {}  # by (H1, V0)
         self._exhausted: dict[tuple[int, int], int] = {}  # (k_h, k_v) -> k
 
     @classmethod
@@ -587,24 +585,21 @@ class Orientation:
             self._preselected[k_v] = preselect(self.inst, k_v)
         return self._preselected[k_v]
 
-    def vertical_cover(self, h1: tuple[int, ...], v0: tuple[int, ...]) -> Cover:
-        """What every vertical guess over the pool v0 must reach when H1 is
-        preselected, with spare 0 (see Cover): the rectangles no
-        horizontal candidate stabs, over open slots, and those H1 misses,
-        over closed slots and grouped by open H1 slot, at bit n + r. The
-        low half of its slot masks holds every rectangle, so solve_split
-        also reads from them which kernel rectangles a guess's strips meet."""
+    def vertical_cover(self, h1: tuple[int, ...], v0: tuple[int, ...]) -> tuple[Cover, list[int]]:
+        """(cover, meets) for the pool v0 when H1 is preselected: the cover,
+        with spare 0, that every vertical guess must reach (see Cover), and
+        meets[i], every rectangle that meets open slot i, from which
+        solve_split reads which kernel rectangles a guess's strips meet."""
         key = (h1, v0)
         if key not in self._vcovers:
-            n = len(self.inst.rects)
-            full = (1 << n) - 1
+            full = (1 << len(self.inst.rects)) - 1
             missed = full & ~self.stabbed(h1, ())
             meets = slot_masks(self.inst, Axis.VERTICAL, v0, full)
             walls = [0, *(self.vmask[x] for x in v0), 0]  # slot i lies between walls i, i + 1
-            slots = [m | (m | walls[i] | walls[i + 1]) << n for i, m in enumerate(meets)]
-            lines = [self.vmask[x] | self.vmask[x] << n for x in v0]
-            groups = [g << n for g in slot_masks(self.inst, Axis.HORIZONTAL, h1, missed)]
-            self._vcovers[key] = Cover(self.v_only | missed << n, slots, lines, groups)
+            slots = [m | ((walls[i] | walls[i + 1]) & ~self.v_only) for i, m in enumerate(meets)]
+            lines = [self.vmask[x] for x in v0]
+            groups = slot_masks(self.inst, Axis.HORIZONTAL, h1, missed & ~self.v_only)
+            self._vcovers[key] = Cover(missed, slots, lines, groups), meets
         return self._vcovers[key]
 
     @cached_property
@@ -660,13 +655,13 @@ def solve_split(
     rects = inst.rects
     full = (1 << len(rects)) - 1
     removed_any = False
-    vcover = tables.vertical_cover(h1, v0)._replace(spare=2 * k_h - len(h1))
-    h1_mask = tables.stabbed(h1, ())
-    # A guess can succeed only if every rectangle no horizontal candidate
-    # stabs meets a guessed vertical strip or is stabbed by V1, the
-    # rectangles H1 and V1 miss that meet no closed vertical slot lie in at
-    # most 2k_h - |H1| open H1 slots (vcover), and every kernel rectangle
-    # meets a guessed strip of either axis or is stabbed by H1' (hcover).
+    vcover, vmeets = tables.vertical_cover(h1, v0)
+    vcover = vcover._replace(spare=2 * k_h - len(h1))
+    # A guess can succeed only if it reaches vcover (every rectangle no
+    # horizontal candidate stabs, and the other rectangles H1 misses but
+    # those in at most 2k_h - |H1| open H1 slots) and every kernel
+    # rectangle meets a guessed strip of either axis or is stabbed by H1'
+    # (hcover).
     # The enumerators yield only guesses that reach their cover with a
     # candidate inside every strip, so assemble_2sat has no GuessInfeasible
     # to raise here; one would be a broken invariant and propagates instead
@@ -675,10 +670,10 @@ def solve_split(
         stats.vertical_guesses += 1
         kept, h0 = eliminate_redundant(tables, h1, vg, k)
         removed_any |= kept != full
-        unstabbed = kept & ~(h1_mask | tables.stabbed((), vg.lines))
+        unstabbed = kept & vcover.need & ~tables.stabbed((), vg.lines)
         off_vstrips = unstabbed
         for i in vg.slots:
-            off_vstrips &= ~vcover.slots[i]
+            off_vstrips &= ~vmeets[i]
         hbase = sorted(set(h1) | set(h0))
         hcover = Cover(
             off_vstrips,
@@ -749,6 +744,8 @@ def solve_min(
 ) -> Optional[tuple[int, Solution]]:
     """Smallest budget k <= k_max the approximation succeeds at, with its
     solution; an upper bound witness for the optimum, not the optimum."""
+    if k_max < 0:
+        raise ValueError("budget must be nonnegative")
     for k in range(k_max + 1):
         sol = solve_with_budget(inst, k, stats)
         if sol is not None:

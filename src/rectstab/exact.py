@@ -61,6 +61,8 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_size < 0:
             raise ValueError("max_size must be nonnegative")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError("node_limit must be nonnegative")
 
 
 class NodeLimitExceeded(Exception):

@@ -11,8 +11,18 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from rectstab.approx import Guess, Orientation
-from rectstab.core import I64_MAX, I64_MIN, Axis, Instance, Line, Rect, Solution, bits
+from rectstab.approx import Cover, Guess, Orientation
+from rectstab.core import (
+    I64_MAX,
+    I64_MIN,
+    Axis,
+    Instance,
+    Line,
+    Rect,
+    Solution,
+    bits,
+    slot_masks,
+)
 from rectstab.greedy1d import Infeasible, stab_1d
 
 
@@ -288,6 +298,28 @@ def eliminate_by_rescan(
     survivors = [(rects[i].y1, rects[i].y2) for i in bits(rprime & ~removed)]
     h0 = stab_1d(survivors, inst.hlines)
     return full & ~removed, tuple(h0)
+
+
+def vertical_cover_two_halves(
+    tables: Orientation, h1: tuple[int, ...], v0: tuple[int, ...]
+) -> Cover:
+    """Two-bit reference for the cover of rectstab.approx's
+    Orientation.vertical_cover, with spare 0: every rectangle r has bit r,
+    needed for the rectangles no horizontal candidate stabs and reached by
+    an open V0 slot it meets, and bit n + r, needed for the rectangles H1
+    misses, reached by a closed V0 slot it meets and grouped by the open
+    H1 slot that holds it. A V0 line reaches both bits of what it stabs.
+    Like eliminate_by_rescan it reads the library's stab masks: it checks
+    the bit layout, not the masks."""
+    n = len(tables.inst.rects)
+    full = (1 << n) - 1
+    missed = full & ~tables.stabbed(h1, ())
+    meets = slot_masks(tables.inst, Axis.VERTICAL, v0, full)
+    walls = [0, *(tables.vmask[x] for x in v0), 0]  # slot i lies between walls i, i + 1
+    slots = [m | (m | walls[i] | walls[i + 1]) << n for i, m in enumerate(meets)]
+    lines = [tables.vmask[x] | tables.vmask[x] << n for x in v0]
+    groups = [g << n for g in slot_masks(tables.inst, Axis.HORIZONTAL, h1, missed)]
+    return Cover(tables.v_only | missed << n, slots, lines, groups)
 
 
 def dominance_reduce(inst: Instance) -> Instance:

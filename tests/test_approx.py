@@ -754,6 +754,14 @@ def test_solve_min_below_opt_is_nowitness():
     assert found is not None and found[0] == 2
 
 
+def test_negative_budgets_raise():
+    # a negative budget is a caller's error, not a no-witness
+    inst = Instance([Rect(0, 1, 0, 1)], hlines=[0], vlines=[])
+    for solve in (solve_with_budget, solve_min):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve(inst, -1)
+
+
 def test_transpose_coherence():
     for seed in range(8):
         inst, _ = gen_planted(k=2, n=10, coord_range=15, seed=200 + seed)

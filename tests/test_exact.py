@@ -209,6 +209,17 @@ def test_node_limit_is_distinct():
         opt_exact(inst, SearchBudget(max_size=4, node_limit=1))
 
 
+def test_budget_rejects_negative_limits():
+    with pytest.raises(ValueError, match="node_limit"):
+        SearchBudget(3, node_limit=-1)
+    with pytest.raises(ValueError, match="max_size"):
+        SearchBudget(-1)
+    # a zero node limit is a valid limit: the root node already exceeds it
+    inst = Instance([Rect(0, 1, 0, 1)], hlines=[0], vlines=[])
+    with pytest.raises(NodeLimitExceeded):
+        opt_exact(inst, SearchBudget(1, node_limit=0))
+
+
 def test_unstabbable_rectangle_next_to_one_axis_rectangles():
     # The rectangle at (5, 6) meets no candidate line. The one-axis tables
     # must hold only rectangles their own axis stabs, not everything the

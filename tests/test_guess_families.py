@@ -35,6 +35,7 @@ from oracles import (
     rect_meets_strip,
     separated_families,
     strips_of,
+    vertical_cover_two_halves,
 )
 
 V = Axis.VERTICAL
@@ -173,20 +174,21 @@ def _leaves_v_only(inst, vg):
 
 
 def test_vertical_cover_masks_by_definition():
-    """Bit r: a rectangle no horizontal candidate stabs, over open V0
-    slots; bit n + r: a rectangle H1 misses, over closed V0 slots, in the
-    group of the open H1 slot that holds it. Lines stab both halves."""
+    """One bit per rectangle H1 misses. One no horizontal candidate stabs
+    is reached by the open V0 slots it meets and lies in no group; any
+    other by the closed V0 slots it meets, in the group of the open H1
+    slot that holds it. Lines stab their own rectangles. The meets beside
+    the cover are the open V0 slot meets of every rectangle."""
     H = Axis.HORIZONTAL
     for seed in range(6):
         inst = drop_dominated(gen_uniform(40, 40, 30, seed))
         tables = Orientation(inst)
-        n = len(inst.rects)
         for k_v in range(1, 5):
             pre = tables.preselected(k_v)
             if pre is None:
                 continue
             h1, v0 = pre
-            cover = tables.vertical_cover(h1, v0)
+            cover, meets = tables.vertical_cover(h1, v0)
             bounds = [None, *v0, None]
 
             def mask(pred):
@@ -198,18 +200,50 @@ def test_vertical_cover_masks_by_definition():
 
             missed = mask(lambda r: not any(r.y1 <= y <= r.y2 for y in h1))
             v_only = mask(lambda r: not any(r.y1 <= y <= r.y2 for y in inst.hlines))
-            assert cover.need == v_only | missed << n and cover.spare == 0
+            assert cover.need == missed and cover.spare == 0
             for i, strip in enumerate(strips_of(V, v0)):
-                meets = mask(lambda r: rect_meets_strip(strip, r))
-                assert cover.slots[i] == meets | mask(closed(i)) << n
+                open_meets = mask(lambda r: rect_meets_strip(strip, r))
+                assert meets[i] == open_meets
+                assert cover.slots[i] == open_meets & v_only | mask(closed(i)) & ~v_only
             for t, x in enumerate(v0):
-                stabbed = mask(lambda r: r.x1 <= x <= r.x2)
-                assert cover.lines[t] == stabbed | stabbed << n
+                assert cover.lines[t] == mask(lambda r: r.x1 <= x <= r.x2)
             groups = [
-                mask(lambda r: s.contains_pos(r.y1) and s.contains_pos(r.y2))
+                mask(lambda r: s.contains_pos(r.y1) and s.contains_pos(r.y2)) & ~v_only
                 for s in strips_of(H, h1)
             ]
-            assert cover.groups == [g << n for g in groups] and sum(groups) == missed
+            assert cover.groups == groups and sum(groups) == missed & ~v_only
+
+
+def test_one_bit_cover_yields_as_the_two_halves():
+    """The cover with one bit per rectangle H1 misses yields the same
+    vertical guesses, in the same order, as the two-bit reference that
+    also needs every rectangle no horizontal candidate stabs at a grouped
+    bit n + r; the group bound keeps cutting guesses on this pool."""
+    cut = 0
+    for seed in range(40):
+        upright = Orientation(drop_dominated(gen_uniform(40, 40, 30, seed)))
+        for tables in (upright, upright.flipped):
+            vlines = tables.inst.vlines
+            for k_v in range(5):
+                pre = tables.preselected(k_v)
+                if pre is None:
+                    continue
+                h1, v0 = pre
+                cover, _ = tables.vertical_cover(h1, v0)
+                two_halves = vertical_cover_two_halves(tables, h1, v0)
+                unbounded = cover._replace(spare=len(cover.groups))
+                n_unbounded = sum(1 for _ in enumerate_vertical_guesses(v0, k_v, vlines, unbounded))
+                for spare in range(4):
+                    one_bit = list(
+                        enumerate_vertical_guesses(v0, k_v, vlines, cover._replace(spare=spare))
+                    )
+                    assert one_bit == list(
+                        enumerate_vertical_guesses(
+                            v0, k_v, vlines, two_halves._replace(spare=spare)
+                        )
+                    )
+                    cut += n_unbounded - len(one_bit)
+    assert cut >= 500, cut
 
 
 def test_budget_bound_drops_only_guesses_no_horizontal_guess_completes():
@@ -231,10 +265,9 @@ def test_budget_bound_drops_only_guesses_no_horizontal_guess_completes():
                     continue
                 h1, v0 = pre
                 spare = 2 * k_h - len(h1)
+                cover, _ = tables.vertical_cover(h1, v0)
                 bounded = list(
-                    enumerate_vertical_guesses(
-                        v0, k_v, inst.vlines, tables.vertical_cover(h1, v0)._replace(spare=spare)
-                    )
+                    enumerate_vertical_guesses(v0, k_v, inst.vlines, cover._replace(spare=spare))
                 )
                 old = [
                     vg

@@ -1,11 +1,11 @@
-"""Every name the library imports is used: a leftover import after a
-deletion is dead code. A name re-exported through a module's __all__
-counts as used."""
+"""Every name the library, the tests and the demos import is used: a
+leftover import after a deletion is dead code. A name re-exported through
+a module's __all__ counts as used."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "rectstab"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
@@ -27,15 +27,24 @@ def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
     return sorted((name, line) for name, line in imported.items() if name not in used)
 
 
-def test_library_has_no_unused_imports():
-    sources = sorted(SRC.glob("*.py"))
-    assert sources, f"no sources under {SRC}"
-    found = [
-        f"{path.name}:{line} {name}"
+def _unused_in(*dirs: str) -> list[str]:
+    sources = [path for d in dirs for path in sorted((ROOT / d).glob("*.py"))]
+    assert sources, f"no sources under {dirs}"
+    return [
+        f"{path.relative_to(ROOT)}:{line} {name}"
         for path in sources
         for name, line in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     ]
+
+
+def test_library_has_no_unused_imports():
+    found = _unused_in("src/rectstab")
     assert not found, f"unused imports in the library: {found}"
+
+
+def test_tests_and_demos_have_no_unused_imports():
+    found = _unused_in("tests", "demos")
+    assert not found, f"unused imports in the tests or demos: {found}"
 
 
 def test_the_check_sees_an_unused_import():
