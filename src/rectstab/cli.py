@@ -189,6 +189,9 @@ _BENCH_FIELDS = [
     "horizontal_guesses",
     "twosat_calls",
     "nodes",
+    "reduced_rects",
+    "reduced_hlines",
+    "reduced_vlines",
 ]
 
 
@@ -200,7 +203,9 @@ def _bench_one(job: tuple[str, bool, bool, int, int]) -> list[dict]:
     except (formats.FormatError, OSError):
         return [{"instance": name, "solver": s, "outcome": "error"}
                 for s in (["approx"] if run_approx else []) + (["exact"] if run_exact else [])]
-    base = {"instance": name, **_instance_stats(inst)}
+    # the sizes both solvers work on; the reduction is kept on inst for them
+    reduced = {f"reduced_{key}": n for key, n in _instance_stats(inst.reduced).items()}
+    base = {"instance": name, **_instance_stats(inst), **reduced}
     rows = []
     exact_size: Optional[int] = None
     if run_exact:
@@ -239,6 +244,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 2
     if args.jobs < 1:
         print("error: --jobs must be positive", file=sys.stderr)
+        return 2
+    if args.exact and args.max_size < 0:  # checked before any file is read
+        print("error: --max-size must be nonnegative", file=sys.stderr)
         return 2
     run_approx = args.approx or not args.exact
     run_exact = args.exact

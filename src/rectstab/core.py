@@ -28,6 +28,13 @@ ranges renumbered to the kept lines, the equal copy Instance.reduced
 makes when nothing goes shares its source's table, and transpose swaps
 the two axes' ranges.
 
+The dominance reduction runs in rounds over stabber classes. Each round
+builds both axes' class masks once, keeps the undominated classes, keeps
+the lines undominated over those, and renumbers what is left. It ends at
+a line pass that drops no line, or, after a renumbering, at a class pass
+that keeps every class, with no line pass; drop_dominated's docstring
+proves that neither exit changes the result.
+
 An Instance carries a per-object memo of pure values derived from it (its
 stabber table, its reduced instance, the solver tables built over that,
 the need rows preselection grows as budgets ask for them, and the
@@ -335,33 +342,63 @@ def drop_dominated(inst: Instance) -> Instance:
     The rounds start from inst's stabber table and bisect nothing. Its
     classes with an empty range made (0, 0) on that axis merge where their
     stabber sets are equal, keeping the lowest class and so the lowest
-    input index. The rounds run on classes in index space: a round keeps
-    the undominated classes and the lines undominated over them, then
-    renumbers the kept ranges by prefix counts of the kept lines; classes
-    that become equal merge and keep the lower index (_merge_classes, one
-    rule for both). One Instance is built at the end, from each kept
-    class's first rectangle, and it is handed its table: those rectangles'
-    raw ranges renumbered by prefix counts of the kept lines, one class
-    each. A line's dominators on its own axis form an interval around it,
-    and those on the other axis lie in one range of its lowest class, so
-    two short scans find them all (_undominated_lines).
+    input index. The rounds run on classes in index space. A round builds
+    both axes' class masks once (_class_masks: bit j of a line's mask for
+    the round's class j), keeps the undominated classes (a keep mask), and
+    keeps the lines undominated over them, reading the same masks with the
+    dropped classes' bits cleared. It then renumbers the kept ranges by
+    prefix counts of the kept lines; classes that become equal merge and
+    keep the lower index (_merge_classes, one rule for both). A line's
+    dominators on its own axis form an interval around it, and those on
+    the other axis lie in one range of its lowest class, so two short
+    scans find them all (_undominated_lines).
+
+    The loop ends at the first of two exits, each exact:
+
+    (a) A line pass that drops no line. The next class pass would see the
+        same lines and the kept classes. Each of those was undominated
+        among a superset of them, so it stays, and the line pass after it
+        would see the same lines and classes again and drop nothing.
+    (b) After a renumbering, a class pass that keeps every class; it needs
+        no line pass. Classes merge only when their stabber sets agree on
+        the kept lines, so every kept line stabs both merged classes or
+        neither. So whether a kept line stabs nothing, and subset and
+        equality between kept lines, are what they were over the classes
+        before the merge. Each kept line was undominated then, against a
+        superset of today's lines, so it stays.
+
+    One Instance is built at the end, from each kept class's first
+    rectangle, and it is handed its table: those rectangles' raw ranges
+    renumbered by prefix counts of the kept lines, one class each.
     """
     table = inst.stabbers
     classes = _merge_classes(enumerate(table.ranges))
     # the input indices of the lines still in play
     hkept: Sequence[int] = range(len(inst.hlines))
     vkept: Sequence[int] = range(len(inst.vlines))
+    renumbered = False
     while True:
-        spans = _undominated_classes(list(classes), len(hkept), len(vkept))
-        ht, vt = _undominated_lines(spans, len(hkept), len(vkept))
-        if (len(spans), len(ht), len(vt)) == (len(classes), len(hkept), len(vkept)):
-            break
+        spans = list(classes)
+        hmasks, vmasks = _class_masks(spans, len(hkept), len(vkept))
+        keep = _undominated_classes(spans, hmasks, vmasks)
+        full = (1 << len(spans)) - 1
+        if keep == full and renumbered:
+            break  # exit (b): the line pass would keep every line
+        kept = spans
+        if keep != full:
+            kept = [spans[j] for j in bits(keep)]
+            hmasks, vmasks = [m & keep for m in hmasks], [m & keep for m in vmasks]
+        ht, vt = _undominated_lines(spans, hmasks, vmasks)
+        if (len(ht), len(vt)) == (len(hkept), len(vkept)):
+            classes = {s: classes[s] for s in kept}
+            break  # exit (a): the next class pass would keep every class
         # the new index of a kept line or range end: the kept lines below it
         ph, pv = prefix_counts(ht, len(hkept)), prefix_counts(vt, len(vkept))
         classes = _merge_classes(
-            (classes[a, b, c, d], (ph[a], ph[b], pv[c], pv[d])) for a, b, c, d in spans
+            (classes[a, b, c, d], (ph[a], ph[b], pv[c], pv[d])) for a, b, c, d in kept
         )
         hkept, vkept = [hkept[t] for t in ht], [vkept[t] for t in vt]
+        renumbered = True
     if (len(classes), len(hkept), len(vkept)) == (
         len(inst.rects), len(inst.hlines), len(inst.vlines)
     ):
@@ -394,24 +431,44 @@ def _merge_classes(
     return merged
 
 
-def _undominated_classes(
+def _class_masks(
     spans: list[tuple[int, int, int, int]], mh: int, mv: int
-) -> list[tuple[int, int, int, int]]:
-    """The spans, in order, whose stabber set holds no other one's. With
-    bit j for spans[j], the classes with no stabber outside a class's
-    ranges (an empty range (0, 0) puts its whole axis outside) are those
-    whose stabber set lies inside its own; it stays iff it is alone there."""
-    hmasks = _range_masks([(a, b, 1 << j) for j, (a, b, _, _) in enumerate(spans)], mh)
-    vmasks = _range_masks([(c, d, 1 << j) for j, (_, _, c, d) in enumerate(spans)], mv)
+) -> tuple[list[int], list[int]]:
+    """The class-bit masks of the mh horizontal and mv vertical candidates
+    over the classes spans: bit j of a candidate's mask is set iff it lies
+    in spans[j]'s range of its axis. One toggle sweep builds both axes (as
+    in _range_masks)."""
+    th, tv = [0] * (mh + 1), [0] * (mv + 1)
+    bit = 1
+    for a, b, c, d in spans:
+        th[a] ^= bit
+        th[b] ^= bit
+        tv[c] ^= bit
+        tv[d] ^= bit
+        bit <<= 1
+    return list(accumulate(th[:mh], xor)), list(accumulate(tv[:mv], xor))
+
+
+def _undominated_classes(
+    spans: list[tuple[int, int, int, int]], hmasks: list[int], vmasks: list[int]
+) -> int:
+    """Mask of the spans whose stabber set holds no other one's (bit j for
+    spans[j], over the class masks _class_masks built). The classes with a
+    stabber outside a class's ranges (an empty range (0, 0) puts its whole
+    axis outside) are the OR of the masks before and after its ranges,
+    which never holds the class itself; it stays iff that OR holds every
+    other class."""
     pre_h = list(accumulate(hmasks, or_, initial=0))
     pre_v = list(accumulate(vmasks, or_, initial=0))
     suf_h, suf_v = suffix_ors(hmasks), suffix_ors(vmasks)
     full = (1 << len(spans)) - 1
-    return [
-        (a, b, c, d)
-        for j, (a, b, c, d) in enumerate(spans)
-        if full & ~(pre_h[a] | suf_h[b] | pre_v[c] | suf_v[d]) == 1 << j
-    ]
+    keep = 0
+    bit = 1
+    for a, b, c, d in spans:
+        if pre_h[a] | suf_h[b] | pre_v[c] | suf_v[d] | bit == full:
+            keep |= bit
+        bit <<= 1
+    return keep
 
 
 def suffix_ors(masks: Sequence[int]) -> list[int]:
@@ -420,10 +477,11 @@ def suffix_ors(masks: Sequence[int]) -> list[int]:
 
 
 def _undominated_lines(
-    spans: list[tuple[int, int, int, int]], mh: int, mv: int
+    spans: list[tuple[int, int, int, int]], hmasks: list[int], vmasks: list[int]
 ) -> tuple[list[int], list[int]]:
     """Indices of the horizontal and the vertical candidates that
-    drop_dominated keeps over the classes spans (bit j for spans[j]).
+    drop_dominated keeps, given their class masks (bit j for spans[j]) with
+    the dominated classes' bits cleared.
 
     Both scans are complete. A line of t's own axis stabs all t does iff
     it lies in every range of t's classes, an interval around t, so the
@@ -433,8 +491,6 @@ def _undominated_lines(
     one that comes first: an earlier one of its axis, or a horizontal one
     when t is vertical.
     """
-    hmasks = _range_masks([(a, b, 1 << j) for j, (a, b, _, _) in enumerate(spans)], mh)
-    vmasks = _range_masks([(c, d, 1 << j) for j, (_, _, c, d) in enumerate(spans)], mv)
     kept: tuple[list[int], list[int]] = ([], [])
     # own: where the line's own axis sits in an (a, b, c, d) span
     for masks, others, own, out in ((hmasks, vmasks, 0, kept[0]), (vmasks, hmasks, 2, kept[1])):
@@ -447,9 +503,10 @@ def _undominated_lines(
             if u < len(masks) and masks[u] & mask == mask:
                 continue  # a later line of its axis stabs more
             low = spans[(mask & -mask).bit_length() - 1]
-            if not any(
-                o & mask == mask and (own or o != mask) for o in others[low[2 - own] : low[3 - own]]
-            ):
+            for o in others[low[2 - own] : low[3 - own]]:
+                if o & mask == mask and (own or o != mask):
+                    break  # a line of the other axis stabs more, or as much and comes first
+            else:
                 out.append(t)
     return kept
 

@@ -335,6 +335,40 @@ def test_bench_bad_max_size_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_bad_max_size_exits_2_with_no_readable_instance(tmp_path, capsys):
+    # checked up front: with nothing to solve, no SearchBudget would refuse it
+    fixtures = tmp_path / "fx"
+    fixtures.mkdir()
+    (fixtures / "broken.json").write_text("{nope")
+    out = tmp_path / "bench.csv"
+    code, _, err = run(capsys, "bench", str(fixtures), "--exact", "--max-size", "-1",
+                       "--out", str(out))
+    assert code == 2 and err == "error: --max-size must be nonnegative\n"
+    assert not out.exists()
+
+
+def test_bench_reports_the_reduced_sizes(tmp_path, capsys):
+    fixtures = tmp_path / "fx"
+    fixtures.mkdir()
+    for seed in range(3):
+        main(["gen", "uniform", "--n", "12", "--m-lines", "10", "--coord-range", "8",
+              "--seed", str(seed), "--out", str(fixtures / f"u{seed}.json")])
+    out = tmp_path / "bench.csv"
+    assert main(["bench", str(fixtures), "--out", str(out), "--approx", "--exact",
+                 "--kmax", "6", "--max-size", "6"]) == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert header[-3:] == ["reduced_rects", "reduced_hlines", "reduced_vlines"]
+    shrunk = 0
+    for row in rows:
+        cells = dict(zip(header, row))
+        inst = formats.load_instance(fixtures / cells["instance"])
+        reduced = drop_dominated(inst)
+        sizes = [len(reduced.rects), len(reduced.hlines), len(reduced.vlines)]
+        assert [int(cells[f"reduced_{key}"]) for key in ("rects", "hlines", "vlines")] == sizes
+        shrunk += sizes != [int(cells["rects"]), int(cells["hlines"]), int(cells["vlines"])]
+    assert len(rows) == 6 and shrunk > 0
+
+
 def test_bench_negative_kmax_exits_2(tmp_path, capsys):
     # an empty budget ladder tries no budget, so its no-witness would be false
     fixtures = tmp_path / "fx"

@@ -5,7 +5,7 @@ against the raw one."""
 import copy
 import time
 
-from rectstab import reduction
+from rectstab import core, reduction
 from rectstab.approx import solve_with_budget
 from rectstab.core import Axis, Instance, Line, Rect, Solution, drop_dominated, transpose, verify
 from rectstab.exact import SearchBudget, dedup_lines, opt_exact
@@ -98,6 +98,68 @@ def test_drop_dominated_matches_pairwise_reference():
         assert _is_subsequence(reduced.rects, inst.rects)
         assert set(reduced.hlines) <= set(inst.hlines)
         assert set(reduced.vlines) <= set(inst.vlines)
+
+
+def _record_passes(monkeypatch) -> list[str]:
+    """The passes drop_dominated runs from now on, in order: "class" for
+    each _undominated_classes call and "line" for each _undominated_lines
+    call."""
+    passes: list[str] = []
+    for name, tag in (("_undominated_classes", "class"), ("_undominated_lines", "line")):
+        run = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *args, run=run, tag=tag: passes.append(tag) or run(*args))
+    return passes
+
+
+def _rounds(passes: list[str]) -> tuple[int, str]:
+    """The class passes of one reduction and the exit it ended on: "a"
+    after a line pass, "b" after a class pass. The passes alternate from a
+    class pass."""
+    rounds = passes.count("class")
+    end = "a" if passes[-1] == "line" else "b"
+    assert passes == (["class", "line"] * rounds)[: 2 * rounds - (end == "b")]
+    return rounds, end
+
+
+def test_both_early_exits_run_in_the_differential_pools(monkeypatch):
+    """drop_dominated ends at a line pass that drops no line (exit (a)),
+    or, after a renumbering, at a class pass that keeps every class with
+    no line pass (exit (b)). The pools the pairwise reference and the
+    handed-table test check hold both, exit (a) after a renumbering too,
+    and reductions of three rounds and more."""
+    passes = _record_passes(monkeypatch)
+    ends: dict[str, int] = {}
+    renumbered_a = long = 0
+    for inst in POOL + LARGE_POOL:
+        passes.clear()
+        assert drop_dominated(inst) == dominance_reduce(inst), inst
+        rounds, end = _rounds(passes)
+        assert end == "a" or rounds >= 2  # exit (b) needs a renumbering
+        ends[end] = ends.get(end, 0) + 1
+        renumbered_a += end == "a" and rounds >= 2
+        long += rounds >= 3
+    assert ends["a"] >= 50 and ends["b"] >= 250
+    assert renumbered_a >= 3 and long >= 5
+
+
+def test_pass_counts_pinned(monkeypatch):
+    """The passes over the pinned generator pool. Before both exits it took
+    165 class and 165 line passes: every reduction closed with a round
+    that dropped nothing. Ending at a line pass that drops nothing saves a
+    class and a line pass once (the other exit (a) ends the first round),
+    and ending at a class pass that keeps everything saves 78 line passes;
+    a closing line pass that came back would add them again."""
+    passes = _record_passes(monkeypatch)
+    ends = {"a": 0, "b": 0}
+    classes = lines = 0
+    for inst in GENERATED:
+        passes.clear()
+        drop_dominated(inst)
+        ends[_rounds(passes)[1]] += 1
+        classes += passes.count("class")
+        lines += passes.count("line")
+    assert ends == {"a": 2, "b": 78}
+    assert (classes, lines) == (164, 86)
 
 
 def test_derived_instances_are_handed_the_table_a_fresh_build_gives():
