@@ -6,13 +6,15 @@ against a subset-enumeration brute force on the raw instance
 (tests/oracles.py).
 
 Each search node carries the chosen lines and a mask of excluded lines;
-the lines not excluded are live. One pass per node sorts the unstabbed
-rectangles by (live stabber count, index). The head of that order is the
-branching rectangle (fail-first; ties go to the lowest index), and the
-node is cut when it has no live stabber. Branch j over the live stabbers
-j1 < j2 < ... of that rectangle chooses j and excludes j1..j(i-1) for its
-whole subtree (sibling exclusion), so each line set is reached at most
-once, not once per ordering of its lines.
+the lines not excluded are live. One pass per node puts the unstabbed
+rectangles into buckets by live stabber count, each bucket in index
+order; read by ascending count, that is the order of (live stabber
+count, index). The head of that order is the branching rectangle
+(fail-first; ties go to the lowest index), and the node is cut when it
+has no live stabber. Branch j over the live stabbers j1 < j2 < ... of
+that rectangle chooses j and excludes j1..j(i-1) for its whole subtree
+(sibling exclusion), so each line set is reached at most once, not once
+per ordering of its lines.
 
 Lines are numbered by candidate index: the horizontal lines of
 inst.reduced are 0..mh-1 and its vertical lines mh.. (dedup_lines keeps
@@ -31,7 +33,7 @@ its candidate end - 1. Each trigger's range lies wholly above the
 candidate taken for the one before, so their stabbers are pairwise
 disjoint, and there are as many as that axis's 1-D optimum. The two axes'
 triggers have stabbers on different axes. The seed is therefore never
-below the additive single-axis bound, and the sorted order then extends
+below the additive single-axis bound, and the bucket order then extends
 it greedily. The node is cut when the chosen lines plus the packing reach
 the incumbent's size.
 
@@ -143,7 +145,7 @@ def opt_exact(
             return
         live = ~excluded
         need = best_size - len(chosen)
-        # The seed may cut before the sort: a trigger with no live stabber
+        # The seed may cut before the buckets: a trigger with no live stabber
         # makes the node a dead end anyway.
         pack = 0
         used = 0
@@ -156,17 +158,23 @@ def opt_exact(
                     pack += 1
         if pack >= need:
             return
-        order = sorted([((stab_lines[i] & live).bit_count(), i) for i in bits(unstabbed)])
-        if not order[0][0]:
-            return  # fail-first: a rectangle with no live stabber is a dead end
-        for _, i in order:
+        # The live stabbers of the unstabbed rectangles, bucketed by their
+        # count; each bucket lists them by rectangle index.
+        buckets: dict[int, list[int]] = {}
+        for i in bits(unstabbed):
             s = stab_lines[i] & live
-            if not s & used:
-                used |= s
-                pack += 1
-                if pack >= need:
-                    return
-        for j in bits(stab_lines[order[0][1]] & live):
+            if not s:
+                return  # fail-first: a rectangle with no live stabber is a dead end
+            buckets.setdefault(s.bit_count(), []).append(s)
+        counts = sorted(buckets)
+        for c in counts:
+            for s in buckets[c]:
+                if not s & used:
+                    used |= s
+                    pack += 1
+                    if pack >= need:
+                        return
+        for j in bits(buckets[counts[0]][0]):
             chosen.append(j)
             dfs(unstabbed & ~masks[j], chosen, excluded)
             chosen.pop()

@@ -13,6 +13,7 @@ singleton strips.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .core import Instance, Rect, Solution, UnknownLineError, verify
@@ -125,13 +126,44 @@ def _adjacency_rect(r: int, i: int, j: int, p: int, q: int) -> Rect:
 
 
 MAX_CROSS_PAIRS = 10**6  # k(k-1)r^2 cap; each pair may become a rectangle
+FIXED_CLASSES_CACHED = 8  # (k, r) classes whose fixed rectangles _fixed_rects keeps
+
+
+@lru_cache(maxsize=FIXED_CLASSES_CACHED)
+def _fixed_rects(k: int, r: int) -> tuple[tuple[Rect, ...], tuple[Rect, ...]]:
+    """The force and equality rectangles of every graph with k parts of r
+    vertices, in build's order; they do not depend on the edges."""
+    force = []
+    # force: one line per strip, pinned by 5k disjoint segments per strip
+    for x in range(2 * k):
+        lo, hi = _strip_range(k, r, x)
+        for q in range(-5 * k, 0):
+            force.append(Rect(lo, hi, q, q))  # F_v
+            force.append(Rect(q, q, lo, hi))  # F_h
+    equality = []
+    # equality: staircases tying the four strips of each part together
+    for x in range(2 * k):
+        for y in range(2 * k):
+            if x // 2 != y // 2:
+                continue
+            xlo, _ = _strip_range(k, r, x)
+            ylo, _ = _strip_range(k, r, y)
+            for a in range(2, r + 1):
+                equality.append(Rect(xlo, xlo + a - 2, ylo + a - 1, ylo + r - 1))  # top left
+                equality.append(Rect(xlo + a - 1, xlo + r - 1, ylo, ylo + a - 2))  # bottom right
+    return tuple(force), tuple(equality)
 
 
 def build(g: MCGraph) -> ReducedInstance:
     """Emit the full rectangle families and in-strip candidate lines.
 
     Cardinalities: 4*k*r lines, 20*k^2 force rectangles, 8*k*(r-1) equality
-    rectangles, and two adjacency rectangles per cross-part non-edge.
+    rectangles, and two adjacency rectangles per cross-part non-edge, in
+    that order: force, adjacency, equality. Force and equality rectangles
+    depend on (k, r) alone; they are built once per class and shared, as
+    the same frozen Rect objects, by every instance of that class. The
+    cache retains one instance's force and equality rectangles for each of
+    the FIXED_CLASSES_CACHED classes built most recently.
     Raises ValueError when k*(k-1)*r^2 exceeds MAX_CROSS_PAIRS.
     """
     k, r = g.k, g.r
@@ -141,26 +173,10 @@ def build(g: MCGraph) -> ReducedInstance:
     if r == 1 and nonedges:
         raise ValueError("adjacency rectangles are undefined for r = 1 with cross-part non-edges")
 
-    rects: list[Rect] = []
-    # force: one line per strip, pinned by 5k disjoint segments per strip
-    for x in range(2 * k):
-        lo, hi = _strip_range(k, r, x)
-        for q in range(-5 * k, 0):
-            rects.append(Rect(lo, hi, q, q))  # F_v
-            rects.append(Rect(q, q, lo, hi))  # F_h
+    force, equality = _fixed_rects(k, r)
     # adjacency: one rectangle per ordered cross-part non-edge
-    for i, j, p, q in nonedges:
-        rects.append(_adjacency_rect(r, i, j, p, q))
-    # equality: staircases tying the four strips of each part together
-    for x in range(2 * k):
-        for y in range(2 * k):
-            if x // 2 != y // 2:
-                continue
-            xlo, _ = _strip_range(k, r, x)
-            ylo, _ = _strip_range(k, r, y)
-            for a in range(2, r + 1):
-                rects.append(Rect(xlo, xlo + a - 2, ylo + a - 1, ylo + r - 1))  # top left
-                rects.append(Rect(xlo + a - 1, xlo + r - 1, ylo, ylo + a - 2))  # bottom right
+    adjacency = [_adjacency_rect(r, i, j, p, q) for i, j, p, q in nonedges]
+    rects = (*force, *adjacency, *equality)
 
     positions = []
     for x in range(2 * k):
@@ -178,11 +194,16 @@ def _check_pairwise_adjacent(red: ReducedInstance, chosen: dict[int, int]) -> Op
     """First non-adjacent part pair among the chosen vertices, if any.
 
     Adjacency is read off the instance itself: a cross-part pair is a
-    non-edge exactly when its adjacency rectangle was emitted.
+    non-edge exactly when its adjacency rectangle was emitted. The set of
+    the instance's rectangles is built once and kept in its memo, so
+    forward and reverse on one instance share it.
     """
     if red.r == 1:
         return None  # no adjacency rectangles exist; nothing to check against
-    rect_set = set(red.inst.rects)
+    memo = vars(red.inst)
+    rect_set = memo.get("_rect_set")
+    if rect_set is None:
+        rect_set = memo.setdefault("_rect_set", frozenset(red.inst.rects))
     parts = sorted(chosen)
     for a in range(len(parts)):
         for b in range(a + 1, len(parts)):

@@ -1,14 +1,21 @@
+import hashlib
+import json
 from itertools import product
 
 import pytest
 
+from rectstab import formats
 from rectstab.core import Axis, Instance, Line, Rect, Solution, verify
 from rectstab.exact import ExactStats, SearchBudget, opt_exact
 from rectstab.generators import gen_mcgraph, gen_uniform
 from rectstab.reduction import (
+    FIXED_CLASSES_CACHED,
     MCClique,
     MCGraph,
+    MalformedReduction,
     NotApplicable,
+    _adjacency_rect,
+    _fixed_rects,
     build,
     forward,
     make_nondegenerate,
@@ -263,6 +270,85 @@ def test_r1_with_nonedge_rejected():
     g = MCGraph(k=2, r=1, edges=frozenset())
     with pytest.raises(ValueError):
         build(g)
+
+
+# (k, r) classes built, interleaved, by the tests below: k = 1, r = 1,
+# and both (2, 3) and (3, 2). Every r = 1 graph is complete, since build
+# rejects r = 1 with a cross-part non-edge.
+BUILD_CLASSES = [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (4, 2)]
+
+
+def class_graph(k, r, seed):
+    return gen_mcgraph(k, r, 1, 1 if r == 1 else 2, seed, seed % 2 == 0)[0]
+
+
+def test_build_output_pinned():
+    # Recorded before force and equality rectangles were built once per
+    # (k, r): the cache must not change a byte of any reduced instance.
+    _fixed_rects.cache_clear()
+    digest = hashlib.sha256()
+    for seed in range(3):
+        for k, r in BUILD_CLASSES:
+            digest.update(repr(build(class_graph(k, r, seed))).encode())
+    assert digest.hexdigest() == "b98fa6225dbb4d9aec72fde745803ab6914578bff7655b5ada66f0fe4aae071d"
+    info = _fixed_rects.cache_info()
+    assert (info.misses, info.hits) == (7, 14)  # the later rounds come from the cache
+
+
+def test_fixed_rects_shared_within_a_class_only():
+    fixed_ids = []
+    for k, r in BUILD_CLASSES:
+        a, b = (build(class_graph(k, r, seed)).inst.rects for seed in (0, 1))
+        nf, ne = 20 * k * k, 8 * k * (r - 1)
+        assert all(x is y for x, y in zip(a[:nf], b[:nf]))
+        assert all(x is y for x, y in zip(a[len(a) - ne:], b[len(b) - ne:]))
+        fixed_ids.append({id(x) for x in (*a[:nf], *a[len(a) - ne:])})
+        assert len(fixed_ids[-1]) == nf + ne
+    # a and b of every class are still alive, so no id was reused
+    assert len(set().union(*fixed_ids)) == sum(map(len, fixed_ids))
+
+
+def test_fixed_rects_cache_is_bounded():
+    assert 4 <= FIXED_CLASSES_CACHED == _fixed_rects.cache_info().maxsize
+    for r in range(1, FIXED_CLASSES_CACHED + 4):
+        build(MCGraph(k=1, r=r, edges=frozenset()))
+    assert _fixed_rects.cache_info().currsize <= FIXED_CLASSES_CACHED
+
+
+def test_memoized_rect_set_never_hides_a_nonedge(tmp_path):
+    g, clique = gen_mcgraph(2, 3, 1, 2, seed=5, plant=True)
+    p = clique.chosen[1]
+    q = next(q for q in range(1, 4) if not g.adjacent(g.vertex_id(1, p), g.vertex_id(2, q)))
+    red = build(g)
+    assert len(forward(red, clique)) == 8
+    with pytest.raises(ValueError):
+        forward(red, MCClique(chosen={1: p, 2: q}))
+
+    # A complete graph of the same class, its clique {1: 1, 2: 1} read
+    # back from files in which vertical strip 0 shrinks to the clique's
+    # line 7 and an extra line 8 stabs an added adjacency rectangle for
+    # that clique's own pair.
+    g = MCGraph(k=2, r=3, edges=frozenset((u, v) for u in range(3) for v in range(3, 6)))
+    red = build(g)
+    clique = MCClique(chosen={1: 1, 2: 1})
+    sol = forward(red, clique)
+    sol = Solution(hlines=sol.hlines, vlines=sol.vlines | {8})
+    ipath, spath = tmp_path / "i.json", tmp_path / "s.json"
+    formats.dump_instance(red.inst, ipath)
+    formats.dump_strip_table(red, spath)
+    strips = json.loads(spath.read_text())
+    strips["vstrips"][0] = [7, 7]
+    spath.write_text(json.dumps(strips))
+    loaded, _ = formats.load_reduced(ipath, spath)
+    assert reverse(loaded, sol, eps_num=1, eps_den=2) == clique
+    obj = json.loads(ipath.read_text())
+    bad = _adjacency_rect(3, 1, 2, 1, 1)
+    assert bad == Rect(8, 9, 14, 15)
+    obj["rects"].append([bad.x1, bad.x2, bad.y1, bad.y2])
+    ipath.write_text(json.dumps(obj))
+    tampered, _ = formats.load_reduced(ipath, spath)
+    with pytest.raises(MalformedReduction, match="not adjacent"):
+        reverse(tampered, sol, eps_num=1, eps_den=2)
 
 
 def test_doubling_formula():
