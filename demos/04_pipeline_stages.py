@@ -33,7 +33,7 @@ print(f"preselect: H1={list(found.h1)} (kept for the answer), V0={list(found.v0)
 print("\nfirst satisfiable guess:")
 print(f"  vertical strips (x ranges): {strips(vguess)}, V1={sorted(vguess.lines)}")
 print(f"  horizontal strips (y ranges): {strips(hguess)}, H1'={sorted(hguess.lines)}")
-print(f"  kernel size fed to 2-SAT: {len(found.kernel)} of {len(found.kept)} kept rectangles")
+print(f"  kernel size fed to 2-SAT: {found.kernel.bit_count()} of {found.kept.bit_count()} kept rectangles")
 # the per-strip lines lie strictly inside the guessed strips, so they are
 # exactly what the guesses themselves did not fix
 h2 = sol.hlines - set(found.h1) - hguess.lines

@@ -20,7 +20,9 @@ lines (k_h <= k_v after transposing), and per split:
   5. encodes "pick one line inside every guessed strip so the kernel is
      stabbed" as a 2-SAT formula with one threshold variable per candidate
      inside a guessed strip, numbered in one sequence over the vertical
-     strips, then the horizontal ones.
+     strips, then the horizontal ones, reading the strip each kernel
+     rectangle meets off the slot masks and its stabbers in that strip off
+     the stabber table.
 
 Any satisfiable guess assembles a verified solution of size at most
 2*k_h + floor(3*k_v/2) <= floor(7k/4); exhausting every guess certifies
@@ -43,7 +45,6 @@ from .core import (
     I64_MIN,
     Axis,
     Instance,
-    Rect,
     Solution,
     bits,
     line_masks,
@@ -450,62 +451,67 @@ def eliminate_redundant(
 
 
 def assemble_2sat(
-    kprime: Sequence[Rect],
+    kernel: int,
     vg: Guess,
     hg: Guess,
     inst: Instance,
 ) -> tuple[twosat.Formula, Callable[[list[bool]], tuple[frozenset[int], frozenset[int]]]]:
     """Formula whose satisfying assignments pick one candidate line inside
-    every guessed strip such that every kernel rectangle is stabbed.
+    every guessed strip such that every rectangle of kernel, a mask over
+    inst.rects, is stabbed.
 
     cands lists the candidates strictly inside the guessed strips, vertical
     strips first, each strip's ascending, so a strip is a variable range
-    [s, e). Variable t means "the strip's line is at or beyond cands[t]":
-    ordering clauses chain each strip's thresholds and a unit clause pins
-    its first, so the decoded set holds exactly one line per strip. A
-    rectangle stabbed inside a strip exactly by cands[lo:hi] needs lo and
-    not hi (when hi < e); meeting one strip of each family, it needs either
-    strip's condition. Raises GuessInfeasible when a guessed strip has no
-    interior candidate or some rectangle meets no guessed strip at all; a
-    rectangle that meets strips but cannot be stabbed inside them makes the
-    formula unsatisfiable instead.
+    [s, e) over a candidate range [lo, hi), and candidate j of it is
+    variable j + shift with shift = s - lo. Variable t means
+    "the strip's line is at or beyond cands[t]": ordering clauses chain
+    each strip's thresholds and a unit clause pins its first, so the
+    decoded set holds exactly one line per strip. Which guessed strips a
+    rectangle meets is read off slot_masks; its stabbers inside a strip are
+    its stabber-table range clipped to the strip's candidates. A rectangle
+    stabbed inside a strip exactly by cands[p:q] needs p and not q (when
+    q < e); meeting one strip of each family, it needs either strip's
+    condition. Raises GuessInfeasible when a guessed strip has no interior
+    candidate or some rectangle meets no guessed strip at all; a rectangle
+    that meets strips but cannot be stabbed inside them makes the formula
+    unsatisfiable instead.
     """
     cands: list[int] = []
-    families: list[list[tuple[int, int, int]]] = []  # (slot, s, e) per strip
-    for guess, positions in ((vg, inst.vlines), (hg, inst.hlines)):
+    families: list[list[tuple[int, int, int, int]]] = []  # (meets, s, e, shift) per strip
+    for guess, axis in ((vg, Axis.VERTICAL), (hg, Axis.HORIZONTAL)):
+        positions = inst.line_positions(axis)
+        meets = slot_masks(inst, axis, guess.base, kernel)
         strips = []
         for i in guess.slots:
             lo, hi = _inside(guess.base, positions, i)
             if lo == hi:
                 raise GuessInfeasible("guessed strip contains no candidate line")
-            strips.append((i, len(cands), len(cands) + hi - lo))
+            strips.append((meets[i], len(cands), len(cands) + hi - lo, len(cands) - lo))
             cands.extend(positions[lo:hi])
         families.append(strips)
     v_strips, h_strips = families
 
     f = twosat.Formula(num_vars=len(cands))
-    for _, s, e in v_strips + h_strips:
+    for _, s, e, _ in v_strips + h_strips:
         for t in range(s, e - 1):
             f.add_clause((t + 1, True), (t, False))  # threshold t+1 implies threshold t
         f.add_unit((s, False))
 
-    for rect in kprime:
+    ranges, ids = inst.stabbers
+    for r in bits(kernel):
+        a, b, c, d = ranges[ids[r]]
         met: list[int] = []  # first variable of each strip the rectangle meets
         stabs: list[list[twosat.Lit]] = []  # per met strip with a stabbing candidate
-        for strips, base, a, b in (
-            (v_strips, vg.base, rect.x1, rect.x2),
-            (h_strips, hg.base, rect.y1, rect.y2),
-        ):
-            # the extent [a, b] meets the open slots first..last
-            first, last = bisect_right(base, a), bisect_left(base, b)
-            hits = [(s, e) for i, s, e in strips if first <= i <= last]
+        for strips, first, stop in ((v_strips, c, d), (h_strips, a, b)):
+            hits = [(s, e, shift) for meets, s, e, shift in strips if meets >> r & 1]
             if len(hits) > 1:
                 raise RuntimeError("kernel rectangle meets two strips of one family")
-            for s, e in hits:
+            for s, e, shift in hits:
                 met.append(s)
-                lo, hi = bisect_left(cands, a, s, e), bisect_right(cands, b, s, e)
-                if lo < hi:
-                    stabs.append([(lo, False), (hi, True)] if hi < e else [(lo, False)])
+                # its stabbers positions[first:stop], clipped to the strip
+                p, q = max(first + shift, s), min(stop + shift, e)
+                if p < q:
+                    stabs.append([(p, False), (q, True)] if q < e else [(p, False)])
         if not met:
             raise GuessInfeasible("kernel rectangle meets no guessed strip")
         if len(stabs) == 2:
@@ -523,8 +529,8 @@ def assemble_2sat(
             return cands[max(t for t in range(s, e) if values[t])]
 
         return (
-            frozenset(pick(s, e) for _, s, e in h_strips),
-            frozenset(pick(s, e) for _, s, e in v_strips),
+            frozenset(pick(s, e) for _, s, e, _ in h_strips),
+            frozenset(pick(s, e) for _, s, e, _ in v_strips),
         )
 
     return f, decode
@@ -533,15 +539,16 @@ def assemble_2sat(
 @dataclass(frozen=True)
 class SplitWitness:
     """The first satisfiable guess of a split: the preselection, both
-    guesses, the rectangles kept by kernelization, the kernel handed to
-    2-SAT and the assembled solution."""
+    guesses, the rectangles kept by kernelization and the kernel handed to
+    2-SAT, both as masks over the split's inst.rects, and the assembled
+    solution."""
 
     h1: tuple[int, ...]
     v0: tuple[int, ...]
     vguess: Guess
     hguess: Guess
-    kept: list[Rect]
-    kernel: list[Rect]
+    kept: int
+    kernel: int
     solution: Solution
 
 
@@ -652,8 +659,7 @@ def solve_split(
     if len(h1) > 2 * k_h:
         return None  # no horizontal guess can fit the budget
 
-    rects = inst.rects
-    full = (1 << len(rects)) - 1
+    full = (1 << len(inst.rects)) - 1
     removed_any = False
     vcover, vmeets = tables.vertical_cover(h1, v0)
     vcover = vcover._replace(spare=2 * k_h - len(h1))
@@ -682,7 +688,7 @@ def solve_split(
         )
         for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines, hcover):
             stats.horizontal_guesses += 1
-            kernel = [rects[i] for i in bits(unstabbed & ~tables.stabbed(hg.lines, ()))]
+            kernel = unstabbed & ~tables.stabbed(hg.lines, ())
             formula, decode = assemble_2sat(kernel, vg, hg, inst)
             stats.twosat_calls += 1
             assignment = twosat.solve(formula)
@@ -690,7 +696,7 @@ def solve_split(
                 continue
             h2, v2 = decode(assignment)
             sol = Solution(hlines=set(h1) | hg.lines | h2, vlines=vg.lines | v2)
-            return SplitWitness(h1, v0, vg, hg, [rects[i] for i in bits(kept)], kernel, sol)
+            return SplitWitness(h1, v0, vg, hg, kept, kernel, sol)
     if not removed_any:
         tables._exhausted[split] = min(k, tables._exhausted.get(split, k))
     return None

@@ -206,14 +206,17 @@ def _bench_one(job: tuple[str, bool, bool, int, int]) -> list[dict]:
     # the sizes both solvers work on; the reduction is kept on inst for them
     reduced = {f"reduced_{key}": n for key, n in _instance_stats(inst.reduced).items()}
     base = {"instance": name, **_instance_stats(inst), **reduced}
+    # decided once, before either solver, as solve does; neither then runs
+    infeasible = _is_infeasible(inst)
     rows = []
     exact_size: Optional[int] = None
     if run_exact:
         exact_stats = exact.ExactStats()
-        sol = exact.opt_exact(inst, exact.SearchBudget(max_size), exact_stats)
+        budget = exact.SearchBudget(max_size)
+        sol = None if infeasible else exact.opt_exact(inst, budget, exact_stats)
         row = dict(base, solver="exact", nodes=exact_stats.nodes)
         if sol is None:
-            row["outcome"] = "no-witness"
+            row["outcome"] = "infeasible" if infeasible else "no-witness"
         else:
             exact_size = len(sol)
             row.update(outcome="solved", size=exact_size)
@@ -221,9 +224,9 @@ def _bench_one(job: tuple[str, bool, bool, int, int]) -> list[dict]:
     if run_approx:
         row = dict(base, solver="approx")
         stats = approx.SearchStats()
-        found = approx.solve_min(inst, kmax, stats)
+        found = None if infeasible else approx.solve_min(inst, kmax, stats)
         if found is None:
-            row["outcome"] = "infeasible" if _is_infeasible(inst) else "no-witness"
+            row["outcome"] = "infeasible" if infeasible else "no-witness"
         else:
             k, sol = found
             row.update(outcome="solved", k=k, size=len(sol))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Axis, Instance, Line, Rect, Solution, verify
-from .reduction import MCClique, MCGraph
+from .reduction import MAX_CROSS_PAIRS, MCClique, MCGraph
 from .rng import Xoshiro256StarStar
 
 
@@ -133,10 +133,17 @@ def gen_mcgraph(
 
     With plant=True one vertex per part is selected, all its pairwise edges
     inserted, and every remaining cross-part pair added independently with
-    probability extra_edge_prob_num/extra_edge_prob_den.
+    probability extra_edge_prob_num/extra_edge_prob_den. Raises ValueError
+    before any draw when that probability is not in [0, 1] or the graph
+    has more than MAX_CROSS_PAIRS cross-part pairs, which reduction.build
+    refuses.
     """
     if k < 1 or r < 1:
         raise ValueError("need k >= 1 and r >= 1")
+    if extra_edge_prob_den <= 0 or not 0 <= extra_edge_prob_num <= extra_edge_prob_den:
+        raise ValueError("extra edge probability must be a rational in [0, 1]")
+    if k * (k - 1) * r * r > MAX_CROSS_PAIRS:
+        raise ValueError(f"graph too large to reduce: k(k-1)r^2 exceeds {MAX_CROSS_PAIRS}")
     rng = Xoshiro256StarStar(seed)
     edges: set[tuple[int, int]] = set()
     clique: Optional[MCClique] = None
@@ -150,12 +157,8 @@ def gen_mcgraph(
                 u, v = sorted((chosen_ids[a], chosen_ids[b]))
                 edges.add((u, v))
     for u in range(k * r):
-        for v in range(u + 1, k * r):
-            if u // r == v // r:
-                continue
-            if (u, v) in edges:
-                continue
-            if rng.chance(extra_edge_prob_num, extra_edge_prob_den):
+        for v in range((u // r + 1) * r, k * r):  # the later parts' vertices
+            if (u, v) not in edges and rng.chance(extra_edge_prob_num, extra_edge_prob_den):
                 edges.add((u, v))
     return MCGraph(k=k, r=r, edges=frozenset(edges)), clique
 

@@ -116,7 +116,7 @@ class ReducedInstance:
     hstrips: tuple[tuple[int, int], ...]
 
 
-def _strip_range(k: int, r: int, x: int) -> tuple[int, int]:
+def _strip_range(r: int, x: int) -> tuple[int, int]:
     lo = 2 * r + x * r + 1
     return (lo, lo + r - 1)
 
@@ -136,7 +136,7 @@ def _fixed_rects(k: int, r: int) -> tuple[tuple[Rect, ...], tuple[Rect, ...]]:
     force = []
     # force: one line per strip, pinned by 5k disjoint segments per strip
     for x in range(2 * k):
-        lo, hi = _strip_range(k, r, x)
+        lo, hi = _strip_range(r, x)
         for q in range(-5 * k, 0):
             force.append(Rect(lo, hi, q, q))  # F_v
             force.append(Rect(q, q, lo, hi))  # F_h
@@ -146,8 +146,8 @@ def _fixed_rects(k: int, r: int) -> tuple[tuple[Rect, ...], tuple[Rect, ...]]:
         for y in range(2 * k):
             if x // 2 != y // 2:
                 continue
-            xlo, _ = _strip_range(k, r, x)
-            ylo, _ = _strip_range(k, r, y)
+            xlo, _ = _strip_range(r, x)
+            ylo, _ = _strip_range(r, y)
             for a in range(2, r + 1):
                 equality.append(Rect(xlo, xlo + a - 2, ylo + a - 1, ylo + r - 1))  # top left
                 equality.append(Rect(xlo + a - 1, xlo + r - 1, ylo, ylo + a - 2))  # bottom right
@@ -180,11 +180,11 @@ def build(g: MCGraph) -> ReducedInstance:
 
     positions = []
     for x in range(2 * k):
-        lo, hi = _strip_range(k, r, x)
+        lo, hi = _strip_range(r, x)
         positions.extend(range(lo, hi + 1))
     inst = Instance(rects=rects, hlines=positions, vlines=positions)
 
-    strips = tuple(_strip_range(k, r, x) for x in range(2 * k))
+    strips = tuple(_strip_range(r, x) for x in range(2 * k))
     if len(inst.hlines) != 2 * k * r or len(inst.vlines) != 2 * k * r:
         raise RuntimeError("reduced instance must have 2kr candidate lines per axis")
     return ReducedInstance(inst=inst, k=k, r=r, vstrips=strips, hstrips=strips)

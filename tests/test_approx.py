@@ -484,16 +484,14 @@ def test_witness_guided_pipeline_is_satisfiable():
         vg = witness_vertical_guess(v0, vstar)
         v1 = vg.lines
         kept, h0 = eliminate_redundant(Orientation(work), h1, vg, k)
-        kept = [work.rects[i] for i in bits(kept)]
         hg = witness_horizontal_guess(h1, h0, hstar, k_h)
         h1p = hg.lines
         base_h = sorted(set(h1) | h1p)
-        kprime = [
-            r
-            for r in kept
-            if not any(r.y1 <= y <= r.y2 for y in base_h)
-            and not any(r.x1 <= x <= r.x2 for x in v1)
-        ]
+        kprime = 0
+        for i in bits(kept):
+            r = work.rects[i]
+            if not any(r.y1 <= y <= r.y2 for y in base_h) and not any(r.x1 <= x <= r.x2 for x in v1):
+                kprime |= 1 << i
         formula, decode = assemble_2sat(kprime, vg, hg, work)
         values = solve_2sat(formula)
         assert values is not None
@@ -517,7 +515,7 @@ def _between(lo, hi):
 
 def test_assemble_empty_kernel_decodes_one_line_per_strip():
     inst = Instance([], hlines=[0, 4, 8], vlines=[0, 4, 8])
-    formula, decode = assemble_2sat([], *_between(0, 8), inst)
+    formula, decode = assemble_2sat(0, *_between(0, 8), inst)
     values = solve_2sat(formula)
     assert values is not None
     h2, v2 = decode(values)
@@ -526,16 +524,14 @@ def test_assemble_empty_kernel_decodes_one_line_per_strip():
 
 
 def test_assemble_rejects_empty_strip():
-    inst = Instance([], hlines=[], vlines=[0, 8])
     with pytest.raises(GuessInfeasible):
-        assemble_2sat([], _between(0, 8)[0], NO_HGUESS, Instance([], [], [0, 8]))
+        assemble_2sat(0, _between(0, 8)[0], NO_HGUESS, Instance([], [], [0, 8]))
 
 
 def test_assemble_window_thresholds():
     # candidates v1..v5 at 1..5 inside strip (0,6); rect stabbable by {3,4}
-    inst = Instance([], hlines=[], vlines=[0, 1, 2, 3, 4, 5, 6])
-    rect = Rect(3, 4, 0, 1)
-    formula, decode = assemble_2sat([rect], _between(0, 6)[0], NO_HGUESS, inst)
+    inst = Instance([Rect(3, 4, 0, 1)], hlines=[], vlines=[0, 1, 2, 3, 4, 5, 6])
+    formula, decode = assemble_2sat(1, _between(0, 6)[0], NO_HGUESS, inst)
     sat_choices = set()
     # enumerate the five monotone threshold assignments and check which satisfy
     for cut in range(1, 6):
@@ -553,30 +549,30 @@ def test_assemble_window_thresholds():
 
 
 def test_assemble_unstabbable_rect_in_both_strips_is_unsat():
-    inst = Instance([], hlines=[0, 9], vlines=[0, 9])
     vg, hg = _between(0, 9)
     # the rect meets both strips but contains no interior candidate on either axis
     rect = Rect(2, 3, 2, 3)
     inst = Instance([rect], hlines=[0, 9], vlines=[0, 9])
     with pytest.raises(GuessInfeasible):
         # strips have no interior candidates at all: rejected upfront
-        assemble_2sat([rect], vg, hg, inst)
+        assemble_2sat(1, vg, hg, inst)
     inst2 = Instance([rect], hlines=[0, 5, 9], vlines=[0, 5, 9])
-    formula, _ = assemble_2sat([rect], vg, hg, inst2)
+    formula, _ = assemble_2sat(1, vg, hg, inst2)
     assert solve_2sat(formula) is None
 
 
 def test_assemble_rect_meeting_no_strip_is_guess_infeasible():
     inst = Instance([Rect(20, 21, 20, 21)], hlines=[0, 5, 9], vlines=[0, 5, 9])
     with pytest.raises(GuessInfeasible):
-        assemble_2sat(list(inst.rects), *_between(0, 9), inst)
+        assemble_2sat(1, *_between(0, 9), inst)
 
 
 def _covered_guesses(inst, k_h, k_v, k):
     """(vertical guess, horizontal guess, kernel) for every pair the
     enumerators yield under the covers solve_split builds, past the first
-    satisfiable one; the kernel is every rectangle the guess's lines (H1,
-    V1, H1') miss, so every kernel rectangle meets a guessed strip."""
+    satisfiable one; the kernel is the mask of every rectangle the guess's
+    lines (H1, V1, H1') miss, so every kernel rectangle meets a guessed
+    strip."""
     pre = preselect(inst, k_v)
     if pre is None:
         return
@@ -600,7 +596,7 @@ def _covered_guesses(inst, k_h, k_v, k):
         )
         for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines, hcover):
             kernel = missed & ~stab_mask(inst, hg.lines)
-            yield vg, hg, [inst.rects[i] for i in bits(kernel)]
+            yield vg, hg, kernel
 
 
 def _covered_pool(sizes):
@@ -649,10 +645,9 @@ def test_assembled_formulas_pinned():
 def test_assemble_rejects_a_rectangle_meeting_two_strips_of_one_family(slots):
     # strips x < 0 and x > 10 hold the candidates -3 and 12; the rectangle
     # spans both, which kernelization rules out for any enumerated guess
-    rect = Rect(-5, 15, 0, 1)
-    inst = Instance([rect], hlines=[], vlines=[-3, 0, 10, 12])
+    inst = Instance([Rect(-5, 15, 0, 1)], hlines=[], vlines=[-3, 0, 10, 12])
     with pytest.raises(RuntimeError, match="meets two strips of one family"):
-        assemble_2sat([rect], Guess((0, 10), slots, frozenset()), NO_HGUESS, inst)
+        assemble_2sat(1, Guess((0, 10), slots, frozenset()), NO_HGUESS, inst)
 
 
 def _check_assembly(inst, vg, hg, kernel):
@@ -662,7 +657,7 @@ def _check_assembly(inst, vg, hg, kernel):
     def stabbed(hs, vs):
         return all(
             any(r.y1 <= y <= r.y2 for y in hs) or any(r.x1 <= x <= r.x2 for x in vs)
-            for r in kernel
+            for r in (inst.rects[i] for i in bits(kernel))
         )
 
     def inside(strips, positions):
@@ -1222,7 +1217,7 @@ def test_final_check_survives_optimized_mode():
         inst = Instance([Rect(0, 1, 0, 1)], hlines=[0], vlines=[0])
         # the first split tried is k_h = k_v = 0, whose size bound is 0
         for bogus in (Solution(), Solution(hlines=[0])):
-            witness = approx.SplitWitness((), (), None, None, [], [], bogus)
+            witness = approx.SplitWitness((), (), None, None, 0, 0, bogus)
             approx.solve_split = lambda *args: witness
             try:
                 approx.solve_with_budget(inst, 1)

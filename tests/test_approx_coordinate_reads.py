@@ -1,0 +1,36 @@
+"""The approximation's search asks where a rectangle lies through the
+stabber table and core's masks, never by reading its coordinates. The one
+stage still written in coordinates is kernelization (eliminate_redundant),
+which works on y-extents and picks the widest rectangle in a strip."""
+
+import ast
+from pathlib import Path
+
+APPROX = Path(__file__).resolve().parents[1] / "src" / "rectstab" / "approx.py"
+COORDINATES = {"x1", "x2", "y1", "y2"}
+ALLOWED = {"eliminate_redundant"}
+
+
+def _coordinate_reads(tree):
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in COORDINATES
+    ]
+
+
+def test_approx_reads_coordinates_only_in_kernelization():
+    tree = ast.parse(APPROX.read_text(), filename=str(APPROX))
+    allowed = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name in ALLOWED
+        for node in _coordinate_reads(func)
+    }
+    assert allowed, "kernelization no longer reads coordinates: narrow ALLOWED"
+    found = [
+        f"approx.py:{node.lineno} .{node.attr}"
+        for node in _coordinate_reads(tree)
+        if id(node) not in allowed
+    ]
+    assert not found, f"coordinate reads outside kernelization: {found}"

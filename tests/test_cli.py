@@ -369,6 +369,26 @@ def test_bench_reports_the_reduced_sizes(tmp_path, capsys):
     assert len(rows) == 6 and shrunk > 0
 
 
+def test_bench_decides_infeasibility_before_either_solver(tmp_path, capsys):
+    """A rectangle no candidate stabs makes both rows read infeasible, as
+    solve says, with zero counters: neither solver runs."""
+    fixtures = tmp_path / "fx"
+    fixtures.mkdir()
+    (fixtures / "inf.json").write_text(
+        '{"rects": [[0, 1, 0, 1], [5, 6, 5, 6]], "hlines": [0], "vlines": [0]}'
+    )
+    out = tmp_path / "bench.csv"
+    assert main(["bench", str(fixtures), "--out", str(out), "--approx", "--exact"]) == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    cells = [dict(zip(header, row)) for row in rows]
+    assert [(c["solver"], c["outcome"]) for c in cells] == [
+        ("approx", "infeasible"), ("exact", "infeasible")
+    ]
+    counters = ("splits", "vertical_guesses", "horizontal_guesses", "twosat_calls")
+    assert [cells[0][name] for name in counters] == ["0"] * 4
+    assert cells[1]["nodes"] == "0"
+
+
 def test_bench_negative_kmax_exits_2(tmp_path, capsys):
     # an empty budget ladder tries no budget, so its no-witness would be false
     fixtures = tmp_path / "fx"
@@ -474,6 +494,7 @@ def _exits_2_at_once(*argv):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
     assert float(proc.stdout) < 1.0
+    return proc.stderr
 
 
 def test_reduce_refuses_oversized_graph_before_allocating(tmp_path):
@@ -490,6 +511,44 @@ def test_discretize_refuses_spread_points_before_allocating(tmp_path):
     points = tmp_path / "pts.csv"
     points.write_text("x,y,color\n0,0,0\n4000000000000000000,1,1\n")
     _exits_2_at_once("gen", "discretize", str(points), "--out", str(tmp_path / "o.json"))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--k", "1", "--r", "3", "--prob", "5/2"), "probability"),
+        (("--k", "2", "--r", "1", "--plant", "--prob", "5/2"), "probability"),
+        (("--k", "2", "--r", "1000"), "too large"),
+    ],
+    ids=["one-part", "planted", "oversized"],
+)
+def test_gen_mcgraph_refuses_before_any_draw(argv, message, tmp_path):
+    """A probability outside [0, 1] is refused even where no pair is ever
+    drawn (one part; r = 1 with the clique planted), and a graph the
+    reduction would refuse (k(k-1)r^2 = 2e6) before its pairs are walked:
+    exit 2 with a message, and no file."""
+    out = tmp_path / "g.json"
+    err = _exits_2_at_once("gen", "mcgraph", *argv, "--seed", "1", "--out", str(out))
+    assert message in err
+    assert not out.exists()
+
+
+def test_gen_mcgraph_one_part_walks_no_pairs(tmp_path):
+    """A one-part graph has no cross-part pair to draw, so a million
+    vertices write an edgeless graph at once."""
+    out = tmp_path / "g.json"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rectstab.cli", "gen", "mcgraph", "--k", "1", "--r", "1000000",
+         "--seed", "1", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    graph = formats.load_graph(out)
+    assert (graph.k, graph.r, graph.edges) == (1, 10**6, frozenset())
 
 
 def test_gen_uniform_coordinate_range_beyond_64_bits_exits_2(tmp_path):

@@ -308,12 +308,13 @@ def _uncovered_split(inst, k_h, k_v, k):
         kept, h0 = eliminate_redundant(tables, h1, vg, k)
         for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines):
             hs = set(h1) | hg.lines
-            kernel = [
-                r
-                for r in (inst.rects[i] for i in bits(kept))
-                if not any(r.y1 <= y <= r.y2 for y in hs)
-                and not any(r.x1 <= x <= r.x2 for x in vg.lines)
-            ]
+            kernel = 0
+            for i in bits(kept):
+                r = inst.rects[i]
+                if not any(r.y1 <= y <= r.y2 for y in hs) and not any(
+                    r.x1 <= x <= r.x2 for x in vg.lines
+                ):
+                    kernel |= 1 << i
             try:
                 formula, decode = assemble_2sat(kernel, vg, hg, inst)
             except GuessInfeasible:
