@@ -480,7 +480,7 @@ def assemble_2sat(
     families: list[list[tuple[int, int, int, int]]] = []  # (meets, s, e, shift) per strip
     for guess, axis in ((vg, Axis.VERTICAL), (hg, Axis.HORIZONTAL)):
         positions = inst.line_positions(axis)
-        meets = slot_masks(inst, axis, guess.base, kernel)
+        meets = slot_masks(inst, axis, guess.base, kernel) if guess.slots else []
         strips = []
         for i in guess.slots:
             lo, hi = _inside(guess.base, positions, i)

@@ -6,15 +6,14 @@ against a subset-enumeration brute force on the raw instance
 (tests/oracles.py).
 
 Each search node carries the chosen lines and a mask of excluded lines;
-the lines not excluded are live. One pass per node puts the unstabbed
-rectangles into buckets by live stabber count, each bucket in index
-order; read by ascending count, that is the order of (live stabber
-count, index). The head of that order is the branching rectangle
-(fail-first; ties go to the lowest index), and the node is cut when it
-has no live stabber. Branch j over the live stabbers j1 < j2 < ... of
-that rectangle chooses j and excludes j1..j(i-1) for its whole subtree
-(sibling exclusion), so each line set is reached at most once, not once
-per ordering of its lines.
+the lines not excluded are live. Each node selects the live stabber sets
+of the unstabbed rectangles in index order and sorts them stably by
+size, which is the order of (live stabber count, index). The head of
+that order is the branching rectangle (fail-first; ties go to the lowest
+index), and the node is cut when it has no live stabber. Branch j over
+the live stabbers j1 < j2 < ... of that rectangle chooses j and excludes
+j1..j(i-1) for its whole subtree (sibling exclusion), so each line set is
+reached at most once, not once per ordering of its lines.
 
 Lines are numbered by candidate index: the horizontal lines of
 inst.reduced are 0..mh-1 and its vertical lines mh.. (dedup_lines keeps
@@ -33,9 +32,11 @@ its candidate end - 1. Each trigger's range lies wholly above the
 candidate taken for the one before, so their stabbers are pairwise
 disjoint, and there are as many as that axis's 1-D optimum. The two axes'
 triggers have stabbers on different axes. The seed is therefore never
-below the additive single-axis bound, and the bucket order then extends
+below the additive single-axis bound, and the node's order then extends
 it greedily. The node is cut when the chosen lines plus the packing reach
-the incumbent's size.
+the incumbent's size. At the root nothing is chosen or excluded, so the
+root's packing bounds every solution, and the search stops as soon as an
+incumbent has that many lines.
 
 Completeness: let T be any solution that contains the chosen lines and
 avoids the excluded ones. T stabs the picked rectangle; let j be the first
@@ -44,15 +45,23 @@ and excludes only stabbers before j, none of which is in T, so T is a
 solution of branch j's node. By induction T is reached, or a node on its
 path is cut by the bound because it cannot hold a solution smaller than
 the incumbent. A node whose picked rectangle has no live stabber holds no
-such T. A None result is therefore still a certificate.
+such T. A None result is therefore still a certificate. The stop at the
+root's packing keeps the minimum and the certificate: it fires only once
+an incumbent exists, and that incumbent is a minimum, since no solution
+has fewer lines; a search that finds no solution runs to its end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from .core import Axis, Instance, Line, Solution, bits, line_masks
+
+
+# bin()'s digits as the 0/1 bytes itertools.compress selects by
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -131,10 +140,12 @@ def opt_exact(
 
     best: Optional[list[int]] = None
     best_size = budget.max_size + 1
+    floor = 0  # the root's packing once it is known: no solution is smaller
     nodes = 0
 
-    def dfs(unstabbed: int, chosen: list[int], excluded: int) -> None:
-        nonlocal best, best_size, nodes
+    def dfs(unstabbed: int, chosen: list[int], excluded: int) -> bool:
+        """Search the node's subtree; True once the incumbent is a minimum."""
+        nonlocal best, best_size, floor, nodes
         nodes += 1
         if budget.node_limit is not None and nodes > budget.node_limit:
             raise NodeLimitExceeded(f"exceeded {budget.node_limit} search nodes")
@@ -142,10 +153,10 @@ def opt_exact(
             if len(chosen) < best_size:
                 best = list(chosen)
                 best_size = len(chosen)
-            return
+            return best_size <= floor
         live = ~excluded
         need = best_size - len(chosen)
-        # The seed may cut before the buckets: a trigger with no live stabber
+        # The seed may cut before the sort: a trigger with no live stabber
         # makes the node a dead end anyway.
         pack = 0
         used = 0
@@ -157,28 +168,28 @@ def opt_exact(
                     used |= stab_lines[i] & live
                     pack += 1
         if pack >= need:
-            return
-        # The live stabbers of the unstabbed rectangles, bucketed by their
-        # count; each bucket lists them by rectangle index.
-        buckets: dict[int, list[int]] = {}
-        for i in bits(unstabbed):
-            s = stab_lines[i] & live
-            if not s:
-                return  # fail-first: a rectangle with no live stabber is a dead end
-            buckets.setdefault(s.bit_count(), []).append(s)
-        counts = sorted(buckets)
-        for c in counts:
-            for s in buckets[c]:
-                if not s & used:
-                    used |= s
-                    pack += 1
-                    if pack >= need:
-                        return
-        for j in bits(buckets[counts[0]][0]):
+            return False
+        # The live stabbers of the unstabbed rectangles, by live count; the
+        # sort is stable, so ties keep rectangle index order.
+        selected = compress(stab_lines, bin(unstabbed)[:1:-1].encode().translate(_DIGIT_FLAGS))
+        order = sorted(map(live.__and__, selected), key=int.bit_count)
+        if not order[0]:
+            return False  # fail-first: a rectangle with no live stabber is a dead end
+        for s in order:
+            if not s & used:
+                used |= s
+                pack += 1
+                if pack >= need:
+                    return False
+        if not chosen:
+            floor = pack
+        for j in bits(order[0]):
             chosen.append(j)
-            dfs(unstabbed & ~masks[j], chosen, excluded)
+            if dfs(unstabbed & ~masks[j], chosen, excluded):
+                return True
             chosen.pop()
             excluded |= 1 << j
+        return False
 
     try:
         dfs((1 << len(ranges)) - 1, [], 0)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from rectstab import exact
@@ -9,7 +11,8 @@ from rectstab.exact import (
     dedup_lines,
     opt_exact,
 )
-from rectstab.generators import gen_planted, gen_uniform
+from rectstab.generators import gen_mcgraph, gen_planted, gen_uniform
+from rectstab.reduction import build
 from rectstab.rng import Xoshiro256StarStar
 
 from oracles import brute_force
@@ -80,12 +83,13 @@ def test_agreement_with_brute_force_on_random_suite():
     assert stats.nodes == 459  # pinned, like HARD_FAMILY_NODES, on general instances
 
 
+UNIFORM_POOL = [gen_uniform(30, 24, 20, s) for s in range(40)]
+PLANTED_POOL = [gen_planted(4 + s % 3, 200, 60, s)[0] for s in range(20)]
+
+
 @pytest.mark.parametrize(
     "pool, max_size, nodes",
-    [
-        ([gen_uniform(30, 24, 20, s) for s in range(40)], 12, 104),
-        ([gen_planted(4 + s % 3, 200, 60, s)[0] for s in range(20)], 8, 116),
-    ],
+    [(UNIFORM_POOL, 12, 104), (PLANTED_POOL, 8, 116)],
     ids=["uniform", "planted"],
 )
 def test_node_sums_pinned_on_general_instances(pool, max_size, nodes):
@@ -96,6 +100,39 @@ def test_node_sums_pinned_on_general_instances(pool, max_size, nodes):
     for inst in pool:
         opt_exact(inst, SearchBudget(max_size), stats)
     assert stats.nodes == nodes
+
+
+def pinned_searches():
+    """(instance, max_size) of every search whose answer is pinned below:
+    the general pools above, the clique reduction's hard family at budget
+    4k (the classes of HARD_FAMILY_NODES in test_reduction.py) and the
+    unplanted graphs of its gap test at budget 5k."""
+    for inst in UNIFORM_POOL:
+        yield inst, 12
+    for inst in PLANTED_POOL:
+        yield inst, 8
+    for k, r in [(3, 3), (3, 4), (4, 3), (4, 4), (5, 3)]:
+        for plant in (True, False):
+            for seed in range(6):
+                yield build(gen_mcgraph(k, r, 1, 3, seed=seed, plant=plant)[0]).inst, 4 * k
+    for k, r in [(3, 3), (3, 4), (4, 3)]:
+        for seed in range(4):
+            yield build(gen_mcgraph(k, r, 1, 3, seed=seed, plant=False)[0]).inst, 5 * k
+
+
+def test_answers_pinned():
+    # The node counts pin how much is searched; this pins what is found.
+    # A change to the branching order or the bound may move the counts,
+    # but must return these very line sets, None for no solution.
+    digest = hashlib.sha256()
+    count = 0
+    for inst, max_size in pinned_searches():
+        sol = opt_exact(inst, SearchBudget(max_size))
+        lines = None if sol is None else (sorted(sol.hlines), sorted(sol.vlines))
+        digest.update(repr(lines).encode())
+        count += 1
+    assert count == 132
+    assert digest.hexdigest() == "382095bb013889bcd9526345b4aa30e28ad3f5c3ba02b28afab3c3c5808028fb"
 
 
 def test_a_pool_missing_a_line_of_the_reduced_instance_raises(monkeypatch):

@@ -213,15 +213,17 @@ def test_soundness_small():
 
 
 # Summed ExactStats.nodes of each class's twelve searches below, recorded
-# with the packing bound. A change to the bound or the branching order
-# must update these literals and say why; a larger one is a regression.
-HARD_FAMILY_NODES = {(3, 3): 1054, (3, 4): 1576, (4, 3): 2338, (4, 4): 6029, (5, 3): 5505}
+# with the packing bound and the stop at the root's packing. A change to
+# the bound or the branching order must update these literals and say
+# why; a larger one is a regression.
+HARD_FAMILY_NODES = {(3, 3): 988, (3, 4): 1370, (4, 3): 2287, (4, 4): 5886, (5, 3): 5448}
+# The same for the small classes the reduction-exact benchmark times.
+SMALL_CLASS_NODES = {(2, 2): 174, (2, 3): 304, (3, 2): 316}
 
 
-@pytest.mark.parametrize("k, r", sorted(HARD_FAMILY_NODES))
-def test_exact_certifies_the_hard_family(k, r):
-    # Instances far past the brute-force oracles: 4k lines stab the
-    # reduction exactly when the graph has a multicolored clique.
+def certify_class(k, r):
+    """Search the P and U graphs of seeds 0-5 of class (k, r) at budget
+    4k, check every answer, and return the summed search nodes."""
     outcomes = set()
     stats = ExactStats()
     for plant in (True, False):
@@ -235,7 +237,19 @@ def test_exact_certifies_the_hard_family(k, r):
                 assert verify(red.inst, sol) == []
             outcomes.add(sol is None)
     assert outcomes == {True, False}  # both a solution and a certificate
-    assert stats.nodes == HARD_FAMILY_NODES[(k, r)]
+    return stats.nodes
+
+
+@pytest.mark.parametrize("k, r", sorted(HARD_FAMILY_NODES))
+def test_exact_certifies_the_hard_family(k, r):
+    # Instances far past the brute-force oracles: 4k lines stab the
+    # reduction exactly when the graph has a multicolored clique.
+    assert certify_class(k, r) == HARD_FAMILY_NODES[(k, r)]
+
+
+@pytest.mark.parametrize("k, r", sorted(SMALL_CLASS_NODES))
+def test_exact_certifies_the_small_classes(k, r):
+    assert certify_class(k, r) == SMALL_CLASS_NODES[(k, r)]
 
 
 @pytest.mark.parametrize("k, r", [(3, 3), (3, 4), (4, 3)])
