@@ -74,17 +74,22 @@ class MCGraph:
 
     def cross_nonedges(self) -> list[tuple[int, int, int, int]]:
         """Ordered (i, j, p, q), 1-based, with i != j and no edge between
-        vertex p of part i and vertex q of part j."""
-        out = []
-        for i in range(1, self.k + 1):
-            for j in range(1, self.k + 1):
-                if i == j:
-                    continue
-                for p in range(1, self.r + 1):
-                    for q in range(1, self.r + 1):
-                        if not self.adjacent(self.vertex_id(i, p), self.vertex_id(j, q)):
-                            out.append((i, j, p, q))
-        return out
+        vertex p of part i and vertex q of part j.
+
+        Walks the 0-based vertex ids of each part pair and looks the sorted
+        pair up in edges directly: __post_init__ already holds every edge
+        to a sorted pair of in-range ids, and a vertex of an earlier part
+        has the smaller id."""
+        k, r, edges = self.k, self.r, self.edges
+        return [
+            (i + 1, j + 1, p + 1, q + 1)
+            for i in range(k)
+            for j in range(k)
+            if i != j
+            for p in range(r)
+            for q in range(r)
+            if ((i * r + p, j * r + q) if i < j else (j * r + q, i * r + p)) not in edges
+        ]
 
 
 @dataclass(frozen=True)
@@ -194,21 +199,28 @@ def _check_pairwise_adjacent(red: ReducedInstance, chosen: dict[int, int]) -> Op
     """First non-adjacent part pair among the chosen vertices, if any.
 
     Adjacency is read off the instance itself: a cross-part pair is a
-    non-edge exactly when its adjacency rectangle was emitted. The set of
-    the instance's rectangles is built once and kept in its memo, so
-    forward and reverse on one instance share it.
+    non-edge exactly when its adjacency rectangle was emitted. Every
+    adjacency rectangle is r - 2 wide on both axes, so the lookup set holds
+    only the instance's rectangles of that shape (with r = 2 that admits
+    the equality points too, which pair no two different parts). The set
+    is built once per r and kept in the instance's memo, so forward and
+    reverse on one instance share it.
     """
-    if red.r == 1:
+    r = red.r
+    if r == 1:
         return None  # no adjacency rectangles exist; nothing to check against
-    memo = vars(red.inst)
-    rect_set = memo.get("_rect_set")
+    by_r = vars(red.inst).setdefault("_adjacency_rects", {})
+    rect_set = by_r.get(r)
     if rect_set is None:
-        rect_set = memo.setdefault("_rect_set", frozenset(red.inst.rects))
+        w = r - 2
+        rect_set = by_r.setdefault(
+            r, frozenset(rc for rc in red.inst.rects if rc.x2 - rc.x1 == w == rc.y2 - rc.y1)
+        )
     parts = sorted(chosen)
     for a in range(len(parts)):
         for b in range(a + 1, len(parts)):
             i, j = parts[a], parts[b]
-            if _adjacency_rect(red.r, i, j, chosen[i], chosen[j]) in rect_set:
+            if _adjacency_rect(r, i, j, chosen[i], chosen[j]) in rect_set:
                 return (i, j)
     return None
 

@@ -14,8 +14,11 @@ from rectstab.reduction import (
     MCGraph,
     MalformedReduction,
     NotApplicable,
+    ReducedInstance,
     _adjacency_rect,
+    _check_pairwise_adjacent,
     _fixed_rects,
+    _strip_range,
     build,
     forward,
     make_nondegenerate,
@@ -363,6 +366,89 @@ def test_memoized_rect_set_never_hides_a_nonedge(tmp_path):
     tampered, _ = formats.load_reduced(ipath, spath)
     with pytest.raises(MalformedReduction, match="not adjacent"):
         reverse(tampered, sol, eps_num=1, eps_den=2)
+
+
+def nonedges_by_definition(g: MCGraph) -> list[tuple[int, int, int, int]]:
+    """cross_nonedges spelled out through vertex_id and adjacent, in its
+    (i, j, p, q) order."""
+    out = []
+    for i in range(1, g.k + 1):
+        for j in range(1, g.k + 1):
+            if i == j:
+                continue
+            for p in range(1, g.r + 1):
+                for q in range(1, g.r + 1):
+                    if not g.adjacent(g.vertex_id(i, p), g.vertex_id(j, q)):
+                        out.append((i, j, p, q))
+    return out
+
+
+def with_intra_part_edges(g: MCGraph) -> MCGraph:
+    """g plus every pair of vertices within one part."""
+    intra = {(u, v) for u in range(g.k * g.r) for v in range(u + 1, (u // g.r + 1) * g.r)}
+    return MCGraph(k=g.k, r=g.r, edges=g.edges | intra)
+
+
+def complete_multipartite(k: int, r: int) -> MCGraph:
+    n = k * r
+    return MCGraph(k=k, r=r, edges=frozenset((u, v) for u in range(n) for v in range((u // r + 1) * r, n)))
+
+
+def test_cross_nonedges_match_their_definition():
+    graphs = [class_graph(k, r, seed) for seed in range(3) for k, r in BUILD_CLASSES]
+    for k, r in ((1, 1), (1, 4), (2, 1), (3, 1), (2, 3), (3, 2), (4, 3)):
+        graphs += [MCGraph(k=k, r=r, edges=frozenset()), complete_multipartite(k, r)]
+    graphs += [gen_mcgraph(k, r, 1, 2, seed, seed % 2 == 0)[0] for seed in range(6) for k, r in ((3, 3), (4, 2))]
+    graphs += [with_intra_part_edges(g) for g in list(graphs)]
+    assert any(g.has_intra_part_edges() for g in graphs)
+    for g in graphs:
+        assert g.cross_nonedges() == nonedges_by_definition(g)
+    assert complete_multipartite(3, 2).cross_nonedges() == []
+    assert len(MCGraph(k=3, r=2, edges=frozenset()).cross_nonedges()) == 3 * 2 * 2 * 2
+
+
+def first_nonadjacent_pair(g: MCGraph, chosen: dict[int, int]):
+    """The first part pair (i, j), i < j, whose chosen vertices MCGraph
+    calls non-adjacent, or None."""
+    parts = sorted(chosen)
+    for a, i in enumerate(parts):
+        for j in parts[a + 1:]:
+            if not g.adjacent(g.vertex_id(i, chosen[i]), g.vertex_id(j, chosen[j])):
+                return (i, j)
+    return None
+
+
+def test_adjacency_reads_agree_with_the_graph(tmp_path):
+    ipath, spath = tmp_path / "i.json", tmp_path / "s.json"
+    for r in (2, 3, 4):
+        for seed, plant in ((r, True), (r + 10, False)):
+            g, _ = gen_mcgraph(3, r, 1, 2, seed, plant)
+            red = build(g)
+            doubled, _ = make_nondegenerate(red.inst)
+            formats.dump_instance(doubled, ipath)
+            formats.dump_strip_table(red, spath, doubled=True)
+            loaded, was_doubled = formats.load_reduced(ipath, spath)
+            assert was_doubled and set(loaded.inst.rects) == set(red.inst.rects)
+            for choice in product(range(1, r + 1), repeat=3):
+                chosen = dict(zip((1, 2, 3), choice))
+                expected = first_nonadjacent_pair(g, chosen)
+                assert _check_pairwise_adjacent(red, chosen) == expected
+                assert _check_pairwise_adjacent(loaded, chosen) == expected
+
+
+def test_adjacency_memo_is_kept_per_r():
+    # One instance holding a non-edge rectangle of an r = 3 reduction and
+    # one of an r = 4 reduction, read by strip tables of both r, in both
+    # orders: a set shared across r would answer the second read wrong.
+    for order in ((3, 4), (4, 3)):
+        inst = Instance([_adjacency_rect(3, 1, 2, 1, 1), _adjacency_rect(4, 1, 2, 2, 2)], [], [])
+        for r in order:
+            strips = tuple(_strip_range(r, x) for x in range(4))
+            red = ReducedInstance(inst=inst, k=2, r=r, vstrips=strips, hstrips=strips)
+            nonedge = {3: {1: 1, 2: 1}, 4: {1: 2, 2: 2}}[r]
+            edge = {3: {1: 2, 2: 2}, 4: {1: 1, 2: 1}}[r]
+            assert _check_pairwise_adjacent(red, nonedge) == (1, 2)
+            assert _check_pairwise_adjacent(red, edge) is None
 
 
 def test_doubling_formula():
