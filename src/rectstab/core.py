@@ -26,7 +26,11 @@ from them. The instances the kernel derives come with a ready table and
 never bisect again: the reduced instance gets its kept classes' raw
 ranges renumbered to the kept lines, the equal copy Instance.reduced
 makes when nothing goes shares its source's table, and transpose swaps
-the two axes' ranges.
+the two axes' ranges. Line masks go the same way: drop_dominated hands
+its result the masks of its last class pass when that pass kept every
+class, the equal copy shares whatever masks its source holds, and
+transpose hands over the masks its source holds with the axes swapped,
+building none.
 
 The dominance reduction runs in rounds over stabber classes. Each round
 builds both axes' class masks once, keeps the undominated classes, keeps
@@ -35,16 +39,17 @@ a line pass that drops no line, or, after a renumbering, at a class pass
 that keeps every class, with no line pass; drop_dominated's docstring
 proves that neither exit changes the result.
 
-An Instance carries a per-object memo of pure values derived from it (its
-stabber table, its reduced instance, the solver tables built over that,
-the need rows preselection grows as budgets ask for them, and the
-lowest budget at which a search exhausted each split with nothing
-kernelized away, which fails the split at every higher budget too, and,
-per strip width r, the set of its adjacency-shaped rectangles, r - 2
-wide on both axes, that the clique reduction reads adjacency from), so
-repeated questions about one object share the work; two threads racing
-on the memo can only compute the same value twice or lose a record.
-Copies and pickles carry the fields only and start with no memo.
+An Instance carries a per-object memo of pure values derived from it
+(its stabber table, each axis's line masks, its reduced instance, the
+solver tables built over that, the need rows preselection grows as
+budgets ask for them, and the lowest budget at which a search exhausted
+each split with nothing kernelized away, which fails the split at every
+higher budget too, and, per strip width r, the set of its
+adjacency-shaped rectangles, r - 2 wide on both axes, that the clique
+reduction reads adjacency from), so repeated questions about one object
+share the work; two threads racing on the memo can only compute the same
+value twice or lose a record. Copies and pickles carry the fields only
+and start with no memo.
 """
 
 from __future__ import annotations
@@ -193,10 +198,11 @@ class Instance:
         goes it is an equal copy rather than self, so the memo holds no
         reference back to its own object: a cycle would outlive every
         reference to the instance until the cyclic GC runs. The copy
-        shares self's stabber table."""
+        shares self's stabber table and the line masks self holds."""
         reduced = drop_dominated(self)
         if reduced is self:
-            reduced = _with_stabbers(Instance(self.rects, self.hlines, self.vlines), self.stabbers)
+            equal = Instance(self.rects, self.hlines, self.vlines)
+            reduced = _handed(equal, self.stabbers, vars(self).get("_line_masks", {}))
         return reduced
 
     def __getstate__(self) -> dict:
@@ -227,9 +233,12 @@ class Solution:
         ]
 
 
-def _with_stabbers(inst: Instance, table: Stabbers) -> Instance:
-    """inst with its stabber table already in the memo."""
-    vars(inst)["stabbers"] = table
+def _handed(inst: Instance, table: Stabbers, masks: dict[Axis, tuple[int, ...]]) -> Instance:
+    """inst with its stabber table, and its line masks of the axes in
+    masks, already in the memo."""
+    memo = vars(inst)
+    memo["stabbers"] = table
+    memo.setdefault("_line_masks", {}).update(masks)
     return inst
 
 
@@ -237,17 +246,26 @@ def line_masks(inst: Instance, axis: Axis) -> dict[int, int]:
     """Stab mask of every candidate line of one axis, keyed by position in
     ascending order: bit i is set iff the line stabs inst.rects[i].
 
-    Read off the stabber table without bisecting: one pass over the class
-    ids gathers each class's rectangles, and each class sets its mask in
-    the masks of its range of the axis's candidates."""
+    The masks are built once per instance and axis and kept in its memo as
+    a tuple in candidate order; each call returns a new dict over them, so
+    a caller that changes it changes nothing else. A derived instance is
+    handed the masks its source already holds (drop_dominated, transpose,
+    Instance.reduced). Otherwise they are read off the stabber table
+    without bisecting: one pass over the class ids gathers each class's
+    rectangles, and each class sets its mask in the masks of its range of
+    the axis's candidates."""
     positions = inst.line_positions(axis)
-    table = inst.stabbers
-    members = [0] * len(table.ranges)
-    for i, j in enumerate(table.ids):
-        members[j] |= 1 << i
-    own = 0 if axis is Axis.HORIZONTAL else 2  # where the axis sits in (a, b, c, d)
-    spans = ((r[own], r[own + 1], m) for r, m in zip(table.ranges, members))
-    return dict(zip(positions, _range_masks(spans, len(positions))))
+    held = vars(inst).setdefault("_line_masks", {})
+    masks = held.get(axis)
+    if masks is None:
+        table = inst.stabbers
+        members = [0] * len(table.ranges)
+        for i, j in enumerate(table.ids):
+            members[j] |= 1 << i
+        own = 0 if axis is Axis.HORIZONTAL else 2  # where the axis sits in (a, b, c, d)
+        spans = ((r[own], r[own + 1], m) for r, m in zip(table.ranges, members))
+        masks = held.setdefault(axis, tuple(_range_masks(spans, len(positions))))
+    return dict(zip(positions, masks))
 
 
 def _range_masks(spans: Iterable[tuple[int, int, int]], m: int) -> list[int]:
@@ -372,6 +390,16 @@ def drop_dominated(inst: Instance) -> Instance:
     One Instance is built at the end, from each kept class's first
     rectangle, and it is handed its table: those rectangles' raw ranges
     renumbered by prefix counts of the kept lines, one class each.
+
+    The result, inst itself included, is also handed its line masks (see
+    line_masks) when the last class pass kept every class: at exit (b), and at an exit (a)
+    that ends the first round. That pass's class masks are then exact.
+    They hold one mask per kept line, in candidate order, and bit j of
+    each stands for the pass's class j. Every class is kept, and the
+    classes run in ascending order, as do their first rectangles, so
+    class j is the result's rectangle j. After an exit (a) round that
+    dropped a class, bits still sit at the dropped classes' positions, so
+    nothing is handed over and the masks are built when asked for.
     """
     table = inst.stabbers
     classes = _merge_classes(enumerate(table.ranges))
@@ -401,10 +429,12 @@ def drop_dominated(inst: Instance) -> Instance:
         )
         hkept, vkept = [hkept[t] for t in ht], [vkept[t] for t in vt]
         renumbered = True
+    # the last pass's masks are the result's line masks iff it kept every class
+    masks = {Axis.HORIZONTAL: tuple(hmasks), Axis.VERTICAL: tuple(vmasks)} if keep == full else {}
     if (len(classes), len(hkept), len(vkept)) == (
         len(inst.rects), len(inst.hlines), len(inst.vlines)
     ):
-        return inst
+        return _handed(inst, table, masks)
     ph, pv = prefix_counts(hkept, len(inst.hlines)), prefix_counts(vkept, len(inst.vlines))
     rects, ranges = [], []
     i = 0
@@ -414,7 +444,7 @@ def drop_dominated(inst: Instance) -> Instance:
         rects.append(inst.rects[i])
         ranges.append((ph[a], ph[b], pv[c], pv[d]))
     reduced = Instance(rects, [inst.hlines[t] for t in hkept], [inst.vlines[t] for t in vkept])
-    return _with_stabbers(reduced, Stabbers(ranges, array("I", range(len(ranges)))))
+    return _handed(reduced, Stabbers(ranges, array("I", range(len(ranges)))), masks)
 
 
 def _merge_classes(
@@ -515,14 +545,20 @@ def _undominated_lines(
 
 def transpose(inst: Instance) -> Instance:
     """Swap x and y everywhere; an involution mapping solutions likewise.
-    The result is handed inst's stabber table with the axes swapped."""
+    The result is handed inst's stabber table with the axes swapped, and
+    the line masks inst already holds, each as the other axis's; a mask
+    inst has not built is not built here. Rectangles keep their order, so
+    bit i still stands for rectangle i."""
     flipped = Instance(
         rects=[r.transpose() for r in inst.rects],
         hlines=inst.vlines,
         vlines=inst.hlines,
     )
     ranges, ids = inst.stabbers
-    return _with_stabbers(flipped, Stabbers([(c, d, a, b) for a, b, c, d in ranges], ids))
+    held = vars(inst).get("_line_masks", {})
+    h, v = Axis.HORIZONTAL, Axis.VERTICAL
+    masks = {new: held[old] for new, old in ((h, v), (v, h)) if old in held}
+    return _handed(flipped, Stabbers([(c, d, a, b) for a, b, c, d in ranges], ids), masks)
 
 
 def slot_masks(inst: Instance, axis: Axis, positions: Sequence[int], mask: int) -> list[int]:

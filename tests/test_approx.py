@@ -164,6 +164,28 @@ def test_preselect_answers_every_budget_in_any_order():
             assert copied == inst and "_approx_need" not in vars(copied)
 
 
+def test_line_masks_are_built_once_and_a_callers_dict_is_its_own():
+    """line_masks keeps one mask tuple per instance and axis and returns a
+    new dict each call: changing one changes neither a later call nor an
+    Orientation's tables, and copies and pickles start without masks."""
+    base = gen_uniform(40, 30, 25, 6)
+    for inst in (base, base.reduced, transpose(base.reduced)):
+        fresh = {axis: line_masks(copy.copy(inst), axis) for axis in (H, V)}
+        for axis in (H, V):
+            got = line_masks(inst, axis)
+            assert got == fresh[axis]
+            got.clear()
+            got[-1] = 1
+            assert line_masks(inst, axis) == fresh[axis]
+        tables = Orientation(inst)
+        assert (tables.hmask, tables.vmask) == (fresh[H], fresh[V])
+        tables.hmask[-1] = 1
+        assert line_masks(inst, H) == fresh[H]
+        assert "_line_masks" in vars(inst)
+        for copied in (copy.copy(inst), pickle.loads(pickle.dumps(inst))):
+            assert copied == inst and "_line_masks" not in vars(copied)
+
+
 # ------------------------------------------------------------- enumerations
 
 def brute_vertical_guesses(v0, k_v, vlines):

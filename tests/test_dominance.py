@@ -162,17 +162,19 @@ def test_pass_counts_pinned(monkeypatch):
     assert (classes, lines) == (164, 86)
 
 
+# nothing is dominated when each line stabs one rectangle of its own
+IRREDUCIBLE = [
+    Instance([Rect(10 * i, 10 * i + 1, 3 * i, 50) for i in range(n)], [], range(0, 10 * n, 10))
+    for n in range(1, 6)
+]
+
+
 def test_derived_instances_are_handed_the_table_a_fresh_build_gives():
     """drop_dominated, Instance.reduced and transpose hand their results a
     stabber table instead of bisecting again. Each handed table must equal
     the one a memo-free copy (copy.copy) of the result builds itself."""
-    # nothing is dominated when each line stabs one rectangle of its own
-    irreducible = [
-        Instance([Rect(10 * i, 10 * i + 1, 3 * i, 50) for i in range(n)], [], range(0, 10 * n, 10))
-        for n in range(1, 6)
-    ]
     unchanged = 0
-    for inst in POOL + LARGE_POOL + GENERATED + irreducible:
+    for inst in POOL + LARGE_POOL + GENERATED + IRREDUCIBLE:
         reduced = drop_dominated(inst)
         derived = [reduced, inst.reduced, transpose(inst), transpose(reduced)]
         for result in derived:
@@ -181,7 +183,64 @@ def test_derived_instances_are_handed_the_table_a_fresh_build_gives():
         if reduced is inst:
             unchanged += 1
             assert inst.reduced is not inst and inst.reduced.stabbers is inst.stabbers
-    assert unchanged >= len(irreducible)
+    assert unchanged >= len(IRREDUCIBLE)
+
+
+def _held_masks(inst: Instance) -> dict:
+    """The line masks in inst's memo, by axis (see core.line_masks)."""
+    return vars(inst).get("_line_masks", {})
+
+
+def _check_held_masks(result: Instance) -> None:
+    """Every line-mask tuple in result's memo is what a memo-free copy of
+    result builds, and line_masks reads it back."""
+    for axis, masks in _held_masks(result).items():
+        fresh = core.line_masks(copy.copy(result), axis)
+        assert dict(zip(result.line_positions(axis), masks)) == fresh, (result, axis)
+        assert core.line_masks(result, axis) == fresh
+
+
+def test_derived_instances_are_handed_the_masks_a_fresh_build_gives(monkeypatch):
+    """drop_dominated hands its result the line masks of its last class
+    pass when that pass kept every class (exit (b), or exit (a) in the
+    first round), and nothing when an exit (a) round dropped a class;
+    Instance.reduced's equal copy shares its source's masks, and transpose
+    hands its result the source's masks with the axes swapped, building
+    none. Each handed table must equal the one a memo-free copy of the
+    result builds. The pools reach all three drop_dominated cases."""
+    passes = _record_passes(monkeypatch)
+    kept_all: list[bool] = []
+    run = core._undominated_classes
+
+    def recording(spans, hmasks, vmasks):
+        keep = run(spans, hmasks, vmasks)
+        kept_all.append(keep == (1 << len(spans)) - 1)
+        return keep
+
+    monkeypatch.setattr(core, "_undominated_classes", recording)
+    cases = {"a": 0, "b": 0, "none": 0}
+    for inst in POOL + LARGE_POOL + GENERATED + IRREDUCIBLE:
+        passes.clear()
+        kept_all.clear()
+        source = copy.copy(inst)  # no masks of its own yet
+        reduced = drop_dominated(source)
+        rounds, end = _rounds(passes)
+        if kept_all[-1]:
+            cases[end] += 1
+            assert end == "b" or rounds == 1
+            assert set(_held_masks(reduced)) == {Axis.HORIZONTAL, Axis.VERTICAL}
+        else:
+            cases["none"] += 1
+            assert end == "a" and reduced is not source and not _held_masks(reduced)
+        if reduced is source:  # the equal copy shares the masks
+            assert _held_masks(source.reduced) == _held_masks(source)
+        flipped = transpose(reduced)
+        swapped = {Axis.HORIZONTAL: Axis.VERTICAL, Axis.VERTICAL: Axis.HORIZONTAL}
+        assert set(_held_masks(flipped)) == {swapped[axis] for axis in _held_masks(reduced)}
+        assert not _held_masks(transpose(copy.copy(inst)))  # transpose forces no build
+        for result in (reduced, source.reduced, transpose(source), flipped):
+            _check_held_masks(result)
+    assert cases["a"] >= 50 and cases["b"] >= 250 and cases["none"] >= 5, cases
 
 
 def test_exact_line_dedup_keeps_every_reduced_line():

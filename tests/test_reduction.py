@@ -1,10 +1,11 @@
+import copy
 import hashlib
 import json
 from itertools import product
 
 import pytest
 
-from rectstab import formats
+from rectstab import core, formats
 from rectstab.core import Axis, Instance, Line, Rect, Solution, verify
 from rectstab.exact import ExactStats, SearchBudget, opt_exact
 from rectstab.generators import gen_mcgraph, gen_uniform
@@ -310,6 +311,28 @@ def test_build_output_pinned():
     assert digest.hexdigest() == "b98fa6225dbb4d9aec72fde745803ab6914578bff7655b5ada66f0fe4aae071d"
     info = _fixed_rects.cache_info()
     assert (info.misses, info.hits) == (7, 14)  # the later rounds come from the cache
+
+
+def test_exact_builds_no_line_masks_on_reduced_graphs(monkeypatch):
+    """drop_dominated hands the reduced instance of every clique reduction
+    the line masks of its last class pass, so opt_exact's line dedup reads
+    them and builds none, over the graphs built here and the small classes
+    the reduction-exact benchmark times."""
+    builds = []
+    run = core._range_masks
+    monkeypatch.setattr(core, "_range_masks", lambda spans, m: builds.append(m) or run(spans, m))
+    graphs = [class_graph(k, r, seed) for seed in range(3) for k, r in BUILD_CLASSES]
+    graphs += [
+        gen_mcgraph(k, r, 1, 3, seed=seed, plant=plant)[0]
+        for k, r in SMALL_CLASS_NODES
+        for plant in (True, False)
+        for seed in range(6)
+    ]
+    for g in graphs:
+        opt_exact(build(g).inst, SearchBudget(max_size=4 * g.k))
+    assert builds == []
+    core.line_masks(copy.copy(build(graphs[0]).inst.reduced), Axis.HORIZONTAL)
+    assert len(builds) == 1  # the counter sees a build
 
 
 def test_fixed_rects_shared_within_a_class_only():
