@@ -23,8 +23,9 @@ if k_h > k_v:
     k_h, k_v = k_v, k_h
 print(f"witness split: k_h={k_h}, k_v={k_v}")
 
-# stages 1-5 for this split, up to the first satisfiable guess in enumeration order
-found = solve_split(tables, k_h, k_v, K)
+# stages 1-5 for this split under the budget k_h + k_v, up to the first
+# satisfiable guess in enumeration order
+found = solve_split(tables, k_h, k_v)
 if found is None:
     print("no satisfiable guess at this split (try a larger budget)")
     raise SystemExit(0)

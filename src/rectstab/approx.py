@@ -2,8 +2,9 @@
 
 Given a budget k, the solver first drops dominated rectangles and lines
 (Instance.reduced), which keeps the optimum, then guesses how an unknown
-size-k solution of what is left splits into k_h horizontal and k_v vertical
-lines (k_h <= k_v after transposing), and per split:
+solution of at most k lines of what is left splits into at most k_h
+horizontal and k_v vertical lines, over the k + 1 splits k_h + k_v = k
+(k_h <= k_v after transposing), and per split:
 
   1. greedily preselects horizontal lines H1 and an auxiliary vertical
      candidate pool V0 that together stab everything, reading how many
@@ -91,9 +92,8 @@ def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple
     current line and it are stabbable by at most k_v vertical candidates,
     collecting the jump targets into H1; V0 then stabs whatever H1 missed.
     Returns None when some gap between consecutive candidates already
-    needs more than k_v vertical lines, or the leftover rectangles cannot
-    be stabbed vertically at all: no solution with k_v vertical lines
-    exists.
+    needs more than k_v vertical lines: no solution with at most k_v
+    vertical lines exists.
 
     The sweep runs over candidate indices and over the stabber classes of
     inst (Instance.stabbers), whose rectangles all have the same
@@ -105,10 +105,14 @@ def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple
     the top need. The row is nondecreasing, so the furthest line that fits
     k_v is found by bisection. V0 is the same 1-D greedy over the classes
     H1 misses. Every budget asked of one instance reads the same rows.
+    That greedy always finds V0: it fails only at a class with no vertical
+    stabber, and every class H1 misses lies in an accepted gap, whose
+    finite need shows that each of its classes has one.
 
     Always satisfies |V0| <= k_v * (|H1| + 1); when a solution whose
-    vertical part has size k_v exists, H1 additionally has at most as many
-    lines as that solution's horizontal part and tracks it gap by gap.
+    vertical part has size at most k_v exists, H1 additionally has at most
+    as many lines as that solution's horizontal part and tracks it gap by
+    gap.
     """
     m = len(inst.hlines)
     table = _NeedRows.of(inst)
@@ -125,7 +129,7 @@ def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple
     hit = prefix_counts(h1, m)
     v0 = _greedy_1d((c, d) for a, b, c, d in table.order if hit[a] == hit[b])
     if v0 is None:
-        return None  # leftover rectangles are not vertically stabbable
+        raise RuntimeError("a class in an accepted gap has no vertical stabber")
     if len(v0) > k_v * (len(h1) + 1):
         raise RuntimeError("vertical pool exceeded its per-gap accounting bound")
     return tuple(inst.hlines[t] for t in h1), tuple(inst.vlines[t] for t in v0)
@@ -557,23 +561,13 @@ class Orientation:
     shares; solve_split and eliminate_redundant work on its inst. Every
     table is built on first use, so a search that preselection ends builds
     no stab masks. No table depends on k, so one object serves every split
-    of every search of an instance (see of).
-
-    One record does depend on k: _exhausted maps (k_h, k_v) to the
-    smallest budget k at which solve_split exhausted that split while
-    kernelization removed nothing on any vertical guess it yielded. Each
-    entry is still a pure fact about inst, whichever searches found it:
-    the split fails at every budget k' >= k. A search removes nothing only
-    if every boundary group needs fewer than 2k + 2 <= 2k' + 2 lines, so
-    at k' the kernels, H0, covers and guesses are the same. Threads
-    racing on the record can only lose an entry, never add a wrong one."""
+    of every search of an instance (see of)."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
         # k_v -> preselect's (H1, V0), or its None for an infeasible split
         self._preselected: dict[int, Optional[tuple]] = {}
         self._vcovers: dict[tuple, tuple[Cover, list[int]]] = {}  # by (H1, V0)
-        self._exhausted: dict[tuple[int, int], int] = {}  # (k_h, k_v) -> k
 
     @classmethod
     def of(cls, inst: Instance) -> Orientation:
@@ -640,16 +634,11 @@ class Orientation:
 
 
 def solve_split(
-    tables: Orientation, k_h: int, k_v: int, k: int, stats: Optional[SearchStats] = None
+    tables: Orientation, k_h: int, k_v: int, stats: Optional[SearchStats] = None
 ) -> Optional[SplitWitness]:
-    """Run the pipeline for one split with k_h <= k_v under budget k on
-    tables.inst: the first satisfiable guess in enumeration order, or None
-    when every guess of the split fails. None comes at once, counting no
-    guess, when an earlier search of tables exhausted the split at a
-    budget <= k with nothing kernelized away (Orientation._exhausted)."""
-    split = (k_h, k_v)
-    if tables._exhausted.get(split, inf) <= k:
-        return None
+    """Run the pipeline for one split with k_h <= k_v on tables.inst,
+    kernelizing under the budget k_h + k_v: the first satisfiable guess in
+    enumeration order, or None when every guess of the split fails."""
     stats = stats if stats is not None else SearchStats()
     inst = tables.inst
     pre = tables.preselected(k_v)
@@ -659,8 +648,6 @@ def solve_split(
     if len(h1) > 2 * k_h:
         return None  # no horizontal guess can fit the budget
 
-    full = (1 << len(inst.rects)) - 1
-    removed_any = False
     vcover, vmeets = tables.vertical_cover(h1, v0)
     vcover = vcover._replace(spare=2 * k_h - len(h1))
     # A guess can succeed only if it reaches vcover (every rectangle no
@@ -674,8 +661,7 @@ def solve_split(
     # of passing for a failed guess.
     for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines, vcover):
         stats.vertical_guesses += 1
-        kept, h0 = eliminate_redundant(tables, h1, vg, k)
-        removed_any |= kept != full
+        kept, h0 = eliminate_redundant(tables, h1, vg, k_h + k_v)
         unstabbed = kept & vcover.need & ~tables.stabbed((), vg.lines)
         off_vstrips = unstabbed
         for i in vg.slots:
@@ -697,8 +683,6 @@ def solve_split(
             h2, v2 = decode(assignment)
             sol = Solution(hlines=set(h1) | hg.lines | h2, vlines=vg.lines | v2)
             return SplitWitness(h1, v0, vg, hg, kept, kernel, sol)
-    if not removed_any:
-        tables._exhausted[split] = min(k, tables._exhausted.get(split, k))
     return None
 
 
@@ -707,41 +691,45 @@ def solve_with_budget(
 ) -> Optional[Solution]:
     """Stabbing set of size <= floor(7k/4), or None.
 
-    Tries every split k_h + k_v <= k in ascending total then ascending k_h,
-    transposing the instance when k_h > k_v so the executed pipeline always
-    has k_h <= k_v. None is returned only after every split is exhausted,
-    in this call or by an earlier search of the same object at a budget
-    <= k that kernelized nothing away; that certifies that no stabbing
-    subset of size <= k exists.
+    Tries the k + 1 splits k_h + k_v = k in ascending k_h, transposing the
+    instance when k_h > k_v so the executed pipeline always has k_h <= k_v.
+    These suffice: every stage reads the split's sizes only as upper
+    bounds (preselection's gap test, which keeps |H1| within the
+    horizontal part of any solution with at most k_v vertical lines; the
+    vertical guess budget floor(3*k_v/2); the spare 2*k_h - |H1|; the
+    horizontal budget 2*k_h), and kernelization reads only the total k.
+    So a solution with s_h horizontal and s_v vertical lines, s_h + s_v <=
+    k, is found by the split (s_h, k - s_h) as by (s_h, s_v), and the
+    answer stays within 2*min + floor(3*max/2) <= floor(7k/4) of that
+    split. None is returned only after every split is exhausted, which
+    certifies that no stabbing subset of size <= k exists.
 
     Every split runs on inst.reduced, which has the same optimum; the
     answer is checked against inst itself. The reduction and the split
     tables are kept on inst, so calls with several budgets on one object
-    reduce it once, transpose it at most once, preselect at most once per
-    orientation and k_v, and search a split that such a lower budget
-    exhausted no more (stats then count its split but no guess). Time or
-    count a cold search on a new Instance.
+    reduce it once, transpose it at most once and preselect at most once
+    per orientation and k_v; stats count the same as on a fresh copy. Time
+    a cold search on a new Instance.
     """
     if k < 0:
         raise ValueError("budget must be nonnegative")
     stats = stats if stats is not None else SearchStats()
     upright = Orientation.of(inst)
-    for total in range(k + 1):
-        for k_h in range(total + 1):
-            stats.splits += 1
-            k_v = total - k_h
-            if k_h <= k_v:
-                found = solve_split(upright, k_h, k_v, k, stats)
-                sol = found.solution if found is not None else None
-            else:
-                found = solve_split(upright.flipped, k_v, k_h, k, stats)
-                sol = found.solution.transpose() if found is not None else None
-            if sol is None:
-                continue
-            # 2*min + floor(3*max/2) over the split is at most floor(7k/4)
-            if verify(inst, sol) or len(sol) > 2 * min(k_h, k_v) + (3 * max(k_h, k_v)) // 2:
-                raise RuntimeError("assembled solution misses a rectangle or exceeds its size bound")
-            return sol
+    for k_h in range(k + 1):
+        stats.splits += 1
+        k_v = k - k_h
+        if k_h <= k_v:
+            found = solve_split(upright, k_h, k_v, stats)
+            sol = found.solution if found is not None else None
+        else:
+            found = solve_split(upright.flipped, k_v, k_h, stats)
+            sol = found.solution.transpose() if found is not None else None
+        if sol is None:
+            continue
+        # 2*min + floor(3*max/2) over the split is at most floor(7k/4)
+        if verify(inst, sol) or len(sol) > 2 * min(k_h, k_v) + (3 * max(k_h, k_v)) // 2:
+            raise RuntimeError("assembled solution misses a rectangle or exceeds its size bound")
+        return sol
     return None
 
 

@@ -42,13 +42,11 @@ proves that neither exit changes the result.
 An Instance carries a per-object memo of pure values derived from it
 (its stabber table, each axis's line masks, its reduced instance, the
 solver tables built over that, the need rows preselection grows as
-budgets ask for them, and the lowest budget at which a search exhausted
-each split with nothing kernelized away, which fails the split at every
-higher budget too, and, per strip width r, the set of its
+budgets ask for them, and, per strip width r, the set of its
 adjacency-shaped rectangles, r - 2 wide on both axes, that the clique
 reduction reads adjacency from), so repeated questions about one object
 share the work; two threads racing on the memo can only compute the same
-value twice or lose a record. Copies and pickles carry the fields only
+value twice. Copies and pickles carry the fields only
 and start with no memo.
 """
 

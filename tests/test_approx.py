@@ -10,7 +10,6 @@ import threading
 import weakref
 from collections import Counter
 from itertools import chain, combinations, product
-from math import inf
 from pathlib import Path
 
 import pytest
@@ -94,6 +93,19 @@ def test_preselect_infeasible_gap():
 def test_preselect_infeasible_leftover():
     inst = Instance([Rect(0, 1, 0, 1)], hlines=[5], vlines=[])
     assert preselect(inst, 1) is None
+
+
+def test_preselect_raises_on_a_need_table_that_accepts_an_unstabbable_class():
+    """Every class H1 misses lies in an accepted gap, whose finite need
+    says it has a vertical stabber. A need table that accepts a gap
+    holding a class with none breaks that, and preselect raises instead
+    of answering a no-witness."""
+    inst = Instance([Rect(0, 1, 0, 1)], hlines=[0], vlines=[5])
+    assert preselect(inst, 1) == ((0,), ())
+    corrupted = _fresh(inst)
+    approx._NeedRows.of(corrupted).rows[0] = (0, 0)  # need(0, 1) is infinite
+    with pytest.raises(RuntimeError, match="no vertical stabber"):
+        preselect(corrupted, 1)
 
 
 def test_preselect_v0_accounting_bound():
@@ -802,35 +814,33 @@ def test_search_counters_pinned():
     stats = SearchStats()
     k, sol = solve_min(gen_uniform(60, 60, 40, 5), 12, stats)
     assert (k, len(sol)) == (5, 8)
-    assert stats == SearchStats(splits=53, vertical_guesses=1, horizontal_guesses=1, twosat_calls=1)
+    assert stats == SearchStats(splits=18, vertical_guesses=1, horizontal_guesses=1, twosat_calls=1)
 
     stats = SearchStats()
     k, sol = solve_min(gen_uniform(60, 60, 40, 3), 12, stats)
     assert (k, len(sol)) == (5, 8)
     assert stats == SearchStats(
-        splits=54, vertical_guesses=4, horizontal_guesses=2, twosat_calls=2
+        splits=19, vertical_guesses=4, horizontal_guesses=2, twosat_calls=2
     )
 
-    # The ladder skips what an earlier budget exhausted: split (2, 2) yields
-    # one guess and fails at k = 4, and k = 5 does not search it again.
-    # Searches of each budget on fresh copies count it twice.
+    # The ladder counts what searches of each budget on fresh copies do.
     inst = gen_uniform(60, 60, 40, 4)
     stats = SearchStats()
     k, sol = solve_min(inst, 12, stats)
     assert (k, len(sol)) == (5, 8)
-    assert stats == SearchStats(splits=53, vertical_guesses=3, horizontal_guesses=3, twosat_calls=3)
-    stats = SearchStats()
+    assert stats == SearchStats(splits=18, vertical_guesses=3, horizontal_guesses=3, twosat_calls=3)
+    cold = SearchStats()
     for j in range(k + 1):
-        solve_with_budget(_fresh(inst), j, stats)
-    assert stats == SearchStats(splits=53, vertical_guesses=4, horizontal_guesses=4, twosat_calls=4)
+        solve_with_budget(_fresh(inst), j, cold)
+    assert cold == stats
 
     inst, _ = gen_planted(k=7, n=300, coord_range=10**4, seed=3)
     stats = SearchStats()
     assert solve_with_budget(inst, 6, stats) is None
-    assert stats == SearchStats(splits=28, vertical_guesses=0, horizontal_guesses=0, twosat_calls=0)
+    assert stats == SearchStats(splits=7, vertical_guesses=0, horizontal_guesses=0, twosat_calls=0)
     stats = SearchStats()
     assert len(solve_with_budget(inst, 7, stats)) == 7
-    assert stats == SearchStats(splits=29, vertical_guesses=1, horizontal_guesses=1, twosat_calls=1)
+    assert stats == SearchStats(splits=1, vertical_guesses=1, horizontal_guesses=1, twosat_calls=1)
 
 
 def test_orientations_are_freed_without_the_cyclic_gc():
@@ -850,73 +860,33 @@ def test_orientations_are_freed_without_the_cyclic_gc():
         gc.enable()
 
 
-def _add(total, part):
-    """Add the counters of part into total."""
-    for name, value in vars(part).items():
-        setattr(total, name, getattr(total, name) + value)
-
-
-def _unshared_solve(inst, k, stats, exhausted=None, warm=None):
+def _unshared_solve(inst, k, stats):
     """solve_with_budget with nothing shared between splits, counting into
-    stats: every split runs solve_split on its own, on the instance
-    without dominated rectangles and lines, freshly transposed when
-    k_h > k_v.
-
-    exhausted is the record of the earlier searches of one object, from
-    split (k_h, k_v) to the lowest budget that exhausted it. warm counts
-    what a search of that object should: every split, but the guesses
-    only of the splits no budget <= k exhausted before. Those splits are
-    still run, and must fail again; the splits this search exhausts join
-    the record. The record holds the premise that kernelization removes
-    nothing, which the tests using it check (see removals)."""
+    stats: every split k_h + k_v = k runs solve_split on its own, on the
+    instance without dominated rectangles and lines, freshly transposed
+    when k_h > k_v."""
     inst = drop_dominated(inst)
-    exhausted = {} if exhausted is None else exhausted
-    warm = SearchStats() if warm is None else warm
-    for total in range(k + 1):
-        for k_h in range(total + 1):
-            k_v = total - k_h
-            split_stats = SearchStats(splits=1)
-            if k_h <= k_v:
-                found = solve_split(Orientation(inst), k_h, k_v, k, split_stats)
-                sol = found.solution if found is not None else None
-            else:
-                found = solve_split(Orientation(transpose(inst)), k_v, k_h, k, split_stats)
-                sol = found.solution.transpose() if found is not None else None
-            _add(stats, split_stats)
-            if exhausted.get((k_h, k_v), inf) <= k:
-                assert sol is None, (k_h, k_v, k)
-                warm.splits += 1
-                continue
-            _add(warm, split_stats)
-            if sol is not None:
-                return sol
-            exhausted[k_h, k_v] = k
+    for k_h in range(k + 1):
+        k_v = k - k_h
+        stats.splits += 1
+        if k_h <= k_v:
+            found = solve_split(Orientation(inst), k_h, k_v, stats)
+            sol = found.solution if found is not None else None
+        else:
+            found = solve_split(Orientation(transpose(inst)), k_v, k_h, stats)
+            sol = found.solution.transpose() if found is not None else None
+        if sol is not None:
+            return sol
     return None
 
 
-def _unshared_min(inst, k_max, stats, exhausted, warm):
-    """solve_min as a ladder of _unshared_solve over one record."""
+def _unshared_min(inst, k_max, stats):
+    """solve_min as a ladder of _unshared_solve."""
     for k in range(k_max + 1):
-        sol = _unshared_solve(inst, k, stats, exhausted, warm)
+        sol = _unshared_solve(inst, k, stats)
         if sol is not None:
             return k, sol
     return None
-
-
-@pytest.fixture
-def removals(monkeypatch):
-    """The rectangle masks eliminate_redundant removes during the test."""
-    seen = []
-
-    def recording(tables, h1, vg, k):
-        kept, h0 = eliminate_redundant(tables, h1, vg, k)
-        full = (1 << len(tables.inst.rects)) - 1
-        if kept != full:
-            seen.append(full & ~kept)
-        return kept, h0
-
-    monkeypatch.setattr(approx, "eliminate_redundant", recording)
-    return seen
 
 
 # pinned instances whose budget ladders run through no-witness rungs
@@ -926,24 +896,23 @@ SHARED_TABLE_POOL = [gen_uniform(24, 40, 24, seed) for seed in range(8)] + [
 ]
 
 
-def test_shared_tables_match_unshared_splits(removals):
-    """Searches of one object answer as unshared searches do, and count
-    every split but the guesses only of the splits they search: a split
-    an earlier budget <= k exhausted counts none. The budgets k = 0..6,
-    then a solve_min ladder on a fresh copy and on the searched object."""
+def test_shared_tables_match_unshared_splits():
+    """Searches of one object answer and count as unshared searches do:
+    the budgets k = 0..6, then a solve_min ladder on a fresh copy and on
+    the searched object."""
     for base in SHARED_TABLE_POOL:
-        inst, history = _fresh(base), {}
+        inst = _fresh(base)
         for k in range(7):
-            ref_stats, warm_ref, stats = SearchStats(), SearchStats(), SearchStats()
-            expected = _unshared_solve(base, k, ref_stats, history, warm_ref)
+            ref_stats, stats = SearchStats(), SearchStats()
+            expected = _unshared_solve(base, k, ref_stats)
             assert solve_with_budget(inst, k, stats) == expected
-            assert stats == warm_ref
-        for target, record in ((_fresh(base), {}), (inst, history)):
-            ref_stats, warm_ref, stats = SearchStats(), SearchStats(), SearchStats()
-            expected = _unshared_min(base, 6, ref_stats, record, warm_ref)
+            assert stats == ref_stats
+        ref_stats = SearchStats()
+        expected = _unshared_min(base, 6, ref_stats)
+        for target in (_fresh(base), inst):
+            stats = SearchStats()
             assert solve_min(target, 6, stats) == expected
-            assert stats == warm_ref
-    assert removals == []
+            assert stats == ref_stats
 
 
 def _fresh(inst):
@@ -1000,48 +969,15 @@ MEMO_POOL = SHARED_TABLE_POOL + [
 ]
 
 
-def test_memo_changes_no_answer_and_skips_only_exhausted_splits(removals):
-    """Searches repeated on one object answer as searches of fresh equal
-    copies do, and leave its eq, hash and repr as they were. A fresh copy
-    counts every guess of its splits; the repeated searches skip the
-    guesses of the splits an earlier budget <= k exhausted, as the
-    unshared reference's record says."""
-    for base in MEMO_POOL:
-        inst, history = _fresh(base), {}
-        for _ in range(2):
-            for k in range(7):
-                warm_stats, cold_stats = SearchStats(), SearchStats()
-                assert solve_with_budget(inst, k, warm_stats) == solve_with_budget(
-                    _fresh(base), k, cold_stats
-                )
-                ref_stats, warm_ref = SearchStats(), SearchStats()
-                _unshared_solve(base, k, ref_stats, history, warm_ref)
-                assert (warm_stats, cold_stats) == (warm_ref, ref_stats)
-            warm_stats, cold_stats = SearchStats(), SearchStats()
-            assert solve_min(inst, 6, warm_stats) == solve_min(_fresh(base), 6, cold_stats)
-            warm_ref, cold_ref = SearchStats(), SearchStats()
-            _unshared_min(base, 6, SearchStats(), history, warm_ref)
-            _unshared_min(base, 6, SearchStats(), {}, cold_ref)
-            assert (warm_stats, cold_stats) == (warm_ref, cold_ref)
-            budget = SearchBudget(max_size=6)
-            assert opt_exact(inst, budget) == opt_exact(_fresh(base), budget)
-        assert inst.reduced == drop_dominated(base)
-        assert inst == base and hash(inst) == hash(base) and repr(inst) == repr(base)
-    assert removals == []
-
-
 def test_threads_sharing_one_instance_get_the_cold_answers():
     """Threads racing on one object's empty memo may build a table twice,
     but each gets the answer and the counters of a cold search."""
     base = MEMO_POOL[-1]
     cold_stats = SearchStats()
     cold = solve_min(_fresh(base), 6, cold_stats)
-    # The counters cannot depend on how the threads interleave their
-    # records: the splits this ladder exhausts yield no guesses, so
-    # skipping them or searching them counts the same.
-    every_split, skipping = SearchStats(), SearchStats()
-    assert _unshared_min(base, 6, every_split, {}, skipping) == cold
-    assert every_split == skipping == cold_stats
+    ref_stats = SearchStats()
+    assert _unshared_min(base, 6, ref_stats) == cold
+    assert ref_stats == cold_stats
     inst = _fresh(base)
     results = []
 
@@ -1063,82 +999,73 @@ def test_threads_sharing_one_instance_get_the_cold_answers():
     assert results == [(cold, cold_stats)] * 4
 
 
-# clique reductions with their budget tops 3k: their ladders exhaust
-# splits that yield guesses
-CLIQUE_POOL = [
-    (reduction.build(gen_mcgraph(k, r, 1, 3, seed, plant)[0]).inst, 3 * k)
+# gen_mcgraph(k, r, 1, 3, seed, plant) arguments of CLIQUE_POOL
+CLIQUE_GRAPHS = [
+    (k, r, seed, plant)
     for k, r in ((2, 2), (2, 3), (3, 2))
     for seed in range(3)
     for plant in (False, True)
 ]
-# small uniform instances, on which a split (a, b) can fail upright while
-# (b, a) succeeds transposed
+# their clique reductions with the budget tops 3k, and small uniform
+# instances, on which a split (a, b) can fail upright while (b, a)
+# succeeds transposed
+CLIQUE_POOL = [
+    (reduction.build(gen_mcgraph(k, r, 1, 3, seed, plant)[0]).inst, 3 * k)
+    for k, r, seed, plant in CLIQUE_GRAPHS
+]
 UNIFORM_POOL = [(gen_uniform(60, 60, 40, seed), 6) for seed in range(8)]
 ORDER_POOL = [(inst, 6) for inst in MEMO_POOL] + CLIQUE_POOL + UNIFORM_POOL
 
 
-def test_descending_budgets_search_every_split_again(removals):
-    """Budgets asked of one object from the top down answer and count as
-    cold searches do: a split exhausted at k is searched again at k - 1.
-    Asked again at the top, the object skips what the lower budgets
-    exhausted, which on this pool saves guesses."""
-    saved = 0
-    for base, top in ORDER_POOL:
-        inst = _fresh(base)
-        cold = {}
-        for k in range(top, -1, -1):
-            warm_stats, cold[k] = SearchStats(), SearchStats()
-            assert solve_with_budget(inst, k, warm_stats) == solve_with_budget(
-                _fresh(base), k, cold[k]
-            )
-            assert warm_stats == cold[k], (base, k)
-        warm_stats = SearchStats()
-        assert solve_with_budget(inst, top, warm_stats) == solve_with_budget(_fresh(base), top)
-        saved += cold[top].vertical_guesses - warm_stats.vertical_guesses
-    assert saved > 0
-    assert removals == []
-
-
-def test_shuffled_budgets_answer_as_cold_searches(removals):
-    """Budgets asked of one object in a pinned shuffle, twice over, answer
-    as the unshared reference does, and count what its record says: a
-    budget below every one that exhausted a split searches it again."""
+def test_shuffled_budgets_answer_as_cold_searches():
+    """Budgets asked of one object in ascending order, then descending,
+    then in a pinned shuffle, twice over, answer and count as searches of
+    fresh equal copies and as the unshared reference do, and leave the
+    object's eq, hash and repr as they were."""
     rng = Xoshiro256StarStar(22)
     for base, top in ORDER_POOL:
-        budgets = sorted(range(top + 1), key=lambda _: rng.next_u64())
-        inst, history = _fresh(base), {}
-        for k in budgets * 2:
-            warm_ref, stats = SearchStats(), SearchStats()
-            expected = _unshared_solve(base, k, SearchStats(), history, warm_ref)
-            assert solve_with_budget(inst, k, stats) == expected
-            assert stats == warm_ref, (base, k)
-    assert removals == []
+        budgets = list(range(top + 1))
+        shuffled = sorted(budgets, key=lambda _: rng.next_u64())
+        inst = _fresh(base)
+        for k in (budgets + budgets[::-1] + shuffled) * 2:
+            stats, cold_stats, ref_stats = SearchStats(), SearchStats(), SearchStats()
+            expected = _unshared_solve(base, k, ref_stats)
+            assert solve_with_budget(inst, k, stats) == expected, (base, k)
+            assert solve_with_budget(_fresh(base), k, cold_stats) == expected
+            assert stats == cold_stats == ref_stats, (base, k)
+        budget = SearchBudget(max_size=top)
+        assert opt_exact(inst, budget) == opt_exact(_fresh(base), budget)
+        assert inst.reduced == drop_dominated(base)
+        assert inst == base and hash(inst) == hash(base) and repr(inst) == repr(base)
 
 
-def test_a_split_that_removed_a_rectangle_is_searched_again(monkeypatch):
-    """Split (2, 2) of this instance yields one guess and fails at k = 4.
-    Left alone, k = 5 skips it. When kernelization reports a removal (of
-    a rectangle H1 stabs, so the search itself is unchanged), the split
-    is not recorded, and k = 5 searches it again."""
-    inst = gen_uniform(60, 60, 40, 4).reduced
-    once = SearchStats(vertical_guesses=1, horizontal_guesses=1, twosat_calls=1)
-    tables, stats = Orientation(inst), SearchStats()
-    assert solve_split(tables, 2, 2, 4, stats) is None and stats == once
-    stats = SearchStats()
-    assert solve_split(tables, 2, 2, 5, stats) is None and stats == SearchStats()
+# instances whose answers at every budget from OPT to OPT + 2 came from a
+# split with k_h + k_v < k when every split with k_h + k_v <= k was searched
+LEMMA_POOL = [gen_uniform(60, 60, 40, seed) for seed in (1, 3, 10, 15, 19, 25, 29)] + [
+    gen_uniform(24, 40, 24, 4)
+]
 
-    def removing_one(tables, h1, vg, k):
-        kept, h0 = eliminate_redundant(tables, h1, vg, k)
-        h1_mask = tables.stabbed(h1, ())
-        assert h1_mask
-        return kept & ~(h1_mask & -h1_mask), h0
 
-    monkeypatch.setattr(approx, "eliminate_redundant", removing_one)
-    tables, stats = Orientation(inst), SearchStats()
-    assert solve_split(tables, 2, 2, 4, stats) is None and stats == once
-    monkeypatch.undo()
-    stats = SearchStats()
-    assert solve_split(tables, 2, 2, 5, stats) is None and stats == once
+def test_splits_of_total_k_answer_every_budget_from_the_optimum():
+    """The k + 1 splits k_h + k_v = k find a solution at every budget k
+    with a size-k solution: from OPT to OPT + 2 on uniform instances, and
+    at 4k on planted clique reductions, where the forward image of the
+    clique has 4k lines. A None there would be a false certificate."""
+    cases = []
+    for base in LEMMA_POOL:
+        opt = len(opt_exact(base, SearchBudget(max_size=12)))
+        cases += [(base, k) for k in range(opt, opt + 3)]
+    cases += [
+        (inst, 4 * k)
+        for (k, _, _, plant), (inst, _) in zip(CLIQUE_GRAPHS, CLIQUE_POOL)
+        if plant
+    ]
+    for base, k in cases:
+        stats = SearchStats()
+        sol = solve_with_budget(_fresh(base), k, stats)
+        assert sol is not None, (base, k)
+        assert verify(base, sol) == [] and len(sol) <= (7 * k) // 4
+        assert stats.splits <= k + 1
 
 
 def _memo_subject(shrinks: bool) -> Instance:
@@ -1237,8 +1164,8 @@ def test_final_check_survives_optimized_mode():
         if __debug__:
             raise SystemExit("assertions are not stripped")
         inst = Instance([Rect(0, 1, 0, 1)], hlines=[0], vlines=[0])
-        # the first split tried is k_h = k_v = 0, whose size bound is 0
-        for bogus in (Solution(), Solution(hlines=[0])):
+        # the first split tried is k_h = 0, k_v = 1, whose size bound is 1
+        for bogus in (Solution(), Solution(hlines=[0], vlines=[0])):
             witness = approx.SplitWitness((), (), None, None, 0, 0, bogus)
             approx.solve_split = lambda *args: witness
             try:

@@ -19,7 +19,7 @@ planted witness uses 3 lines -> optimum is at most 3
 
 exact optimum: 3 lines (h=[12, 20], v=[-10])
 approx at k=3: 3 lines <= floor(7*3/4) = 5
-  search effort: 5 splits, 1 vertical guesses, 1 horizontal guesses, 1 2-SAT calls
+  search effort: 2 splits, 1 vertical guesses, 1 horizontal guesses, 1 2-SAT calls
 solve_min: first success at budget 2 with 3 lines
 ratio vs optimum: 3/3
 """,

@@ -288,7 +288,7 @@ def test_budget_bound_drops_only_guesses_no_horizontal_guess_completes():
     assert dropped["spare 0"] > 100 and dropped["spare > 0"] > 100, dropped
 
 
-def _uncovered_split(inst, k_h, k_v, k):
+def _uncovered_split(inst, k_h, k_v):
     """solve_split with no cover: every separated guess of candidate strips
     is built, a vertical guess leaving a rectangle no horizontal candidate
     stabs to no strip or V1 line is skipped by a scan, and a horizontal
@@ -305,7 +305,7 @@ def _uncovered_split(inst, k_h, k_v, k):
     for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines):
         if _leaves_v_only(inst, vg):
             continue
-        kept, h0 = eliminate_redundant(tables, h1, vg, k)
+        kept, h0 = eliminate_redundant(tables, h1, vg, k_h + k_v)
         for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines):
             hs = set(h1) | hg.lines
             kernel = 0
@@ -332,10 +332,9 @@ def test_covers_keep_every_first_satisfiable_guess_and_2sat_call():
     pool += [gen_planted(k=4 + seed % 2, n=60, coord_range=40, seed=seed)[0] for seed in range(8)]
     for raw in pool:
         for inst in (drop_dominated(raw), drop_dominated(transpose(raw))):
-            for k in range(7):
-                for k_h in range(k // 2 + 1):
-                    for k_v in range(k_h, k - k_h + 1):
-                        stats = SearchStats()
-                        found = solve_split(Orientation(inst), k_h, k_v, k, stats)
-                        sol = found.solution if found is not None else None
-                        assert (sol, stats.twosat_calls) == _uncovered_split(inst, k_h, k_v, k)
+            for k_h in range(4):
+                for k_v in range(k_h, 7 - k_h):
+                    stats = SearchStats()
+                    found = solve_split(Orientation(inst), k_h, k_v, stats)
+                    sol = found.solution if found is not None else None
+                    assert (sol, stats.twosat_calls) == _uncovered_split(inst, k_h, k_v)
