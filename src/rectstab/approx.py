@@ -21,9 +21,9 @@ horizontal and k_v vertical lines, over the k + 1 splits k_h + k_v = k
   5. encodes "pick one line inside every guessed strip so the kernel is
      stabbed" as a 2-SAT formula with one threshold variable per candidate
      inside a guessed strip, numbered in one sequence over the vertical
-     strips, then the horizontal ones, reading the strip each kernel
-     rectangle meets off the slot masks and its stabbers in that strip off
-     the stabber table.
+     strips, then the horizontal ones, reading the strips that hold each
+     kernel rectangle (some candidate strictly inside stabs it) off the
+     hold masks and its stabbers in that strip off the stabber table.
 
 Any satisfiable guess assembles a verified solution of size at most
 2*k_h + floor(3*k_v/2) <= floor(7k/4); exhausting every guess certifies
@@ -48,9 +48,9 @@ from .core import (
     Instance,
     Solution,
     bits,
+    held_masks,
     line_masks,
     prefix_counts,
-    slot_masks,
     suffix_ors,
     transpose,
     verify,
@@ -259,27 +259,36 @@ def _hitting_picks(
 
 
 class Cover(NamedTuple):
-    """Rectangles a guess must reach, as masks: each rectangle of need
-    meets a chosen slot (slots[i]: the rectangles meeting slot i) or is
+    """Rectangles a guess must reach, as masks: each rectangle of need is
+    reached by a chosen slot (slots[i]: the rectangles slot i reaches) or
     stabbed by a picked line (lines[t]: the rectangles base position t
     stabs). What a guess leaves of need may lie inside at most spare of
     the disjoint masks of groups; a bit of need outside every group must
     be reached.
 
+    An open slot reaches what it holds (core.held_masks): the rectangles
+    some candidate strictly inside it stabs. That is sound: a satisfying
+    assignment of assemble_2sat's formula stabs each kernel rectangle with
+    a fixed line or with the line it picks in a guessed strip, a candidate
+    inside the strip and inside the rectangle's stabber range, so the strip
+    holds the rectangle. A guess that leaves a kernel rectangle to no line
+    and no strip that holds it has no satisfying assignment, and the
+    covers drop only such guesses.
+
     The vertical cover (Orientation.vertical_cover) needs each rectangle
     H1 misses at one bit. One that no horizontal candidate stabs lies in
-    no group and must meet an open guessed slot or be stabbed by V1. Any
-    other is reached by a closed guessed slot [base[i-1], base[i]] it
-    meets or by V1; its groups are the open H1 slots, and solve_split sets
-    spare to the horizontal budget b = 2k_h - |H1|. The bound is sound:
-    call U the grouped rectangles such a guess leaves unreached.
+    no group and must be held by an open guessed slot or stabbed by V1.
+    Any other is also reached by a boundary line of a guessed slot that
+    stabs it; its groups are the open H1 slots, and solve_split sets spare
+    to the horizontal budget b = 2k_h - |H1|. The bound is sound: call U
+    the grouped rectangles such a guess leaves unreached.
       - Kernelization removes only rectangles that a boundary line of a
-        guessed slot stabs, and those meet the closed slot, so U is kept;
-        it is missed by H1 and V1 and meets no guessed open slot, so U
-        lies in what the horizontal guess must reach (hcover).
+        guessed slot stabs, so U is kept; it is missed by H1 and V1 and
+        held by no guessed open slot, so U lies in what the horizontal
+        guess must reach (hcover).
       - A horizontal guess has at most b items. Each is a slot of the
         H1 | H0 arrangement or an H1' line of H0 off H1, so it lies inside
-        one open H1 slot, and it meets or stabs only rectangles that meet
+        one open H1 slot, and it holds or stabs only rectangles that meet
         that slot.
       - A rectangle H1 misses lies strictly inside one open H1 slot, so
         each item reaches U in one group at most.
@@ -470,27 +479,27 @@ def assemble_2sat(
     variable j + shift with shift = s - lo. Variable t means
     "the strip's line is at or beyond cands[t]": ordering clauses chain
     each strip's thresholds and a unit clause pins its first, so the
-    decoded set holds exactly one line per strip. Which guessed strips a
-    rectangle meets is read off slot_masks; its stabbers inside a strip are
-    its stabber-table range clipped to the strip's candidates. A rectangle
-    stabbed inside a strip exactly by cands[p:q] needs p and not q (when
-    q < e); meeting one strip of each family, it needs either strip's
-    condition. Raises GuessInfeasible when a guessed strip has no interior
-    candidate or some rectangle meets no guessed strip at all; a rectangle
-    that meets strips but cannot be stabbed inside them makes the formula
-    unsatisfiable instead.
+    decoded set holds exactly one line per strip. Which guessed strips
+    hold a rectangle (some candidate inside stabs it) is read off
+    core.held_masks; its stabbers inside a strip are its stabber-table
+    range clipped to the strip's candidates, nonempty in a strip that holds
+    it. A rectangle stabbed inside a strip exactly by cands[p:q] needs p
+    and not q (when q < e); held by one strip of each family, it needs
+    either strip's condition. Raises GuessInfeasible when a guessed strip
+    has no interior candidate or some rectangle is held by no guessed
+    strip: no pick of one line per strip stabs it.
     """
     cands: list[int] = []
-    families: list[list[tuple[int, int, int, int]]] = []  # (meets, s, e, shift) per strip
+    families: list[list[tuple[int, int, int, int]]] = []  # (held, s, e, shift) per strip
     for guess, axis in ((vg, Axis.VERTICAL), (hg, Axis.HORIZONTAL)):
         positions = inst.line_positions(axis)
-        meets = slot_masks(inst, axis, guess.base, kernel) if guess.slots else []
+        held = held_masks(inst, axis, guess.base, kernel) if guess.slots else []
         strips = []
         for i in guess.slots:
             lo, hi = _inside(guess.base, positions, i)
             if lo == hi:
                 raise GuessInfeasible("guessed strip contains no candidate line")
-            strips.append((meets[i], len(cands), len(cands) + hi - lo, len(cands) - lo))
+            strips.append((held[i], len(cands), len(cands) + hi - lo, len(cands) - lo))
             cands.extend(positions[lo:hi])
         families.append(strips)
     v_strips, h_strips = families
@@ -504,29 +513,23 @@ def assemble_2sat(
     ranges, ids = inst.stabbers
     for r in bits(kernel):
         a, b, c, d = ranges[ids[r]]
-        met: list[int] = []  # first variable of each strip the rectangle meets
-        stabs: list[list[twosat.Lit]] = []  # per met strip with a stabbing candidate
+        stabs: list[list[twosat.Lit]] = []  # per strip that holds the rectangle
         for strips, first, stop in ((v_strips, c, d), (h_strips, a, b)):
-            hits = [(s, e, shift) for meets, s, e, shift in strips if meets >> r & 1]
+            hits = [(s, e, shift) for held, s, e, shift in strips if held >> r & 1]
             if len(hits) > 1:
                 raise RuntimeError("kernel rectangle meets two strips of one family")
             for s, e, shift in hits:
-                met.append(s)
-                # its stabbers positions[first:stop], clipped to the strip
+                # its stabbers positions[first:stop], clipped to the strip: p < q
                 p, q = max(first + shift, s), min(stop + shift, e)
-                if p < q:
-                    stabs.append([(p, False), (q, True)] if q < e else [(p, False)])
-        if not met:
-            raise GuessInfeasible("kernel rectangle meets no guessed strip")
+                stabs.append([(p, False), (q, True)] if q < e else [(p, False)])
+        if not stabs:
+            raise GuessInfeasible("kernel rectangle held by no guessed strip")
         if len(stabs) == 2:
             for x, y in product(*stabs):
                 f.add_clause(x, y)
-        elif stabs:
+        else:
             for lit in stabs[0]:
                 f.add_unit(lit)
-        else:
-            f.add_unit((met[0], False))
-            f.add_unit((met[0], True))  # unstabbable under this guess
 
     def decode(values: list[bool]) -> tuple[frozenset[int], frozenset[int]]:
         def pick(s: int, e: int) -> int:
@@ -587,20 +590,20 @@ class Orientation:
         return self._preselected[k_v]
 
     def vertical_cover(self, h1: tuple[int, ...], v0: tuple[int, ...]) -> tuple[Cover, list[int]]:
-        """(cover, meets) for the pool v0 when H1 is preselected: the cover,
+        """(cover, held) for the pool v0 when H1 is preselected: the cover,
         with spare 0, that every vertical guess must reach (see Cover), and
-        meets[i], every rectangle that meets open slot i, from which
-        solve_split reads which kernel rectangles a guess's strips meet."""
+        held[i], every rectangle open slot i holds, from which solve_split
+        reads which kernel rectangles a guess's strips hold."""
         key = (h1, v0)
         if key not in self._vcovers:
             full = (1 << len(self.inst.rects)) - 1
             missed = full & ~self.stabbed(h1, ())
-            meets = slot_masks(self.inst, Axis.VERTICAL, v0, full)
+            held = held_masks(self.inst, Axis.VERTICAL, v0, full)
             walls = [0, *(self.vmask[x] for x in v0), 0]  # slot i lies between walls i, i + 1
-            slots = [m | ((walls[i] | walls[i + 1]) & ~self.v_only) for i, m in enumerate(meets)]
+            slots = [m | ((walls[i] | walls[i + 1]) & ~self.v_only) for i, m in enumerate(held)]
             lines = [self.vmask[x] for x in v0]
-            groups = slot_masks(self.inst, Axis.HORIZONTAL, h1, missed & ~self.v_only)
-            self._vcovers[key] = Cover(missed, slots, lines, groups), meets
+            groups = held_masks(self.inst, Axis.HORIZONTAL, h1, missed & ~self.v_only)
+            self._vcovers[key] = Cover(missed, slots, lines, groups), held
         return self._vcovers[key]
 
     @cached_property
@@ -648,13 +651,13 @@ def solve_split(
     if len(h1) > 2 * k_h:
         return None  # no horizontal guess can fit the budget
 
-    vcover, vmeets = tables.vertical_cover(h1, v0)
+    vcover, vheld = tables.vertical_cover(h1, v0)
     vcover = vcover._replace(spare=2 * k_h - len(h1))
     # A guess can succeed only if it reaches vcover (every rectangle no
     # horizontal candidate stabs, and the other rectangles H1 misses but
     # those in at most 2k_h - |H1| open H1 slots) and every kernel
-    # rectangle meets a guessed strip of either axis or is stabbed by H1'
-    # (hcover).
+    # rectangle is held by a guessed strip of either axis or stabbed by H1'
+    # (hcover): see Cover.
     # The enumerators yield only guesses that reach their cover with a
     # candidate inside every strip, so assemble_2sat has no GuessInfeasible
     # to raise here; one would be a broken invariant and propagates instead
@@ -665,11 +668,11 @@ def solve_split(
         unstabbed = kept & vcover.need & ~tables.stabbed((), vg.lines)
         off_vstrips = unstabbed
         for i in vg.slots:
-            off_vstrips &= ~vmeets[i]
+            off_vstrips &= ~vheld[i]
         hbase = sorted(set(h1) | set(h0))
         hcover = Cover(
             off_vstrips,
-            slot_masks(inst, Axis.HORIZONTAL, hbase, off_vstrips),
+            held_masks(inst, Axis.HORIZONTAL, hbase, off_vstrips),
             [tables.hmask[y] for y in hbase],
         )
         for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines, hcover):

@@ -2,7 +2,7 @@
 
 Lines, closed rectangles, problem instances, solutions, the stabbing
 kernel (stab masks: Python integers whose bit i stands for inst.rects[i]),
-the slot meet masks of the guess covers, and the dominance reduction both
+the slot hold masks of the guess covers, and the dominance reduction both
 solvers start from. All coordinates are plain Python integers kept within
 signed 64-bit range; every value is immutable and every operation is a
 pure function, so everything here is safe to share across threads. Rect
@@ -12,15 +12,15 @@ comparison validates the common case of a new one.
 The stabbing kernel reads one table per instance (Instance.stabbers),
 built by a single pass that bisects each rectangle once: a rectangle
 stabbed by exactly hlines[a:b] and vlines[c:d] has the ranges
-(a, b, c, d), rectangles with equal ranges form one stabber class, and
-the table holds each class's ranges once and the class id of every
-rectangle. The ranges are raw: an empty range keeps where it lies
-(a == b counts the candidates below the rectangle), which preselection
-needs, so rectangles with equal stabber sets can fall into several
-classes; the dominance reduction makes empty ranges (0, 0) per class,
-so that equal stabber sets have equal ranges. stab_mask (and through
-it verify) decides one hit per class and maps the answers back over the
-class ids, unless every class is hit; line_masks, approx.preselect and
+(a, b, c, d), rectangles with equal ranges form one stabber class, and the table
+holds each class's ranges once and the class id of every rectangle. The
+ranges are raw: an empty range keeps where it lies (a == b counts the
+candidates below the rectangle), which preselection needs, so rectangles
+with equal stabber sets can fall into several classes; the dominance
+reduction makes empty ranges (0, 0) per class, so that equal stabber
+sets have equal ranges. stab_mask (and through it verify) decides one
+hit per class and maps the answers back over the class ids, unless every
+class is hit; line_masks, held_masks, approx.preselect and
 exact.opt_exact read the ranges, and drop_dominated starts its rounds
 from them. The instances the kernel derives come with a ready table and
 never bisect again: the reduced instance gets its kept classes' raw
@@ -559,14 +559,27 @@ def transpose(inst: Instance) -> Instance:
     return _handed(flipped, Stabbers([(c, d, a, b) for a, b, c, d in ranges], ids), masks)
 
 
-def slot_masks(inst: Instance, axis: Axis, positions: Sequence[int], mask: int) -> list[int]:
-    """Meet mask of each of the n+1 open strips (slots) that n sorted
-    positions cut out, left to right, over the rectangles of mask: bit i is
-    set iff it is set in mask and inst.rects[i] meets the slot's interior.
-    A rectangle with extent [a, b] meets slots bisect_right(positions, a)
-    .. bisect_left(positions, b)."""
+def held_masks(inst: Instance, axis: Axis, base: Sequence[int], mask: int) -> list[int]:
+    """Hold mask of each of the n+1 open strips (slots) that n sorted
+    candidate positions base cut out, left to right, over the rectangles of
+    mask: bit i is set iff it is set in mask and some candidate strictly
+    inside the slot stabs inst.rects[i].
+
+    Read off the stabber table alone, with idx the candidate indices of
+    base: slot s holds the candidates strictly between idx[s - 1] and
+    idx[s], so a rectangle stabbed by the candidates [lo, hi) of the axis,
+    lo < hi, is held by slots bisect_right(idx, lo) .. bisect_left(idx,
+    hi - 1), except a slot between adjacent candidates, which holds none.
+    A rectangle with no stabber on the axis is held by no slot."""
+    positions = inst.line_positions(axis)
+    idx = [bisect_left(positions, p) for p in base]
+    ranges, ids = inst.stabbers
+    own = 0 if axis is Axis.HORIZONTAL else 2  # where the axis sits in (a, b, c, d)
     spans = []
     for i in bits(mask):
-        a, b = inst.rects[i].interval(axis)
-        spans.append((bisect_right(positions, a), bisect_left(positions, b) + 1, 1 << i))
-    return _range_masks(spans, len(positions) + 1)
+        lo, hi = ranges[ids[i]][own : own + 2]
+        if lo < hi:
+            spans.append((bisect_right(idx, lo), bisect_left(idx, hi - 1) + 1, 1 << i))
+    held = _range_masks(spans, len(idx) + 1)
+    ends = [-1, *idx, len(positions)]  # slot s lies between ends[s] and ends[s + 1]
+    return [m if ends[s] + 1 < ends[s + 1] else 0 for s, m in enumerate(held)]

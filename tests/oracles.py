@@ -21,7 +21,6 @@ from rectstab.core import (
     Rect,
     Solution,
     bits,
-    slot_masks,
 )
 from rectstab.greedy1d import Infeasible, stab_1d
 
@@ -45,10 +44,6 @@ class Strip:
     def contains_pos(self, pos: int) -> bool:
         return (self.lo is None or pos > self.lo) and (self.hi is None or pos < self.hi)
 
-    def meets_interval(self, a: int, b: int) -> bool:
-        """Does the closed interval [a,b] intersect the open strip interior?"""
-        return (self.hi is None or a < self.hi) and (self.lo is None or b > self.lo)
-
 
 def strips_of(axis: Axis, positions: Sequence[int]) -> list[Strip]:
     """The n+1 open strips cut out of the plane by n sorted line positions."""
@@ -66,10 +61,22 @@ def guess_strips(axis: Axis, base: Sequence[int], slots: Iterable[int]) -> tuple
     return tuple(strips[i] for i in slots)
 
 
-def rect_meets_strip(strip: Strip, rect: Rect) -> bool:
-    """True iff the rectangle's extent intersects the strip's open interior."""
+def strip_holds(strip: Strip, rect: Rect, candidates: Iterable[int]) -> bool:
+    """True iff some candidate position strictly inside the strip stabs
+    the rectangle."""
     a, b = rect.interval(strip.axis)
-    return strip.meets_interval(a, b)
+    return any(strip.contains_pos(p) and a <= p <= b for p in candidates)
+
+
+def held_by_definition(inst: Instance, axis: Axis, base: Sequence[int], mask: int) -> list[int]:
+    """Reference for rectstab.core.held_masks: per strip of
+    strips_of(axis, base), the rectangles of mask it holds (strip_holds
+    over the axis's candidates), decided from the coordinates."""
+    candidates = inst.line_positions(axis)
+    return [
+        sum(1 << i for i in bits(mask) if strip_holds(s, inst.rects[i], candidates))
+        for s in strips_of(axis, base)
+    ]
 
 
 def stabs(line: Line, rect: Rect) -> bool:
@@ -132,8 +139,8 @@ def separated_families(
 def cover_reached(cover, slots: Iterable[int], lines: Iterable[int]) -> bool:
     """Does a guess with these slot and line indices reach an
     approx.Cover, by its definition? The rectangles (bit indices) of need
-    that no chosen slot meets and no picked line stabs must each lie in a
-    group, and in at most cover.spare distinct groups."""
+    that no chosen slot reaches and no picked line stabs must each lie in
+    a group, and in at most cover.spare distinct groups."""
 
     def members(mask: int) -> set[int]:
         return {i for i in range(mask.bit_length()) if mask >> i & 1}
@@ -150,6 +157,7 @@ def cover_reached(cover, slots: Iterable[int], lines: Iterable[int]) -> bool:
 
 
 def horizontal_guess_reaches(
+    inst: Instance,
     h1: Sequence[int],
     h0: Sequence[int],
     kept: Iterable[Rect],
@@ -158,13 +166,14 @@ def horizontal_guess_reaches(
     budget: int,
 ) -> bool:
     """Can some horizontal guess complete a vertical guess (strips
-    vstrips, lines v1), by the definition? After kernelization (the kept
-    rectangles and the pool H0), it asks for a separated family of at most
-    budget open strips of the H1 | H0 arrangement and lines of H0 off H1
-    (separated_families) that meets or stabs every kept rectangle that
-    H1 and V1 miss and that meets no strip of vstrips. Strips with no
-    candidate inside count too, so this holds whenever the horizontal
-    enumerator yields a guess under solve_split's hcover."""
+    vstrips, lines v1) on inst, by the definition? After kernelization
+    (the kept rectangles of inst and the pool H0), it asks for a separated
+    family of at most budget open strips of the H1 | H0 arrangement and
+    lines of H0 off H1 (separated_families) that holds or stabs every kept
+    rectangle that H1 and V1 miss and that no strip of vstrips holds
+    (strip_holds over inst's candidates). Strips with no candidate inside
+    hold nothing, so this holds whenever the horizontal enumerator yields
+    a guess under solve_split's hcover."""
     base = sorted(set(h1) | set(h0))
     fixed = frozenset(t for t, y in enumerate(base) if y in set(h1))
     free = [t for t in range(len(base)) if t not in fixed]
@@ -174,11 +183,11 @@ def horizontal_guess_reaches(
         for r in kept
         if not any(stabs(Line(Axis.HORIZONTAL, y), r) for y in h1)
         and not any(stabs(Line(Axis.VERTICAL, x), r) for x in v1)
-        and not any(rect_meets_strip(s, r) for s in vstrips)
+        and not any(strip_holds(s, r, inst.vlines) for s in vstrips)
     ]
     for slot_combo, line_pick in separated_families(len(base), fixed, free, budget):
         if all(
-            any(rect_meets_strip(hstrips[i], r) for i in slot_combo)
+            any(strip_holds(hstrips[i], r, inst.hlines) for i in slot_combo)
             or any(stabs(Line(Axis.HORIZONTAL, base[t]), r) for t in line_pick)
             for r in need
         ):
@@ -306,19 +315,22 @@ def vertical_cover_two_halves(
     """Two-bit reference for the cover of rectstab.approx's
     Orientation.vertical_cover, with spare 0: every rectangle r has bit r,
     needed for the rectangles no horizontal candidate stabs and reached by
-    an open V0 slot it meets, and bit n + r, needed for the rectangles H1
-    misses, reached by a closed V0 slot it meets and grouped by the open
-    H1 slot that holds it. A V0 line reaches both bits of what it stabs.
-    Like eliminate_by_rescan it reads the library's stab masks: it checks
-    the bit layout, not the masks."""
-    n = len(tables.inst.rects)
+    an open V0 slot that holds it, and bit n + r, needed for the
+    rectangles H1 misses, reached by an open V0 slot that holds it or a
+    slot boundary that stabs it, and grouped by the open H1 slot that
+    holds it. A V0 line reaches both bits of what it stabs. The hold masks
+    are decided from the coordinates (held_by_definition); like
+    eliminate_by_rescan it reads the library's stab masks: it checks the
+    bit layout, not the masks."""
+    inst = tables.inst
+    n = len(inst.rects)
     full = (1 << n) - 1
     missed = full & ~tables.stabbed(h1, ())
-    meets = slot_masks(tables.inst, Axis.VERTICAL, v0, full)
+    held = held_by_definition(inst, Axis.VERTICAL, v0, full)
     walls = [0, *(tables.vmask[x] for x in v0), 0]  # slot i lies between walls i, i + 1
-    slots = [m | (m | walls[i] | walls[i + 1]) << n for i, m in enumerate(meets)]
+    slots = [m | (m | walls[i] | walls[i + 1]) << n for i, m in enumerate(held)]
     lines = [tables.vmask[x] | tables.vmask[x] << n for x in v0]
-    groups = [g << n for g in slot_masks(tables.inst, Axis.HORIZONTAL, h1, missed)]
+    groups = [g << n for g in held_by_definition(inst, Axis.HORIZONTAL, h1, missed)]
     return Cover(tables.v_only | missed << n, slots, lines, groups)
 
 

@@ -37,8 +37,8 @@ from rectstab.core import (
     Solution,
     bits,
     drop_dominated,
+    held_masks,
     line_masks,
-    slot_masks,
     stab_mask,
     transpose,
     verify,
@@ -582,7 +582,7 @@ def test_assemble_window_thresholds():
     assert v2 <= {3, 4} and len(v2) == 1
 
 
-def test_assemble_unstabbable_rect_in_both_strips_is_unsat():
+def test_assemble_unstabbable_rect_in_both_strips_is_guess_infeasible():
     vg, hg = _between(0, 9)
     # the rect meets both strips but contains no interior candidate on either axis
     rect = Rect(2, 3, 2, 3)
@@ -590,9 +590,10 @@ def test_assemble_unstabbable_rect_in_both_strips_is_unsat():
     with pytest.raises(GuessInfeasible):
         # strips have no interior candidates at all: rejected upfront
         assemble_2sat(1, vg, hg, inst)
+    # each strip holds the candidate 5, which misses the rect: neither holds it
     inst2 = Instance([rect], hlines=[0, 5, 9], vlines=[0, 5, 9])
-    formula, _ = assemble_2sat(1, vg, hg, inst2)
-    assert solve_2sat(formula) is None
+    with pytest.raises(GuessInfeasible, match="held by no guessed strip"):
+        assemble_2sat(1, vg, hg, inst2)
 
 
 def test_assemble_rect_meeting_no_strip_is_guess_infeasible():
@@ -605,8 +606,8 @@ def _covered_guesses(inst, k_h, k_v, k):
     """(vertical guess, horizontal guess, kernel) for every pair the
     enumerators yield under the covers solve_split builds, past the first
     satisfiable one; the kernel is the mask of every rectangle the guess's
-    lines (H1, V1, H1') miss, so every kernel rectangle meets a guessed
-    strip."""
+    lines (H1, V1, H1') miss, so a guessed strip holds every kernel
+    rectangle."""
     pre = preselect(inst, k_v)
     if pre is None:
         return
@@ -615,28 +616,57 @@ def _covered_guesses(inst, k_h, k_v, k):
         return
     full = (1 << len(inst.rects)) - 1
     hmask, vmask = line_masks(inst, H), line_masks(inst, V)
-    vmeets = slot_masks(inst, V, v0, full)
-    vcover = Cover(full & ~stab_mask(inst, inst.hlines), vmeets, [vmask[x] for x in v0])
+    vheld = held_masks(inst, V, v0, full)
+    vcover = Cover(full & ~stab_mask(inst, inst.hlines), vheld, [vmask[x] for x in v0])
     tables = Orientation(inst)
     for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines, vcover):
         _, h0 = eliminate_redundant(tables, h1, vg, k)
         missed = full & ~stab_mask(inst, h1, vg.lines)
         off_vstrips = missed
         for i in vg.slots:
-            off_vstrips &= ~vmeets[i]
+            off_vstrips &= ~vheld[i]
         hbase = sorted(set(h1) | set(h0))
         hcover = Cover(
-            off_vstrips, slot_masks(inst, H, hbase, off_vstrips), [hmask[y] for y in hbase]
+            off_vstrips, held_masks(inst, H, hbase, off_vstrips), [hmask[y] for y in hbase]
         )
         for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines, hcover):
             kernel = missed & ~stab_mask(inst, hg.lines)
             yield vg, hg, kernel
 
 
-def _covered_pool(sizes):
+def _held_guesses(inst, k_h, k_v, k):
+    """(vertical guess, horizontal guess, kernel) for every pair the
+    enumerators yield with no cover; the kernel keeps, of the rectangles
+    the guess's lines (H1, V1, H1') miss, those some guessed strip holds.
+    No cover cuts a pair here, so some kernels have no stabbing pick."""
+    pre = preselect(inst, k_v)
+    if pre is None:
+        return
+    h1, v0 = pre
+    if len(h1) > 2 * k_h:
+        return
+    full = (1 << len(inst.rects)) - 1
+    tables = Orientation(inst)
+    for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines):
+        _, h0 = eliminate_redundant(tables, h1, vg, k)
+        missed = full & ~stab_mask(inst, h1, vg.lines)
+        vheld = held_masks(inst, V, vg.base, missed)
+        for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines):
+            kernel = missed & ~stab_mask(inst, hg.lines)
+            hheld = held_masks(inst, H, hg.base, kernel)
+            held = 0
+            for i in vg.slots:
+                held |= vheld[i]
+            for i in hg.slots:
+                held |= hheld[i]
+            yield vg, hg, kernel & held
+
+
+def _covered_pool(sizes, guesses=_covered_guesses):
     """(instance, vertical guess, horizontal guess, kernel) for every
-    covered guess pair over gen_uniform(n, m, c, seed) for each (n, m, c)
-    of sizes, seeds 0-29, both orientations, every split of every k < 5."""
+    guess pair of guesses (covered by default) over gen_uniform(n, m, c,
+    seed) for each (n, m, c) of sizes, seeds 0-29, both orientations,
+    every split of every k < 5."""
     for n, m, c in sizes:
         for seed in range(30):
             raw = gen_uniform(n, m, c, seed)
@@ -644,25 +674,30 @@ def _covered_pool(sizes):
                 for k in range(5):
                     for k_h in range(k // 2 + 1):
                         for k_v in range(k_h, k - k_h + 1):
-                            for vg, hg, kernel in _covered_guesses(inst, k_h, k_v, k):
+                            for vg, hg, kernel in guesses(inst, k_h, k_v, k):
                                 yield inst, vg, hg, kernel
 
 
 def test_assemble_matches_brute_force_on_covered_guesses():
     """The formula is satisfiable iff some pick of one candidate inside
     each guessed strip (oracle Strips) stabs the kernel, and decode returns
-    such a pick."""
-    seen = Counter(
-        _check_assembly(*case) for case in _covered_pool(((10, 10, 8), (14, 12, 10)))
-    )
+    such a pick. The covers hand 2-SAT no guess whose strips hold no
+    stabber of a kernel rectangle, and on the covered pairs every formula
+    is satisfiable; the uncovered pairs with held kernels add the
+    unsatisfiable ones."""
+    covered = _covered_pool(((10, 10, 8), (14, 12, 10)))
+    held = _covered_pool(((12, 30, 15),), _held_guesses)
+    seen = Counter(_check_assembly(*case) for case in chain(covered, held))
     assert seen["sat"] > 500 and seen["unsat"] > 500 and seen["sat, both axes"] > 100
 
 
 def test_assembled_formulas_pinned():
     """Every formula over the covered-guess pool, clause for clause, with
     its assignment and decoded picks, hashes to the digest of the 2-SAT
-    stage as first written; a change to variable numbering, clause order or
-    the solver's adjacency order shows here."""
+    stage as first written, over the pairs the held covers yield (each of
+    them assembled the same formula before the covers held); a change to
+    variable numbering, clause order or the solver's adjacency order shows
+    here."""
     digest = hashlib.sha256()
     count = 0
     for inst, vg, hg, kernel in _covered_pool(((10, 10, 8), (14, 12, 10), (30, 24, 20))):
@@ -671,8 +706,8 @@ def test_assembled_formulas_pinned():
         picks = None if values is None else tuple(map(sorted, decode(values)))
         digest.update(repr((formula.num_vars, formula.clauses, values, picks)).encode())
         count += 1
-    assert count == 3304
-    assert digest.hexdigest() == "fe5bb315582522ec582cf75fb2f5940ffaa294341eb879c47de8ac167dd3f036"
+    assert count == 1821
+    assert digest.hexdigest() == "d7622c6a2a43b9c58481e535a6073f89c891d2ccd6e629711c4d495918d63317"
 
 
 @pytest.mark.parametrize("slots", [(0, 2), (2, 0)])
@@ -808,9 +843,9 @@ def test_search_counters_pinned():
     with no interior candidate, a rectangle no horizontal candidate stabs
     left to no vertical strip or V1 line, a vertical guess leaving the
     rectangles H1 misses to more open H1 slots than the horizontal budget
-    2k_h - |H1| has items, or a kernel rectangle left to no strip or H1'
-    line. A change that prunes guesses must update these literals and say
-    why."""
+    2k_h - |H1| has items, or a kernel rectangle left to no strip that
+    holds one of its stabbers and no H1' line. A change that prunes
+    guesses must update these literals and say why."""
     stats = SearchStats()
     k, sol = solve_min(gen_uniform(60, 60, 40, 5), 12, stats)
     assert (k, len(sol)) == (5, 8)
@@ -820,7 +855,7 @@ def test_search_counters_pinned():
     k, sol = solve_min(gen_uniform(60, 60, 40, 3), 12, stats)
     assert (k, len(sol)) == (5, 8)
     assert stats == SearchStats(
-        splits=19, vertical_guesses=4, horizontal_guesses=2, twosat_calls=2
+        splits=19, vertical_guesses=3, horizontal_guesses=1, twosat_calls=1
     )
 
     # The ladder counts what searches of each budget on fresh copies do.
@@ -828,7 +863,7 @@ def test_search_counters_pinned():
     stats = SearchStats()
     k, sol = solve_min(inst, 12, stats)
     assert (k, len(sol)) == (5, 8)
-    assert stats == SearchStats(splits=18, vertical_guesses=3, horizontal_guesses=3, twosat_calls=3)
+    assert stats == SearchStats(splits=18, vertical_guesses=1, horizontal_guesses=1, twosat_calls=1)
     cold = SearchStats()
     for j in range(k + 1):
         solve_with_budget(_fresh(inst), j, cold)

@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -17,15 +18,22 @@ from rectstab.core import (
     Solution,
     UnknownLineError,
     bits,
+    held_masks,
     line_masks,
-    slot_masks,
     stab_mask,
     transpose,
     verify,
 )
 from rectstab.rng import Xoshiro256StarStar
 
-from oracles import Strip, rect_meets_strip, separated, stabs, strips_of
+from oracles import (
+    Strip,
+    held_by_definition,
+    separated,
+    stabs,
+    strip_holds,
+    strips_of,
+)
 
 H, V = Axis.HORIZONTAL, Axis.VERTICAL
 
@@ -350,29 +358,46 @@ def test_strips_of_counts_and_coverage():
                 assert len(inside) == 1
 
 
-def test_rect_meets_strip_boundary_touch_is_not_meeting():
+def test_strip_holds_needs_a_stabbing_candidate_strictly_inside():
     s = Strip(V, 0, 5)
-    assert not rect_meets_strip(s, Rect(5, 9, 0, 1))
-    assert rect_meets_strip(s, Rect(3, 9, 0, 1))
+    assert strip_holds(s, Rect(3, 9, 0, 1), [4])
+    assert not strip_holds(s, Rect(3, 9, 0, 1), [5, 9])  # on the boundary, outside
+    assert not strip_holds(s, Rect(1, 2, 0, 1), [4])  # meets the strip, no stabber inside
 
 
-def test_slot_masks_match_rect_meets_strip():
+def test_held_masks_match_the_definition():
+    """held_masks, read off the stabber table, against the coordinates
+    (oracles.held_by_definition) over random candidate subsets as bases.
+    The pool has adjacent base candidates, whose empty slot holds nothing,
+    rectangles with no stabber on the axis, rectangles whose only stabber
+    is a base line, and a mask filter on every case."""
     rng = Xoshiro256StarStar(17)
-    for _ in range(60):
+    seen = Counter()
+    for _ in range(200):
         rects = []
         for _ in range(rng.randint(0, 8)):
             x1, y1 = rng.randint(-6, 6), rng.randint(-6, 6)
             rects.append(Rect(x1, x1 + rng.randint(0, 4), y1, y1 + rng.randint(0, 4)))
-        positions = sorted({rng.randint(-7, 7) for _ in range(rng.randint(0, 6))})
-        inst = Instance(rects, hlines=positions, vlines=positions)
+        hlines = [rng.randint(-7, 7) for _ in range(rng.randint(0, 8))]
+        vlines = [rng.randint(-7, 7) for _ in range(rng.randint(0, 8))]
+        inst = Instance(rects, hlines, vlines)
+        full = (1 << len(rects)) - 1
         mask = rng.randrange(1 << len(rects))
         for axis in (H, V):
-            strips = strips_of(axis, positions)
-            expected = [
-                sum(1 << i for i, r in enumerate(rects) if rect_meets_strip(s, r)) for s in strips
-            ]
-            assert slot_masks(inst, axis, positions, (1 << len(rects)) - 1) == expected
-            assert slot_masks(inst, axis, positions, mask) == [m & mask for m in expected]
+            candidates = inst.line_positions(axis)
+            base = [p for p in candidates if rng.randrange(3)]
+            expected = held_by_definition(inst, axis, base, full)
+            assert held_masks(inst, axis, base, full) == expected
+            assert held_masks(inst, axis, base, mask) == [m & mask for m in expected]
+            at = [candidates.index(p) for p in base]
+            seen["adjacent base"] += any(u - t == 1 for t, u in zip(at, at[1:]))
+            for r in rects:
+                a, b = r.interval(axis)
+                stabbers = [p for p in candidates if a <= p <= b]
+                seen["no stabber"] += not stabbers
+                seen["only a base stabber"] += len(stabbers) == 1 and stabbers[0] in base
+    assert seen["adjacent base"] > 100 and seen["no stabber"] > 100, seen
+    assert seen["only a base stabber"] > 100, seen
 
 
 def test_separated_predicate():

@@ -12,7 +12,6 @@ from itertools import combinations
 
 from rectstab.approx import (
     Cover,
-    GuessInfeasible,
     Orientation,
     SearchStats,
     _separated_families,
@@ -32,13 +31,13 @@ from oracles import (
     cover_reached,
     guess_strips,
     horizontal_guess_reaches,
-    rect_meets_strip,
     separated_families,
+    strip_holds,
     strips_of,
     vertical_cover_two_halves,
 )
 
-V = Axis.VERTICAL
+H, V = Axis.HORIZONTAL, Axis.VERTICAL
 MAX_BUDGET = 5
 
 
@@ -163,23 +162,23 @@ def test_full_h1_leaves_only_the_empty_guess():
 
 def _leaves_v_only(inst, vg):
     """Does the vertical guess leave a rectangle no horizontal candidate
-    stabs to no strip and no V1 line? By the definition."""
+    stabs to no strip that holds it and no V1 line? By the definition."""
     strips = guess_strips(V, vg.base, vg.slots)
     return any(
         not any(r.y1 <= y <= r.y2 for y in inst.hlines)
         and not any(r.x1 <= x <= r.x2 for x in vg.lines)
-        and not any(rect_meets_strip(s, r) for s in strips)
+        and not any(strip_holds(s, r, inst.vlines) for s in strips)
         for r in inst.rects
     )
 
 
 def test_vertical_cover_masks_by_definition():
     """One bit per rectangle H1 misses. One no horizontal candidate stabs
-    is reached by the open V0 slots it meets and lies in no group; any
-    other by the closed V0 slots it meets, in the group of the open H1
-    slot that holds it. Lines stab their own rectangles. The meets beside
-    the cover are the open V0 slot meets of every rectangle."""
-    H = Axis.HORIZONTAL
+    is reached by the open V0 slots that hold it and lies in no group; any
+    other also by the V0 slots whose boundary line stabs it, in the group
+    of the open H1 slot it lies in. Lines stab their own rectangles. The
+    hold masks beside the cover are the open V0 slots' over every
+    rectangle."""
     for seed in range(6):
         inst = drop_dominated(gen_uniform(40, 40, 30, seed))
         tables = Orientation(inst)
@@ -188,23 +187,23 @@ def test_vertical_cover_masks_by_definition():
             if pre is None:
                 continue
             h1, v0 = pre
-            cover, meets = tables.vertical_cover(h1, v0)
+            cover, held = tables.vertical_cover(h1, v0)
             bounds = [None, *v0, None]
 
             def mask(pred):
                 return sum(1 << i for i, r in enumerate(inst.rects) if pred(r))
 
-            def closed(i):
-                lo, hi = bounds[i], bounds[i + 1]
-                return lambda r: (lo is None or r.x2 >= lo) and (hi is None or r.x1 <= hi)
+            def walls(i):
+                ends = [x for x in bounds[i : i + 2] if x is not None]
+                return lambda r: any(r.x1 <= x <= r.x2 for x in ends)
 
             missed = mask(lambda r: not any(r.y1 <= y <= r.y2 for y in h1))
             v_only = mask(lambda r: not any(r.y1 <= y <= r.y2 for y in inst.hlines))
             assert cover.need == missed and cover.spare == 0
             for i, strip in enumerate(strips_of(V, v0)):
-                open_meets = mask(lambda r: rect_meets_strip(strip, r))
-                assert meets[i] == open_meets
-                assert cover.slots[i] == open_meets & v_only | mask(closed(i)) & ~v_only
+                open_held = mask(lambda r: strip_holds(strip, r, inst.vlines))
+                assert held[i] == open_held
+                assert cover.slots[i] == open_held | mask(walls(i)) & ~v_only
             for t, x in enumerate(v0):
                 assert cover.lines[t] == mask(lambda r: r.x1 <= x <= r.x2)
             groups = [
@@ -283,17 +282,21 @@ def test_budget_bound_drops_only_guesses_no_horizontal_guess_completes():
                     for k in range(k_h + k_v, 7):
                         mask, h0 = eliminate_redundant(tables, h1, vg, k)
                         rects = [inst.rects[i] for i in bits(mask)]
-                        assert not horizontal_guess_reaches(h1, h0, rects, strips, vg.lines, spare)
+                        assert not horizontal_guess_reaches(
+                            inst, h1, h0, rects, strips, vg.lines, spare
+                        )
                     dropped["spare > 0" if spare else "spare 0"] += 1
     assert dropped["spare 0"] > 100 and dropped["spare > 0"] > 100, dropped
 
 
 def _uncovered_split(inst, k_h, k_v):
     """solve_split with no cover: every separated guess of candidate strips
-    is built, a vertical guess leaving a rectangle no horizontal candidate
-    stabs to no strip or V1 line is skipped by a scan, and a horizontal
-    guess leaving a kernel rectangle to no strip fails in assemble_2sat.
-    Returns the first satisfiable guess's solution and the 2-SAT calls."""
+    is built, and a scan by the definition skips a vertical guess leaving
+    a rectangle no horizontal candidate stabs to no strip that holds it
+    and no V1 line, and a horizontal guess leaving a kernel rectangle to
+    no strip of either axis that holds it (such a guess has no satisfying
+    assignment). Returns the first satisfiable guess's solution and the
+    2-SAT calls."""
     pre = preselect(inst, k_v)
     if pre is None:
         return None, 0
@@ -315,10 +318,15 @@ def _uncovered_split(inst, k_h, k_v):
                     r.x1 <= x <= r.x2 for x in vg.lines
                 ):
                     kernel |= 1 << i
-            try:
-                formula, decode = assemble_2sat(kernel, vg, hg, inst)
-            except GuessInfeasible:
+            strips = [
+                (s, inst.vlines) for s in guess_strips(V, vg.base, vg.slots)
+            ] + [(s, inst.hlines) for s in guess_strips(H, hg.base, hg.slots)]
+            if not all(
+                any(strip_holds(s, inst.rects[i], cands) for s, cands in strips)
+                for i in bits(kernel)
+            ):
                 continue
+            formula, decode = assemble_2sat(kernel, vg, hg, inst)
             calls += 1
             values = solve_2sat(formula)
             if values is not None:

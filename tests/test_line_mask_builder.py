@@ -1,7 +1,8 @@
 """Line masks have one builder. core._range_masks, the toggle sweep that
 builds masks over candidate ranges, is called only by core.line_masks,
 which keeps one table per instance and axis and hands it to derived
-instances, and by core.slot_masks, whose strips are not candidate lines.
+instances, and by core.held_masks, whose masks are over the open slots
+between candidates, not over candidate lines.
 A second caller would rebuild line masks outside the memo."""
 
 import ast
@@ -9,7 +10,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rectstab"
 BUILDER = "_range_masks"
-CALLERS = {("core.py", "line_masks"), ("core.py", "slot_masks")}
+CALLERS = {("core.py", "line_masks"), ("core.py", "held_masks")}
 
 
 class _BuilderCalls(ast.NodeVisitor):
