@@ -28,6 +28,10 @@ horizontal and k_v vertical lines, over the k + 1 splits k_h + k_v = k
 Any satisfiable guess assembles a verified solution of size at most
 2*k_h + floor(3*k_v/2) <= floor(7k/4); exhausting every guess certifies
 that no size-k solution exists.
+
+Inside the search every line is a candidate index of its axis; positions
+appear only in the Solution solve_split builds and in kernelization's
+widest-in-strip pick, which reads x extents.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .core import (
     transpose,
     verify,
 )
-from .greedy1d import Infeasible, stab_1d
+from .greedy1d import stab_1d
 
 
 class GuessInfeasible(Exception):
@@ -64,9 +68,9 @@ class GuessInfeasible(Exception):
 
 @dataclass(frozen=True)
 class Guess:
-    """Guessed strips of one axis as slot indices over the sorted pool
-    base: slot i is the open strip between base[i - 1] and base[i],
-    unbounded past either end. lines holds the picked separator positions:
+    """Guessed strips of one axis as slot indices over the pool base, ascending
+    candidate indices of the axis: slot i is the open strip between base[i - 1]
+    and base[i], unbounded past either end. lines holds the picked separators:
     V1 for a vertical guess over V0, H1' for a horizontal one over H1 | H0."""
 
     base: tuple[int, ...]
@@ -85,7 +89,7 @@ class SearchStats:
 
 
 def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Greedy horizontal preselection: (H1, V0), or None.
+    """Greedy horizontal preselection: (H1, V0) as candidate indices, or None.
 
     Sweeping bottom-up from below every rectangle, repeatedly jump to the
     furthest candidate line such that the rectangles strictly between the
@@ -116,7 +120,7 @@ def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple
     """
     m = len(inst.hlines)
     table = _NeedRows.of(inst)
-    h1: list[int] = []  # indices into hlines
+    h1: list[int] = []
     i = 0
     while i <= m:
         b = i + bisect_right(table.row(i, k_v), k_v)
@@ -132,7 +136,7 @@ def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple
         raise RuntimeError("a class in an accepted gap has no vertical stabber")
     if len(v0) > k_v * (len(h1) + 1):
         raise RuntimeError("vertical pool exceeded its per-gap accounting bound")
-    return tuple(inst.hlines[t] for t in h1), tuple(inst.vlines[t] for t in v0)
+    return tuple(h1), tuple(v0)
 
 
 def _greedy_1d(ranges: Iterable[tuple[int, int]]) -> Optional[list[int]]:
@@ -201,19 +205,11 @@ class _NeedRows:
         return row
 
 
-def _inside(base: Sequence[int], candidates: Sequence[int], i: int) -> tuple[int, int]:
-    """Index range [lo, hi) of the sorted candidates strictly inside slot i
-    of the sorted positions base: the open strip between base[i - 1] and
-    base[i], unbounded past either end."""
-    lo = bisect_right(candidates, base[i - 1]) if i > 0 else 0
-    hi = bisect_left(candidates, base[i]) if i < len(base) else len(candidates)
-    return lo, hi
-
-
-def _candidate_slots(base: Sequence[int], candidates: Sequence[int]) -> list[int]:
-    """Indices of the slots of base with a sorted candidate strictly inside."""
-    ranges = (_inside(base, candidates, i) for i in range(len(base) + 1))
-    return [i for i, (lo, hi) in enumerate(ranges) if lo < hi]
+def _candidate_slots(base: Sequence[int], m: int) -> list[int]:
+    """Slots of the ascending candidate indices base with one of the m
+    candidates strictly inside: slot i lies between base[i - 1] and base[i]."""
+    ends = (-1, *base, m)
+    return [i for i in range(len(base) + 1) if ends[i] + 1 < ends[i + 1]]
 
 
 def _hitting_picks(
@@ -261,7 +257,7 @@ def _hitting_picks(
 class Cover(NamedTuple):
     """Rectangles a guess must reach, as masks: each rectangle of need is
     reached by a chosen slot (slots[i]: the rectangles slot i reaches) or
-    stabbed by a picked line (lines[t]: the rectangles base position t
+    stabbed by a picked line (lines[t]: the rectangles the line base[t]
     stabs). What a guess leaves of need may lie inside at most spare of
     the disjoint masks of groups; a bit of need outside every group must
     be reached.
@@ -309,9 +305,9 @@ def _separated_families(
     budget: int,
     cover: Optional[Cover] = None,
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Index pairs (slot combo, line pick) over n_base sorted positions:
+    """Index pairs (slot combo, line pick) over a base of n_base lines:
     slots drawn from cand_slots (ascending) among the n_base + 1 strips the
-    positions cut out, lines picked from the positions not in fixed_idx,
+    base cuts out, lines picked from the base lines not in fixed_idx,
     with |slots| + |picked| <= budget and every pair of consecutive chosen
     slots separated by a fixed or picked line; with a cover, only pairs
     reaching it.
@@ -379,18 +375,18 @@ def _separated_families(
 
 
 def enumerate_vertical_guesses(
-    v0: Sequence[int], k_v: int, vlines: Sequence[int], cover: Optional[Cover] = None
+    v0: Sequence[int], k_v: int, m: int, cover: Optional[Cover] = None
 ) -> Iterator[Guess]:
-    """All guesses (slots, V1) over the sorted pool v0 with |slots| + |V1| <=
-    floor(3*k_v/2), the slots separated by V1 and each holding a candidate
-    of the sorted vlines strictly inside, in the order of
-    _separated_families. A strip with no interior candidate can hold no
-    solution line, so it is never guessed. With a cover (slots and lines
-    indexed over sorted v0), only guesses reaching it are yielded; guess
-    counters count yields."""
+    """All guesses (slots, V1) over the pool v0, candidate indices of the m
+    vertical candidates, with |slots| + |V1| <= floor(3*k_v/2), the slots
+    separated by V1 and each holding a candidate strictly inside, in the
+    order of _separated_families. A strip with no interior candidate can
+    hold no solution line, so it is never guessed. With a cover (slots and
+    lines indexed over sorted v0), only guesses reaching it are yielded;
+    guess counters count yields."""
     base = tuple(sorted(v0))
     families = _separated_families(
-        len(base), _candidate_slots(base, vlines), frozenset(), (3 * k_v) // 2, cover
+        len(base), _candidate_slots(base, m), frozenset(), (3 * k_v) // 2, cover
     )
     for slot_combo, line_pick in families:
         yield Guess(base, slot_combo, frozenset(base[t] for t in line_pick))
@@ -400,19 +396,20 @@ def enumerate_horizontal_guesses(
     h1: Sequence[int],
     h0: Sequence[int],
     k_h: int,
-    hlines: Sequence[int],
+    m: int,
     cover: Optional[Cover] = None,
 ) -> Iterator[Guess]:
-    """All guesses (slots, H1') over the sorted pool H1 | H0 with |H1| +
-    |slots| + |H1'| <= 2*k_h, H1' drawn from H0, and the slots (each with a
-    candidate of the sorted hlines strictly inside) separated by H1
-    together with H1'. Same order, cover and counting as the vertical
-    enumeration; cover slots and lines are indexed over sorted H1 | H0."""
+    """All guesses (slots, H1') over the pool H1 | H0, candidate indices of
+    the m horizontal candidates, with |H1| + |slots| + |H1'| <= 2*k_h, H1'
+    drawn from H0, and the slots (each with a candidate strictly inside)
+    separated by H1 together with H1'. Same order, cover and counting as
+    the vertical enumeration; cover slots and lines are indexed over
+    sorted H1 | H0."""
     base = tuple(sorted(set(h1) | set(h0)))
     h1set = set(h1)
-    h1_idx = frozenset(t for t, p in enumerate(base) if p in h1set)
+    h1_idx = frozenset(t for t, j in enumerate(base) if j in h1set)
     families = _separated_families(
-        len(base), _candidate_slots(base, hlines), h1_idx, 2 * k_h - len(h1), cover
+        len(base), _candidate_slots(base, m), h1_idx, 2 * k_h - len(h1), cover
     )
     for slot_combo, line_pick in families:
         yield Guess(base, slot_combo, frozenset(base[t] for t in line_pick))
@@ -432,34 +429,33 @@ def eliminate_redundant(
     slot, left first: a removal only shrinks groups, so a boundary passed
     never fires again, and rescanning after each removal finds the same.
     K is everything kept, H0 a minimum horizontal stabbing of the kept
-    leftovers. H1, V1 and vg.base are candidate lines.
+    leftovers, by stab_1d over the closed index ranges (a, b - 1) of the
+    stabbers hlines[a:b]. H1, H0, V1 and vg.base are candidate indices.
     """
     inst = tables.inst
     rects = inst.rects
+    ranges, ids = inst.stabbers
+    spans = [(a, b - 1) for a, b, _, _ in ranges]  # nonempty for every class in rprime
+    points = range(len(inst.hlines))
     full = (1 << len(rects)) - 1
     rprime = full & ~(tables.v_only | tables.stabbed(h1, vg.lines))
     removed = 0
 
-    clip = (I64_MIN, *vg.base, I64_MAX)  # slot s spans clip[s]..clip[s + 1]
+    clip = (I64_MIN, *(inst.vlines[t] for t in vg.base), I64_MAX)  # slot s: clip[s]..clip[s + 1]
     for s in sorted(vg.slots):
         lo, hi = clip[s], clip[s + 1]
-        for pos in vg.base[max(s - 1, 0) : s + 1]:  # the slot's boundaries, left first
+        for t in vg.base[max(s - 1, 0) : s + 1]:  # the slot's boundaries, left first
             while True:
-                group = list(bits(tables.vmask[pos] & rprime & ~removed))
+                group = list(bits(tables.vmask[t] & rprime & ~removed))
                 if len(group) < 2 * k + 2:
                     break  # too few rectangles to need 2k+2 lines
-                try:
-                    need = len(stab_1d([(rects[i].y1, rects[i].y2) for i in group], inst.hlines))
-                except Infeasible:  # pragma: no cover
-                    raise RuntimeError("group drawn from horizontally stabbable rectangles")
-                if need < 2 * k + 2:
+                if len(stab_1d([spans[ids[i]] for i in group], points)) < 2 * k + 2:
                     break
-                # every group member holds pos, so its clipped width is >= 0
+                # every group member holds the boundary, so its clipped width is >= 0
                 widest = max(group, key=lambda i: (min(rects[i].x2, hi) - max(rects[i].x1, lo), -i))
                 removed |= 1 << widest
 
-    survivors = [(rects[i].y1, rects[i].y2) for i in bits(rprime & ~removed)]
-    h0 = stab_1d(survivors, inst.hlines)
+    h0 = stab_1d([spans[ids[i]] for i in bits(rprime & ~removed)], points)
     return full & ~removed, tuple(h0)
 
 
@@ -473,38 +469,39 @@ def assemble_2sat(
     every guessed strip such that every rectangle of kernel, a mask over
     inst.rects, is stabbed.
 
-    cands lists the candidates strictly inside the guessed strips, vertical
-    strips first, each strip's ascending, so a strip is a variable range
-    [s, e) over a candidate range [lo, hi), and candidate j of it is
-    variable j + shift with shift = s - lo. Variable t means
-    "the strip's line is at or beyond cands[t]": ordering clauses chain
-    each strip's thresholds and a unit clause pins its first, so the
-    decoded set holds exactly one line per strip. Which guessed strips
-    hold a rectangle (some candidate inside stabs it) is read off
-    core.held_masks; its stabbers inside a strip are its stabber-table
-    range clipped to the strip's candidates, nonempty in a strip that holds
-    it. A rectangle stabbed inside a strip exactly by cands[p:q] needs p
-    and not q (when q < e); held by one strip of each family, it needs
-    either strip's condition. Raises GuessInfeasible when a guessed strip
-    has no interior candidate or some rectangle is held by no guessed
-    strip: no pick of one line per strip stabs it.
+    The candidates strictly inside the guessed strips are numbered in one
+    sequence, vertical strips first, each strip's ascending, so a strip is
+    a variable range [s, e) over a candidate index range [lo, hi), and
+    candidate j of it is variable j + shift with shift = s - lo. Variable
+    t means "the strip's line is at or beyond candidate t - shift":
+    ordering clauses chain each strip's thresholds and a unit clause pins
+    its first, so decode, which returns candidate indices, gives exactly
+    one line per strip. Which guessed strips hold a rectangle (some
+    candidate inside stabs it) is read off core.held_masks; its stabbers
+    inside a strip are its stabber-table range clipped to the strip's
+    variables, nonempty in a strip that holds it. A rectangle stabbed
+    inside a strip exactly by variables [p, q) needs p and not q (when
+    q < e); held by one strip of each family, it needs either strip's
+    condition. Raises GuessInfeasible when a guessed strip has no interior
+    candidate or some rectangle is held by no guessed strip: no pick of
+    one line per strip stabs it.
     """
-    cands: list[int] = []
+    n_vars = 0
     families: list[list[tuple[int, int, int, int]]] = []  # (held, s, e, shift) per strip
     for guess, axis in ((vg, Axis.VERTICAL), (hg, Axis.HORIZONTAL)):
-        positions = inst.line_positions(axis)
+        ends = (-1, *guess.base, len(inst.line_positions(axis)))  # slot i: ends[i]..ends[i + 1]
         held = held_masks(inst, axis, guess.base, kernel) if guess.slots else []
         strips = []
         for i in guess.slots:
-            lo, hi = _inside(guess.base, positions, i)
+            lo, hi = ends[i] + 1, ends[i + 1]
             if lo == hi:
                 raise GuessInfeasible("guessed strip contains no candidate line")
-            strips.append((held[i], len(cands), len(cands) + hi - lo, len(cands) - lo))
-            cands.extend(positions[lo:hi])
+            strips.append((held[i], n_vars, n_vars + hi - lo, n_vars - lo))
+            n_vars += hi - lo
         families.append(strips)
     v_strips, h_strips = families
 
-    f = twosat.Formula(num_vars=len(cands))
+    f = twosat.Formula(num_vars=n_vars)
     for _, s, e, _ in v_strips + h_strips:
         for t in range(s, e - 1):
             f.add_clause((t + 1, True), (t, False))  # threshold t+1 implies threshold t
@@ -519,7 +516,7 @@ def assemble_2sat(
             if len(hits) > 1:
                 raise RuntimeError("kernel rectangle meets two strips of one family")
             for s, e, shift in hits:
-                # its stabbers positions[first:stop], clipped to the strip: p < q
+                # its stabbers [first, stop) as variables, clipped to the strip: p < q
                 p, q = max(first + shift, s), min(stop + shift, e)
                 stabs.append([(p, False), (q, True)] if q < e else [(p, False)])
         if not stabs:
@@ -532,12 +529,12 @@ def assemble_2sat(
                 f.add_unit(lit)
 
     def decode(values: list[bool]) -> tuple[frozenset[int], frozenset[int]]:
-        def pick(s: int, e: int) -> int:
-            return cands[max(t for t in range(s, e) if values[t])]
+        def pick(s: int, e: int, shift: int) -> int:
+            return max(t for t in range(s, e) if values[t]) - shift
 
         return (
-            frozenset(pick(s, e) for _, s, e, _ in h_strips),
-            frozenset(pick(s, e) for _, s, e, _ in v_strips),
+            frozenset(pick(s, e, shift) for _, s, e, shift in h_strips),
+            frozenset(pick(s, e, shift) for _, s, e, shift in v_strips),
         )
 
     return f, decode
@@ -545,10 +542,10 @@ def assemble_2sat(
 
 @dataclass(frozen=True)
 class SplitWitness:
-    """The first satisfiable guess of a split: the preselection, both
-    guesses, the rectangles kept by kernelization and the kernel handed to
-    2-SAT, both as masks over the split's inst.rects, and the assembled
-    solution."""
+    """The first satisfiable guess of a split: the preselection and both
+    guesses, in candidate indices of the split's inst, the rectangles kept
+    by kernelization and the kernel handed to 2-SAT, both as masks over
+    its inst.rects, and the assembled solution, in positions."""
 
     h1: tuple[int, ...]
     v0: tuple[int, ...]
@@ -599,35 +596,35 @@ class Orientation:
             full = (1 << len(self.inst.rects)) - 1
             missed = full & ~self.stabbed(h1, ())
             held = held_masks(self.inst, Axis.VERTICAL, v0, full)
-            walls = [0, *(self.vmask[x] for x in v0), 0]  # slot i lies between walls i, i + 1
+            walls = [0, *(self.vmask[t] for t in v0), 0]  # slot i lies between walls i, i + 1
             slots = [m | ((walls[i] | walls[i + 1]) & ~self.v_only) for i, m in enumerate(held)]
-            lines = [self.vmask[x] for x in v0]
+            lines = [self.vmask[t] for t in v0]
             groups = held_masks(self.inst, Axis.HORIZONTAL, h1, missed & ~self.v_only)
             self._vcovers[key] = Cover(missed, slots, lines, groups), held
         return self._vcovers[key]
 
     @cached_property
-    def hmask(self) -> dict[int, int]:
-        """Stab mask of each horizontal candidate, by position."""
+    def hmask(self) -> tuple[int, ...]:
+        """Stab mask of each horizontal candidate, by candidate index."""
         return line_masks(self.inst, Axis.HORIZONTAL)
 
     @cached_property
-    def vmask(self) -> dict[int, int]:
-        """Stab mask of each vertical candidate, by position."""
+    def vmask(self) -> tuple[int, ...]:
+        """Stab mask of each vertical candidate, by candidate index."""
         return line_masks(self.inst, Axis.VERTICAL)
 
     @cached_property
     def v_only(self) -> int:
         """Rectangles no horizontal candidate stabs."""
-        return ((1 << len(self.inst.rects)) - 1) & ~self.stabbed(self.hmask, ())
+        return ((1 << len(self.inst.rects)) - 1) & ~self.stabbed(range(len(self.hmask)), ())
 
     def stabbed(self, hlines: Iterable[int], vlines: Iterable[int]) -> int:
-        """Mask of the rectangles some of these candidate lines stab."""
+        """Mask of the rectangles some of these candidate lines (indices) stab."""
         mask = 0
-        for y in hlines:
-            mask |= self.hmask[y]
-        for x in vlines:
-            mask |= self.vmask[x]
+        for t in hlines:
+            mask |= self.hmask[t]
+        for t in vlines:
+            mask |= self.vmask[t]
         return mask
 
     @cached_property
@@ -662,7 +659,7 @@ def solve_split(
     # candidate inside every strip, so assemble_2sat has no GuessInfeasible
     # to raise here; one would be a broken invariant and propagates instead
     # of passing for a failed guess.
-    for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines, vcover):
+    for vg in enumerate_vertical_guesses(v0, k_v, len(inst.vlines), vcover):
         stats.vertical_guesses += 1
         kept, h0 = eliminate_redundant(tables, h1, vg, k_h + k_v)
         unstabbed = kept & vcover.need & ~tables.stabbed((), vg.lines)
@@ -673,9 +670,9 @@ def solve_split(
         hcover = Cover(
             off_vstrips,
             held_masks(inst, Axis.HORIZONTAL, hbase, off_vstrips),
-            [tables.hmask[y] for y in hbase],
+            [tables.hmask[t] for t in hbase],
         )
-        for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines, hcover):
+        for hg in enumerate_horizontal_guesses(h1, h0, k_h, len(inst.hlines), hcover):
             stats.horizontal_guesses += 1
             kernel = unstabbed & ~tables.stabbed(hg.lines, ())
             formula, decode = assemble_2sat(kernel, vg, hg, inst)
@@ -684,7 +681,8 @@ def solve_split(
             if assignment is None:
                 continue
             h2, v2 = decode(assignment)
-            sol = Solution(hlines=set(h1) | hg.lines | h2, vlines=vg.lines | v2)
+            ys, xs = inst.hlines, inst.vlines
+            sol = Solution((ys[t] for t in {*h1, *hg.lines, *h2}), (xs[t] for t in vg.lines | v2))
             return SplitWitness(h1, v0, vg, hg, kept, kernel, sol)
     return None
 

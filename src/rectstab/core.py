@@ -12,25 +12,27 @@ comparison validates the common case of a new one.
 The stabbing kernel reads one table per instance (Instance.stabbers),
 built by a single pass that bisects each rectangle once: a rectangle
 stabbed by exactly hlines[a:b] and vlines[c:d] has the ranges
-(a, b, c, d), rectangles with equal ranges form one stabber class, and the table
-holds each class's ranges once and the class id of every rectangle. The
-ranges are raw: an empty range keeps where it lies (a == b counts the
-candidates below the rectangle), which preselection needs, so rectangles
-with equal stabber sets can fall into several classes; the dominance
-reduction makes empty ranges (0, 0) per class, so that equal stabber
-sets have equal ranges. stab_mask (and through it verify) decides one
-hit per class and maps the answers back over the class ids, unless every
-class is hit; line_masks, held_masks, approx.preselect and
-exact.opt_exact read the ranges, and drop_dominated starts its rounds
-from them. The instances the kernel derives come with a ready table and
-never bisect again: the reduced instance gets its kept classes' raw
-ranges renumbered to the kept lines, the equal copy Instance.reduced
-makes when nothing goes shares its source's table, and transpose swaps
-the two axes' ranges. Line masks go the same way: drop_dominated hands
-its result the masks of its last class pass when that pass kept every
-class, the equal copy shares whatever masks its source holds, and
-transpose hands over the masks its source holds with the axes swapped,
-building none.
+(a, b, c, d), rectangles with equal ranges form one stabber class, and
+the table holds each class's ranges once and the class id of every
+rectangle. The ranges are raw: an empty range keeps where it lies (a == b
+counts the candidates below the rectangle), which preselection needs, so
+rectangles with equal stabber sets can fall into several classes; the
+dominance reduction makes empty ranges (0, 0) per class, so that equal
+stabber sets have equal ranges. stab_mask (and through it verify) decides
+one hit per class and maps the answers back over the class ids, unless
+every class is hit; line_masks, held_masks, approx.preselect, approx's
+kernelization (eliminate_redundant, which hands greedy1d.stab_1d index
+ranges) and exact.opt_exact read the ranges, and drop_dominated starts
+its rounds from them; like the approximation's search, line_masks and
+held_masks name lines by candidate index. The instances the kernel
+derives come with a ready table and never bisect again: the reduced
+instance gets its kept classes' raw ranges renumbered to the kept lines,
+the equal copy Instance.reduced makes when nothing goes shares its
+source's table, and transpose swaps the two axes' ranges. Line masks go
+the same way: drop_dominated hands its result the masks of its last class
+pass when that pass kept every class, the equal copy shares whatever
+masks its source holds, and transpose hands over the masks its source
+holds with the axes swapped, building none.
 
 The dominance reduction runs in rounds over stabber classes. Each round
 builds both axes' class masks once, keeps the undominated classes, keeps
@@ -240,19 +242,18 @@ def _handed(inst: Instance, table: Stabbers, masks: dict[Axis, tuple[int, ...]])
     return inst
 
 
-def line_masks(inst: Instance, axis: Axis) -> dict[int, int]:
-    """Stab mask of every candidate line of one axis, keyed by position in
-    ascending order: bit i is set iff the line stabs inst.rects[i].
+def line_masks(inst: Instance, axis: Axis) -> tuple[int, ...]:
+    """Stab mask of every candidate line of one axis, in candidate order:
+    bit i of masks[t] is set iff inst.line_positions(axis)[t] stabs
+    inst.rects[i].
 
-    The masks are built once per instance and axis and kept in its memo as
-    a tuple in candidate order; each call returns a new dict over them, so
-    a caller that changes it changes nothing else. A derived instance is
-    handed the masks its source already holds (drop_dominated, transpose,
+    The masks are built once per instance and axis and kept in its memo;
+    every call returns that tuple. A derived instance is handed the masks
+    its source already holds (drop_dominated, transpose,
     Instance.reduced). Otherwise they are read off the stabber table
     without bisecting: one pass over the class ids gathers each class's
     rectangles, and each class sets its mask in the masks of its range of
     the axis's candidates."""
-    positions = inst.line_positions(axis)
     held = vars(inst).setdefault("_line_masks", {})
     masks = held.get(axis)
     if masks is None:
@@ -262,8 +263,8 @@ def line_masks(inst: Instance, axis: Axis) -> dict[int, int]:
             members[j] |= 1 << i
         own = 0 if axis is Axis.HORIZONTAL else 2  # where the axis sits in (a, b, c, d)
         spans = ((r[own], r[own + 1], m) for r, m in zip(table.ranges, members))
-        masks = held.setdefault(axis, tuple(_range_masks(spans, len(positions))))
-    return dict(zip(positions, masks))
+        masks = held.setdefault(axis, tuple(_range_masks(spans, len(inst.line_positions(axis)))))
+    return masks
 
 
 def _range_masks(spans: Iterable[tuple[int, int, int]], m: int) -> list[int]:
@@ -560,26 +561,24 @@ def transpose(inst: Instance) -> Instance:
 
 
 def held_masks(inst: Instance, axis: Axis, base: Sequence[int], mask: int) -> list[int]:
-    """Hold mask of each of the n+1 open strips (slots) that n sorted
-    candidate positions base cut out, left to right, over the rectangles of
-    mask: bit i is set iff it is set in mask and some candidate strictly
-    inside the slot stabs inst.rects[i].
+    """Hold mask of each of the n+1 open strips (slots) that n ascending
+    candidate indices base of the axis cut out, left to right, over the
+    rectangles of mask: bit i is set iff it is set in mask and some
+    candidate strictly inside the slot stabs inst.rects[i].
 
-    Read off the stabber table alone, with idx the candidate indices of
-    base: slot s holds the candidates strictly between idx[s - 1] and
-    idx[s], so a rectangle stabbed by the candidates [lo, hi) of the axis,
-    lo < hi, is held by slots bisect_right(idx, lo) .. bisect_left(idx,
-    hi - 1), except a slot between adjacent candidates, which holds none.
-    A rectangle with no stabber on the axis is held by no slot."""
-    positions = inst.line_positions(axis)
-    idx = [bisect_left(positions, p) for p in base]
+    Read off the stabber table alone: slot s holds the candidates strictly
+    between base[s - 1] and base[s], so a rectangle stabbed by the
+    candidates [lo, hi) of the axis, lo < hi, is held by slots
+    bisect_right(base, lo) .. bisect_left(base, hi - 1), except a slot
+    between adjacent candidates, which holds none. A rectangle with no
+    stabber on the axis is held by no slot."""
     ranges, ids = inst.stabbers
     own = 0 if axis is Axis.HORIZONTAL else 2  # where the axis sits in (a, b, c, d)
     spans = []
     for i in bits(mask):
         lo, hi = ranges[ids[i]][own : own + 2]
         if lo < hi:
-            spans.append((bisect_right(idx, lo), bisect_left(idx, hi - 1) + 1, 1 << i))
-    held = _range_masks(spans, len(idx) + 1)
-    ends = [-1, *idx, len(positions)]  # slot s lies between ends[s] and ends[s + 1]
+            spans.append((bisect_right(base, lo), bisect_left(base, hi - 1) + 1, 1 << i))
+    held = _range_masks(spans, len(base) + 1)
+    ends = [-1, *base, len(inst.line_positions(axis))]  # slot s lies between ends[s], ends[s + 1]
     return [m if ends[s] + 1 < ends[s + 1] else 0 for s, m in enumerate(held)]

@@ -97,7 +97,7 @@ def dedup_lines(inst: Instance) -> list[tuple[Line, int]]:
     """
     seen: dict[int, Line] = {}
     for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
-        for pos, mask in line_masks(inst, axis).items():
+        for pos, mask in zip(inst.line_positions(axis), line_masks(inst, axis)):
             if mask and mask not in seen:
                 seen[mask] = Line(axis, pos)
     return [(ln, mask) for mask, ln in seen.items()]

@@ -3,14 +3,14 @@
 Projecting rectangles and lines of one axis onto that axis turns single-axis
 stabbing into interval piercing, solved exactly by the classic greedy rule:
 process intervals by right endpoint; whenever one is unpierced, take the
-rightmost candidate point inside it. stab_1d serves coordinate extents:
-kernelization (approx.eliminate_redundant) passes the projections as plain
-sequences, closed (lo, hi) extents and candidate positions, such as
-[rect.interval(axis) for rect in rects] and inst.line_positions(axis).
-Preselection (approx.preselect) and the exact oracle's packing seed run
-the same rule on candidate index ranges read off the stabber table: a
-range [c, d) that starts above the candidate taken last triggers and
-takes candidate d - 1.
+rightmost candidate point inside it. stab_1d takes closed (lo, hi)
+intervals and points as plain sequences, in coordinates (such as
+[rect.interval(axis) for rect in rects] and inst.line_positions(axis)) or
+in candidate indices: kernelization (approx.eliminate_redundant) passes
+the closed index ranges (a, b - 1) of stabbers hlines[a:b] and the points
+range(len(hlines)). Preselection (approx.preselect) and the exact oracle's
+packing seed run the rule on the half-open index ranges directly: a range
+[c, d) that starts above the candidate taken last takes candidate d - 1.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 They answer one question each by the definition, with no shared index
 structure, so they stay independent of the stabbing kernel in
-rectstab.core.
+rectstab.core. They speak in coordinates; the approximation's search
+names lines by candidate index, and to_positions maps what it names to
+positions before any comparison with them.
 """
 
 from __future__ import annotations
@@ -11,7 +13,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from rectstab.approx import Cover, Guess, Orientation
+from rectstab.approx import (
+    Cover,
+    Guess,
+    enumerate_horizontal_guesses,
+    enumerate_vertical_guesses,
+)
 from rectstab.core import (
     I64_MAX,
     I64_MIN,
@@ -23,6 +30,61 @@ from rectstab.core import (
     bits,
 )
 from rectstab.greedy1d import Infeasible, stab_1d
+
+
+def to_positions(positions: Sequence[int], named):
+    """What the search names by candidate index, in positions, given the
+    sorted candidate positions of its axis: a Guess with its base and lines
+    mapped, a set as a frozenset, any other sequence as a tuple; None stays
+    None."""
+    if named is None:
+        return None
+    if isinstance(named, Guess):
+        base, lines = to_positions(positions, named.base), to_positions(positions, named.lines)
+        return Guess(base, named.slots, lines)
+    if isinstance(named, (set, frozenset)):
+        return frozenset(positions[t] for t in named)
+    return tuple(positions[t] for t in named)
+
+
+def _pool(candidates: Iterable[int], pool: Iterable[int]) -> tuple[list[int], list[int]]:
+    """(sorted candidates joined by the pool lines, the pool's indices into
+    them). A pool line sits on a slot boundary, so joining the candidates
+    puts no candidate strictly inside a slot."""
+    cands = sorted({*candidates, *pool})
+    return cands, [cands.index(p) for p in pool]
+
+
+def vertical_guesses_at(
+    v0: Sequence[int], k_v: int, vlines: Iterable[int], cover: Optional[Cover] = None
+) -> list[Guess]:
+    """approx.enumerate_vertical_guesses over the pool v0 and the
+    candidates vlines, both given as positions, its guesses in positions."""
+    cands, pool = _pool(vlines, v0)
+    guesses = enumerate_vertical_guesses(pool, k_v, len(cands), cover)
+    return [to_positions(cands, g) for g in guesses]
+
+
+def horizontal_guesses_at(
+    h1: Sequence[int],
+    h0: Sequence[int],
+    k_h: int,
+    hlines: Iterable[int],
+    cover: Optional[Cover] = None,
+) -> list[Guess]:
+    """approx.enumerate_horizontal_guesses over H1, H0 and the candidates
+    hlines, all given as positions, its guesses in positions."""
+    cands, pool = _pool(hlines, (*h1, *h0))
+    h1_idx, h0_idx = pool[: len(h1)], pool[len(h1) :]
+    guesses = enumerate_horizontal_guesses(h1_idx, h0_idx, k_h, len(cands), cover)
+    return [to_positions(cands, g) for g in guesses]
+
+
+def stabbed_by(inst: Instance, axis: Axis, positions: Iterable[int]) -> int:
+    """Mask of the rectangles of inst some line of the axis at these
+    positions stabs, by the definition."""
+    lines = [Line(axis, p) for p in positions]
+    return sum(1 << i for i, r in enumerate(inst.rects) if any(stabs(ln, r) for ln in lines))
 
 
 @dataclass(frozen=True)
@@ -260,28 +322,29 @@ def preselect_by_sweep(
 
 
 def eliminate_by_rescan(
-    tables: Orientation, h1: Sequence[int], vg: Guess, k: int
+    inst: Instance, h1: Sequence[int], vg: Guess, k: int
 ) -> tuple[int, tuple[int, ...]]:
-    """Rescan reference for rectstab.approx.eliminate_redundant: (K, H0).
+    """Rescan reference for rectstab.approx.eliminate_redundant: (K, H0),
+    with H1, the guess and H0 in positions (to_positions).
 
     The kernelization as the paper states it: while some guessed strip
     boundary, scanned by ascending slot from the first one again after
     every removal, has a group needing 2k+2 horizontal lines, discard that
-    group's widest-in-strip rectangle. Unlike the other references it reads
-    the library's stab masks (tables.vmask, tables.stabbed): it checks the
-    order of the removals, not the masks.
+    group's widest-in-strip rectangle. Groups and needs are decided from
+    the coordinates.
     """
-    inst = tables.inst
     rects = inst.rects
     full = (1 << len(rects)) - 1
-    rprime = full & ~(tables.v_only | tables.stabbed(h1, vg.lines))
+    rprime = stabbed_by(inst, Axis.HORIZONTAL, inst.hlines) & ~(
+        stabbed_by(inst, Axis.HORIZONTAL, h1) | stabbed_by(inst, Axis.VERTICAL, vg.lines)
+    )
     removed = 0
 
     # slot i spans clip[i]..clip[i + 1]; the sentinels clip nothing and are
     # no boundary
     clip = (I64_MIN, *vg.base, I64_MAX)
     scan = [
-        (clip[j], clip[i], clip[i + 1])
+        (stabbed_by(inst, Axis.VERTICAL, [clip[j]]), clip[i], clip[i + 1])
         for i in sorted(vg.slots)
         for j in (i, i + 1)
         if 0 < j <= len(vg.base)
@@ -289,8 +352,8 @@ def eliminate_by_rescan(
     fired = True
     while fired:
         fired = False
-        for pos, lo, hi in scan:
-            group = list(bits(tables.vmask[pos] & rprime & ~removed))
+        for wall, lo, hi in scan:
+            group = list(bits(wall & rprime & ~removed))
             if not group:
                 continue
             try:
@@ -298,7 +361,7 @@ def eliminate_by_rescan(
             except Infeasible:  # pragma: no cover
                 raise RuntimeError("group drawn from horizontally stabbable rectangles")
             if need >= 2 * k + 2:
-                # every group member holds pos, so its clipped width is >= 0
+                # every group member holds the boundary, so its clipped width is >= 0
                 widest = max(group, key=lambda i: (min(rects[i].x2, hi) - max(rects[i].x1, lo), -i))
                 removed |= 1 << widest
                 fired = True
@@ -309,29 +372,26 @@ def eliminate_by_rescan(
     return full & ~removed, tuple(h0)
 
 
-def vertical_cover_two_halves(
-    tables: Orientation, h1: tuple[int, ...], v0: tuple[int, ...]
-) -> Cover:
+def vertical_cover_two_halves(inst: Instance, h1: Sequence[int], v0: Sequence[int]) -> Cover:
     """Two-bit reference for the cover of rectstab.approx's
-    Orientation.vertical_cover, with spare 0: every rectangle r has bit r,
-    needed for the rectangles no horizontal candidate stabs and reached by
-    an open V0 slot that holds it, and bit n + r, needed for the
-    rectangles H1 misses, reached by an open V0 slot that holds it or a
-    slot boundary that stabs it, and grouped by the open H1 slot that
-    holds it. A V0 line reaches both bits of what it stabs. The hold masks
-    are decided from the coordinates (held_by_definition); like
-    eliminate_by_rescan it reads the library's stab masks: it checks the
-    bit layout, not the masks."""
-    inst = tables.inst
+    Orientation.vertical_cover, with spare 0, for H1 and V0 in positions
+    (to_positions): every rectangle r has bit r, needed for the rectangles
+    no horizontal candidate stabs and reached by an open V0 slot that
+    holds it, and bit n + r, needed for the rectangles H1 misses, reached
+    by an open V0 slot that holds it or a slot boundary that stabs it, and
+    grouped by the open H1 slot that holds it. A V0 line reaches both bits
+    of what it stabs. Every mask is decided from the coordinates."""
     n = len(inst.rects)
     full = (1 << n) - 1
-    missed = full & ~tables.stabbed(h1, ())
+    v_only = full & ~stabbed_by(inst, Axis.HORIZONTAL, inst.hlines)
+    missed = full & ~stabbed_by(inst, Axis.HORIZONTAL, h1)
     held = held_by_definition(inst, Axis.VERTICAL, v0, full)
-    walls = [0, *(tables.vmask[x] for x in v0), 0]  # slot i lies between walls i, i + 1
+    vmask = [stabbed_by(inst, Axis.VERTICAL, [x]) for x in v0]
+    walls = [0, *vmask, 0]  # slot i lies between walls i, i + 1
     slots = [m | (m | walls[i] | walls[i + 1]) << n for i, m in enumerate(held)]
-    lines = [tables.vmask[x] | tables.vmask[x] << n for x in v0]
+    lines = [m | m << n for m in vmask]
     groups = [g << n for g in held_by_definition(inst, Axis.HORIZONTAL, h1, missed)]
-    return Cover(tables.v_only | missed << n, slots, lines, groups)
+    return Cover(v_only | missed << n, slots, lines, groups)
 
 
 def dominance_reduce(inst: Instance) -> Instance:

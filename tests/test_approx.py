@@ -52,19 +52,37 @@ from oracles import (
     Strip,
     eliminate_by_rescan,
     guess_strips,
+    horizontal_guesses_at,
     preselect_by_sweep,
     separated,
     strips_of,
+    to_positions,
+    vertical_guesses_at,
 )
 
 H, V = Axis.HORIZONTAL, Axis.VERTICAL
+
+
+def _preselect_at(inst, k_v):
+    """preselect's (H1, V0) in positions, or None."""
+    pre = preselect(inst, k_v)
+    if pre is None:
+        return None
+    return to_positions(inst.hlines, pre[0]), to_positions(inst.vlines, pre[1])
+
+
+def _guess(positions, base, slots, lines=()):
+    """The Guess that names, by candidate index into positions, the pool
+    base and the picks lines given as positions."""
+    index = {p: t for t, p in enumerate(positions)}
+    return Guess(tuple(index[p] for p in base), tuple(slots), frozenset(index[p] for p in lines))
 
 
 # ---------------------------------------------------------------- preselect
 
 def test_preselect_no_rectangles():
     inst = Instance([], hlines=[1, 2], vlines=[3])
-    assert preselect(inst, 0) == ((), ())
+    assert _preselect_at(inst, 0) == ((), ())
 
 
 def test_preselect_hand_trace():
@@ -73,7 +91,7 @@ def test_preselect_hand_trace():
         hlines=[0, 1, 2, 3, 4, 5],
         vlines=[0, 1],
     )
-    h1, v0 = preselect(inst, 1)
+    h1, v0 = _preselect_at(inst, 1)
     assert h1 == ()
     assert v0 == (1,)
 
@@ -86,7 +104,7 @@ def test_preselect_infeasible_gap():
         vlines=[0, 5],
     )
     assert preselect(inst, 1) is None
-    h1, v0 = preselect(inst, 2)  # budget 2 is enough
+    h1, v0 = _preselect_at(inst, 2)  # budget 2 is enough
     assert h1 == () and v0 == (0, 5)
 
 
@@ -101,7 +119,7 @@ def test_preselect_raises_on_a_need_table_that_accepts_an_unstabbable_class():
     holding a class with none breaks that, and preselect raises instead
     of answering a no-witness."""
     inst = Instance([Rect(0, 1, 0, 1)], hlines=[0], vlines=[5])
-    assert preselect(inst, 1) == ((0,), ())
+    assert _preselect_at(inst, 1) == ((0,), ())
     corrupted = _fresh(inst)
     approx._NeedRows.of(corrupted).rows[0] = (0, 0)  # need(0, 1) is infinite
     with pytest.raises(RuntimeError, match="no vertical stabber"):
@@ -125,7 +143,7 @@ def test_preselect_nicely_positioned_wrt_witness():
         inst, witness = gen_planted(k=4, n=20, coord_range=25, seed=seed)
         k_v = len(witness.vstar)
         hstar = sorted(witness.hstar)
-        h1, _ = preselect(inst, k_v)
+        h1, _ = _preselect_at(inst, k_v)
         assert len(h1) <= len(witness.hstar)
         prev = None
         for y in h1:
@@ -148,7 +166,7 @@ def test_preselect_matches_the_coordinate_sweep():
     outcomes = Counter()
     for inst in _preselect_pool():
         for k_v in range(7):
-            got = preselect(inst, k_v)
+            got = _preselect_at(inst, k_v)
             assert got == preselect_by_sweep(inst, k_v), (inst, k_v)
             outcomes["infeasible" if got is None else "H1" if got[0] else "no H1"] += 1
     # every outcome must be exercised
@@ -167,32 +185,29 @@ def test_preselect_answers_every_budget_in_any_order():
         shuffled = sorted(range(7), key=lambda _: rng.next_u64())
         inst = _fresh(base)
         for k_v in [*range(6, -1, -1), *shuffled]:
-            assert preselect(inst, k_v) == expected[k_v], (inst, k_v)
+            assert _preselect_at(inst, k_v) == expected[k_v], (inst, k_v)
         other = _fresh(base)
         for k_v in shuffled:
-            assert preselect(other, k_v) == expected[k_v], (other, k_v)
+            assert _preselect_at(other, k_v) == expected[k_v], (other, k_v)
         assert "_approx_need" in vars(inst)
         for copied in (copy.copy(inst), pickle.loads(pickle.dumps(inst))):
             assert copied == inst and "_approx_need" not in vars(copied)
 
 
-def test_line_masks_are_built_once_and_a_callers_dict_is_its_own():
-    """line_masks keeps one mask tuple per instance and axis and returns a
-    new dict each call: changing one changes neither a later call nor an
-    Orientation's tables, and copies and pickles start without masks."""
+def test_line_masks_are_built_once_and_shared():
+    """line_masks keeps one mask tuple per instance and axis, in candidate
+    order, and every call returns that object, as do an Orientation's
+    tables; copies and pickles start without masks."""
     base = gen_uniform(40, 30, 25, 6)
     for inst in (base, base.reduced, transpose(base.reduced)):
         fresh = {axis: line_masks(copy.copy(inst), axis) for axis in (H, V)}
         for axis in (H, V):
             got = line_masks(inst, axis)
-            assert got == fresh[axis]
-            got.clear()
-            got[-1] = 1
-            assert line_masks(inst, axis) == fresh[axis]
+            assert type(got) is tuple and got == fresh[axis]
+            assert len(got) == len(inst.line_positions(axis))
+            assert line_masks(inst, axis) is got
         tables = Orientation(inst)
-        assert (tables.hmask, tables.vmask) == (fresh[H], fresh[V])
-        tables.hmask[-1] = 1
-        assert line_masks(inst, H) == fresh[H]
+        assert tables.hmask is line_masks(inst, H) and tables.vmask is line_masks(inst, V)
         assert "_line_masks" in vars(inst)
         for copied in (copy.copy(inst), pickle.loads(pickle.dumps(inst))):
             assert copied == inst and "_line_masks" not in vars(copied)
@@ -229,7 +244,7 @@ def test_vertical_guesses_match_exhaustive_oracle():
         for vlines in VLINE_POOLS:
             got = [
                 (guess_strips(V, g.base, g.slots), g.lines)
-                for g in enumerate_vertical_guesses(v0, k_v, vlines)
+                for g in vertical_guesses_at(v0, k_v, vlines)
             ]
             assert len(set(got)) == len(got)  # no duplicates
             assert set(got) == brute_vertical_guesses(v0, k_v, vlines)
@@ -240,7 +255,7 @@ def test_vertical_guesses_match_exhaustive_oracle():
 def test_vertical_guesses_single_position_examples():
     got = {
         (guess_strips(V, g.base, g.slots), g.lines)
-        for g in enumerate_vertical_guesses((5,), 2, range(10))
+        for g in vertical_guesses_at((5,), 2, range(10))
     }
     assert (tuple([Strip(V, None, 5)]), frozenset()) in got
     assert (tuple([Strip(V, 5, None)]), frozenset({5})) in got
@@ -250,7 +265,7 @@ def test_vertical_guesses_single_position_examples():
 
 
 def test_vertical_guess_empty_pool():
-    assert [(g.base, g.slots, g.lines) for g in enumerate_vertical_guesses((), 0, (1,))] == [
+    assert [(g.base, g.slots, g.lines) for g in vertical_guesses_at((), 0, (1,))] == [
         ((), (), frozenset())
     ]
 
@@ -260,10 +275,10 @@ def test_horizontal_guesses_budget_and_separation():
     h0 = (4, 7, 20)
     # |H1| = 2k_h exhausts the budget: only the empty guess fits
     hlines = range(-5, 30)
-    got = list(enumerate_horizontal_guesses(h1, h0, 1, hlines))
+    got = horizontal_guesses_at(h1, h0, 1, hlines)
     assert [(g.slots, g.lines) for g in got] == [((), frozenset())]
 
-    got3 = list(enumerate_horizontal_guesses(h1, h0, 3, hlines))
+    got3 = horizontal_guesses_at(h1, h0, 3, hlines)
     assert all(
         len(h1) + len(g.slots) + len(g.lines) <= 6
         and separated(guess_strips(H, g.base, g.slots), set(h1) | g.lines)
@@ -309,20 +324,20 @@ def test_horizontal_guesses_match_exhaustive_oracle():
         for hlines in (range(-2, 25), (-1, 2, 8, 15), (*h1, *h0)):
             got = [
                 (guess_strips(H, g.base, g.slots), g.lines)
-                for g in enumerate_horizontal_guesses(h1, h0, k_h, hlines)
+                for g in horizontal_guesses_at(h1, h0, k_h, hlines)
             ]
             assert len(set(got)) == len(got)
             assert set(got) == brute_horizontal_guesses(h1, h0, k_h, hlines)
 
 
 def test_horizontal_guesses_empty():
-    assert [(g.base, g.slots, g.lines) for g in enumerate_horizontal_guesses((), (), 0, ())] == [
+    assert [(g.base, g.slots, g.lines) for g in horizontal_guesses_at((), (), 0, ())] == [
         ((), (), frozenset())
     ]
 
 
 def test_horizontal_guesses_overfull_h1_yields_nothing():
-    assert list(enumerate_horizontal_guesses((0, 1, 2), (), 1, range(5))) == []
+    assert horizontal_guesses_at((0, 1, 2), (), 1, range(5)) == []
 
 
 # ------------------------------------------------------- eliminate_redundant
@@ -342,16 +357,16 @@ def _widest_fixture():
         hlines=[0, 10, 20, 30, 40],
         vlines=[0, 3, 5, 10],
     )
-    vg = Guess(base=(0, 10), slots=(1,), lines=frozenset())  # the strip 0 < x < 10
+    vg = _guess(inst.vlines, base=(0, 10), slots=(1,))  # the strip 0 < x < 10
     return inst, vg, wide
 
 
 def test_eliminate_noop_without_strips():
     inst, _, _ = _widest_fixture()
-    vg = Guess((0, 10), (), frozenset())
+    vg = _guess(inst.vlines, (0, 10), ())
     kept, h0 = eliminate_redundant(Orientation(inst), h1=(), vg=vg, k=1)
     assert [inst.rects[i] for i in bits(kept)] == list(inst.rects)
-    assert h0 == (0, 10, 20, 40)
+    assert to_positions(inst.hlines, h0) == (0, 10, 20, 40)
 
 
 def test_eliminate_removes_widest_only():
@@ -360,7 +375,7 @@ def test_eliminate_removes_widest_only():
     kept = [inst.rects[i] for i in bits(kept)]
     assert wide not in kept
     assert len(kept) == 4
-    assert h0 == (0, 10, 20)
+    assert to_positions(inst.hlines, h0) == (0, 10, 20)
 
 
 def test_eliminate_extension_property():
@@ -369,7 +384,7 @@ def test_eliminate_extension_property():
     inst, vg, wide = _widest_fixture()
     kept, _ = eliminate_redundant(Orientation(inst), h1=(), vg=vg, k=1)
     kept = [inst.rects[i] for i in bits(kept)]
-    (strip,) = guess_strips(V, vg.base, vg.slots)
+    (strip,) = guess_strips(V, to_positions(inst.vlines, vg.base), vg.slots)
     in_strip = [x for x in inst.vlines if strip.contains_pos(x)]
     for a in chain.from_iterable(combinations(inst.hlines, n) for n in range(3)):
         for v in in_strip:
@@ -395,7 +410,7 @@ def test_eliminate_measures_width_inside_the_strip(base, slot):
         for t, (a, b) in enumerate([far, deep, *shallow])
     ]
     inst = Instance(rects, hlines=[0, 10, 20, 30], vlines=[-10, -3, 0, 3, 10])
-    vg = Guess(base, (slot,), frozenset())
+    vg = _guess(inst.vlines, base, (slot,))
     kept, _ = eliminate_redundant(Orientation(inst), h1=(), vg=vg, k=1)
     assert list(bits(kept)) == [0, 2, 3]
 
@@ -408,7 +423,7 @@ def test_eliminate_visits_boundaries_by_ascending_slot():
     spans = [(5, 25), (9, 11), (9, 11), (9, 11), (19, 30), (19, 21), (19, 21)]
     rects = [Rect(a, b, 10 * t, 10 * t) for t, (a, b) in enumerate(spans)]
     inst = Instance(rects, hlines=range(0, 70, 10), vlines=range(0, 35, 5))
-    vg = Guess((0, 10, 20, 30), (3, 1), frozenset())
+    vg = _guess(inst.vlines, (0, 10, 20, 30), (3, 1))
     kept, _ = eliminate_redundant(Orientation(inst), h1=(), vg=vg, k=1)
     assert list(bits(kept)) == [1, 2, 3, 4, 5, 6]
 
@@ -422,16 +437,18 @@ def test_eliminate_h0_accounting_bound_on_planted():
         if pre is None:
             continue
         h1, v0 = pre
-        vg = witness_vertical_guess(v0, sorted(witness.vstar))
+        vg_at = witness_vertical_guess(to_positions(inst.vlines, v0), sorted(witness.vstar))
+        vg = _guess(inst.vlines, vg_at.base, vg_at.slots, vg_at.lines)
         kept, h0 = eliminate_redundant(Orientation(inst), h1, vg, k)
-        strips = guess_strips(V, vg.base, vg.slots)
+        strips = guess_strips(V, vg_at.base, vg_at.slots)
         boundaries = {b for s in strips for b in (s.lo, s.hi) if b is not None}
         assert len(h0) <= (2 * k + 1) * len(boundaries) + k
 
 
 def _random_guesses(rng, count):
     """count random (tables, H1, vertical guess, k) per instance of a pinned
-    uniform pool: base, its slots, V1 and H1 each a random subset."""
+    uniform pool: base, its slots, V1 and H1 each a random subset, lines
+    as candidate indices."""
 
     def subset(seq, num, den):
         return [x for x in seq if rng.chance(num, den)]
@@ -440,10 +457,10 @@ def _random_guesses(rng, count):
         inst = gen_uniform(100, 24, 40, seed)
         tables = Orientation(inst)
         for _ in range(count):
-            base = tuple(subset(inst.vlines, 1, 2))
+            base = tuple(subset(range(len(inst.vlines)), 1, 2))
             slots = tuple(subset(range(len(base) + 1), 1, 2))
             v1 = frozenset(subset(base, 1, 4))
-            h1 = tuple(subset(inst.hlines, 1, 4))
+            h1 = tuple(subset(range(len(inst.hlines)), 1, 4))
             yield tables, h1, Guess(base, slots, v1), rng.randrange(3)
 
 
@@ -452,8 +469,12 @@ def test_eliminate_one_pass_matches_the_rescan():
     boundary after every removal removes, and gives the same H0."""
     removing = 0
     for tables, h1, vg, k in _random_guesses(Xoshiro256StarStar(23), 40):
+        inst = tables.inst
         kept, h0 = eliminate_redundant(tables, h1, vg, k)
-        assert (kept, h0) == eliminate_by_rescan(tables, h1, vg, k), (vg, k)
+        rescan = eliminate_by_rescan(
+            inst, to_positions(inst.hlines, h1), to_positions(inst.vlines, vg), k
+        )
+        assert (kept, to_positions(inst.hlines, h0)) == rescan, (vg, k)
         removing += kept != (1 << len(tables.inst.rects)) - 1
     assert removing >= 1000
 
@@ -514,12 +535,16 @@ def test_witness_guided_pipeline_is_satisfiable():
             work = transpose(inst)
             hstar, vstar = vstar, hstar
         k_h, k_v = len(hstar), len(vstar)
+        ys, xs = work.hlines, work.vlines
         h1, v0 = preselect(work, k_v)
-        vg = witness_vertical_guess(v0, vstar)
-        v1 = vg.lines
+        vg_at = witness_vertical_guess(to_positions(xs, v0), vstar)
+        vg = _guess(xs, vg_at.base, vg_at.slots, vg_at.lines)
+        v1 = vg_at.lines
         kept, h0 = eliminate_redundant(Orientation(work), h1, vg, k)
-        hg = witness_horizontal_guess(h1, h0, hstar, k_h)
-        h1p = hg.lines
+        h1, h0 = to_positions(ys, h1), to_positions(ys, h0)
+        hg_at = witness_horizontal_guess(h1, h0, hstar, k_h)
+        hg = _guess(ys, hg_at.base, hg_at.slots, hg_at.lines)
+        h1p = hg_at.lines
         base_h = sorted(set(h1) | h1p)
         kprime = 0
         for i in bits(kept):
@@ -530,6 +555,7 @@ def test_witness_guided_pipeline_is_satisfiable():
         values = solve_2sat(formula)
         assert values is not None
         h2, v2 = decode(values)
+        h2, v2 = to_positions(ys, h2), to_positions(xs, v2)
         sol = Solution(hlines=set(h1) | h1p | h2, vlines=set(v1) | v2)
         assert verify(work, sol) == []
         assert len(sol) <= 2 * k_h + (3 * k_v) // 2
@@ -542,30 +568,31 @@ def test_witness_guided_pipeline_is_satisfiable():
 NO_HGUESS = Guess((), (), frozenset())
 
 
-def _between(lo, hi):
+def _between(inst, lo, hi):
     """Vertical and horizontal guesses of the one strip lo < x (or y) < hi."""
-    return Guess((lo, hi), (1,), frozenset()), Guess((lo, hi), (1,), frozenset())
+    return _guess(inst.vlines, (lo, hi), (1,)), _guess(inst.hlines, (lo, hi), (1,))
 
 
 def test_assemble_empty_kernel_decodes_one_line_per_strip():
     inst = Instance([], hlines=[0, 4, 8], vlines=[0, 4, 8])
-    formula, decode = assemble_2sat(0, *_between(0, 8), inst)
+    formula, decode = assemble_2sat(0, *_between(inst, 0, 8), inst)
     values = solve_2sat(formula)
     assert values is not None
     h2, v2 = decode(values)
     assert len(h2) == 1 and len(v2) == 1
-    assert h2 == {4} and v2 == {4}
+    assert to_positions(inst.hlines, h2) == {4} and to_positions(inst.vlines, v2) == {4}
 
 
 def test_assemble_rejects_empty_strip():
+    inst = Instance([], [], [0, 8])
     with pytest.raises(GuessInfeasible):
-        assemble_2sat(0, _between(0, 8)[0], NO_HGUESS, Instance([], [], [0, 8]))
+        assemble_2sat(0, _guess(inst.vlines, (0, 8), (1,)), NO_HGUESS, inst)
 
 
 def test_assemble_window_thresholds():
     # candidates v1..v5 at 1..5 inside strip (0,6); rect stabbable by {3,4}
     inst = Instance([Rect(3, 4, 0, 1)], hlines=[], vlines=[0, 1, 2, 3, 4, 5, 6])
-    formula, decode = assemble_2sat(1, _between(0, 6)[0], NO_HGUESS, inst)
+    formula, decode = assemble_2sat(1, _guess(inst.vlines, (0, 6), (1,)), NO_HGUESS, inst)
     sat_choices = set()
     # enumerate the five monotone threshold assignments and check which satisfy
     for cut in range(1, 6):
@@ -579,27 +606,26 @@ def test_assemble_window_thresholds():
     values = solve_2sat(formula)
     assert values is not None
     _, v2 = decode(values)
-    assert v2 <= {3, 4} and len(v2) == 1
+    assert to_positions(inst.vlines, v2) <= {3, 4} and len(v2) == 1
 
 
 def test_assemble_unstabbable_rect_in_both_strips_is_guess_infeasible():
-    vg, hg = _between(0, 9)
     # the rect meets both strips but contains no interior candidate on either axis
     rect = Rect(2, 3, 2, 3)
     inst = Instance([rect], hlines=[0, 9], vlines=[0, 9])
     with pytest.raises(GuessInfeasible):
         # strips have no interior candidates at all: rejected upfront
-        assemble_2sat(1, vg, hg, inst)
+        assemble_2sat(1, *_between(inst, 0, 9), inst)
     # each strip holds the candidate 5, which misses the rect: neither holds it
     inst2 = Instance([rect], hlines=[0, 5, 9], vlines=[0, 5, 9])
     with pytest.raises(GuessInfeasible, match="held by no guessed strip"):
-        assemble_2sat(1, vg, hg, inst2)
+        assemble_2sat(1, *_between(inst2, 0, 9), inst2)
 
 
 def test_assemble_rect_meeting_no_strip_is_guess_infeasible():
     inst = Instance([Rect(20, 21, 20, 21)], hlines=[0, 5, 9], vlines=[0, 5, 9])
     with pytest.raises(GuessInfeasible):
-        assemble_2sat(1, *_between(0, 9), inst)
+        assemble_2sat(1, *_between(inst, 0, 9), inst)
 
 
 def _covered_guesses(inst, k_h, k_v, k):
@@ -615,22 +641,23 @@ def _covered_guesses(inst, k_h, k_v, k):
     if len(h1) > 2 * k_h:
         return
     full = (1 << len(inst.rects)) - 1
+    ys, xs = inst.hlines, inst.vlines
     hmask, vmask = line_masks(inst, H), line_masks(inst, V)
     vheld = held_masks(inst, V, v0, full)
-    vcover = Cover(full & ~stab_mask(inst, inst.hlines), vheld, [vmask[x] for x in v0])
+    vcover = Cover(full & ~stab_mask(inst, inst.hlines), vheld, [vmask[t] for t in v0])
     tables = Orientation(inst)
-    for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines, vcover):
+    for vg in enumerate_vertical_guesses(v0, k_v, len(xs), vcover):
         _, h0 = eliminate_redundant(tables, h1, vg, k)
-        missed = full & ~stab_mask(inst, h1, vg.lines)
+        missed = full & ~stab_mask(inst, to_positions(ys, h1), to_positions(xs, vg.lines))
         off_vstrips = missed
         for i in vg.slots:
             off_vstrips &= ~vheld[i]
         hbase = sorted(set(h1) | set(h0))
         hcover = Cover(
-            off_vstrips, held_masks(inst, H, hbase, off_vstrips), [hmask[y] for y in hbase]
+            off_vstrips, held_masks(inst, H, hbase, off_vstrips), [hmask[t] for t in hbase]
         )
-        for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines, hcover):
-            kernel = missed & ~stab_mask(inst, hg.lines)
+        for hg in enumerate_horizontal_guesses(h1, h0, k_h, len(ys), hcover):
+            kernel = missed & ~stab_mask(inst, to_positions(ys, hg.lines))
             yield vg, hg, kernel
 
 
@@ -646,13 +673,14 @@ def _held_guesses(inst, k_h, k_v, k):
     if len(h1) > 2 * k_h:
         return
     full = (1 << len(inst.rects)) - 1
+    ys, xs = inst.hlines, inst.vlines
     tables = Orientation(inst)
-    for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines):
+    for vg in enumerate_vertical_guesses(v0, k_v, len(xs)):
         _, h0 = eliminate_redundant(tables, h1, vg, k)
-        missed = full & ~stab_mask(inst, h1, vg.lines)
+        missed = full & ~stab_mask(inst, to_positions(ys, h1), to_positions(xs, vg.lines))
         vheld = held_masks(inst, V, vg.base, missed)
-        for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines):
-            kernel = missed & ~stab_mask(inst, hg.lines)
+        for hg in enumerate_horizontal_guesses(h1, h0, k_h, len(ys)):
+            kernel = missed & ~stab_mask(inst, to_positions(ys, hg.lines))
             hheld = held_masks(inst, H, hg.base, kernel)
             held = 0
             for i in vg.slots:
@@ -703,7 +731,11 @@ def test_assembled_formulas_pinned():
     for inst, vg, hg, kernel in _covered_pool(((10, 10, 8), (14, 12, 10), (30, 24, 20))):
         formula, decode = assemble_2sat(kernel, vg, hg, inst)
         values = solve_2sat(formula)
-        picks = None if values is None else tuple(map(sorted, decode(values)))
+        if values is None:
+            picks = None
+        else:
+            h2, v2 = decode(values)
+            picks = (sorted(to_positions(inst.hlines, h2)), sorted(to_positions(inst.vlines, v2)))
         digest.update(repr((formula.num_vars, formula.clauses, values, picks)).encode())
         count += 1
     assert count == 1821
@@ -716,12 +748,12 @@ def test_assemble_rejects_a_rectangle_meeting_two_strips_of_one_family(slots):
     # spans both, which kernelization rules out for any enumerated guess
     inst = Instance([Rect(-5, 15, 0, 1)], hlines=[], vlines=[-3, 0, 10, 12])
     with pytest.raises(RuntimeError, match="meets two strips of one family"):
-        assemble_2sat(1, Guess((0, 10), slots, frozenset()), NO_HGUESS, inst)
+        assemble_2sat(1, _guess(inst.vlines, (0, 10), slots), NO_HGUESS, inst)
 
 
 def _check_assembly(inst, vg, hg, kernel):
-    vstrips = guess_strips(V, vg.base, vg.slots)
-    hstrips = guess_strips(H, hg.base, hg.slots)
+    vstrips = guess_strips(V, to_positions(inst.vlines, vg.base), vg.slots)
+    hstrips = guess_strips(H, to_positions(inst.hlines, hg.base), hg.slots)
 
     def stabbed(hs, vs):
         return all(
@@ -742,6 +774,7 @@ def _check_assembly(inst, vg, hg, kernel):
     if values is None:
         return "unsat"
     h2, v2 = decode(values)
+    h2, v2 = to_positions(inst.hlines, h2), to_positions(inst.vlines, v2)
     assert len(v2) == len(vstrips) and len(h2) == len(hstrips)
     assert all(len(set(cands) & v2) == 1 for cands in vcands)
     assert all(len(set(cands) & h2) == 1 for cands in hcands)
@@ -835,6 +868,55 @@ def test_transpose_coherence():
             assert (a is None) == (b is None)
             if a is not None:
                 assert verify(transpose(inst), b) == []
+
+
+def _affine(inst):
+    """inst with every coordinate mapped through x -> 3x - 7, which keeps
+    the order of the lines and what each of them stabs, but moves every
+    position off its candidate index."""
+    f = lambda v: 3 * v - 7  # noqa: E731
+    rects = [Rect(f(r.x1), f(r.x2), f(r.y1), f(r.y2)) for r in inst.rects]
+    return Instance(rects, map(f, inst.hlines), map(f, inst.vlines)), f
+
+
+def test_the_search_is_invariant_under_an_affine_map_of_the_coordinates():
+    """The search works in candidate indices, so mapping every coordinate
+    through x -> 3x - 7 leaves each split's witness (H1, V0, both guesses,
+    the kept rectangles and the kernel) and its counters as they were, and
+    maps its solution, and solve_min's, through the same map. A stage that
+    mixed positions with indices would tell the two apart, which
+    instances whose candidates sit at 0, 1, 2, ... cannot."""
+    pool = [Instance([Rect(0, 4, 2, 3), Rect(6, 9, 0, 8), Rect(1, 2, 5, 9)], [1, 3, 6], [2, 5, 8])]
+    pool += [gen_uniform(60, 60, 40, seed) for seed in range(12)]
+    pool += [gen_planted(k=4 + seed % 2, n=60, coord_range=40, seed=seed)[0] for seed in range(8)]
+    witnesses = answers = 0
+    for inst in pool:
+        mapped, f = _affine(inst)
+        upright, image = Orientation.of(inst), Orientation.of(mapped)
+        for tables, twin in ((upright, image), (upright.flipped, image.flipped)):
+            for k_h in range(4):
+                for k_v in range(k_h, 7 - k_h):
+                    stats, twin_stats = SearchStats(), SearchStats()
+                    found = solve_split(tables, k_h, k_v, stats)
+                    other = solve_split(twin, k_h, k_v, twin_stats)
+                    assert stats == twin_stats
+                    assert (found is None) == (other is None)
+                    if found is None:
+                        continue
+                    witnesses += 1
+                    assert (found.h1, found.v0, found.vguess, found.hguess) == (
+                        other.h1, other.v0, other.vguess, other.hguess
+                    )
+                    assert (found.kept, found.kernel) == (other.kept, other.kernel)
+                    sol = found.solution
+                    assert other.solution == Solution(map(f, sol.hlines), map(f, sol.vlines))
+        found = solve_min(inst, 12)
+        if found is not None:
+            k, sol = found
+            found = k, Solution(map(f, sol.hlines), map(f, sol.vlines))
+            answers += 1
+        assert solve_min(mapped, 12) == found
+    assert witnesses > 120 and answers > 12, (witnesses, answers)
 
 
 def test_search_counters_pinned():
@@ -1180,7 +1262,8 @@ def test_guess_streams_respect_invariants_under_pipeline():
     if pre is None:
         pytest.skip("split infeasible for this fixture")
     h1, v0 = pre
-    for g in enumerate_vertical_guesses(v0, k_v, inst.vlines):
+    for g in enumerate_vertical_guesses(v0, k_v, len(inst.vlines)):
+        g = to_positions(inst.vlines, g)
         strips = guess_strips(V, g.base, g.slots)
         assert len(strips) + len(g.lines) <= (3 * k_v) // 2
         assert separated(strips, g.lines)

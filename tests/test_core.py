@@ -33,6 +33,7 @@ from oracles import (
     stabs,
     strip_holds,
     strips_of,
+    to_positions,
 )
 
 H, V = Axis.HORIZONTAL, Axis.VERTICAL
@@ -218,9 +219,9 @@ def _check_kernel_against_oracle(inst: Instance, sol: Solution, rng) -> None:
         return sum(1 << i for i, h in enumerate(hit) if h)
 
     for axis in (H, V):
-        table = line_masks(inst, axis)
-        assert list(table) == list(inst.line_positions(axis))
-        for pos, mask in table.items():
+        masks = line_masks(inst, axis)
+        assert len(masks) == len(inst.line_positions(axis))
+        for pos, mask in zip(inst.line_positions(axis), masks):
             assert mask == oracle_mask([Line(axis, pos)])
     assert stab_mask(inst, sol.hlines, sol.vlines) == oracle_mask(sol.lines())
     assert stab_mask(inst, sol.hlines) == oracle_mask([Line(H, y) for y in sol.hlines])
@@ -367,7 +368,9 @@ def test_strip_holds_needs_a_stabbing_candidate_strictly_inside():
 
 def test_held_masks_match_the_definition():
     """held_masks, read off the stabber table, against the coordinates
-    (oracles.held_by_definition) over random candidate subsets as bases.
+    (oracles.held_by_definition) over random candidate subsets as bases,
+    given to held_masks as candidate indices and to the reference as
+    positions (to_positions).
     The pool has adjacent base candidates, whose empty slot holds nothing,
     rectangles with no stabber on the axis, rectangles whose only stabber
     is a base line, and a mask filter on every case."""
@@ -385,17 +388,17 @@ def test_held_masks_match_the_definition():
         mask = rng.randrange(1 << len(rects))
         for axis in (H, V):
             candidates = inst.line_positions(axis)
-            base = [p for p in candidates if rng.randrange(3)]
-            expected = held_by_definition(inst, axis, base, full)
+            base = [t for t in range(len(candidates)) if rng.randrange(3)]
+            at = to_positions(candidates, base)
+            expected = held_by_definition(inst, axis, at, full)
             assert held_masks(inst, axis, base, full) == expected
             assert held_masks(inst, axis, base, mask) == [m & mask for m in expected]
-            at = [candidates.index(p) for p in base]
-            seen["adjacent base"] += any(u - t == 1 for t, u in zip(at, at[1:]))
+            seen["adjacent base"] += any(u - t == 1 for t, u in zip(base, base[1:]))
             for r in rects:
                 a, b = r.interval(axis)
                 stabbers = [p for p in candidates if a <= p <= b]
                 seen["no stabber"] += not stabbers
-                seen["only a base stabber"] += len(stabbers) == 1 and stabbers[0] in base
+                seen["only a base stabber"] += len(stabbers) == 1 and stabbers[0] in at
     assert seen["adjacent base"] > 100 and seen["no stabber"] > 100, seen
     assert seen["only a base stabber"] > 100, seen
 

@@ -31,10 +31,13 @@ from oracles import (
     cover_reached,
     guess_strips,
     horizontal_guess_reaches,
+    horizontal_guesses_at,
     separated_families,
     strip_holds,
     strips_of,
+    to_positions,
     vertical_cover_two_halves,
+    vertical_guesses_at,
 )
 
 H, V = Axis.HORIZONTAL, Axis.VERTICAL
@@ -121,20 +124,20 @@ def _strips_and_lines(guesses):
 
 
 def test_empty_pool_guesses_the_whole_plane_only_with_a_candidate():
-    guesses = _strips_and_lines(enumerate_vertical_guesses((), 2, (4,)))
+    guesses = _strips_and_lines(vertical_guesses_at((), 2, (4,)))
     assert guesses == [((), frozenset()), ((Strip(V, None, None),), frozenset())]
-    assert _strips_and_lines(enumerate_vertical_guesses((), 2, ())) == [((), frozenset())]
+    assert _strips_and_lines(vertical_guesses_at((), 2, ())) == [((), frozenset())]
 
 
 def test_no_candidate_slot_leaves_pure_line_picks():
     # every candidate sits on a pool line, so no strip has one inside
     v0 = (0, 5, 9)
-    guesses = _strips_and_lines(enumerate_vertical_guesses(v0, 3, v0))
+    guesses = _strips_and_lines(vertical_guesses_at(v0, 3, v0))
     assert guesses == [((), frozenset(pick)) for pick in _subsets(v0) if len(pick) <= 4]
 
 
 def test_unbounded_end_slots():
-    guesses = set(_strips_and_lines(enumerate_vertical_guesses((5,), 2, (1, 9))))
+    guesses = set(_strips_and_lines(vertical_guesses_at((5,), 2, (1, 9))))
     assert guesses == {
         ((), frozenset()),
         ((), frozenset({5})),
@@ -145,24 +148,25 @@ def test_unbounded_end_slots():
         ((Strip(V, None, 5), Strip(V, 5, None)), frozenset({5})),
     }
     # a candidate on one side only: the other end slot is never guessed
-    one_side = [gamma for gamma, _ in _strips_and_lines(enumerate_vertical_guesses((5,), 2, (9,)))]
+    one_side = [gamma for gamma, _ in _strips_and_lines(vertical_guesses_at((5,), 2, (9,)))]
     assert all(s == Strip(V, 5, None) for gamma in one_side for s in gamma)
 
 
 def test_full_h1_leaves_only_the_empty_guess():
     h1, h0 = (0, 10), (4, 7)
     hlines = range(-3, 14)
-    assert [(g.slots, g.lines) for g in enumerate_horizontal_guesses(h1, h0, 1, hlines)] == [
+    assert [(g.slots, g.lines) for g in horizontal_guesses_at(h1, h0, 1, hlines)] == [
         ((), frozenset())
     ]
     # ... and nothing once the empty guess cannot reach what the cover needs
     cover = Cover(need=1, slots=[0] * 5, lines=[0] * 4)
-    assert list(enumerate_horizontal_guesses(h1, h0, 1, hlines, cover)) == []
+    assert horizontal_guesses_at(h1, h0, 1, hlines, cover) == []
 
 
 def _leaves_v_only(inst, vg):
     """Does the vertical guess leave a rectangle no horizontal candidate
-    stabs to no strip that holds it and no V1 line? By the definition."""
+    stabs to no strip that holds it and no V1 line? By the definition,
+    with the guess in positions."""
     strips = guess_strips(V, vg.base, vg.slots)
     return any(
         not any(r.y1 <= y <= r.y2 for y in inst.hlines)
@@ -186,8 +190,8 @@ def test_vertical_cover_masks_by_definition():
             pre = tables.preselected(k_v)
             if pre is None:
                 continue
-            h1, v0 = pre
-            cover, held = tables.vertical_cover(h1, v0)
+            cover, held = tables.vertical_cover(*pre)
+            h1, v0 = to_positions(inst.hlines, pre[0]), to_positions(inst.vlines, pre[1])
             bounds = [None, *v0, None]
 
             def mask(pred):
@@ -222,24 +226,25 @@ def test_one_bit_cover_yields_as_the_two_halves():
     for seed in range(40):
         upright = Orientation(drop_dominated(gen_uniform(40, 40, 30, seed)))
         for tables in (upright, upright.flipped):
-            vlines = tables.inst.vlines
+            inst = tables.inst
             for k_v in range(5):
                 pre = tables.preselected(k_v)
                 if pre is None:
                     continue
                 h1, v0 = pre
                 cover, _ = tables.vertical_cover(h1, v0)
-                two_halves = vertical_cover_two_halves(tables, h1, v0)
+                two_halves = vertical_cover_two_halves(
+                    inst, to_positions(inst.hlines, h1), to_positions(inst.vlines, v0)
+                )
+                m = len(inst.vlines)
                 unbounded = cover._replace(spare=len(cover.groups))
-                n_unbounded = sum(1 for _ in enumerate_vertical_guesses(v0, k_v, vlines, unbounded))
+                n_unbounded = sum(1 for _ in enumerate_vertical_guesses(v0, k_v, m, unbounded))
                 for spare in range(4):
                     one_bit = list(
-                        enumerate_vertical_guesses(v0, k_v, vlines, cover._replace(spare=spare))
+                        enumerate_vertical_guesses(v0, k_v, m, cover._replace(spare=spare))
                     )
                     assert one_bit == list(
-                        enumerate_vertical_guesses(
-                            v0, k_v, vlines, two_halves._replace(spare=spare)
-                        )
+                        enumerate_vertical_guesses(v0, k_v, m, two_halves._replace(spare=spare))
                     )
                     cut += n_unbounded - len(one_bit)
     assert cut >= 500, cut
@@ -265,25 +270,31 @@ def test_budget_bound_drops_only_guesses_no_horizontal_guess_completes():
                 h1, v0 = pre
                 spare = 2 * k_h - len(h1)
                 cover, _ = tables.vertical_cover(h1, v0)
-                bounded = list(
-                    enumerate_vertical_guesses(v0, k_v, inst.vlines, cover._replace(spare=spare))
-                )
+                m = len(inst.vlines)
+                bounded = list(enumerate_vertical_guesses(v0, k_v, m, cover._replace(spare=spare)))
                 old = [
                     vg
-                    for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines)
-                    if not _leaves_v_only(inst, vg)
+                    for vg in enumerate_vertical_guesses(v0, k_v, m)
+                    if not _leaves_v_only(inst, to_positions(inst.vlines, vg))
                 ]
                 kept = set(bounded)
                 assert bounded == [vg for vg in old if vg in kept]
                 for vg in old:
                     if vg in kept:
                         continue
-                    strips = guess_strips(V, vg.base, vg.slots)
+                    ys, vg_at = inst.hlines, to_positions(inst.vlines, vg)
+                    strips = guess_strips(V, vg_at.base, vg_at.slots)
                     for k in range(k_h + k_v, 7):
                         mask, h0 = eliminate_redundant(tables, h1, vg, k)
                         rects = [inst.rects[i] for i in bits(mask)]
                         assert not horizontal_guess_reaches(
-                            inst, h1, h0, rects, strips, vg.lines, spare
+                            inst,
+                            to_positions(ys, h1),
+                            to_positions(ys, h0),
+                            rects,
+                            strips,
+                            vg_at.lines,
+                            spare,
                         )
                     dropped["spare > 0" if spare else "spare 0"] += 1
     assert dropped["spare 0"] > 100 and dropped["spare > 0"] > 100, dropped
@@ -305,22 +316,25 @@ def _uncovered_split(inst, k_h, k_v):
         return None, 0
     calls = 0
     tables = Orientation(inst)
-    for vg in enumerate_vertical_guesses(v0, k_v, inst.vlines):
-        if _leaves_v_only(inst, vg):
+    ys, xs = inst.hlines, inst.vlines
+    for vg in enumerate_vertical_guesses(v0, k_v, len(xs)):
+        vg_at = to_positions(xs, vg)
+        if _leaves_v_only(inst, vg_at):
             continue
         kept, h0 = eliminate_redundant(tables, h1, vg, k_h + k_v)
-        for hg in enumerate_horizontal_guesses(h1, h0, k_h, inst.hlines):
-            hs = set(h1) | hg.lines
+        for hg in enumerate_horizontal_guesses(h1, h0, k_h, len(ys)):
+            hg_at = to_positions(ys, hg)
+            hs = set(to_positions(ys, h1)) | hg_at.lines
             kernel = 0
             for i in bits(kept):
                 r = inst.rects[i]
                 if not any(r.y1 <= y <= r.y2 for y in hs) and not any(
-                    r.x1 <= x <= r.x2 for x in vg.lines
+                    r.x1 <= x <= r.x2 for x in vg_at.lines
                 ):
                     kernel |= 1 << i
             strips = [
-                (s, inst.vlines) for s in guess_strips(V, vg.base, vg.slots)
-            ] + [(s, inst.hlines) for s in guess_strips(H, hg.base, hg.slots)]
+                (s, xs) for s in guess_strips(V, vg_at.base, vg_at.slots)
+            ] + [(s, ys) for s in guess_strips(H, hg_at.base, hg_at.slots)]
             if not all(
                 any(strip_holds(s, inst.rects[i], cands) for s, cands in strips)
                 for i in bits(kernel)
@@ -331,7 +345,8 @@ def _uncovered_split(inst, k_h, k_v):
             values = solve_2sat(formula)
             if values is not None:
                 h2, v2 = decode(values)
-                return Solution(hlines=hs | h2, vlines=vg.lines | v2), calls
+                h2, v2 = to_positions(ys, h2), to_positions(xs, v2)
+                return Solution(hlines=hs | h2, vlines=vg_at.lines | v2), calls
     return None, calls
 
 
