@@ -22,7 +22,7 @@ from .core import (
     transpose,
     verify,
 )
-from .exact import ExactStats, NodeLimitExceeded, SearchBudget, opt_exact
+from .exact import ExactStats, NodeLimitExceeded, SearchBudget, opt_exact, packing_bound
 from .generators import (
     ColoredPointSet,
     InseparablePoints,
@@ -82,6 +82,7 @@ __all__ = [
     "make_nondegenerate",
     "map_solution_back",
     "opt_exact",
+    "packing_bound",
     "reverse",
     "solve_2sat",
     "solve_min",

@@ -27,7 +27,9 @@ horizontal and k_v vertical lines, over the k + 1 splits k_h + k_v = k
 
 Any satisfiable guess assembles a verified solution of size at most
 2*k_h + floor(3*k_v/2) <= floor(7k/4); exhausting every guess certifies
-that no size-k solution exists.
+that no size-k solution exists. A split whose size bound is below the
+instance's packing bound (exact.packing_bound) is not searched: every
+solution is larger than it may answer.
 
 Inside the search every line is a candidate index of its axis; positions
 appear only in the Solution solve_split builds and in kernelization's
@@ -59,6 +61,7 @@ from .core import (
     transpose,
     verify,
 )
+from .exact import packing_bound
 from .greedy1d import stab_1d
 
 
@@ -561,7 +564,8 @@ class Orientation:
     shares; solve_split and eliminate_redundant work on its inst. Every
     table is built on first use, so a search that preselection ends builds
     no stab masks. No table depends on k, so one object serves every split
-    of every search of an instance (see of)."""
+    of every search of an instance (see of). packing, the lower bound
+    solve_with_budget cuts splits by, is one of them."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -626,6 +630,13 @@ class Orientation:
         for t in vlines:
             mask |= self.vmask[t]
         return mask
+
+    @cached_property
+    def packing(self) -> int:
+        """exact.packing_bound of inst, a lower bound on its optimum; the
+        flipped orientation's optimum is the same, and solve_with_budget
+        reads this one's bound for the splits of both."""
+        return packing_bound(self.inst)
 
     @cached_property
     def flipped(self) -> Orientation:
@@ -705,6 +716,15 @@ def solve_with_budget(
     split. None is returned only after every split is exhausted, which
     certifies that no stabbing subset of size <= k exists.
 
+    A split whose size bound 2*min + floor(3*max/2) is below the packing
+    bound of inst.reduced (Orientation.packing, a lower bound on the
+    optimum) is skipped, and stats do not count it. That changes no
+    answer and keeps the certificate. Every split's bound is at least k,
+    so when a solution of size <= k exists, bound >= k >= OPT >= packing
+    for every split and none is skipped. A skipped split's pipeline
+    assembles at most bound lines, and every solution has at least
+    packing > bound, so its search would find none.
+
     Every split runs on inst.reduced, which has the same optimum; the
     answer is checked against inst itself. The reduction and the split
     tables are kept on inst, so calls with several budgets on one object
@@ -717,8 +737,11 @@ def solve_with_budget(
     stats = stats if stats is not None else SearchStats()
     upright = Orientation.of(inst)
     for k_h in range(k + 1):
-        stats.splits += 1
         k_v = k - k_h
+        bound = 2 * min(k_h, k_v) + (3 * max(k_h, k_v)) // 2
+        if bound < upright.packing:
+            continue  # every solution is larger than the split may answer
+        stats.splits += 1
         if k_h <= k_v:
             found = solve_split(upright, k_h, k_v, stats)
             sol = found.solution if found is not None else None
@@ -727,8 +750,7 @@ def solve_with_budget(
             sol = found.solution.transpose() if found is not None else None
         if sol is None:
             continue
-        # 2*min + floor(3*max/2) over the split is at most floor(7k/4)
-        if verify(inst, sol) or len(sol) > 2 * min(k_h, k_v) + (3 * max(k_h, k_v)) // 2:
+        if verify(inst, sol) or len(sol) > bound:
             raise RuntimeError("assembled solution misses a rectangle or exceeds its size bound")
         return sol
     return None

@@ -53,6 +53,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     size: Optional[int] = None
     budget: Optional[int] = None
     sol: Optional[Solution] = None
+    proven = 0  # what the search proves of the optimum: a no-witness at b proves it above b
+    incumbent: Optional[int] = None
     if _is_infeasible(inst):
         outcome = "infeasible"
     elif args.exact:
@@ -60,21 +62,30 @@ def cmd_solve(args: argparse.Namespace) -> int:
             sol = exact.opt_exact(
                 inst, exact.SearchBudget(args.max_size, args.node_limit), stats
             )
+            proven = args.max_size + 1 if sol is None else len(sol)
         except exact.NodeLimitExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
-            outcome = "budget-exhausted"
+            outcome, incumbent = "budget-exhausted", exc.incumbent
         if sol is not None:
             outcome, size, budget = "solved", len(sol), args.max_size
     elif args.min:
         found = approx.solve_min(inst, args.kmax, stats)
-        if found is not None:
+        if found is None:
+            proven = args.kmax + 1
+        else:
             budget, sol = found
-            outcome, size = "solved", len(sol)
+            outcome, size, proven = "solved", len(sol), budget  # every rung below failed
     else:
         sol = approx.solve_with_budget(inst, args.k, stats)
-        if sol is not None:
+        if sol is None:
+            proven = args.k + 1
+        else:
             outcome, size, budget = "solved", len(sol), args.k
     wall_ms = (time.perf_counter() - start) * 1000.0
+    lower = upper = None
+    if outcome != "infeasible":
+        lower = max(proven, exact.packing_bound(inst.reduced))
+        upper = incumbent if sol is None else size
     if sol is not None and args.out:
         formats.dump_solution(sol, args.out)
     _report(
@@ -94,6 +105,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         outcome=outcome,
         size=size,
         budget=budget,
+        lower=lower,
+        upper=upper,
         wall_ms=round(wall_ms, 3),
         counters=dataclasses.asdict(stats),
     )

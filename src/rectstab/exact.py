@@ -36,7 +36,10 @@ below the additive single-axis bound, and the node's order then extends
 it greedily. The node is cut when the chosen lines plus the packing reach
 the incumbent's size. At the root nothing is chosen or excluded, so the
 root's packing bounds every solution, and the search stops as soon as an
-incumbent has that many lines.
+incumbent has that many lines. packing_bound is that root packing, by the
+same code (_packing) the nodes run: the approximation skips every split
+whose size bound is below it, and the solve report gives it as a proven
+lower bound.
 
 Completeness: let T be any solution that contains the chosen lines and
 avoids the excluded ones. T stabs the picked rectangle; let j be the first
@@ -77,7 +80,14 @@ class SearchBudget:
 
 
 class NodeLimitExceeded(Exception):
-    """The branch-and-bound node budget ran out before the search finished."""
+    """The branch-and-bound node budget ran out before the search finished.
+
+    incumbent is the size of the best solution found before that, an
+    upper bound on the optimum, or None when none was found."""
+
+    def __init__(self, message: str, incumbent: Optional[int] = None):
+        super().__init__(message)
+        self.incumbent = incumbent
 
 
 @dataclass
@@ -103,17 +113,74 @@ def dedup_lines(inst: Instance) -> list[tuple[Line, int]]:
     return [(ln, mask) for mask, ln in seen.items()]
 
 
-def _one_axis_chains(
-    ranges: list[tuple[int, int, int, int]],
-) -> list[list[tuple[int, int, int]]]:
-    """Per axis, vertical first, the rectangles that axis stabs and the
-    other cannot, as sorted (end, start, index) triples: ranges[index] is
-    the (a, b, c, d) of rects[index], and that axis's candidates
-    start..end-1 are its stabbers. The sort is the 1-D greedy's order."""
-    return [
+def _stab_tables(inst: Instance) -> tuple[list[list[tuple[int, int, int]]], list[int]]:
+    """(chains, stab_lines) over inst's rectangles, numbered as its input.
+
+    stab_lines[i] is the mask of the lines that stab rectangle i, with the
+    horizontal lines as bits 0..mh-1 and the vertical ones from mh. chains
+    holds, per axis, vertical first, the rectangles that axis stabs and the
+    other cannot, as (end, start, index) triples sorted in the 1-D greedy's
+    order: that axis's candidates start..end-1 are their stabbers."""
+    mh = len(inst.hlines)
+    table = inst.stabbers
+    ranges = [table.ranges[j] for j in table.ids]
+    chains = [
         sorted((d, c, i) for i, (a, b, c, d) in enumerate(ranges) if a == b and c < d),
         sorted((b, a, i) for i, (a, b, c, d) in enumerate(ranges) if c == d and a < b),
     ]
+    return chains, [(1 << b) - (1 << a) | ((1 << d) - (1 << c)) << mh for a, b, c, d in ranges]
+
+
+def _packing(
+    chains: list[list[tuple[int, int, int]]],
+    stab_lines: list[int],
+    unstabbed: int,
+    live: int,
+    need: int,
+) -> tuple[int, list[int]]:
+    """(pack, order) at a search node: the size of a packing of the
+    unstabbed rectangles over the live lines, and their live stabber sets
+    in the node's branching order (see the module docstring).
+
+    The count stops once it reaches need. It also stops, with order empty,
+    when the seed alone reaches need or when some rectangle has no live
+    stabber: the node then has no completion within need lines."""
+    # The seed may cut before the sort: a trigger with no live stabber
+    # makes the node a dead end anyway.
+    pack = 0
+    used = 0
+    for chain in chains:
+        last = -1  # below every candidate
+        for end, start, i in chain:
+            if start > last and unstabbed >> i & 1:
+                last = end - 1
+                used |= stab_lines[i] & live
+                pack += 1
+    if pack >= need:
+        return pack, []
+    # The live stabbers of the unstabbed rectangles, by live count; the
+    # sort is stable, so ties keep rectangle index order.
+    selected = compress(stab_lines, bin(unstabbed)[:1:-1].encode().translate(_DIGIT_FLAGS))
+    order = sorted(map(live.__and__, selected), key=int.bit_count)
+    if order and not order[0]:
+        return pack, []  # fail-first: a rectangle with no live stabber is a dead end
+    for s in order:
+        if not s & used:
+            used |= s
+            pack += 1
+            if pack >= need:
+                break
+    return pack, order
+
+
+def packing_bound(inst: Instance) -> int:
+    """A lower bound on the size of every solution of inst: the root
+    packing of the branch and bound (see the module docstring), computed
+    on inst as given. opt_exact's floor is packing_bound(inst.reduced),
+    which bounds inst's optimum too. An instance with a rectangle no line
+    stabs has no solution, and any number bounds it."""
+    chains, stab_lines = _stab_tables(inst)
+    return _packing(chains, stab_lines, (1 << len(stab_lines)) - 1, -1, len(stab_lines) + 1)[0]
 
 
 def opt_exact(
@@ -132,11 +199,7 @@ def opt_exact(
     masks = [m for _, m in dedup_lines(inst)]
     if len(masks) != mh + len(inst.vlines):
         raise RuntimeError("the line pool of a reduced instance must hold every line")
-    table = inst.stabbers
-    ranges = [table.ranges[j] for j in table.ids]
-    chains = _one_axis_chains(ranges)
-    # stab_lines[i]: mask of the lines that stab rectangle i
-    stab_lines = [(1 << b) - (1 << a) | ((1 << d) - (1 << c)) << mh for a, b, c, d in ranges]
+    chains, stab_lines = _stab_tables(inst)
 
     best: Optional[list[int]] = None
     best_size = budget.max_size + 1
@@ -148,39 +211,18 @@ def opt_exact(
         nonlocal best, best_size, floor, nodes
         nodes += 1
         if budget.node_limit is not None and nodes > budget.node_limit:
-            raise NodeLimitExceeded(f"exceeded {budget.node_limit} search nodes")
+            raise NodeLimitExceeded(
+                f"exceeded {budget.node_limit} search nodes", None if best is None else best_size
+            )
         if not unstabbed:
             if len(chosen) < best_size:
                 best = list(chosen)
                 best_size = len(chosen)
             return best_size <= floor
-        live = ~excluded
         need = best_size - len(chosen)
-        # The seed may cut before the sort: a trigger with no live stabber
-        # makes the node a dead end anyway.
-        pack = 0
-        used = 0
-        for chain in chains:
-            last = -1  # below every candidate
-            for end, start, i in chain:
-                if start > last and unstabbed >> i & 1:
-                    last = end - 1
-                    used |= stab_lines[i] & live
-                    pack += 1
-        if pack >= need:
+        pack, order = _packing(chains, stab_lines, unstabbed, ~excluded, need)
+        if pack >= need or not order:
             return False
-        # The live stabbers of the unstabbed rectangles, by live count; the
-        # sort is stable, so ties keep rectangle index order.
-        selected = compress(stab_lines, bin(unstabbed)[:1:-1].encode().translate(_DIGIT_FLAGS))
-        order = sorted(map(live.__and__, selected), key=int.bit_count)
-        if not order[0]:
-            return False  # fail-first: a rectangle with no live stabber is a dead end
-        for s in order:
-            if not s & used:
-                used |= s
-                pack += 1
-                if pack >= need:
-                    return False
         if not chosen:
             floor = pack
         for j in bits(order[0]):
@@ -192,7 +234,7 @@ def opt_exact(
         return False
 
     try:
-        dfs((1 << len(ranges)) - 1, [], 0)
+        dfs((1 << len(stab_lines)) - 1, [], 0)
     finally:
         if stats is not None:
             stats.nodes += nodes

@@ -43,7 +43,7 @@ from rectstab.core import (
     transpose,
     verify,
 )
-from rectstab.exact import SearchBudget, opt_exact
+from rectstab.exact import SearchBudget, opt_exact, packing_bound
 from rectstab.generators import gen_mcgraph, gen_planted, gen_uniform
 from rectstab.rng import Xoshiro256StarStar
 from rectstab.twosat import solve as solve_2sat
@@ -926,18 +926,20 @@ def test_search_counters_pinned():
     left to no vertical strip or V1 line, a vertical guess leaving the
     rectangles H1 misses to more open H1 slots than the horizontal budget
     2k_h - |H1| has items, or a kernel rectangle left to no strip that
-    holds one of its stabbers and no H1' line. A change that prunes
-    guesses must update these literals and say why."""
+    holds one of its stabbers and no H1' line. splits counts the splits
+    searched, those whose size bound reaches the packing bound (7 on each
+    uniform instance here). A change that prunes guesses or splits must
+    update these literals and say why."""
     stats = SearchStats()
     k, sol = solve_min(gen_uniform(60, 60, 40, 5), 12, stats)
     assert (k, len(sol)) == (5, 8)
-    assert stats == SearchStats(splits=18, vertical_guesses=1, horizontal_guesses=1, twosat_calls=1)
+    assert stats == SearchStats(splits=4, vertical_guesses=1, horizontal_guesses=1, twosat_calls=1)
 
     stats = SearchStats()
     k, sol = solve_min(gen_uniform(60, 60, 40, 3), 12, stats)
     assert (k, len(sol)) == (5, 8)
     assert stats == SearchStats(
-        splits=19, vertical_guesses=3, horizontal_guesses=1, twosat_calls=1
+        splits=5, vertical_guesses=3, horizontal_guesses=1, twosat_calls=1
     )
 
     # The ladder counts what searches of each budget on fresh copies do.
@@ -945,7 +947,7 @@ def test_search_counters_pinned():
     stats = SearchStats()
     k, sol = solve_min(inst, 12, stats)
     assert (k, len(sol)) == (5, 8)
-    assert stats == SearchStats(splits=18, vertical_guesses=1, horizontal_guesses=1, twosat_calls=1)
+    assert stats == SearchStats(splits=4, vertical_guesses=1, horizontal_guesses=1, twosat_calls=1)
     cold = SearchStats()
     for j in range(k + 1):
         solve_with_budget(_fresh(inst), j, cold)
@@ -977,30 +979,39 @@ def test_orientations_are_freed_without_the_cyclic_gc():
         gc.enable()
 
 
-def _unshared_solve(inst, k, stats):
-    """solve_with_budget with nothing shared between splits, counting into
-    stats: every split k_h + k_v = k runs solve_split on its own, on the
+def _unshared_solve(inst, k, stats, kept=None):
+    """solve_with_budget with nothing shared between splits and no split
+    skipped: every split k_h + k_v = k runs solve_split on its own, on the
     instance without dominated rectangles and lines, freshly transposed
-    when k_h > k_v."""
+    when k_h > k_v. stats counts every split searched. With kept, a list,
+    it counts only the splits solve_with_budget searches too, those whose
+    size bound reaches packing_bound, and kept gains their (k_h, k_v)."""
     inst = drop_dominated(inst)
+    floor = packing_bound(inst)
     for k_h in range(k + 1):
         k_v = k - k_h
-        stats.splits += 1
+        counted = stats
+        if kept is not None:
+            if 2 * min(k_h, k_v) + 3 * max(k_h, k_v) // 2 >= floor:
+                kept.append((k_h, k_v))
+            else:
+                counted = SearchStats()
+        counted.splits += 1
         if k_h <= k_v:
-            found = solve_split(Orientation(inst), k_h, k_v, stats)
+            found = solve_split(Orientation(inst), k_h, k_v, counted)
             sol = found.solution if found is not None else None
         else:
-            found = solve_split(Orientation(transpose(inst)), k_v, k_h, stats)
+            found = solve_split(Orientation(transpose(inst)), k_v, k_h, counted)
             sol = found.solution.transpose() if found is not None else None
         if sol is not None:
             return sol
     return None
 
 
-def _unshared_min(inst, k_max, stats):
+def _unshared_min(inst, k_max, stats, kept=None):
     """solve_min as a ladder of _unshared_solve."""
     for k in range(k_max + 1):
-        sol = _unshared_solve(inst, k, stats)
+        sol = _unshared_solve(inst, k, stats, kept)
         if sol is not None:
             return k, sol
     return None
@@ -1021,11 +1032,11 @@ def test_shared_tables_match_unshared_splits():
         inst = _fresh(base)
         for k in range(7):
             ref_stats, stats = SearchStats(), SearchStats()
-            expected = _unshared_solve(base, k, ref_stats)
+            expected = _unshared_solve(base, k, ref_stats, [])
             assert solve_with_budget(inst, k, stats) == expected
             assert stats == ref_stats
         ref_stats = SearchStats()
-        expected = _unshared_min(base, 6, ref_stats)
+        expected = _unshared_min(base, 6, ref_stats, [])
         for target in (_fresh(base), inst):
             stats = SearchStats()
             assert solve_min(target, 6, stats) == expected
@@ -1041,7 +1052,10 @@ def test_transpose_and_preselect_run_once_per_orientation(monkeypatch):
     """All searches of one object share its tables: the budgets k = 0..6, a
     solve_min ladder over the same budgets and an exact search reduce it
     once, transpose it at most once and preselect at most once per
-    orientation and k_v."""
+    orientation and k_v. A cold ladder transposes exactly when it
+    searches a split with k_h > k_v, which the unshared reference, which
+    skips no split, predicts from the splits whose size bound reaches the
+    packing bound."""
     reductions = 0
     transposes = 0
     preselects = Counter()
@@ -1063,6 +1077,7 @@ def test_transpose_and_preselect_run_once_per_orientation(monkeypatch):
     monkeypatch.setattr(core, "drop_dominated", counting_drop_dominated)
     monkeypatch.setattr(approx, "transpose", counting_transpose)
     monkeypatch.setattr(approx, "preselect", counting_preselect)
+    flips = 0
     for base in SHARED_TABLE_POOL:
         inst = _fresh(base)
         reductions = transposes = 0
@@ -1076,8 +1091,12 @@ def test_transpose_and_preselect_run_once_per_orientation(monkeypatch):
         assert max(preselects.values(), default=0) <= 1
         transposes = 0
         found = solve_min(_fresh(base), 6)
-        if found is not None and found[0] >= 2:
-            assert transposes == 1  # the ladder reached splits with k_h > k_v
+        kept = []
+        assert _unshared_min(base, 6, SearchStats(), kept) == found
+        flipped = any(k_h > k_v for k_h, k_v in kept)
+        assert transposes == flipped
+        flips += flipped
+    assert flips  # some ladder reaches a split with k_h > k_v
 
 
 # planted instances the reduction shrinks from 200 rectangles to a few
@@ -1093,7 +1112,7 @@ def test_threads_sharing_one_instance_get_the_cold_answers():
     cold_stats = SearchStats()
     cold = solve_min(_fresh(base), 6, cold_stats)
     ref_stats = SearchStats()
-    assert _unshared_min(base, 6, ref_stats) == cold
+    assert _unshared_min(base, 6, ref_stats, []) == cold
     assert ref_stats == cold_stats
     inst = _fresh(base)
     results = []
@@ -1146,7 +1165,7 @@ def test_shuffled_budgets_answer_as_cold_searches():
         inst = _fresh(base)
         for k in (budgets + budgets[::-1] + shuffled) * 2:
             stats, cold_stats, ref_stats = SearchStats(), SearchStats(), SearchStats()
-            expected = _unshared_solve(base, k, ref_stats)
+            expected = _unshared_solve(base, k, ref_stats, [])
             assert solve_with_budget(inst, k, stats) == expected, (base, k)
             assert solve_with_budget(_fresh(base), k, cold_stats) == expected
             assert stats == cold_stats == ref_stats, (base, k)
@@ -1154,6 +1173,31 @@ def test_shuffled_budgets_answer_as_cold_searches():
         assert opt_exact(inst, budget) == opt_exact(_fresh(base), budget)
         assert inst.reduced == drop_dominated(base)
         assert inst == base and hash(inst) == hash(base) and repr(inst) == repr(base)
+
+
+def test_every_split_the_packing_cut_skips_has_no_answer():
+    """At every budget from 0 to OPT + 2 (to 6 with no solution), each
+    split solve_with_budget skips, its size bound 2*min + floor(3*max/2)
+    below packing_bound, returns None from solve_split searched in full.
+    The pool: the small uniform instances of SHARED_TABLE_POOL, of which
+    seeds 2 and 5 have no solution, those of UNIFORM_POOL and the clique
+    reductions."""
+    pool = SHARED_TABLE_POOL[:8] + [inst for inst, _ in UNIFORM_POOL + CLIQUE_POOL]
+    skipped = 0
+    for base in pool:
+        upright = Orientation.of(_fresh(base))
+        sol = opt_exact(base, SearchBudget(max_size=40))
+        for k in range(7 if sol is None else len(sol) + 3):
+            for k_h in range(k + 1):
+                k_v = k - k_h
+                if 2 * min(k_h, k_v) + 3 * max(k_h, k_v) // 2 >= upright.packing:
+                    continue
+                skipped += 1
+                if k_h <= k_v:
+                    assert solve_split(upright, k_h, k_v) is None, (base, k_h, k_v)
+                else:
+                    assert solve_split(upright.flipped, k_v, k_h) is None, (base, k_h, k_v)
+    assert skipped == 533
 
 
 # instances whose answers at every budget from OPT to OPT + 2 came from a

@@ -9,6 +9,7 @@ import pytest
 from rectstab.cli import main
 from rectstab import approx, exact, formats
 from rectstab.core import Instance, Rect, Solution, drop_dominated, verify
+from rectstab.generators import gen_mcgraph
 from rectstab.reduction import build, forward
 
 
@@ -110,7 +111,53 @@ def test_solve_infeasible_outcome(tmp_path, capsys):
     path.write_text('{"rects": [[0, 1, 0, 1]], "hlines": [], "vlines": []}')
     code, out, _ = run(capsys, "solve", str(path), "--exact", "--max-size", "3")
     assert code == 1
-    assert json.loads(out)["outcome"] == "infeasible"
+    report = json.loads(out)
+    assert report["outcome"] == "infeasible"
+    assert report["lower"] is None and report["upper"] is None
+
+
+# Three rectangles whose stabber sets, {h0, v0}, {h1, v0} and {h0, h1},
+# meet pairwise: the packing bound is 1 and the optimum 2, so a
+# no-witness at budget 1 proves more than the packing.
+TRIANGLE = Instance(
+    [Rect(-1, 1, -1, 1), Rect(-1, 1, 9, 11), Rect(5, 6, -1, 11)], hlines=[0, 10], vlines=[0]
+)
+
+
+@pytest.mark.parametrize(
+    "argv, outcome, lower, upper",
+    [
+        (["--approx", "-k", "2"], "solved", 1, 2),  # the packing bound
+        (["--approx", "-k", "1"], "no-witness", 2, None),  # above the failed budget
+        (["--approx", "--min", "--kmax", "3"], "solved", 2, 2),  # the first budget solved
+        (["--approx", "--min", "--kmax", "1"], "no-witness", 2, None),
+        (["--exact", "--max-size", "3"], "solved", 2, 2),  # the minimum
+        (["--exact", "--max-size", "1"], "no-witness", 2, None),
+    ],
+    ids=["approx", "approx-no-witness", "approx-min", "approx-min-no-witness", "exact",
+         "exact-no-witness"],
+)
+def test_solve_reports_proven_bounds(argv, outcome, lower, upper, tmp_path, capsys):
+    path = tmp_path / "triangle.json"
+    formats.dump_instance(TRIANGLE, str(path))
+    assert exact.packing_bound(TRIANGLE.reduced) == 1
+    code, out, _ = run(capsys, "solve", str(path), *argv)
+    report = json.loads(out)
+    assert code == (0 if outcome == "solved" else 1)
+    assert (report["outcome"], report["lower"], report["upper"]) == (outcome, lower, upper)
+
+
+def test_solve_budget_exhausted_reports_the_incumbent(tmp_path, capsys):
+    # An unplanted clique reduction: the packing bound is 4k = 12, the
+    # optimum 14, and the search of the instance as read back has found a
+    # 15-line solution by node 200.
+    path = tmp_path / "red.json"
+    formats.dump_instance(build(gen_mcgraph(3, 3, 1, 3, seed=0, plant=False)[0]).inst, str(path))
+    code, out, err = run(capsys, "solve", str(path), "--exact", "--max-size", "15",
+                         "--node-limit", "200")
+    assert code == 1 and "search nodes" in err
+    report = json.loads(out)
+    assert (report["outcome"], report["lower"], report["upper"]) == ("budget-exhausted", 12, 15)
 
 
 def test_solve_parse_error(tmp_path, capsys):
@@ -464,6 +511,8 @@ def test_solve_node_limit_reports_error(tmp_path, capsys):
     assert report["outcome"] == "budget-exhausted"
     assert report["counters"] == {"nodes": 2}  # the limit is checked on entry to a node
     assert "search nodes" in err
+    # the four rectangles' stabber sets are disjoint; no incumbent yet
+    assert (report["lower"], report["upper"]) == (4, None)
 
 
 def _exits_2_at_once(*argv):

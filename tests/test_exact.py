@@ -10,6 +10,7 @@ from rectstab.exact import (
     SearchBudget,
     dedup_lines,
     opt_exact,
+    packing_bound,
 )
 from rectstab.generators import gen_mcgraph, gen_planted, gen_uniform
 from rectstab.reduction import build
@@ -133,6 +134,32 @@ def test_answers_pinned():
         count += 1
     assert count == 132
     assert digest.hexdigest() == "382095bb013889bcd9526345b4aa30e28ad3f5c3ba02b28afab3c3c5808028fb"
+
+
+def test_packing_bound_is_never_above_the_optimum():
+    # On the uniform, planted and clique-reduction searches pinned above,
+    # over the reduced instance (opt_exact's floor) and the raw one.
+    solved = 0
+    for inst, max_size in pinned_searches():
+        sol = opt_exact(inst, SearchBudget(max_size))
+        if sol is not None:
+            assert packing_bound(inst.reduced) <= len(sol)
+            assert packing_bound(inst) <= len(sol)
+            solved += 1
+    assert solved == 81
+
+
+def test_node_limit_carries_the_incumbent_size():
+    # An unplanted clique reduction at 5k: the root packing is 4k = 12 and
+    # OPT is 14, so the search goes on after its first incumbent (15).
+    inst = build(gen_mcgraph(3, 3, 1, 3, seed=0, plant=False)[0]).inst
+    assert packing_bound(inst.reduced) == 12
+    stats = ExactStats()
+    assert len(opt_exact(inst, SearchBudget(15), stats)) == 14
+    for limit, incumbent in [(1, None), (20, 15), (stats.nodes - 1, 14)]:
+        with pytest.raises(NodeLimitExceeded, match="search nodes") as exc:
+            opt_exact(inst, SearchBudget(15, node_limit=limit))
+        assert exc.value.incumbent == incumbent
 
 
 def test_a_pool_missing_a_line_of_the_reduced_instance_raises(monkeypatch):
