@@ -45,52 +45,84 @@ def _is_infeasible(inst: Instance) -> bool:
     return bool(verify(inst, Solution(inst.hlines, inst.vlines)))
 
 
+@dataclasses.dataclass
+class _Run:
+    """What one solver run proved: its outcome, the solution and the budget
+    it was found at (None unless solved), the proven bounds [lower, upper]
+    on the optimum (None where nothing is proven), and the engine's
+    counters."""
+
+    outcome: str  # solved, no-witness, infeasible or budget-exhausted
+    stats: approx.SearchStats | exact.ExactStats
+    sol: Optional[Solution] = None
+    budget: Optional[int] = None
+    lower: Optional[int] = None
+    upper: Optional[int] = None
+
+    @property
+    def size(self) -> Optional[int]:
+        return None if self.sol is None else len(self.sol)
+
+
+def _run(inst: Instance, mode: str, bound: int, node_limit: Optional[int] = None) -> _Run:
+    """Run one engine on inst, the one driver behind solve and bench.
+
+    mode "exact" searches up to bound lines, "approx" runs at budget bound
+    and "approx-min" tries the budgets 0..bound. Infeasibility is decided
+    first, and then no engine runs. lower is the packing bound, raised to
+    what the search proves: one past bound after a no-witness, the first
+    budget solved by approx-min (every budget below it failed), and the
+    size of an exact answer, which is the minimum. upper is the answer's
+    size, or with budget-exhausted the incumbent's.
+    """
+    stats = exact.ExactStats() if mode == "exact" else approx.SearchStats()
+    if _is_infeasible(inst):
+        return _Run("infeasible", stats)
+    budget, sol = bound, None
+    try:
+        if mode == "exact":
+            sol = exact.opt_exact(inst, exact.SearchBudget(bound, node_limit), stats)
+        elif mode == "approx-min":
+            budget, sol = approx.solve_min(inst, bound, stats) or (bound, None)
+        else:
+            sol = approx.solve_with_budget(inst, bound, stats)
+    except exact.NodeLimitExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        outcome, proven, upper = "budget-exhausted", 0, exc.incumbent
+    else:
+        if sol is None:
+            outcome, proven, upper = "no-witness", bound + 1, None
+        else:
+            # a budget solved by approx alone proves nothing past the packing
+            proven = {"exact": len(sol), "approx-min": budget}.get(mode, 0)
+            outcome, upper = "solved", len(sol)
+    lower = max(proven, exact.packing_bound(inst.reduced))
+    return _Run(outcome, stats, sol, None if sol is None else budget, lower, upper)
+
+
+def _solve_mode(args: argparse.Namespace) -> str:
+    return "exact" if args.exact else ("approx-min" if args.min else "approx")
+
+
+# the flags each solve mode reads, its bound first; main refuses the others
+_MODE_FLAGS = {"exact": ("max_size", "node_limit"), "approx-min": ("kmax", "min"), "approx": ("k",)}
+
+
+def _option(dest: str) -> str:
+    return "-k" if dest == "k" else "--" + dest.replace("_", "-")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = formats.load_instance(args.instance)
-    stats = exact.ExactStats() if args.exact else approx.SearchStats()
+    mode = _solve_mode(args)
     start = time.perf_counter()
-    outcome = "no-witness"
-    size: Optional[int] = None
-    budget: Optional[int] = None
-    sol: Optional[Solution] = None
-    proven = 0  # what the search proves of the optimum: a no-witness at b proves it above b
-    incumbent: Optional[int] = None
-    if _is_infeasible(inst):
-        outcome = "infeasible"
-    elif args.exact:
-        try:
-            sol = exact.opt_exact(
-                inst, exact.SearchBudget(args.max_size, args.node_limit), stats
-            )
-            proven = args.max_size + 1 if sol is None else len(sol)
-        except exact.NodeLimitExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            outcome, incumbent = "budget-exhausted", exc.incumbent
-        if sol is not None:
-            outcome, size, budget = "solved", len(sol), args.max_size
-    elif args.min:
-        found = approx.solve_min(inst, args.kmax, stats)
-        if found is None:
-            proven = args.kmax + 1
-        else:
-            budget, sol = found
-            outcome, size, proven = "solved", len(sol), budget  # every rung below failed
-    else:
-        sol = approx.solve_with_budget(inst, args.k, stats)
-        if sol is None:
-            proven = args.k + 1
-        else:
-            outcome, size, budget = "solved", len(sol), args.k
+    run = _run(inst, mode, getattr(args, _MODE_FLAGS[mode][0]), args.node_limit)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    lower = upper = None
-    if outcome != "infeasible":
-        lower = max(proven, exact.packing_bound(inst.reduced))
-        upper = incumbent if sol is None else size
-    if sol is not None and args.out:
-        formats.dump_solution(sol, args.out)
+    if run.sol is not None and args.out:
+        formats.dump_solution(run.sol, args.out)
     _report(
         command="solve",
-        mode="exact" if args.exact else ("approx-min" if args.min else "approx"),
+        mode=mode,
         args={
             "instance": args.instance,
             "k": args.k,
@@ -102,15 +134,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
         instance=_instance_stats(inst),
         classes=len(inst.stabbers.ranges),
         reduced=_instance_stats(inst.reduced),
-        outcome=outcome,
-        size=size,
-        budget=budget,
-        lower=lower,
-        upper=upper,
+        outcome=run.outcome,
+        size=run.size,
+        budget=run.budget,
+        lower=run.lower,
+        upper=run.upper,
         wall_ms=round(wall_ms, 3),
-        counters=dataclasses.asdict(stats),
+        counters=dataclasses.asdict(run.stats),
     )
-    return 0 if outcome == "solved" else 1
+    return 0 if run.outcome == "solved" else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -194,14 +226,13 @@ _BENCH_FIELDS = [
     "k",
     "size",
     "ratio",
+    "lower",
+    "upper",
     "rects",
     "hlines",
     "vlines",
-    "splits",
-    "vertical_guesses",
-    "horizontal_guesses",
-    "twosat_calls",
-    "nodes",
+    *(field.name for field in dataclasses.fields(approx.SearchStats)),
+    *(field.name for field in dataclasses.fields(exact.ExactStats)),
     "reduced_rects",
     "reduced_hlines",
     "reduced_vlines",
@@ -211,41 +242,27 @@ _BENCH_FIELDS = [
 def _bench_one(job: tuple[str, bool, bool, int, int]) -> list[dict]:
     path, run_approx, run_exact, kmax, max_size = job
     name = Path(path).name
+    # exact first: the approx row's ratio is over the exact size
+    runs = [("exact", "exact", max_size)] * run_exact + [("approx", "approx-min", kmax)] * run_approx
     try:
         inst = formats.load_instance(path)
     except (formats.FormatError, OSError):
-        return [{"instance": name, "solver": s, "outcome": "error"}
-                for s in (["approx"] if run_approx else []) + (["exact"] if run_exact else [])]
+        return [{"instance": name, "solver": solver, "outcome": "error"} for solver, _, _ in runs]
     # the sizes both solvers work on; the reduction is kept on inst for them
     reduced = {f"reduced_{key}": n for key, n in _instance_stats(inst.reduced).items()}
     base = {"instance": name, **_instance_stats(inst), **reduced}
-    # decided once, before either solver, as solve does; neither then runs
-    infeasible = _is_infeasible(inst)
     rows = []
     exact_size: Optional[int] = None
-    if run_exact:
-        exact_stats = exact.ExactStats()
-        budget = exact.SearchBudget(max_size)
-        sol = None if infeasible else exact.opt_exact(inst, budget, exact_stats)
-        row = dict(base, solver="exact", nodes=exact_stats.nodes)
-        if sol is None:
-            row["outcome"] = "infeasible" if infeasible else "no-witness"
+    for solver, mode, bound in runs:
+        run = _run(inst, mode, bound)
+        row = dict(base, solver=solver, outcome=run.outcome, size=run.size, lower=run.lower,
+                   upper=run.upper, **dataclasses.asdict(run.stats))
+        if mode == "exact":
+            exact_size = run.size
         else:
-            exact_size = len(sol)
-            row.update(outcome="solved", size=exact_size)
-        rows.append(row)
-    if run_approx:
-        row = dict(base, solver="approx")
-        stats = approx.SearchStats()
-        found = None if infeasible else approx.solve_min(inst, kmax, stats)
-        if found is None:
-            row["outcome"] = "infeasible" if infeasible else "no-witness"
-        else:
-            k, sol = found
-            row.update(outcome="solved", k=k, size=len(sol))
-            if exact_size:
-                row["ratio"] = str(Fraction(len(sol), exact_size))
-        row.update(dataclasses.asdict(stats))
+            row["k"] = run.budget
+            if run.size is not None and exact_size:
+                row["ratio"] = str(Fraction(run.size, exact_size))
         rows.append(row)
     return rows
 
@@ -283,7 +300,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     lines_out = [",".join(_BENCH_FIELDS)]
     for row in rows:
-        lines_out.append(",".join(str(row.get(f, "")) for f in _BENCH_FIELDS))
+        lines_out.append(",".join("" if row.get(f) is None else str(row[f]) for f in _BENCH_FIELDS))
     Path(args.out).write_text("\n".join(lines_out) + "\n")
 
     # sizes-vs-budget summary over solved approx rows
@@ -390,16 +407,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "solve":
-        if args.approx and not args.min and args.k is None:
-            parser.error("--approx needs -k, or --min with --kmax")
-        if args.approx and args.min and args.kmax is None:
-            parser.error("--min needs --kmax")
-        if args.exact and args.max_size is None:
-            parser.error("--exact needs --max-size")
-        for name in ("k", "kmax", "max_size", "node_limit"):
+        mode = _solve_mode(args)
+        bound = _MODE_FLAGS[mode][0]
+        if getattr(args, bound) is None:
+            parser.error(f"{mode} mode needs {_option(bound)}")
+        for name in ("k", "min", "kmax", "max_size", "node_limit"):
             value = getattr(args, name)
+            if value not in (None, False) and name not in _MODE_FLAGS[mode]:
+                parser.error(f"{_option(name)} does not apply to {mode} mode")
             if value is not None and value < 0:
-                parser.error(f"--{name.replace('_', '-')} must be nonnegative")
+                parser.error(f"{_option(name)} must be nonnegative")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # FormatError and UnknownLineError are ValueErrors

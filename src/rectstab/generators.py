@@ -9,6 +9,7 @@ stabbing instances on doubled coordinates.
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -164,6 +165,7 @@ def gen_mcgraph(
 
 
 MAX_CUT_LINES = 10**6  # cap on the odd lines of a doubled bounding box
+MAX_BICHROMATIC_PAIRS = 10**6  # cap on the rectangles, one per bichromatic pair
 
 
 def discretization_to_stabbing(pts: ColoredPointSet) -> Instance:
@@ -176,9 +178,17 @@ def discretization_to_stabbing(pts: ColoredPointSet) -> Instance:
     stab, forcing separation on the other axis. Candidate lines are all odd
     integers inside the doubled bounding box, (max x - min x) + (max y -
     min y) of them; raises ValueError before building anything when that
-    exceeds MAX_CUT_LINES.
+    exceeds MAX_CUT_LINES, or when the bichromatic pairs, C(n, 2) minus
+    C(n_c, 2) per color c, exceed MAX_BICHROMATIC_PAIRS.
     """
     points = pts.points
+    n = len(points)
+    same_color = sum(m * (m - 1) // 2 for m in Counter(c for _, _, c in points).values())
+    n_pairs = n * (n - 1) // 2 - same_color
+    if n_pairs > MAX_BICHROMATIC_PAIRS:
+        raise ValueError(
+            f"too many bichromatic point pairs: {n_pairs}, more than {MAX_BICHROMATIC_PAIRS}"
+        )
     vlines: list[int] = []
     hlines: list[int] = []
     if points:
@@ -201,8 +211,8 @@ def discretization_to_stabbing(pts: ColoredPointSet) -> Instance:
         by_pos[(x, y)] = color
 
     rects = []
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
+    for i in range(n):
+        for j in range(i + 1, n):
             px, py, pc = points[i]
             qx, qy, qc = points[j]
             if pc == qc:

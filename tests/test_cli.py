@@ -160,6 +160,69 @@ def test_solve_budget_exhausted_reports_the_incumbent(tmp_path, capsys):
     assert (report["outcome"], report["lower"], report["upper"]) == ("budget-exhausted", 12, 15)
 
 
+def _bench_rows(capsys, fixtures, out, *argv):
+    code, _, _ = run(capsys, "bench", str(fixtures), "--out", str(out), *argv)
+    assert code == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    return [dict(zip(header, row)) for row in rows]
+
+
+def test_bench_reports_proven_bounds(tmp_path, capsys):
+    """lower and upper mean what solve's report fields mean: the exact row
+    proves the optimum 2 from both sides, the approx row's ladder fails at
+    budget 1 and so proves 2, above the packing bound 1."""
+    fixtures = tmp_path / "fx"
+    fixtures.mkdir()
+    formats.dump_instance(TRIANGLE, str(fixtures / "triangle.json"))
+    exact_row, approx_row = sorted(
+        _bench_rows(capsys, fixtures, tmp_path / "b.csv", "--approx", "--exact", "--kmax", "3",
+                    "--max-size", "3"),
+        key=lambda c: c["solver"] != "exact",
+    )
+    assert (exact_row["lower"], exact_row["upper"]) == ("2", "2")
+    assert approx_row["outcome"] == "solved"
+    assert (approx_row["lower"], approx_row["upper"]) == ("2", approx_row["size"])
+
+
+def _solve_report(capsys, path, *argv):
+    code, out, _ = run(capsys, "solve", str(path), *argv)
+    report = json.loads(out)
+    assert code == (0 if report["outcome"] == "solved" else 1)
+    return report
+
+
+@pytest.mark.parametrize("bound", [1, 4])
+def test_solve_and_bench_agree(bound, tmp_path, capsys):
+    """bench's rows and solve's reports come from one run: on every
+    instance they agree on the outcome, the size, the budget found, the
+    proven bounds and every counter. At bound 1 the planted and triangle
+    instances end in a no-witness."""
+    fixtures = tmp_path / "fx"
+    fixtures.mkdir()
+    for seed in (1, 2):
+        main(["gen", "planted", "--k", "2", "--n", "8", "--seed", str(seed),
+              "--out", str(fixtures / f"p{seed}.json")])
+    formats.dump_instance(TRIANGLE, str(fixtures / "triangle.json"))
+    (fixtures / "inf.json").write_text('{"rects": [[0, 1, 0, 1]], "hlines": [], "vlines": []}')
+    cases = [(["--approx", "--kmax", str(bound)], ["--approx", "--min", "--kmax", str(bound)]),
+             (["--exact", "--max-size", str(bound)], ["--exact", "--max-size", str(bound)])]
+    outcomes = set()
+    for bench_argv, solve_argv in cases:
+        rows = _bench_rows(capsys, fixtures, tmp_path / "b.csv", *bench_argv)
+        assert len(rows) == 4
+        for cells in rows:
+            report = _solve_report(capsys, fixtures / cells["instance"], *solve_argv)
+            outcomes.add(report["outcome"])
+            fields = {"outcome": report["outcome"], "size": report["size"],
+                      "lower": report["lower"], "upper": report["upper"], **report["counters"]}
+            if cells["solver"] == "approx":
+                fields["k"] = report["budget"]
+            assert {key: cells[key] for key in fields} == {
+                key: "" if value is None else str(value) for key, value in fields.items()
+            }, cells["instance"]
+    assert outcomes == ({"infeasible", "no-witness"} if bound == 1 else {"infeasible", "solved"})
+
+
 def test_solve_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
@@ -499,6 +562,33 @@ def test_solve_negative_budget_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--approx", "-k", "2", "--node-limit", "5"],
+        ["--approx", "-k", "2", "--max-size", "3"],
+        ["--approx", "-k", "2", "--kmax", "4"],
+        ["--approx", "--min", "--kmax", "4", "-k", "1"],
+        ["--approx", "--min", "--kmax", "4", "--max-size", "3"],
+        ["--approx", "--min", "--kmax", "4", "--node-limit", "5"],
+        ["--exact", "--max-size", "3", "--min"],
+        ["--exact", "--max-size", "3", "--kmax", "4"],
+        ["--exact", "--max-size", "3", "-k", "1"],
+    ],
+    ids=["approx-node-limit", "approx-max-size", "approx-kmax", "min-k", "min-max-size",
+         "min-node-limit", "exact-min", "exact-kmax", "exact-k"],
+)
+def test_solve_flag_of_another_mode_is_usage_error(argv, tmp_path, capsys):
+    """A flag the chosen mode would ignore is refused, not echoed back in
+    a report of a run that never read it."""
+    inst = tmp_path / "i.json"
+    inst.write_text('{"rects": [], "hlines": [], "vlines": []}')
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(inst), *argv])
+    assert exc.value.code == 2
+    assert "does not apply" in capsys.readouterr().err
+
+
 def test_solve_node_limit_reports_error(tmp_path, capsys):
     rects = ", ".join(f"[{10*i}, {10*i+1}, {10*i}, {10*i+1}]" for i in range(4))
     lines = ", ".join(str(10 * i) for i in range(4))
@@ -560,6 +650,17 @@ def test_discretize_refuses_spread_points_before_allocating(tmp_path):
     points = tmp_path / "pts.csv"
     points.write_text("x,y,color\n0,0,0\n4000000000000000000,1,1\n")
     _exits_2_at_once("gen", "discretize", str(points), "--out", str(tmp_path / "o.json"))
+
+
+def test_discretize_refuses_too_many_pairs_before_allocating(tmp_path):
+    """1,200 points of each of two colors make 1.44M bichromatic pairs, one
+    rectangle each: counted from the color counts and refused at once."""
+    points = tmp_path / "pts.csv"
+    points.write_text("x,y,color\n" + "0,0,0\n" * 1200 + "1,1,1\n" * 1200)
+    out = tmp_path / "o.json"
+    err = _exits_2_at_once("gen", "discretize", str(points), "--out", str(out))
+    assert "1440000" in err and "pairs" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
