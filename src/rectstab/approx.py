@@ -12,8 +12,10 @@ horizontal and k_v vertical lines, over the k + 1 splits k_h + k_v = k
      orientation that every budget asked of it shares,
   2. enumerates guesses of vertical strips (each believed to hold exactly
      one solution line) separated by chosen lines V1, keeping only those
-     that leave the rectangles H1 misses to at most 2*k_h - |H1| open H1
-     slots, which is all a horizontal guess can still reach,
+     whose leftover W' (what H1, V1 and the guessed strips leave of the
+     rectangles a horizontal candidate stabs, but those a heavy V0 line
+     stabs) at most 2*k_h - |H1| horizontal candidates stab, the lines a
+     horizontal guess can still add (see Cover),
   3. prunes rectangles that any viable completion stabs anyway, yielding a
      kernel K and a horizontal candidate pool H0, in one pass that decides
      each guessed strip boundary once,
@@ -39,12 +41,12 @@ widest-in-strip pick, which reads x extents.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
 from math import inf
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import twosat
 from .core import (
@@ -257,48 +259,68 @@ def _hitting_picks(
                     yield (free[q], *rest)
 
 
-class Cover(NamedTuple):
+@dataclass(frozen=True)
+class Cover:
     """Rectangles a guess must reach, as masks: each rectangle of need is
-    reached by a chosen slot (slots[i]: the rectangles slot i reaches) or
+    reached by a chosen slot (slots[i]: the rectangles slot i holds) or
     stabbed by a picked line (lines[t]: the rectangles the line base[t]
-    stabs). What a guess leaves of need may lie inside at most spare of
-    the disjoint masks of groups; a bit of need outside every group must
-    be reached.
+    stabs), unless the mask counted holds it. What a guess leaves of need
+    fits when counted holds all of it and at most spare horizontal
+    candidates stab it. order lists (a, b, i), by b, then a, for every
+    counted rectangle i (others may follow too): the horizontal candidates
+    [a, b) stab it, a < b. The count is _greedy_1d over the leftover's
+    ranges and reads no rectangle outside the leftover, so covers that
+    share order share their counts, kept by leftover mask
+    (dataclasses.replace keeps them).
 
-    An open slot reaches what it holds (core.held_masks): the rectangles
-    some candidate strictly inside it stabs. That is sound: a satisfying
-    assignment of assemble_2sat's formula stabs each kernel rectangle with
-    a fixed line or with the line it picks in a guessed strip, a candidate
-    inside the strip and inside the rectangle's stabber range, so the strip
-    holds the rectangle. A guess that leaves a kernel rectangle to no line
-    and no strip that holds it has no satisfying assignment, and the
-    covers drop only such guesses.
+    A slot holds a rectangle (core.held_masks) when some candidate strictly
+    inside it stabs the rectangle. That is sound: a satisfying assignment
+    of assemble_2sat's formula stabs each kernel rectangle with a fixed
+    line or with the line it picks in a guessed strip, a candidate inside
+    the strip and inside the rectangle's stabber range, so the strip holds
+    the rectangle. A guess that leaves a kernel rectangle to no line and
+    no strip that holds it has no satisfying assignment.
 
-    The vertical cover (Orientation.vertical_cover) needs each rectangle
-    H1 misses at one bit. One that no horizontal candidate stabs lies in
-    no group and must be held by an open guessed slot or stabbed by V1.
-    Any other is also reached by a boundary line of a guessed slot that
-    stabs it; its groups are the open H1 slots, and solve_split sets spare
-    to the horizontal budget b = 2k_h - |H1|. The bound is sound: call U
-    the grouped rectangles such a guess leaves unreached.
-      - Kernelization removes only rectangles that a boundary line of a
-        guessed slot stabs, so U is kept; it is missed by H1 and V1 and
-        held by no guessed open slot, so U lies in what the horizontal
-        guess must reach (hcover).
-      - A horizontal guess has at most b items. Each is a slot of the
-        H1 | H0 arrangement or an H1' line of H0 off H1, so it lies inside
-        one open H1 slot, and it holds or stabs only rectangles that meet
-        that slot.
-      - A rectangle H1 misses lies strictly inside one open H1 slot, so
-        each item reaches U in one group at most.
-    If U lies in more than b groups, no horizontal guess reaches hcover
-    and the vertical guess cannot reach 2-SAT."""
+    The vertical cover (Orientation.vertical_cover) needs the rectangles
+    H1 misses. One that no horizontal candidate stabs is not counted: it
+    must be held by an open guessed slot or stabbed by V1. A V0 line is
+    heavy when its group, the rectangles it stabs that H1 misses and some
+    horizontal candidate stabs, needs at least 2k + 2 horizontal lines.
+    need and counted drop every group of a heavy line, counted holds the
+    rest of the groups' rectangles, and solve_split sets spare to the
+    horizontal budget b = 2k_h - |H1|. The bound is sound: call W' what
+    such a guess leaves of counted.
+      - Kernelization removes a rectangle only from the current group of
+        a guessed slot boundary, a V0 line, while that group needs at
+        least 2k + 2 lines. The group is a subset of the line's group, so
+        the line is heavy. Every W' rectangle is thus in the kernel.
+      - H1 and V1 miss a W' rectangle, and no vertical strip line can stab
+        it, as no guessed strip holds it. Only an H1' line of the
+        horizontal guess, or the line 2-SAT picks in one of its strips,
+        can stab it.
+      - A horizontal guess has at most b items, so a satisfying assignment
+        stabs W' with at most b horizontal candidates.
+    If more than b candidates are needed, no horizontal guess completes
+    the vertical guess and it cannot reach a satisfiable 2-SAT call. The
+    kernel is not the cover's need: it holds every rectangle H1 and V1
+    miss, those of heavy groups too."""
 
     need: int
     slots: Sequence[int]
     lines: Sequence[int]
-    groups: Sequence[int] = ()
+    order: Sequence[tuple[int, int, int]] = ()
+    counted: int = 0
     spare: int = 0
+    counts: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
+
+    def count(self, mask: int) -> int:
+        """Fewest horizontal candidates that stab the rectangles of mask,
+        which order lists."""
+        n = self.counts.get(mask)
+        if n is None:
+            taken = _greedy_1d((a, b) for a, b, i in self.order if mask >> i & 1)
+            n = self.counts[mask] = len(taken)
+        return n
 
 
 def _separated_families(
@@ -313,7 +335,7 @@ def _separated_families(
     base cuts out, lines picked from the base lines not in fixed_idx,
     with |slots| + |picked| <= budget and every pair of consecutive chosen
     slots separated by a fixed or picked line; with a cover, only pairs
-    reaching it.
+    whose leftover fits it.
 
     Pairs are built, not filtered: line t separates slots i < j iff
     i <= t < j, so a gap with no fixed line between its slots becomes a
@@ -327,23 +349,21 @@ def _separated_families(
     """
     fixed = sorted(fixed_idx)
     free = [t for t in range(n_base) if t not in fixed_idx]
-    need, slot_meets, line_stabs, groups, spare = cover or Cover(
-        0, [0] * (n_base + 1), [0] * n_base
-    )
-    grouped = 0
-    for mask in groups:
-        grouped |= mask
-    if len(groups) <= spare:  # every leftover fits in the groups
-        need &= ~grouped
-        groups, grouped = (), 0
+    cover = cover or Cover(0, [0] * (n_base + 1), [0] * n_base)
+    need, counted, spare, count = cover.need, cover.counted, cover.spare, cover.count
+    if not need & counted or count(need & counted) <= spare:
+        need &= ~counted  # every leftover fits
+        counted = 0
+    elif not spare:
+        counted = 0  # a counted rectangle needs a line
 
-    def fits(left: int) -> bool:
+    def fits(left: int) -> bool:  # no more rectangles than spare need no count
         return not left or (
-            not left & ~grouped and sum(1 for mask in groups if left & mask) <= spare
+            not left & ~counted and (left.bit_count() <= spare or count(left) <= spare)
         )
 
-    meets = [slot_meets[i] for i in cand_slots]
-    stabs = [line_stabs[t] for t in free]
+    meets = [cover.slots[i] for i in cand_slots]
+    stabs = [cover.lines[t] for t in free]
     slot_reach, line_reach = suffix_ors(meets), suffix_ors(stabs)
 
     def slot_combos(n, n_lines, p, combo, gaps, missing):
@@ -571,7 +591,7 @@ class Orientation:
         self.inst = inst
         # k_v -> preselect's (H1, V0), or its None for an infeasible split
         self._preselected: dict[int, Optional[tuple]] = {}
-        self._vcovers: dict[tuple, tuple[Cover, list[int]]] = {}  # by (H1, V0)
+        self._vcovers: dict[tuple, Cover] = {}  # by (H1, V0), with no heavy line
 
     @classmethod
     def of(cls, inst: Instance) -> Orientation:
@@ -590,22 +610,33 @@ class Orientation:
             self._preselected[k_v] = preselect(self.inst, k_v)
         return self._preselected[k_v]
 
-    def vertical_cover(self, h1: tuple[int, ...], v0: tuple[int, ...]) -> tuple[Cover, list[int]]:
-        """(cover, held) for the pool v0 when H1 is preselected: the cover,
-        with spare 0, that every vertical guess must reach (see Cover), and
-        held[i], every rectangle open slot i holds, from which solve_split
-        reads which kernel rectangles a guess's strips hold."""
-        key = (h1, v0)
-        if key not in self._vcovers:
+    def vertical_cover(self, h1: tuple[int, ...], v0: tuple[int, ...], k: int) -> Cover:
+        """The cover, with spare 0, that every vertical guess over the pool
+        v0 must reach when H1 is preselected under the budget k (see
+        Cover). Its slot masks are the open slots' hold masks over every
+        rectangle, from which solve_split also reads which kernel
+        rectangles a guess's strips hold. The cover with no heavy line is
+        kept by (H1, V0); the covers of every k share its order and its
+        counts, and drop what heavy lines stab from its need and counted."""
+        cover = self._vcovers.get((h1, v0))
+        if cover is None:
             full = (1 << len(self.inst.rects)) - 1
             missed = full & ~self.stabbed(h1, ())
-            held = held_masks(self.inst, Axis.VERTICAL, v0, full)
-            walls = [0, *(self.vmask[t] for t in v0), 0]  # slot i lies between walls i, i + 1
-            slots = [m | ((walls[i] | walls[i + 1]) & ~self.v_only) for i, m in enumerate(held)]
-            lines = [self.vmask[t] for t in v0]
-            groups = held_masks(self.inst, Axis.HORIZONTAL, h1, missed & ~self.v_only)
-            self._vcovers[key] = Cover(missed, slots, lines, groups), held
-        return self._vcovers[key]
+            cover = self._vcovers[(h1, v0)] = Cover(
+                missed,
+                held_masks(self.inst, Axis.VERTICAL, v0, full),
+                [self.vmask[t] for t in v0],
+                self.horder,
+                missed & ~self.v_only,
+            )
+        heavy = 0
+        for t in v0:
+            group = self.vmask[t] & cover.counted
+            if group.bit_count() >= 2 * k + 2 and cover.count(group) >= 2 * k + 2:
+                heavy |= group
+        if heavy:
+            cover = replace(cover, need=cover.need & ~heavy, counted=cover.counted & ~heavy)
+        return cover
 
     @cached_property
     def hmask(self) -> tuple[int, ...]:
@@ -616,6 +647,15 @@ class Orientation:
     def vmask(self) -> tuple[int, ...]:
         """Stab mask of each vertical candidate, by candidate index."""
         return line_masks(self.inst, Axis.VERTICAL)
+
+    @cached_property
+    def horder(self) -> list[tuple[int, int, int]]:
+        """(a, b, i) for each rectangle i some horizontal candidate stabs,
+        hlines[a:b] its horizontal stabbers, by b, then a, then i: the
+        order a vertical cover counts in."""
+        ranges, ids = self.inst.stabbers
+        spans = ((*ranges[j][:2], i) for i, j in enumerate(ids))
+        return sorted(((a, b, i) for a, b, i in spans if a < b), key=itemgetter(1, 0, 2))
 
     @cached_property
     def v_only(self) -> int:
@@ -659,13 +699,13 @@ def solve_split(
     if len(h1) > 2 * k_h:
         return None  # no horizontal guess can fit the budget
 
-    vcover, vheld = tables.vertical_cover(h1, v0)
-    vcover = vcover._replace(spare=2 * k_h - len(h1))
+    vcover = replace(tables.vertical_cover(h1, v0, k_h + k_v), spare=2 * k_h - len(h1))
     # A guess can succeed only if it reaches vcover (every rectangle no
-    # horizontal candidate stabs, and the other rectangles H1 misses but
-    # those in at most 2k_h - |H1| open H1 slots) and every kernel
-    # rectangle is held by a guessed strip of either axis or stabbed by H1'
-    # (hcover): see Cover.
+    # horizontal candidate stabs, and leaves of the others, but those in
+    # heavy groups, what at most 2k_h - |H1| horizontal candidates stab)
+    # and every kernel rectangle is held by a guessed strip of either axis
+    # or stabbed by H1' (hcover): see Cover. The kernel starts from every
+    # rectangle H1 and V1 miss, never from vcover's need.
     # The enumerators yield only guesses that reach their cover with a
     # candidate inside every strip, so assemble_2sat has no GuessInfeasible
     # to raise here; one would be a broken invariant and propagates instead
@@ -673,10 +713,10 @@ def solve_split(
     for vg in enumerate_vertical_guesses(v0, k_v, len(inst.vlines), vcover):
         stats.vertical_guesses += 1
         kept, h0 = eliminate_redundant(tables, h1, vg, k_h + k_v)
-        unstabbed = kept & vcover.need & ~tables.stabbed((), vg.lines)
+        unstabbed = kept & ~tables.stabbed(h1, vg.lines)
         off_vstrips = unstabbed
         for i in vg.slots:
-            off_vstrips &= ~vheld[i]
+            off_vstrips &= ~vcover.slots[i]
         hbase = sorted(set(h1) | set(h0))
         hcover = Cover(
             off_vstrips,

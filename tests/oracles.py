@@ -198,11 +198,12 @@ def separated_families(
                         yield strip_combo, line_pick
 
 
-def cover_reached(cover, slots: Iterable[int], lines: Iterable[int]) -> bool:
-    """Does a guess with these slot and line indices reach an
-    approx.Cover, by its definition? The rectangles (bit indices) of need
-    that no chosen slot reaches and no picked line stabs must each lie in
-    a group, and in at most cover.spare distinct groups."""
+def cover_reached(cover: Cover, slots: Iterable[int], lines: Iterable[int]) -> bool:
+    """Does a guess with these slot and line indices reach an approx.Cover,
+    by its definition? The rectangles (bit indices) of need that no chosen
+    slot reaches and no picked line stabs must each be in cover.counted,
+    and some cover.spare indices must hit every range [a, b) cover.order
+    gives them, found by trying every index set of each size."""
 
     def members(mask: int) -> set[int]:
         return {i for i in range(mask.bit_length()) if mask >> i & 1}
@@ -212,49 +213,15 @@ def cover_reached(cover, slots: Iterable[int], lines: Iterable[int]) -> bool:
         left -= members(cover.slots[i])
     for t in lines:
         left -= members(cover.lines[t])
-    groups = [members(g) for g in cover.groups]
-    return all(any(r in g for g in groups) for r in left) and (
-        sum(1 for g in groups if g & left) <= cover.spare
+    ranges = {i: (a, b) for a, b, i in cover.order}
+    if not left <= members(cover.counted):
+        return False
+    points = range(max((b for a, b in ranges.values()), default=0))
+    return any(
+        all(any(ranges[i][0] <= p < ranges[i][1] for p in pick) for i in left)
+        for n in range(cover.spare + 1)
+        for pick in combinations(points, n)
     )
-
-
-def horizontal_guess_reaches(
-    inst: Instance,
-    h1: Sequence[int],
-    h0: Sequence[int],
-    kept: Iterable[Rect],
-    vstrips: Sequence[Strip],
-    v1: Iterable[int],
-    budget: int,
-) -> bool:
-    """Can some horizontal guess complete a vertical guess (strips
-    vstrips, lines v1) on inst, by the definition? After kernelization
-    (the kept rectangles of inst and the pool H0), it asks for a separated
-    family of at most budget open strips of the H1 | H0 arrangement and
-    lines of H0 off H1 (separated_families) that holds or stabs every kept
-    rectangle that H1 and V1 miss and that no strip of vstrips holds
-    (strip_holds over inst's candidates). Strips with no candidate inside
-    hold nothing, so this holds whenever the horizontal enumerator yields
-    a guess under solve_split's hcover."""
-    base = sorted(set(h1) | set(h0))
-    fixed = frozenset(t for t, y in enumerate(base) if y in set(h1))
-    free = [t for t in range(len(base)) if t not in fixed]
-    hstrips = strips_of(Axis.HORIZONTAL, base)
-    need = [
-        r
-        for r in kept
-        if not any(stabs(Line(Axis.HORIZONTAL, y), r) for y in h1)
-        and not any(stabs(Line(Axis.VERTICAL, x), r) for x in v1)
-        and not any(strip_holds(s, r, inst.vlines) for s in vstrips)
-    ]
-    for slot_combo, line_pick in separated_families(len(base), fixed, free, budget):
-        if all(
-            any(strip_holds(hstrips[i], r, inst.hlines) for i in slot_combo)
-            or any(stabs(Line(Axis.HORIZONTAL, base[t]), r) for t in line_pick)
-            for r in need
-        ):
-            return True
-    return False
 
 
 def preselect_by_sweep(
@@ -372,26 +339,88 @@ def eliminate_by_rescan(
     return full & ~removed, tuple(h0)
 
 
-def vertical_cover_two_halves(inst: Instance, h1: Sequence[int], v0: Sequence[int]) -> Cover:
-    """Two-bit reference for the cover of rectstab.approx's
-    Orientation.vertical_cover, with spare 0, for H1 and V0 in positions
-    (to_positions): every rectangle r has bit r, needed for the rectangles
-    no horizontal candidate stabs and reached by an open V0 slot that
-    holds it, and bit n + r, needed for the rectangles H1 misses, reached
-    by an open V0 slot that holds it or a slot boundary that stabs it, and
-    grouped by the open H1 slot that holds it. A V0 line reaches both bits
-    of what it stabs. Every mask is decided from the coordinates."""
-    n = len(inst.rects)
-    full = (1 << n) - 1
-    v_only = full & ~stabbed_by(inst, Axis.HORIZONTAL, inst.hlines)
-    missed = full & ~stabbed_by(inst, Axis.HORIZONTAL, h1)
-    held = held_by_definition(inst, Axis.VERTICAL, v0, full)
-    vmask = [stabbed_by(inst, Axis.VERTICAL, [x]) for x in v0]
-    walls = [0, *vmask, 0]  # slot i lies between walls i, i + 1
-    slots = [m | (m | walls[i] | walls[i + 1]) << n for i, m in enumerate(held)]
-    lines = [m | m << n for m in vmask]
-    groups = [g << n for g in held_by_definition(inst, Axis.HORIZONTAL, h1, missed)]
-    return Cover(v_only | missed << n, slots, lines, groups)
+def horizontal_need(inst: Instance, rects: Iterable[Rect]) -> int:
+    """Fewest horizontal candidates of inst that stab every one of rects,
+    each stabbed by some candidate: stab_1d over their y extents."""
+    return len(stab_1d([(r.y1, r.y2) for r in rects], inst.hlines))
+
+
+def heavy_lines(inst: Instance, h1: Sequence[int], v0: Sequence[int], k: int) -> list[int]:
+    """The V0 lines (positions) that are heavy under the budget k when H1
+    is preselected, by the definition: the line's group, the rectangles it
+    stabs that H1 misses and some horizontal candidate stabs, needs at
+    least 2k + 2 horizontal lines."""
+
+    def in_group(x: int, r: Rect) -> bool:
+        return (
+            r.x1 <= x <= r.x2
+            and not any(r.y1 <= y <= r.y2 for y in h1)
+            and any(r.y1 <= y <= r.y2 for y in inst.hlines)
+        )
+
+    return [
+        x
+        for x in v0
+        if horizontal_need(inst, [r for r in inst.rects if in_group(x, r)]) >= 2 * k + 2
+    ]
+
+
+def w_prime(
+    inst: Instance,
+    h1: Sequence[int],
+    v0: Sequence[int],
+    k: int,
+    vstrips: Sequence[Strip],
+    v1: Iterable[int],
+) -> list[Rect]:
+    """W' of a vertical guess (strips vstrips and lines v1 over the pool
+    v0) under the budget k when H1 is preselected, all in positions, by
+    the definition: the rectangles that some horizontal candidate stabs,
+    that H1 and V1 miss, that no strip of vstrips holds (strip_holds over
+    inst's candidates) and that no heavy V0 line (heavy_lines) stabs."""
+    heavy = heavy_lines(inst, h1, v0, k)
+    return [
+        r
+        for r in inst.rects
+        if any(r.y1 <= y <= r.y2 for y in inst.hlines)
+        and not any(r.y1 <= y <= r.y2 for y in h1)
+        and not any(r.x1 <= x <= r.x2 for x in (*v1, *heavy))
+        and not any(strip_holds(s, r, inst.vlines) for s in vstrips)
+    ]
+
+
+def vertical_guess_fits(
+    inst: Instance,
+    h1: Sequence[int],
+    v0: Sequence[int],
+    k: int,
+    budget: int,
+    vstrips: Sequence[Strip],
+    v1: Iterable[int],
+) -> bool:
+    """Does a vertical guess (strips vstrips, lines v1) pass the W' bound,
+    by the definition? Every rectangle no horizontal candidate stabs must
+    be held by a strip of vstrips or stabbed by V1, and at most budget
+    horizontal candidates must stab its W' (w_prime)."""
+    v1 = set(v1)
+    for r in inst.rects:
+        if not any(r.y1 <= y <= r.y2 for y in inst.hlines):
+            if not any(r.x1 <= x <= r.x2 for x in v1) and not any(
+                strip_holds(s, r, inst.vlines) for s in vstrips
+            ):
+                return False
+    return horizontal_need(inst, w_prime(inst, h1, v0, k, vstrips, v1)) <= budget
+
+
+def heavy_column(layers: int = 6) -> Instance:
+    """A reduced instance whose two V0 lines are heavy at budget 2: two
+    columns of layers stacked rectangles, x = 1 stabbing the left column
+    and x = 5 the right one, and one horizontal candidate per layer that
+    stabs the layer's two rectangles. Its optimum is the two vertical
+    lines; each column needs layers horizontal lines, at least 2k + 2 = 6
+    for k = 2."""
+    rects = [Rect(x1, x1 + 1, 3 * j, 3 * j + 1) for x1 in (0, 5) for j in range(layers)]
+    return Instance(rects, [3 * j for j in range(layers)], [1, 5])
 
 
 def dominance_reduce(inst: Instance) -> Instance:

@@ -923,10 +923,12 @@ def test_search_counters_pinned():
     """SearchStats and answer sizes on pinned instances, recorded once the
     enumerators stopped yielding guesses that cannot reach 2-SAT: a strip
     with no interior candidate, a rectangle no horizontal candidate stabs
-    left to no vertical strip or V1 line, a vertical guess leaving the
-    rectangles H1 misses to more open H1 slots than the horizontal budget
-    2k_h - |H1| has items, or a kernel rectangle left to no strip that
-    holds one of its stabbers and no H1' line. splits counts the splits
+    left to no vertical strip or V1 line, a vertical guess leaving W' (the
+    rectangles H1 misses, some horizontal candidate stabs and no heavy V0
+    line stabs) to more horizontal candidates than the budget 2k_h - |H1|
+    has items, or a kernel rectangle left to no strip that holds one of
+    its stabbers and no H1' line. The W' count cut uniform seed 3 from 3
+    vertical guesses to 1, with the same answer. splits counts the splits
     searched, those whose size bound reaches the packing bound (7 on each
     uniform instance here). A change that prunes guesses or splits must
     update these literals and say why."""
@@ -938,9 +940,7 @@ def test_search_counters_pinned():
     stats = SearchStats()
     k, sol = solve_min(gen_uniform(60, 60, 40, 3), 12, stats)
     assert (k, len(sol)) == (5, 8)
-    assert stats == SearchStats(
-        splits=5, vertical_guesses=3, horizontal_guesses=1, twosat_calls=1
-    )
+    assert stats == SearchStats(splits=5, vertical_guesses=1, horizontal_guesses=1, twosat_calls=1)
 
     # The ladder counts what searches of each budget on fresh copies do.
     inst = gen_uniform(60, 60, 40, 4)
@@ -960,6 +960,20 @@ def test_search_counters_pinned():
     stats = SearchStats()
     assert len(solve_with_budget(inst, 7, stats)) == 7
     assert stats == SearchStats(splits=1, vertical_guesses=1, horizontal_guesses=1, twosat_calls=1)
+
+
+def test_hard_family_rungs_make_one_vertical_guess():
+    """On the clique-reduction instances (4, 3) U and (4, 4) P the ladder
+    stops at budget 12 with 20 lines. The W' count cuts every vertical
+    guess of the rung but the one whose 2-SAT call is satisfiable.
+    Counting the open H1 slots the leftover meets instead lets 192
+    through."""
+    for r, plant in ((3, False), (4, True)):
+        inst = reduction.build(gen_mcgraph(4, r, 1, 3, 1, plant)[0]).inst
+        stats = SearchStats()
+        sol = solve_with_budget(inst, 12, stats)
+        assert verify(inst, sol) == [] and len(sol) == 20
+        assert (stats.vertical_guesses, stats.twosat_calls) == (1, 1)
 
 
 def test_orientations_are_freed_without_the_cyclic_gc():

@@ -7,11 +7,13 @@ On every small arrangement they must agree pair for pair, in order.
 
 import random
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 
 from rectstab.approx import (
     Cover,
+    GuessInfeasible,
     Orientation,
     SearchStats,
     _separated_families,
@@ -20,23 +22,26 @@ from rectstab.approx import (
     enumerate_horizontal_guesses,
     enumerate_vertical_guesses,
     preselect,
+    solve_min,
     solve_split,
 )
 from rectstab.core import Axis, Solution, bits, drop_dominated, transpose
-from rectstab.generators import gen_planted, gen_uniform
+from rectstab.generators import gen_mcgraph, gen_planted, gen_uniform
+from rectstab.reduction import build
 from rectstab.twosat import solve as solve_2sat
 
 from oracles import (
     Strip,
     cover_reached,
     guess_strips,
-    horizontal_guess_reaches,
+    heavy_column,
+    heavy_lines,
     horizontal_guesses_at,
     separated_families,
     strip_holds,
     strips_of,
     to_positions,
-    vertical_cover_two_halves,
+    vertical_guess_fits,
     vertical_guesses_at,
 )
 
@@ -81,23 +86,30 @@ def test_families_match_reference_on_every_small_arrangement():
 
 def _random_cover(rng, n_base):
     """A cover over 6 rectangles with sparse masks, so that suffix-OR cuts
-    fire, and each rectangle in one of 3 groups or in none."""
+    fire, most rectangles listed in the order over a random nonempty
+    range of 5 indices, and a random part of those counted."""
 
     def sparse():
         return rng.getrandbits(6) & rng.getrandbits(6)
 
-    group_of = [rng.randrange(-1, 3) for _ in range(6)]
+    order = []
+    for i in range(6):
+        if rng.random() < 0.7:
+            a = rng.randrange(5)
+            order.append((a, rng.randrange(a + 1, 6), i))
+    order.sort(key=lambda o: (o[1], o[0]))
     return Cover(
         need=rng.getrandbits(6),
         slots=[sparse() for _ in range(n_base + 1)],
         lines=[sparse() for _ in range(n_base)],
-        groups=[sum(1 << r for r in range(6) if group_of[r] == g) for g in range(3)],
+        order=order,
+        counted=sum(1 << i for _, _, i in order) & rng.getrandbits(6),
         spare=rng.randrange(4),
     )
 
 
 def test_families_with_a_cover_match_the_filtered_reference():
-    """Cover-first generation, grouped leftovers included, yields exactly
+    """Cover-first generation, counted leftovers included, yields exactly
     the reference pairs that reach the cover, in order."""
     rng = random.Random(8)
     cut = 0
@@ -108,7 +120,7 @@ def test_families_with_a_cover_match_the_filtered_reference():
                 cand = [i for i in range(n_base + 1) if rng.random() < 0.7]
                 cover = _random_cover(rng, n_base)
                 if rng.random() < 0.3:
-                    cover = cover._replace(groups=(), spare=0)
+                    cover = replace(cover, counted=0, spare=0)
                 expected = [
                     (s, l)
                     for s, l in full
@@ -176,55 +188,71 @@ def _leaves_v_only(inst, vg):
     )
 
 
+def _cover_pool():
+    """Upright orientations of gen_uniform(40, 40, 30, seed) for seeds 0-5
+    and of the heavy column, whose V0 lines are heavy at budget 2."""
+    pool = [drop_dominated(gen_uniform(40, 40, 30, seed)) for seed in range(6)]
+    return [Orientation(inst) for inst in (*pool, heavy_column())]
+
+
 def test_vertical_cover_masks_by_definition():
-    """One bit per rectangle H1 misses. One no horizontal candidate stabs
-    is reached by the open V0 slots that hold it and lies in no group; any
-    other also by the V0 slots whose boundary line stabs it, in the group
-    of the open H1 slot it lies in. Lines stab their own rectangles. The
-    hold masks beside the cover are the open V0 slots' over every
-    rectangle."""
-    for seed in range(6):
-        inst = drop_dominated(gen_uniform(40, 40, 30, seed))
-        tables = Orientation(inst)
+    """The cover needs every rectangle H1 misses but those some heavy V0
+    line stabs and some horizontal candidate stabs, and counts the needed
+    rectangles some horizontal candidate stabs. Its order lists every
+    rectangle some horizontal candidate stabs with the range of those
+    candidates, by the range's end, then start. Its slot masks are the
+    open V0 slots' hold masks over every rectangle, and its lines stab
+    their own rectangles."""
+    heavy_seen = 0
+    for tables in _cover_pool():
+        inst = tables.inst
         for k_v in range(1, 5):
             pre = tables.preselected(k_v)
             if pre is None:
                 continue
-            cover, held = tables.vertical_cover(*pre)
             h1, v0 = to_positions(inst.hlines, pre[0]), to_positions(inst.vlines, pre[1])
-            bounds = [None, *v0, None]
 
             def mask(pred):
                 return sum(1 << i for i, r in enumerate(inst.rects) if pred(r))
 
-            def walls(i):
-                ends = [x for x in bounds[i : i + 2] if x is not None]
-                return lambda r: any(r.x1 <= x <= r.x2 for x in ends)
+            def stabbed(y_lines, x_lines):
+                return lambda r: any(r.y1 <= y <= r.y2 for y in y_lines) or any(
+                    r.x1 <= x <= r.x2 for x in x_lines
+                )
 
-            missed = mask(lambda r: not any(r.y1 <= y <= r.y2 for y in h1))
-            v_only = mask(lambda r: not any(r.y1 <= y <= r.y2 for y in inst.hlines))
-            assert cover.need == missed and cover.spare == 0
-            for i, strip in enumerate(strips_of(V, v0)):
-                open_held = mask(lambda r: strip_holds(strip, r, inst.vlines))
-                assert held[i] == open_held
-                assert cover.slots[i] == open_held | mask(walls(i)) & ~v_only
-            for t, x in enumerate(v0):
-                assert cover.lines[t] == mask(lambda r: r.x1 <= x <= r.x2)
-            groups = [
-                mask(lambda r: s.contains_pos(r.y1) and s.contains_pos(r.y2)) & ~v_only
-                for s in strips_of(H, h1)
-            ]
-            assert cover.groups == groups and sum(groups) == missed & ~v_only
+            for k in range(k_v, k_v + 3):
+                cover = tables.vertical_cover(*pre, k)
+                heavy = heavy_lines(inst, h1, v0, k)
+                heavy_seen += len(heavy)
+                v_only = mask(lambda r: not stabbed(inst.hlines, ())(r))
+                missed = mask(lambda r: not stabbed(h1, ())(r))
+                need = missed & ~(mask(stabbed((), heavy)) & ~v_only)
+                assert cover.need == need and cover.spare == 0
+                assert cover.counted == need & ~v_only
+                ranges = [
+                    ([t for t, y in enumerate(inst.hlines) if r.y1 <= y <= r.y2], i)
+                    for i, r in enumerate(inst.rects)
+                ]
+                assert cover.order == sorted(
+                    ((ts[0], ts[-1] + 1, i) for ts, i in ranges if ts), key=lambda o: (o[1], o[0])
+                )
+                for i, strip in enumerate(strips_of(V, v0)):
+                    assert cover.slots[i] == mask(lambda r: strip_holds(strip, r, inst.vlines))
+                for t, x in enumerate(v0):
+                    assert cover.lines[t] == mask(stabbed((), [x]))
+    assert heavy_seen > 0
 
 
-def test_one_bit_cover_yields_as_the_two_halves():
-    """The cover with one bit per rectangle H1 misses yields the same
-    vertical guesses, in the same order, as the two-bit reference that
-    also needs every rectangle no horizontal candidate stabs at a grouped
-    bit n + r; the group bound keeps cutting guesses on this pool."""
+def test_vertical_cover_yields_the_guesses_w_prime_keeps():
+    """Under its cover with spare b, the vertical enumeration yields, in
+    order, exactly the unbounded stream's guesses that pass the W' bound
+    by the definition (oracles.vertical_guess_fits): every rectangle no
+    horizontal candidate stabs is held by a guessed strip or stabbed by
+    V1, and at most b horizontal candidates stab W'. The bound cuts
+    guesses on this pool."""
     cut = 0
-    for seed in range(40):
-        upright = Orientation(drop_dominated(gen_uniform(40, 40, 30, seed)))
+    pool = [Orientation(drop_dominated(gen_uniform(40, 40, 30, seed))) for seed in range(40)]
+    for upright in (*pool, Orientation(heavy_column())):
         for tables in (upright, upright.flipped):
             inst = tables.inst
             for k_v in range(5):
@@ -232,32 +260,58 @@ def test_one_bit_cover_yields_as_the_two_halves():
                 if pre is None:
                     continue
                 h1, v0 = pre
-                cover, _ = tables.vertical_cover(h1, v0)
-                two_halves = vertical_cover_two_halves(
-                    inst, to_positions(inst.hlines, h1), to_positions(inst.vlines, v0)
-                )
+                h1_at, v0_at = to_positions(inst.hlines, h1), to_positions(inst.vlines, v0)
                 m = len(inst.vlines)
-                unbounded = cover._replace(spare=len(cover.groups))
-                n_unbounded = sum(1 for _ in enumerate_vertical_guesses(v0, k_v, m, unbounded))
-                for spare in range(4):
-                    one_bit = list(
-                        enumerate_vertical_guesses(v0, k_v, m, cover._replace(spare=spare))
-                    )
-                    assert one_bit == list(
-                        enumerate_vertical_guesses(v0, k_v, m, two_halves._replace(spare=spare))
-                    )
-                    cut += n_unbounded - len(one_bit)
+                stream = list(enumerate_vertical_guesses(v0, k_v, m))
+                for k_h in range((len(h1) + 1) // 2, k_v + 1):
+                    spare = 2 * k_h - len(h1)
+                    cover = replace(tables.vertical_cover(h1, v0, k_h + k_v), spare=spare)
+                    kept = list(enumerate_vertical_guesses(v0, k_v, m, cover))
+                    expected = []
+                    for vg in stream:
+                        vg_at = to_positions(inst.vlines, vg)
+                        strips = guess_strips(V, vg_at.base, vg_at.slots)
+                        if vertical_guess_fits(
+                            inst, h1_at, v0_at, k_h + k_v, spare, strips, vg_at.lines
+                        ):
+                            expected.append(vg)
+                    assert kept == expected
+                    cut += len(stream) - len(kept)
     assert cut >= 500, cut
 
 
+def _completes(tables, h1, vg, k, k_h):
+    """Does some horizontal guess of at most 2k_h - |H1| items complete
+    the vertical guess vg, kernelized under the budget k, to a satisfying
+    2-SAT assignment? Every horizontal guess is tried with no cover, on
+    the kernel of every kept rectangle its lines and H1 and V1 miss."""
+    inst = tables.inst
+    kept, h0 = eliminate_redundant(tables, h1, vg, k)
+    for hg in enumerate_horizontal_guesses(h1, h0, k_h, len(inst.hlines)):
+        kernel = kept & ~tables.stabbed((*h1, *hg.lines), vg.lines)
+        try:
+            formula, _ = assemble_2sat(kernel, vg, hg, inst)
+        except GuessInfeasible:
+            continue
+        if solve_2sat(formula) is not None:
+            return True
+    return False
+
+
 def test_budget_bound_drops_only_guesses_no_horizontal_guess_completes():
-    """The vertical cover's horizontal-budget bound against its reference:
-    the guesses it drops from the unbounded stream (every separated guess
-    that reaches the rectangles no horizontal candidate stabs) are those
-    no horizontal guess of at most 2k_h - |H1| items can complete after
-    kernelization, and the rest keep their order."""
+    """The vertical cover's W' bound against the search it cuts: the
+    guesses it drops from the unbounded stream (every separated guess that
+    reaches the rectangles no horizontal candidate stabs) are guesses no
+    horizontal guess of at most 2k_h - |H1| items completes to a
+    satisfiable 2-SAT call, after kernelization under the split's budget
+    or any larger one, and the rest keep their order. Pinned-RNG uniform,
+    planted and reduction instances."""
     pool = [gen_uniform(60, 60, 40, seed) for seed in range(24)]
     pool += [gen_planted(k=3 + seed % 3, n=24, coord_range=30, seed=seed)[0] for seed in range(12)]
+    pool += [
+        build(gen_mcgraph(2, 2 + seed % 2, 1, 3, seed, plant=seed < 2)[0]).inst
+        for seed in range(4)
+    ]
     dropped = Counter()
     for raw in pool:
         for inst in (drop_dominated(raw), drop_dominated(transpose(raw))):
@@ -269,9 +323,9 @@ def test_budget_bound_drops_only_guesses_no_horizontal_guess_completes():
                     continue
                 h1, v0 = pre
                 spare = 2 * k_h - len(h1)
-                cover, _ = tables.vertical_cover(h1, v0)
+                cover = tables.vertical_cover(h1, v0, k_h + k_v)
                 m = len(inst.vlines)
-                bounded = list(enumerate_vertical_guesses(v0, k_v, m, cover._replace(spare=spare)))
+                bounded = list(enumerate_vertical_guesses(v0, k_v, m, replace(cover, spare=spare)))
                 old = [
                     vg
                     for vg in enumerate_vertical_guesses(v0, k_v, m)
@@ -282,22 +336,36 @@ def test_budget_bound_drops_only_guesses_no_horizontal_guess_completes():
                 for vg in old:
                     if vg in kept:
                         continue
-                    ys, vg_at = inst.hlines, to_positions(inst.vlines, vg)
-                    strips = guess_strips(V, vg_at.base, vg_at.slots)
                     for k in range(k_h + k_v, 7):
-                        mask, h0 = eliminate_redundant(tables, h1, vg, k)
-                        rects = [inst.rects[i] for i in bits(mask)]
-                        assert not horizontal_guess_reaches(
-                            inst,
-                            to_positions(ys, h1),
-                            to_positions(ys, h0),
-                            rects,
-                            strips,
-                            vg_at.lines,
-                            spare,
-                        )
+                        assert not _completes(tables, h1, vg, k, k_h)
                     dropped["spare > 0" if spare else "spare 0"] += 1
     assert dropped["spare 0"] > 100 and dropped["spare > 0"] > 100, dropped
+
+
+def test_heavy_line_rectangles_stay_in_the_2sat_kernel():
+    """On the heavy column both V0 lines are heavy at budget 2, so the
+    vertical cover neither needs nor counts the columns, and the empty
+    vertical guess and each single line pass it. The 2-SAT kernel still
+    holds every rectangle H1 and V1 miss: those guesses leave a column no
+    horizontal guess of the budget 0 reaches, and the first 2-SAT call is
+    the guess of both lines. A kernel taken from the cover's need would
+    be empty at the empty guess and answer no line at all."""
+    inst = heavy_column()
+    tables = Orientation.of(inst)
+    h1, v0 = tables.preselected(2)
+    assert (h1, v0) == ((), (0, 1))
+    full = (1 << len(inst.rects)) - 1
+    cover = tables.vertical_cover(h1, v0, 2)
+    assert cover.need == 0 and cover.counted == 0
+    assert tables.vertical_cover(h1, v0, 3).need == full  # 6 layers < 2k + 2 = 8
+    stats = SearchStats()
+    found = solve_split(tables, 0, 2, stats)
+    assert stats == SearchStats(vertical_guesses=4, horizontal_guesses=1, twosat_calls=1)
+    assert found.vguess.lines == {0, 1} and found.kernel == 0
+    assert found.solution == Solution(hlines=(), vlines=(1, 5))
+    stats = SearchStats()
+    assert solve_min(inst, 4, stats) == (2, found.solution)
+    assert stats.vertical_guesses == 4 and stats.twosat_calls == 1
 
 
 def _uncovered_split(inst, k_h, k_v):

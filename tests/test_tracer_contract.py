@@ -11,6 +11,8 @@ from rectstab.exact import SearchBudget
 from rectstab.generators import gen_mcgraph, gen_planted, gen_uniform
 from rectstab.reduction import build
 
+from oracles import heavy_column
+
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -44,13 +46,16 @@ def test_every_traced_layer_records_calls():
 
 def test_traced_yields_equal_the_guess_counters():
     """solve_split counts one guess per yield of the enumerators it looks up
-    in approx, so under the tracer the yield counts equal SearchStats."""
+    in approx, so under the tracer the yield counts equal SearchStats. The
+    heavy column yields three vertical guesses that no horizontal guess
+    completes, so counting 2-SAT calls instead of yields would show."""
     spans = _load_spans()
     tracer = spans.Tracer()
     stats = approx.SearchStats()
     with spans.installed(tracer):
         for seed in (3, 4, 10):
             approx.solve_min(gen_uniform(60, 60, 40, seed), 12, stats)
+        approx.solve_min(heavy_column(), 4, stats)
     assert stats.horizontal_guesses > 0 and stats.vertical_guesses > stats.twosat_calls
     yields = tracer.counts
     assert yields.get("approx.enumerate_vertical_guesses.yields") == stats.vertical_guesses
