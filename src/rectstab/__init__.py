@@ -32,7 +32,6 @@ from .generators import (
     gen_planted,
     gen_uniform,
 )
-from .greedy1d import Infeasible, stab_1d
 from .reduction import (
     MCClique,
     MCGraph,
@@ -56,7 +55,6 @@ __all__ = [
     "ExactStats",
     "Formula",
     "GuessInfeasible",
-    "Infeasible",
     "InseparablePoints",
     "Instance",
     "Line",
@@ -87,7 +85,6 @@ __all__ = [
     "solve_2sat",
     "solve_min",
     "solve_with_budget",
-    "stab_1d",
     "transpose",
     "verify",
 ]

@@ -136,7 +136,7 @@ def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple
         i = b
 
     hit = prefix_counts(h1, m)
-    v0 = _greedy_1d((c, d) for a, b, c, d in table.order if hit[a] == hit[b])
+    v0 = stab_1d((c, d) for a, b, c, d in table.order if hit[a] == hit[b])
     if v0 is None:
         raise RuntimeError("a class in an accepted gap has no vertical stabber")
     if len(v0) > k_v * (len(h1) + 1):
@@ -144,36 +144,18 @@ def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple
     return tuple(h1), tuple(v0)
 
 
-def _greedy_1d(ranges: Iterable[tuple[int, int]]) -> Optional[list[int]]:
-    """Indices of the vertical candidates, ascending, that the 1-D greedy
-    takes to stab the classes whose vertical stabbers are vlines[c:d],
-    given as (c, d) in order of d, then c. A class that starts above the
-    candidate taken last triggers and takes its highest candidate d - 1,
-    the index form of stab_1d's rightmost point; None when a triggering
-    class has no candidate (c == d)."""
-    taken: list[int] = []
-    last = -1  # below every candidate
-    for c, d in ranges:
-        if c > last:
-            if c == d:
-                return None
-            last = d - 1
-            taken.append(last)
-    return taken
-
-
 class _NeedRows:
     """preselect's table over one instance, kept in its memo (see of).
 
     order holds the stabber classes (a, b, c, d) of the instance sorted
-    once in the order the vertical 1-D greedy takes them: by d, then c.
-    rows[i] holds need(i, e) for e = i, i + 1, ...: the fewest vertical
-    candidates that stab the classes with a >= i and b <= e, one
-    _greedy_1d pass each, which is nondecreasing in e. A row ends at
-    e = len(hlines), or at its first infinite need, where such a class
-    has no vertical stabber. It is grown only as far as the largest
-    budget asked of it needs, so one budget makes no more passes than a
-    sweep from scratch. Each growth replaces the row whole, so threads
+    once in the order the vertical 1-D greedy (stab_1d) takes them: by d,
+    then c. rows[i] holds need(i, e) for e = i, i + 1, ...: the fewest
+    vertical candidates that stab the classes with a >= i and b <= e, one
+    stab_1d pass over their ranges (c, d) each, which is nondecreasing in
+    e. A row ends at e = len(hlines), or at its first infinite need, where
+    such a class has no vertical stabber. It is grown only as far as the
+    largest budget asked of it needs, so one budget makes no more passes
+    than a sweep from scratch. Each growth replaces the row whole, so threads
     racing on one row compute equal values."""
 
     def __init__(self, inst: Instance):
@@ -202,7 +184,7 @@ class _NeedRows:
         grown = list(row)
         while e <= self.m and need <= k_v:
             if e in ends:  # classes join the gap: one greedy pass
-                taken = _greedy_1d([(c, d) for b, c, d in gap if b <= e])
+                taken = stab_1d([(c, d) for b, c, d in gap if b <= e])
                 need = inf if taken is None else len(taken)
             grown.append(need)
             e += 1
@@ -268,10 +250,10 @@ class Cover:
     fits when counted holds all of it and at most spare horizontal
     candidates stab it. order lists (a, b, i), by b, then a, for every
     counted rectangle i (others may follow too): the horizontal candidates
-    [a, b) stab it, a < b. The count is _greedy_1d over the leftover's
-    ranges and reads no rectangle outside the leftover, so covers that
-    share order share their counts, kept by leftover mask
-    (dataclasses.replace keeps them).
+    [a, b) stab it, a < b. The count is stab_1d over the leftover's
+    ranges in order (_in_mask) and reads no rectangle outside the
+    leftover, so covers that share order share their counts, kept by
+    leftover mask (dataclasses.replace keeps them).
 
     A slot holds a rectangle (core.held_masks) when some candidate strictly
     inside it stabs the rectangle. That is sound: a satisfying assignment
@@ -285,7 +267,8 @@ class Cover:
     H1 misses. One that no horizontal candidate stabs is not counted: it
     must be held by an open guessed slot or stabbed by V1. A V0 line is
     heavy when its group, the rectangles it stabs that H1 misses and some
-    horizontal candidate stabs, needs at least 2k + 2 horizontal lines.
+    horizontal candidate stabs, needs at least 2k + 2 horizontal lines
+    (_heavy, the test kernelization runs on its groups too).
     need and counted drop every group of a heavy line, counted holds the
     rest of the groups' rectangles, and solve_split sets spare to the
     horizontal budget b = 2k_h - |H1|. The bound is sound: call W' what
@@ -318,9 +301,21 @@ class Cover:
         which order lists."""
         n = self.counts.get(mask)
         if n is None:
-            taken = _greedy_1d((a, b) for a, b, i in self.order if mask >> i & 1)
-            n = self.counts[mask] = len(taken)
+            n = self.counts[mask] = len(stab_1d(_in_mask(self.order, mask)))
         return n
+
+
+def _in_mask(order: Iterable[tuple[int, int, int]], mask: int) -> Iterator[tuple[int, int]]:
+    """The ranges (a, b), in order, of the entries (a, b, i) of order whose
+    rectangle i is in mask."""
+    return ((a, b) for a, b, i in order if mask >> i & 1)
+
+
+def _heavy(group: int, k: int, count: Callable[[int], int]) -> bool:
+    """Whether the rectangles of the mask group need at least 2k + 2
+    horizontal lines, count(group) of them. A group of fewer rectangles
+    cannot, so count runs only on a group that has as many."""
+    return group.bit_count() >= 2 * k + 2 and count(group) >= 2 * k + 2
 
 
 def _separated_families(
@@ -452,33 +447,36 @@ def eliminate_redundant(
     slot, left first: a removal only shrinks groups, so a boundary passed
     never fires again, and rescanning after each removal finds the same.
     K is everything kept, H0 a minimum horizontal stabbing of the kept
-    leftovers, by stab_1d over the closed index ranges (a, b - 1) of the
-    stabbers hlines[a:b]. H1, H0, V1 and vg.base are candidate indices.
+    leftovers. The group test and H0 run stab_1d over the stabber ranges
+    hlines[a:b] of their rectangles, in the order tables.horder keeps,
+    which lists every rectangle of the leftovers. H1, H0, V1 and vg.base
+    are candidate indices.
     """
     inst = tables.inst
     rects = inst.rects
-    ranges, ids = inst.stabbers
-    spans = [(a, b - 1) for a, b, _, _ in ranges]  # nonempty for every class in rprime
-    points = range(len(inst.hlines))
+    order = tables.horder
     full = (1 << len(rects)) - 1
     rprime = full & ~(tables.v_only | tables.stabbed(h1, vg.lines))
     removed = 0
+
+    def count(mask: int) -> int:
+        return len(stab_1d(_in_mask(order, mask)))
 
     clip = (I64_MIN, *(inst.vlines[t] for t in vg.base), I64_MAX)  # slot s: clip[s]..clip[s + 1]
     for s in sorted(vg.slots):
         lo, hi = clip[s], clip[s + 1]
         for t in vg.base[max(s - 1, 0) : s + 1]:  # the slot's boundaries, left first
             while True:
-                group = list(bits(tables.vmask[t] & rprime & ~removed))
-                if len(group) < 2 * k + 2:
-                    break  # too few rectangles to need 2k+2 lines
-                if len(stab_1d([spans[ids[i]] for i in group], points)) < 2 * k + 2:
+                group = tables.vmask[t] & rprime & ~removed
+                if not _heavy(group, k, count):
                     break
                 # every group member holds the boundary, so its clipped width is >= 0
-                widest = max(group, key=lambda i: (min(rects[i].x2, hi) - max(rects[i].x1, lo), -i))
+                widest = max(
+                    bits(group), key=lambda i: (min(rects[i].x2, hi) - max(rects[i].x1, lo), -i)
+                )
                 removed |= 1 << widest
 
-    h0 = stab_1d([spans[ids[i]] for i in bits(rprime & ~removed)], points)
+    h0 = stab_1d(_in_mask(order, rprime & ~removed))
     return full & ~removed, tuple(h0)
 
 
@@ -632,7 +630,7 @@ class Orientation:
         heavy = 0
         for t in v0:
             group = self.vmask[t] & cover.counted
-            if group.bit_count() >= 2 * k + 2 and cover.count(group) >= 2 * k + 2:
+            if _heavy(group, k, cover.count):
                 heavy |= group
         if heavy:
             cover = replace(cover, need=cover.need & ~heavy, counted=cover.counted & ~heavy)
@@ -652,7 +650,9 @@ class Orientation:
     def horder(self) -> list[tuple[int, int, int]]:
         """(a, b, i) for each rectangle i some horizontal candidate stabs,
         hlines[a:b] its horizontal stabbers, by b, then a, then i: the
-        order a vertical cover counts in."""
+        order stab_1d takes them in, restricted to a mask by _in_mask. A
+        vertical cover counts in it, and kernelization runs its group test
+        and H0 over it."""
         ranges, ids = self.inst.stabbers
         spans = ((*ranges[j][:2], i) for i, j in enumerate(ids))
         return sorted(((a, b, i) for a, b, i in spans if a < b), key=itemgetter(1, 0, 2))

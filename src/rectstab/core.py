@@ -20,9 +20,10 @@ rectangles with equal stabber sets can fall into several classes; the
 dominance reduction makes empty ranges (0, 0) per class, so that equal
 stabber sets have equal ranges. stab_mask (and through it verify) decides
 one hit per class and maps the answers back over the class ids, unless
-every class is hit; line_masks, held_masks, approx.preselect, approx's
-kernelization (eliminate_redundant, which hands greedy1d.stab_1d index
-ranges) and exact.opt_exact read the ranges, and drop_dominated starts
+every class is hit; line_masks, held_masks, approx.preselect,
+approx.Orientation.horder (the horizontal ranges the W' count and
+kernelization hand greedy1d.stab_1d as they are) and exact.opt_exact
+read the ranges, and drop_dominated starts
 its rounds from them; like the approximation's search, line_masks and
 held_masks name lines by candidate index. The instances the kernel
 derives come with a ready table and never bisect again: the reduced

@@ -24,11 +24,13 @@ mh+c..mh+d-1, read off the stabber table.
 Bound: no live line stabs two rectangles whose live stabber sets are
 disjoint, so a set of such rectangles (a packing) needs one more line
 each, and its size bounds the lines still to choose. The packing is
-seeded per axis with the triggers of the 1-D greedy (greedy1d) over the
-unstabbed rectangles only that axis can stab, run on their candidate
-index ranges [start, end) in order of end: a rectangle whose range
-starts after the candidate taken last is a trigger, and the greedy takes
-its candidate end - 1. Each trigger's range lies wholly above the
+seeded per axis with the triggers of the 1-D greedy over the unstabbed
+rectangles only that axis can stab, run on their candidate index ranges
+[start, end) in order of end: a rectangle whose range starts after the
+candidate taken last is a trigger, and the greedy takes its candidate
+end - 1. This is greedy1d.stab_1d's trigger rule, run inline: the seed
+needs each trigger's stabber mask, not the candidate it takes, and it
+runs at every search node. Each trigger's range lies wholly above the
 candidate taken for the one before, so their stabbers are pairwise
 disjoint, and there are as many as that axis's 1-D optimum. The two axes'
 triggers have stabbers on different axes. The seed is therefore never

@@ -4,13 +4,17 @@ They answer one question each by the definition, with no shared index
 structure, so they stay independent of the stabbing kernel in
 rectstab.core. They speak in coordinates; the approximation's search
 names lines by candidate index, and to_positions maps what it names to
-positions before any comparison with them.
+positions before any comparison with them. stab_1d is the 1-D greedy in
+coordinates: it sorts closed intervals and bisects the points, apart from
+the library's rectstab.greedy1d.stab_1d over candidate index ranges.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from rectstab.approx import (
@@ -29,7 +33,39 @@ from rectstab.core import (
     Solution,
     bits,
 )
-from rectstab.greedy1d import Infeasible, stab_1d
+
+
+class Infeasible(Exception):
+    """No candidate point lies inside the witness interval."""
+
+    def __init__(self, witness: tuple[int, int]):
+        self.witness = witness
+        super().__init__(f"interval [{witness[0]}, {witness[1]}] contains no candidate point")
+
+
+def stab_1d(intervals: Iterable[tuple[int, int]], points: Iterable[int]) -> list[int]:
+    """Minimum-cardinality subset of points piercing every closed interval.
+
+    points need not be sorted; the result is ascending. Raises ValueError
+    on an interval with lo > hi. Deterministic: the greedy rule forces
+    each choice (largest point <= hi of the first unpierced interval, and
+    >= its lo). Raises Infeasible with the first witnessing interval when
+    some interval contains no point.
+    """
+    order = sorted(intervals, key=itemgetter(1, 0))
+    for lo, hi in order:
+        if lo > hi:
+            raise ValueError(f"malformed interval ({lo}, {hi})")
+    points = sorted(points)
+    chosen: list[int] = []
+    for lo, hi in order:
+        if chosen and chosen[-1] >= lo:
+            continue  # chosen ascending, last one is the only useful check
+        i = bisect_right(points, hi) - 1
+        if i < 0 or points[i] < lo:
+            raise Infeasible((lo, hi))
+        chosen.append(points[i])
+    return chosen
 
 
 def to_positions(positions: Sequence[int], named):

@@ -1,10 +1,14 @@
+from bisect import bisect_left, bisect_right
 from itertools import combinations
+from operator import itemgetter
 
 import pytest
 
+from rectstab import greedy1d
 from rectstab.core import Axis, Instance, Rect
-from rectstab.greedy1d import Infeasible, stab_1d
 from rectstab.rng import Xoshiro256StarStar
+
+from oracles import Infeasible, stab_1d
 
 
 def min_piercing_size(intervals, points):
@@ -103,3 +107,26 @@ def test_projected_extents_infeasible():
 def test_malformed_interval_rejected():
     with pytest.raises(ValueError):
         stab_1d([(3, 1)], [])
+
+
+def test_index_ranges_match_exhaustive_minimum():
+    """The library helper on random intervals turned into index ranges over
+    sorted random points: the exhaustive minimum's size, the coordinate
+    greedy's points, and None exactly when some interval holds no point."""
+    rng = Xoshiro256StarStar(103)
+    for _ in range(500):
+        intervals = []
+        for _ in range(rng.randint(0, 10)):
+            lo = rng.randint(-15, 15)
+            intervals.append((lo, lo + rng.randint(0, 10)))
+        points = sorted({rng.randint(-15, 15) for _ in range(rng.randint(0, 12))})
+        # each interval as the range [start, end) of the sorted points it holds
+        ranges = [(bisect_left(points, lo), bisect_right(points, hi)) for lo, hi in intervals]
+        ranges.sort(key=itemgetter(1, 0))
+        oracle = min_piercing_size(intervals, points)
+        got = greedy1d.stab_1d(ranges)
+        assert (got is None) == any(start == end for start, end in ranges) == (oracle is None)
+        if got is not None:
+            assert len(got) == oracle
+            # the coordinate greedy's picks: the rightmost point of each trigger
+            assert [points[t] for t in got] == stab_1d(intervals, points)
