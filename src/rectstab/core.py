@@ -25,15 +25,13 @@ approx.Orientation.horder (the horizontal ranges the W' count and
 kernelization hand greedy1d.stab_1d as they are) and exact.opt_exact
 read the ranges, and drop_dominated starts
 its rounds from them; like the approximation's search, line_masks and
-held_masks name lines by candidate index. The instances the kernel
-derives come with a ready table and never bisect again: the reduced
-instance gets its kept classes' raw ranges renumbered to the kept lines,
-the equal copy Instance.reduced makes when nothing goes shares its
-source's table, and transpose swaps the two axes' ranges. Line masks go
-the same way: drop_dominated hands its result the masks of its last class
-pass when that pass kept every class, the equal copy shares whatever
-masks its source holds, and transpose hands over the masks its source
-holds with the axes swapped, building none.
+held_masks name lines by candidate index. A derived instance always
+carries its table and its line masks, and never bisects again:
+drop_dominated's result, always a new instance, is handed its kept
+classes' raw ranges renumbered to the kept lines and both axes' masks;
+transpose swaps the axes of its source's table and of the masks its
+source holds, building none, so a reduced instance's transpose carries
+both axes' masks too.
 
 The dominance reduction runs in rounds over stabber classes. Each round
 builds both axes' class masks once, keeps the undominated classes, keeps
@@ -195,16 +193,10 @@ class Instance:
 
     @cached_property
     def reduced(self) -> "Instance":
-        """drop_dominated(self), computed once per object. When nothing
-        goes it is an equal copy rather than self, so the memo holds no
-        reference back to its own object: a cycle would outlive every
-        reference to the instance until the cyclic GC runs. The copy
-        shares self's stabber table and the line masks self holds."""
-        reduced = drop_dominated(self)
-        if reduced is self:
-            equal = Instance(self.rects, self.hlines, self.vlines)
-            reduced = _handed(equal, self.stabbers, vars(self).get("_line_masks", {}))
-        return reduced
+        """drop_dominated(self), computed once per object. It is always a
+        new instance, so the memo holds no reference back to its own
+        object."""
+        return drop_dominated(self)
 
     def __getstate__(self) -> dict:
         # copies and pickles carry the fields only and start with no memo
@@ -249,10 +241,10 @@ def line_masks(inst: Instance, axis: Axis) -> tuple[int, ...]:
     inst.rects[i].
 
     The masks are built once per instance and axis and kept in its memo;
-    every call returns that tuple. A derived instance is handed the masks
-    its source already holds (drop_dominated, transpose,
-    Instance.reduced). Otherwise they are read off the stabber table
-    without bisecting: one pass over the class ids gathers each class's
+    every call returns that tuple. A derived instance is handed its masks:
+    drop_dominated hands over both axes', transpose those its source
+    holds. Otherwise they are read off the stabber table without
+    bisecting: one pass over the class ids gathers each class's
     rectangles, and each class sets its mask in the masks of its range of
     the axis's candidates."""
     held = vars(inst).setdefault("_line_masks", {})
@@ -357,7 +349,7 @@ def drop_dominated(inst: Instance) -> Instance:
     the other line can replace it in any solution. Dropping lines can make
     more rectangles dominated and dropping rectangles more lines, so the
     two passes repeat until neither drops anything. Rectangles keep their
-    input order; inst itself is returned when nothing goes.
+    input order.
 
     The rounds start from inst's stabber table and bisect nothing. Its
     classes with an empty range made (0, 0) on that axis merge where their
@@ -387,72 +379,65 @@ def drop_dominated(inst: Instance) -> Instance:
         before the merge. Each kept line was undominated then, against a
         superset of today's lines, so it stays.
 
-    One Instance is built at the end, from each kept class's first
-    rectangle, and it is handed its table: those rectangles' raw ranges
-    renumbered by prefix counts of the kept lines, one class each.
-
-    The result, inst itself included, is also handed its line masks (see
-    line_masks) when the last class pass kept every class: at exit (b), and at an exit (a)
-    that ends the first round. That pass's class masks are then exact.
-    They hold one mask per kept line, in candidate order, and bit j of
-    each stands for the pass's class j. Every class is kept, and the
-    classes run in ascending order, as do their first rectangles, so
-    class j is the result's rectangle j. After an exit (a) round that
-    dropped a class, bits still sit at the dropped classes' positions, so
-    nothing is handed over and the masks are built when asked for.
+    The classes are held as two parallel lists, their ranges and their
+    first classes, in ascending first class. One new Instance is built at
+    the end, whatever went, from each kept class's first rectangle. It is
+    handed its table: those rectangles' raw ranges renumbered by prefix
+    counts of the kept lines, one class each. It is handed both axes' line
+    masks (see line_masks) too: the class masks of the last class pass,
+    or, after an exit (a) round that dropped a class, whose bits still sit
+    at the dropped classes' positions, those of one more _class_masks
+    sweep over the kept classes. Either holds one mask per kept line, in
+    candidate order, with bit j for kept class j; the classes run in
+    ascending order, as do their first rectangles, so class j is the
+    result's rectangle j.
     """
     table = inst.stabbers
-    classes = _merge_classes(enumerate(table.ranges))
+    spans, firsts = _merge_classes(enumerate(table.ranges))
     # the input indices of the lines still in play
     hkept: Sequence[int] = range(len(inst.hlines))
     vkept: Sequence[int] = range(len(inst.vlines))
     renumbered = False
     while True:
-        spans = list(classes)
         hmasks, vmasks = _class_masks(spans, len(hkept), len(vkept))
         keep = _undominated_classes(spans, hmasks, vmasks)
         full = (1 << len(spans)) - 1
         if keep == full and renumbered:
             break  # exit (b): the line pass would keep every line
-        kept = spans
+        passed = spans  # the classes the bits of this pass's masks stand for
         if keep != full:
-            kept = [spans[j] for j in bits(keep)]
+            spans, firsts = [spans[j] for j in bits(keep)], [firsts[j] for j in bits(keep)]
             hmasks, vmasks = [m & keep for m in hmasks], [m & keep for m in vmasks]
-        ht, vt = _undominated_lines(spans, hmasks, vmasks)
+        ht, vt = _undominated_lines(passed, hmasks, vmasks)
         if (len(ht), len(vt)) == (len(hkept), len(vkept)):
-            classes = {s: classes[s] for s in kept}
+            if keep != full:  # bits still sit at the dropped classes' positions
+                hmasks, vmasks = _class_masks(spans, len(hkept), len(vkept))
             break  # exit (a): the next class pass would keep every class
         # the new index of a kept line or range end: the kept lines below it
         ph, pv = prefix_counts(ht, len(hkept)), prefix_counts(vt, len(vkept))
-        classes = _merge_classes(
-            (classes[a, b, c, d], (ph[a], ph[b], pv[c], pv[d])) for a, b, c, d in kept
-        )
+        spans, firsts = _merge_classes(zip(firsts, [(ph[a], ph[b], pv[c], pv[d]) for a, b, c, d in spans]))
         hkept, vkept = [hkept[t] for t in ht], [vkept[t] for t in vt]
         renumbered = True
-    # the last pass's masks are the result's line masks iff it kept every class
-    masks = {Axis.HORIZONTAL: tuple(hmasks), Axis.VERTICAL: tuple(vmasks)} if keep == full else {}
-    if (len(classes), len(hkept), len(vkept)) == (
-        len(inst.rects), len(inst.hlines), len(inst.vlines)
-    ):
-        return _handed(inst, table, masks)
     ph, pv = prefix_counts(hkept, len(inst.hlines)), prefix_counts(vkept, len(inst.vlines))
     rects, ranges = [], []
     i = 0
-    for j in classes.values():  # ascending, and so are the classes' first rectangles
+    for j in firsts:  # ascending, and so are the classes' first rectangles
         i = table.ids.index(j, i)
         a, b, c, d = table.ranges[j]
         rects.append(inst.rects[i])
         ranges.append((ph[a], ph[b], pv[c], pv[d]))
     reduced = Instance(rects, [inst.hlines[t] for t in hkept], [inst.vlines[t] for t in vkept])
+    masks = {Axis.HORIZONTAL: tuple(hmasks), Axis.VERTICAL: tuple(vmasks)}
     return _handed(reduced, Stabbers(ranges, array("I", range(len(ranges)))), masks)
 
 
 def _merge_classes(
     ranged: Iterable[tuple[int, tuple[int, int, int, int]]]
-) -> dict[tuple[int, int, int, int], int]:
-    """Ranges -> class, from (class, ranges) pairs in ascending class. An
-    empty range is made (0, 0), and classes whose ranges are then equal
-    merge into the first, lowest one."""
+) -> tuple[list[tuple[int, int, int, int]], list[int]]:
+    """The merged classes' ranges and first classes, as two parallel lists,
+    from (class, ranges) pairs in ascending class. An empty range is made
+    (0, 0), and classes whose ranges are then equal merge into the first,
+    lowest one."""
     merged: dict[tuple[int, int, int, int], int] = {}
     for j, (a, b, c, d) in ranged:
         if a == b:
@@ -460,7 +445,7 @@ def _merge_classes(
         if c == d:
             c = d = 0
         merged.setdefault((a, b, c, d), j)
-    return merged
+    return list(merged), list(merged.values())
 
 
 def _class_masks(

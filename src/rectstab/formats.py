@@ -31,7 +31,10 @@ class FormatError(ValueError):
 
 
 def _dump_json(obj, path: PathLike) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    # json.dump writes as it encodes, so the whole text is never held at once
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _load_json(path: PathLike, keys: tuple[str, ...]) -> dict:

@@ -605,9 +605,9 @@ def test_solve_node_limit_reports_error(tmp_path, capsys):
     assert (report["lower"], report["upper"]) == (4, None)
 
 
-def _exits_2_at_once(*argv):
-    """Run main(argv) in a subprocess under a 600 MB address-space limit: it
-    must exit 2 with one error line, under 1 s inside main."""
+def _main_under_limit(limit_mb, *argv):
+    """Run main(argv) in a subprocess under an address-space limit of
+    limit_mb MB. Its stdout is the time spent inside main."""
     resource = pytest.importorskip("resource")
     script = (
         "import sys, time\n"
@@ -619,10 +619,10 @@ def _exits_2_at_once(*argv):
     )
 
     def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
+        resource.setrlimit(resource.RLIMIT_AS, (limit_mb * 2**20, limit_mb * 2**20))
 
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script, *argv],
         capture_output=True,
         text=True,
@@ -630,6 +630,12 @@ def _exits_2_at_once(*argv):
         preexec_fn=limit_memory,
         timeout=60,
     )
+
+
+def _exits_2_at_once(*argv):
+    """Run main(argv) in a subprocess under a 600 MB address-space limit: it
+    must exit 2 with one error line, under 1 s inside main."""
+    proc = _main_under_limit(600, *argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
     assert float(proc.stdout) < 1.0
@@ -661,6 +667,22 @@ def test_discretize_refuses_too_many_pairs_before_allocating(tmp_path):
     err = _exits_2_at_once("gen", "discretize", str(points), "--out", str(out))
     assert "1440000" in err and "pairs" in err
     assert not out.exists()
+
+
+def test_discretize_writes_its_instance_as_it_encodes(tmp_path):
+    """500 points of each of two colors make 250,000 bichromatic pairs, one
+    rectangle each. The instance file is written while it is encoded, so
+    gen discretize fits in a 120 MB address space (it needs 70-80 MB on
+    CPython 3.11, x86_64); holding the whole JSON text at once as well
+    needs 180-200 MB there."""
+    points = tmp_path / "pts.csv"
+    points.write_text("x,y,color\n" + "".join(f"{i},0,0\n{i},1,1\n" for i in range(500)))
+    out = tmp_path / "o.json"
+    proc = _main_under_limit(120, "gen", "discretize", str(points), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    text = out.read_text()
+    assert text.endswith("]\n}\n")
+    assert len(json.loads(text)["rects"]) == 250_000
 
 
 @pytest.mark.parametrize(

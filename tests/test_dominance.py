@@ -172,7 +172,8 @@ IRREDUCIBLE = [
 def test_derived_instances_are_handed_the_table_a_fresh_build_gives():
     """drop_dominated, Instance.reduced and transpose hand their results a
     stabber table instead of bisecting again. Each handed table must equal
-    the one a memo-free copy (copy.copy) of the result builds itself."""
+    the one a memo-free copy (copy.copy) of the result builds itself. An
+    input with nothing dominated gets back an equal, new instance."""
     unchanged = 0
     for inst in POOL + LARGE_POOL + GENERATED + IRREDUCIBLE:
         reduced = drop_dominated(inst)
@@ -180,9 +181,8 @@ def test_derived_instances_are_handed_the_table_a_fresh_build_gives():
         for result in derived:
             assert "stabbers" in vars(result)
             assert result.stabbers == copy.copy(result).stabbers, inst
-        if reduced is inst:
-            unchanged += 1
-            assert inst.reduced is not inst and inst.reduced.stabbers is inst.stabbers
+        assert reduced is not inst and inst.reduced is not inst
+        unchanged += reduced == inst
     assert unchanged >= len(IRREDUCIBLE)
 
 
@@ -201,13 +201,14 @@ def _check_held_masks(result: Instance) -> None:
 
 
 def test_derived_instances_are_handed_the_masks_a_fresh_build_gives(monkeypatch):
-    """drop_dominated hands its result the line masks of its last class
-    pass when that pass kept every class (exit (b), or exit (a) in the
-    first round), and nothing when an exit (a) round dropped a class;
-    Instance.reduced's equal copy shares its source's masks, and transpose
-    hands its result the source's masks with the axes swapped, building
-    none. Each handed table must equal the one a memo-free copy of the
-    result builds. The pools reach all three drop_dominated cases."""
+    """drop_dominated hands every result both axes' line masks: those of
+    its last class pass when that pass kept every class (exit (b), or exit
+    (a) in the first round), and those of one more class-mask sweep over
+    the kept classes after an exit (a) round that dropped a class.
+    Instance.reduced is drop_dominated's result, and transpose hands its
+    result the source's masks with the axes swapped, building none. Each
+    handed mask tuple must equal the one a memo-free copy of the result
+    builds. The pools reach all three drop_dominated cases."""
     passes = _record_passes(monkeypatch)
     kept_all: list[bool] = []
     run = core._undominated_classes
@@ -218,7 +219,8 @@ def test_derived_instances_are_handed_the_masks_a_fresh_build_gives(monkeypatch)
         return keep
 
     monkeypatch.setattr(core, "_undominated_classes", recording)
-    cases = {"a": 0, "b": 0, "none": 0}
+    both = {Axis.HORIZONTAL, Axis.VERTICAL}
+    cases = {"a": 0, "b": 0, "dropped": 0}
     for inst in POOL + LARGE_POOL + GENERATED + IRREDUCIBLE:
         passes.clear()
         kept_all.clear()
@@ -228,19 +230,15 @@ def test_derived_instances_are_handed_the_masks_a_fresh_build_gives(monkeypatch)
         if kept_all[-1]:
             cases[end] += 1
             assert end == "b" or rounds == 1
-            assert set(_held_masks(reduced)) == {Axis.HORIZONTAL, Axis.VERTICAL}
         else:
-            cases["none"] += 1
-            assert end == "a" and reduced is not source and not _held_masks(reduced)
-        if reduced is source:  # the equal copy shares the masks
-            assert _held_masks(source.reduced) == _held_masks(source)
+            cases["dropped"] += 1
+            assert end == "a"
         flipped = transpose(reduced)
-        swapped = {Axis.HORIZONTAL: Axis.VERTICAL, Axis.VERTICAL: Axis.HORIZONTAL}
-        assert set(_held_masks(flipped)) == {swapped[axis] for axis in _held_masks(reduced)}
+        assert all(set(_held_masks(r)) == both for r in (reduced, source.reduced, flipped))
         assert not _held_masks(transpose(copy.copy(inst)))  # transpose forces no build
         for result in (reduced, source.reduced, transpose(source), flipped):
             _check_held_masks(result)
-    assert cases["a"] >= 50 and cases["b"] >= 250 and cases["none"] >= 5, cases
+    assert cases["a"] >= 50 and cases["b"] >= 250 and cases["dropped"] >= 6, cases
 
 
 def test_exact_line_dedup_keeps_every_reduced_line():
@@ -301,9 +299,12 @@ def test_unstabbable_rectangle_dominates_everything():
     assert drop_dominated(inst) == Instance([lone], [], [])
 
 
-def test_returns_the_input_when_nothing_is_dominated():
+def test_returns_an_equal_new_instance_when_nothing_is_dominated():
     inst = Instance([Rect(0, 0, 0, 0), Rect(5, 5, 5, 5)], hlines=[0], vlines=[5])
-    assert drop_dominated(inst) is inst
+    reduced = drop_dominated(inst)
+    assert reduced == inst and reduced is not inst
+    assert vars(reduced)["stabbers"] == copy.copy(inst).stabbers
+    assert _held_masks(reduced) == {Axis.HORIZONTAL: (0b01,), Axis.VERTICAL: (0b10,)}
 
 
 def test_reduced_is_computed_once_and_is_never_the_instance_itself():

@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from rectstab import formats
+from rectstab.cli import main
 from rectstab.core import Instance, Rect, Solution
 from rectstab.generators import gen_mcgraph, gen_planted
 from rectstab.reduction import build
@@ -24,6 +27,29 @@ def test_instance_emission_is_sorted_and_stable(tmp_path):
     formats.dump_instance(inst, b)
     assert a.read_bytes() == b.read_bytes()
     assert '"hlines": [\n    1,\n    4\n  ]' in a.read_text()
+
+
+# SHA-256 of every file the commands in the test below write
+EMITTED = {
+    "planted.json": "f7197185849f47982ed382ef28394eab85f73427860331b73b828b07e9bb414d",
+    "planted.witness.json": "ed9026bc72fd1f41403099b00b3cfda25bccd1e3017c158ed41306a7c1f86638",
+    "graph.json": "7e56ddd6f5923d686ee7cf0d0ea3c40ee2f045807ad7e779c220940f15d8b48b",
+    "graph.clique.json": "eec5b0bdb794e6475043c6031755d7ac5624e3fde709b9b48aad647433deaad6",
+    "reduced.json": "c8da078e6d9f5377ce20e6cd246d58f476a5116d95b22a4d0d202889ff457ef5",
+    "reduced.strips.json": "4d61cbf4b94d754e94606d83cc404079b2fddfb2f973b83288f1eb50195ead75",
+}
+
+
+def test_every_format_emits_pinned_bytes(tmp_path):
+    """An instance and its witness solution (gen planted), a graph and its
+    planted clique (gen mcgraph), and the reduced instance and its strip
+    table (reduce), each byte for byte."""
+    planted, graph, reduced = (str(tmp_path / f"{name}.json") for name in ("planted", "graph", "reduced"))
+    assert main(["gen", "planted", "--k", "2", "--n", "12", "--seed", "1", "--out", planted]) == 0
+    assert main(["gen", "mcgraph", "--k", "2", "--r", "2", "--plant", "--seed", "1", "--out", graph]) == 0
+    assert main(["reduce", graph, "--out", reduced]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == EMITTED
 
 
 def test_solution_roundtrip(tmp_path):
