@@ -8,8 +8,8 @@ horizontal and k_v vertical lines, over the k + 1 splits k_h + k_v = k
 
   1. greedily preselects horizontal lines H1 and an auxiliary vertical
      candidate pool V0 that together stab everything, reading how many
-     vertical lines each horizontal gap needs off one table per
-     orientation that every budget asked of it shares,
+     vertical lines each horizontal gap needs off the orientation's need
+     table, which every budget asked of it shares,
   2. enumerates guesses of vertical strips (each believed to hold exactly
      one solution line) separated by chosen lines V1, keeping only those
      whose leftover W' (what H1, V1 and the guessed strips leave of the
@@ -41,8 +41,8 @@ widest-in-strip pick, which reads x extents.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import product
 from math import inf
 from operator import itemgetter
@@ -93,7 +93,9 @@ class SearchStats:
     twosat_calls: int = 0
 
 
-def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+def preselect(
+    tables: Orientation, k_v: int
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Greedy horizontal preselection: (H1, V0) as candidate indices, or None.
 
     Sweeping bottom-up from below every rectangle, repeatedly jump to the
@@ -105,15 +107,16 @@ def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple
     vertical lines exists.
 
     The sweep runs over candidate indices and over the stabber classes of
-    inst (Instance.stabbers), whose rectangles all have the same
+    tables.inst (Instance.stabbers), whose rectangles all have the same
     candidates. A class whose horizontal stabbers are hlines[a:b] lies
     strictly between hlines[i - 1] and hlines[j - 1] (unbounded past
     either end) iff i <= a and b < j. From anchor i the sweep reads row i
-    of the instance's need table (_NeedRows): how many vertical lines the
-    gaps from hlines[i - 1] up to hlines[i], hlines[i + 1], ... and past
-    the top need. The row is nondecreasing, so the furthest line that fits
-    k_v is found by bisection. V0 is the same 1-D greedy over the classes
-    H1 misses. Every budget asked of one instance reads the same rows.
+    of the orientation's need table (Orientation.need): how many vertical
+    lines the gaps from hlines[i - 1] up to hlines[i], hlines[i + 1], ...
+    and past the top need. The row is nondecreasing, so the furthest line
+    that fits k_v is found by bisection. V0 is the same 1-D greedy over
+    the classes H1 misses. Every budget asked of one orientation reads the
+    same rows.
     That greedy always finds V0: it fails only at a class with no vertical
     stabber, and every class H1 misses lies in an accepted gap, whose
     finite need shows that each of its classes has one.
@@ -123,8 +126,8 @@ def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple
     as many lines as that solution's horizontal part and tracks it gap by
     gap.
     """
-    m = len(inst.hlines)
-    table = _NeedRows.of(inst)
+    table = tables.need
+    m = table.m
     h1: list[int] = []
     i = 0
     while i <= m:
@@ -145,7 +148,7 @@ def preselect(inst: Instance, k_v: int) -> Optional[tuple[tuple[int, ...], tuple
 
 
 class _NeedRows:
-    """preselect's table over one instance, kept in its memo (see of).
+    """preselect's table over one instance, kept by its Orientation (need).
 
     order holds the stabber classes (a, b, c, d) of the instance sorted
     once in the order the vertical 1-D greedy (stab_1d) takes them: by d,
@@ -162,15 +165,6 @@ class _NeedRows:
         self.m = len(inst.hlines)
         self.order = sorted(inst.stabbers.ranges, key=itemgetter(3, 2))
         self.rows: list[tuple[float, ...]] = [()] * (self.m + 1)
-
-    @classmethod
-    def of(cls, inst: Instance) -> _NeedRows:
-        """The table of inst, kept in inst's memo."""
-        memo = vars(inst)
-        table = memo.get("_approx_need")
-        if table is None:
-            table = memo.setdefault("_approx_need", cls(inst))
-        return table
 
     def row(self, i: int, k_v: int) -> tuple[float, ...]:
         """Row i, grown until it ends or holds a need above k_v."""
@@ -248,12 +242,9 @@ class Cover:
     stabbed by a picked line (lines[t]: the rectangles the line base[t]
     stabs), unless the mask counted holds it. What a guess leaves of need
     fits when counted holds all of it and at most spare horizontal
-    candidates stab it. order lists (a, b, i), by b, then a, for every
-    counted rectangle i (others may follow too): the horizontal candidates
-    [a, b) stab it, a < b. The count is stab_1d over the leftover's
-    ranges in order (_in_mask) and reads no rectangle outside the
-    leftover, so covers that share order share their counts, kept by
-    leftover mask (dataclasses.replace keeps them).
+    candidates stab it, count(leftover) of them; count is read only when
+    counted is nonzero, and a vertical cover reads its orientation's
+    (Orientation.count).
 
     A slot holds a rectangle (core.held_masks) when some candidate strictly
     inside it stabs the rectangle. That is sound: a satisfying assignment
@@ -270,9 +261,9 @@ class Cover:
     horizontal candidate stabs, needs at least 2k + 2 horizontal lines
     (_heavy, the test kernelization runs on its groups too).
     need and counted drop every group of a heavy line, counted holds the
-    rest of the groups' rectangles, and solve_split sets spare to the
-    horizontal budget b = 2k_h - |H1|. The bound is sound: call W' what
-    such a guess leaves of counted.
+    rest of the groups' rectangles, and spare is the horizontal budget
+    b = 2k_h - |H1|. The bound is sound: call W' what such a guess leaves
+    of counted.
       - Kernelization removes a rectangle only from the current group of
         a guessed slot boundary, a V0 line, while that group needs at
         least 2k + 2 lines. The group is a subset of the line's group, so
@@ -291,24 +282,24 @@ class Cover:
     need: int
     slots: Sequence[int]
     lines: Sequence[int]
-    order: Sequence[tuple[int, int, int]] = ()
     counted: int = 0
     spare: int = 0
-    counts: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
-
-    def count(self, mask: int) -> int:
-        """Fewest horizontal candidates that stab the rectangles of mask,
-        which order lists."""
-        n = self.counts.get(mask)
-        if n is None:
-            n = self.counts[mask] = len(stab_1d(_in_mask(self.order, mask)))
-        return n
+    count: Optional[Callable[[int], int]] = None
 
 
 def _in_mask(order: Iterable[tuple[int, int, int]], mask: int) -> Iterator[tuple[int, int]]:
     """The ranges (a, b), in order, of the entries (a, b, i) of order whose
     rectangle i is in mask."""
     return ((a, b) for a, b, i in order if mask >> i & 1)
+
+
+def _count(order: Sequence[tuple[int, int, int]], counts: dict[int, int], mask: int) -> int:
+    """Fewest horizontal candidates that stab the rectangles of mask, which
+    order lists (Orientation.horder), kept in counts by mask."""
+    n = counts.get(mask)
+    if n is None:
+        n = counts[mask] = len(stab_1d(_in_mask(order, mask)))
+    return n
 
 
 def _heavy(group: int, k: int, count: Callable[[int], int]) -> bool:
@@ -447,28 +438,23 @@ def eliminate_redundant(
     slot, left first: a removal only shrinks groups, so a boundary passed
     never fires again, and rescanning after each removal finds the same.
     K is everything kept, H0 a minimum horizontal stabbing of the kept
-    leftovers. The group test and H0 run stab_1d over the stabber ranges
-    hlines[a:b] of their rectangles, in the order tables.horder keeps,
-    which lists every rectangle of the leftovers. H1, H0, V1 and vg.base
-    are candidate indices.
+    leftovers. The group test reads the orientation's count (which the W'
+    bound shares), and H0 runs stab_1d over the stabber ranges hlines[a:b]
+    of the kept leftovers, in the order tables.horder keeps. H1, H0, V1
+    and vg.base are candidate indices.
     """
     inst = tables.inst
     rects = inst.rects
-    order = tables.horder
     full = (1 << len(rects)) - 1
     rprime = full & ~(tables.v_only | tables.stabbed(h1, vg.lines))
     removed = 0
-
-    def count(mask: int) -> int:
-        return len(stab_1d(_in_mask(order, mask)))
-
     clip = (I64_MIN, *(inst.vlines[t] for t in vg.base), I64_MAX)  # slot s: clip[s]..clip[s + 1]
     for s in sorted(vg.slots):
         lo, hi = clip[s], clip[s + 1]
         for t in vg.base[max(s - 1, 0) : s + 1]:  # the slot's boundaries, left first
             while True:
                 group = tables.vmask[t] & rprime & ~removed
-                if not _heavy(group, k, count):
+                if not _heavy(group, k, tables.count):
                     break
                 # every group member holds the boundary, so its clipped width is >= 0
                 widest = max(
@@ -476,7 +462,7 @@ def eliminate_redundant(
                 )
                 removed |= 1 << widest
 
-    h0 = stab_1d(_in_mask(order, rprime & ~removed))
+    h0 = stab_1d(_in_mask(tables.horder, rprime & ~removed))
     return full & ~removed, tuple(h0)
 
 
@@ -579,17 +565,16 @@ class SplitWitness:
 
 class Orientation:
     """One orientation of an instance with the tables every split over it
-    shares; solve_split and eliminate_redundant work on its inst. Every
-    table is built on first use, so a search that preselection ends builds
-    no stab masks. No table depends on k, so one object serves every split
-    of every search of an instance (see of). packing, the lower bound
-    solve_with_budget cuts splits by, is one of them."""
+    shares; preselect, solve_split and eliminate_redundant work on its
+    inst. Every table is built on first use, so a search that preselection
+    ends builds no stab masks. No table depends on k, so one object serves
+    every split of every search of an instance (see of). packing, the
+    lower bound solve_with_budget cuts splits by, is one of them."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
         # k_v -> preselect's (H1, V0), or its None for an infeasible split
         self._preselected: dict[int, Optional[tuple]] = {}
-        self._vcovers: dict[tuple, Cover] = {}  # by (H1, V0), with no heavy line
 
     @classmethod
     def of(cls, inst: Instance) -> Orientation:
@@ -605,36 +590,47 @@ class Orientation:
 
     def preselected(self, k_v: int) -> Optional[tuple]:
         if k_v not in self._preselected:
-            self._preselected[k_v] = preselect(self.inst, k_v)
+            self._preselected[k_v] = preselect(self, k_v)
         return self._preselected[k_v]
 
-    def vertical_cover(self, h1: tuple[int, ...], v0: tuple[int, ...], k: int) -> Cover:
-        """The cover, with spare 0, that every vertical guess over the pool
-        v0 must reach when H1 is preselected under the budget k (see
-        Cover). Its slot masks are the open slots' hold masks over every
-        rectangle, from which solve_split also reads which kernel
-        rectangles a guess's strips hold. The cover with no heavy line is
-        kept by (H1, V0); the covers of every k share its order and its
-        counts, and drop what heavy lines stab from its need and counted."""
-        cover = self._vcovers.get((h1, v0))
-        if cover is None:
-            full = (1 << len(self.inst.rects)) - 1
-            missed = full & ~self.stabbed(h1, ())
-            cover = self._vcovers[(h1, v0)] = Cover(
-                missed,
-                held_masks(self.inst, Axis.VERTICAL, v0, full),
-                [self.vmask[t] for t in v0],
-                self.horder,
-                missed & ~self.v_only,
-            )
+    def vertical_cover(
+        self, h1: tuple[int, ...], v0: tuple[int, ...], k: int, spare: int
+    ) -> Cover:
+        """The cover that every vertical guess over the pool v0 must reach
+        when H1 is preselected under the budget k, with spare horizontal
+        lines left (see Cover), built with every heavy line's group already
+        dropped from its need and counted. Its slot masks are the open
+        slots' hold masks over every rectangle, from which solve_split also
+        reads which kernel rectangles a guess's strips hold."""
+        full = (1 << len(self.inst.rects)) - 1
+        missed = full & ~self.stabbed(h1, ())
+        counted = missed & ~self.v_only
         heavy = 0
         for t in v0:
-            group = self.vmask[t] & cover.counted
-            if _heavy(group, k, cover.count):
+            group = self.vmask[t] & counted
+            if _heavy(group, k, self.count):
                 heavy |= group
-        if heavy:
-            cover = replace(cover, need=cover.need & ~heavy, counted=cover.counted & ~heavy)
-        return cover
+        return Cover(
+            missed & ~heavy,
+            held_masks(self.inst, Axis.VERTICAL, v0, full),
+            [self.vmask[t] for t in v0],
+            counted & ~heavy,
+            spare,
+            self.count,
+        )
+
+    @cached_property
+    def need(self) -> _NeedRows:
+        """preselect's need table, shared by every budget asked of inst."""
+        return _NeedRows(self.inst)
+
+    @cached_property
+    def count(self) -> Callable[[int], int]:
+        """Fewest horizontal candidates that stab the rectangles of a mask,
+        for the masks horder lists, kept by mask: the W' bound, the heavy
+        test and kernelization's group test read it. It holds horder and
+        its dict, not self, so it makes no reference cycle."""
+        return partial(_count, self.horder, {})
 
     @cached_property
     def hmask(self) -> tuple[int, ...]:
@@ -650,9 +646,8 @@ class Orientation:
     def horder(self) -> list[tuple[int, int, int]]:
         """(a, b, i) for each rectangle i some horizontal candidate stabs,
         hlines[a:b] its horizontal stabbers, by b, then a, then i: the
-        order stab_1d takes them in, restricted to a mask by _in_mask. A
-        vertical cover counts in it, and kernelization runs its group test
-        and H0 over it."""
+        order stab_1d takes them in, restricted to a mask by _in_mask. count
+        and kernelization's H0 run over it."""
         ranges, ids = self.inst.stabbers
         spans = ((*ranges[j][:2], i) for i, j in enumerate(ids))
         return sorted(((a, b, i) for a, b, i in spans if a < b), key=itemgetter(1, 0, 2))
@@ -699,7 +694,7 @@ def solve_split(
     if len(h1) > 2 * k_h:
         return None  # no horizontal guess can fit the budget
 
-    vcover = replace(tables.vertical_cover(h1, v0, k_h + k_v), spare=2 * k_h - len(h1))
+    vcover = tables.vertical_cover(h1, v0, k_h + k_v, 2 * k_h - len(h1))
     # A guess can succeed only if it reaches vcover (every rectangle no
     # horizontal candidate stabs, and leaves of the others, but those in
     # heavy groups, what at most 2k_h - |H1| horizontal candidates stab)

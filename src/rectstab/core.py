@@ -41,14 +41,11 @@ that keeps every class, with no line pass; drop_dominated's docstring
 proves that neither exit changes the result.
 
 An Instance carries a per-object memo of pure values derived from it
-(its stabber table, each axis's line masks, its reduced instance, the
-solver tables built over that, the need rows preselection grows as
-budgets ask for them, and, per strip width r, the set of its
-adjacency-shaped rectangles, r - 2 wide on both axes, that the clique
-reduction reads adjacency from), so repeated questions about one object
-share the work; two threads racing on the memo can only compute the same
-value twice. Copies and pickles carry the fields only
-and start with no memo.
+(its stabber table, each axis's line masks, its reduced instance, and
+the upright approx.Orientation over that, which owns every table the
+search's splits read), so repeated questions about one object share the
+work; two threads racing on the memo can only compute the same value
+twice. Copies and pickles carry the fields only and start with no memo.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ singleton strips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 from .core import Instance, Rect, Solution, UnknownLineError, verify
@@ -120,6 +120,13 @@ class ReducedInstance:
     vstrips: tuple[tuple[int, int], ...]
     hstrips: tuple[tuple[int, int], ...]
 
+    @cached_property
+    def adjacency_shaped(self) -> frozenset[Rect]:
+        """The rectangles of inst that are r - 2 wide on both axes, as every
+        adjacency rectangle is, built on first use."""
+        w = self.r - 2
+        return frozenset(rc for rc in self.inst.rects if rc.x2 - rc.x1 == w == rc.y2 - rc.y1)
+
 
 def _strip_range(r: int, x: int) -> tuple[int, int]:
     lo = 2 * r + x * r + 1
@@ -203,19 +210,12 @@ def _check_pairwise_adjacent(red: ReducedInstance, chosen: dict[int, int]) -> Op
     adjacency rectangle is r - 2 wide on both axes, so the lookup set holds
     only the instance's rectangles of that shape (with r = 2 that admits
     the equality points too, which pair no two different parts). The set
-    is built once per r and kept in the instance's memo, so forward and
-    reverse on one instance share it.
+    is red.adjacency_shaped, so forward and reverse on one red share it.
     """
     r = red.r
     if r == 1:
         return None  # no adjacency rectangles exist; nothing to check against
-    by_r = vars(red.inst).setdefault("_adjacency_rects", {})
-    rect_set = by_r.get(r)
-    if rect_set is None:
-        w = r - 2
-        rect_set = by_r.setdefault(
-            r, frozenset(rc for rc in red.inst.rects if rc.x2 - rc.x1 == w == rc.y2 - rc.y1)
-        )
+    rect_set = red.adjacency_shaped
     parts = sorted(chosen)
     for a in range(len(parts)):
         for b in range(a + 1, len(parts)):

@@ -234,12 +234,18 @@ def separated_families(
                         yield strip_combo, line_pick
 
 
-def cover_reached(cover: Cover, slots: Iterable[int], lines: Iterable[int]) -> bool:
-    """Does a guess with these slot and line indices reach an approx.Cover,
-    by its definition? The rectangles (bit indices) of need that no chosen
-    slot reaches and no picked line stabs must each be in cover.counted,
-    and some cover.spare indices must hit every range [a, b) cover.order
-    gives them, found by trying every index set of each size."""
+def cover_reached(
+    cover: Cover,
+    order: Sequence[tuple[int, int, int]],
+    slots: Iterable[int],
+    lines: Iterable[int],
+) -> bool:
+    """Does a guess with these slot and line indices reach an approx.Cover
+    whose count runs over order, by its definition? The rectangles (bit
+    indices) of need that no chosen slot reaches and no picked line stabs
+    must each be in cover.counted, and some cover.spare indices must hit
+    every range [a, b) order gives them, found by trying every index set
+    of each size."""
 
     def members(mask: int) -> set[int]:
         return {i for i in range(mask.bit_length()) if mask >> i & 1}
@@ -249,7 +255,7 @@ def cover_reached(cover: Cover, slots: Iterable[int], lines: Iterable[int]) -> b
         left -= members(cover.slots[i])
     for t in lines:
         left -= members(cover.lines[t])
-    ranges = {i: (a, b) for a, b, i in cover.order}
+    ranges = {i: (a, b) for a, b, i in order}
     if not left <= members(cover.counted):
         return False
     points = range(max((b for a, b in ranges.values()), default=0))

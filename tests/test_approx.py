@@ -9,7 +9,7 @@ import textwrap
 import threading
 import weakref
 from collections import Counter
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 from pathlib import Path
 
 import pytest
@@ -63,9 +63,10 @@ from oracles import (
 H, V = Axis.HORIZONTAL, Axis.VERTICAL
 
 
-def _preselect_at(inst, k_v):
-    """preselect's (H1, V0) in positions, or None."""
-    pre = preselect(inst, k_v)
+def _preselect_at(inst, k_v, tables=None):
+    """preselect's (H1, V0) over tables, a new Orientation of inst unless
+    given, in positions, or None."""
+    pre = preselect(tables or Orientation(inst), k_v)
     if pre is None:
         return None
     return to_positions(inst.hlines, pre[0]), to_positions(inst.vlines, pre[1])
@@ -103,14 +104,14 @@ def test_preselect_infeasible_gap():
         hlines=[0, 3],
         vlines=[0, 5],
     )
-    assert preselect(inst, 1) is None
+    assert preselect(Orientation(inst), 1) is None
     h1, v0 = _preselect_at(inst, 2)  # budget 2 is enough
     assert h1 == () and v0 == (0, 5)
 
 
 def test_preselect_infeasible_leftover():
     inst = Instance([Rect(0, 1, 0, 1)], hlines=[5], vlines=[])
-    assert preselect(inst, 1) is None
+    assert preselect(Orientation(inst), 1) is None
 
 
 def test_preselect_raises_on_a_need_table_that_accepts_an_unstabbable_class():
@@ -120,8 +121,8 @@ def test_preselect_raises_on_a_need_table_that_accepts_an_unstabbable_class():
     of answering a no-witness."""
     inst = Instance([Rect(0, 1, 0, 1)], hlines=[0], vlines=[5])
     assert _preselect_at(inst, 1) == ((0,), ())
-    corrupted = _fresh(inst)
-    approx._NeedRows.of(corrupted).rows[0] = (0, 0)  # need(0, 1) is infinite
+    corrupted = Orientation(inst)
+    corrupted.need.rows[0] = (0, 0)  # need(0, 1) is infinite
     with pytest.raises(RuntimeError, match="no vertical stabber"):
         preselect(corrupted, 1)
 
@@ -130,7 +131,7 @@ def test_preselect_v0_accounting_bound():
     for seed in range(20):
         inst, witness = gen_planted(k=4, n=25, coord_range=30, seed=seed)
         k_v = len(witness.vstar)
-        pre = preselect(inst, k_v)
+        pre = preselect(Orientation(inst), k_v)
         if pre is None:
             continue
         h1, v0 = pre
@@ -174,24 +175,20 @@ def test_preselect_matches_the_coordinate_sweep():
 
 
 def test_preselect_answers_every_budget_in_any_order():
-    """The need rows one instance keeps for every budget give the sweep's
-    answers whatever order the budgets come in: descending, so the first
-    question grows the rows furthest, then shuffled, on one instance and
-    on a fresh one. The rows are memo only: copies and pickles start
-    without them."""
+    """The need rows one orientation keeps for every budget give the
+    sweep's answers whatever order the budgets come in: descending, so the
+    first question grows the rows furthest, then shuffled, on one
+    orientation and on a fresh one."""
     rng = Xoshiro256StarStar(20)
     for base in _preselect_pool():
         expected = {k_v: preselect_by_sweep(base, k_v) for k_v in range(7)}
         shuffled = sorted(range(7), key=lambda _: rng.next_u64())
-        inst = _fresh(base)
+        tables = Orientation(base)
         for k_v in [*range(6, -1, -1), *shuffled]:
-            assert _preselect_at(inst, k_v) == expected[k_v], (inst, k_v)
-        other = _fresh(base)
+            assert _preselect_at(base, k_v, tables) == expected[k_v], (base, k_v)
+        other = Orientation(base)
         for k_v in shuffled:
-            assert _preselect_at(other, k_v) == expected[k_v], (other, k_v)
-        assert "_approx_need" in vars(inst)
-        for copied in (copy.copy(inst), pickle.loads(pickle.dumps(inst))):
-            assert copied == inst and "_approx_need" not in vars(copied)
+            assert _preselect_at(base, k_v, other) == expected[k_v], (base, k_v)
 
 
 def test_line_masks_are_built_once_and_shared():
@@ -433,7 +430,7 @@ def test_eliminate_h0_accounting_bound_on_planted():
         inst, witness = gen_planted(k=3, n=20, coord_range=25, seed=seed)
         k = 3
         k_v = len(witness.vstar)
-        pre = preselect(inst, k_v)
+        pre = preselect(Orientation(inst), k_v)
         if pre is None:
             continue
         h1, v0 = pre
@@ -477,6 +474,53 @@ def test_eliminate_one_pass_matches_the_rescan():
         assert (kept, to_positions(inst.hlines, h0)) == rescan, (vg, k)
         removing += kept != (1 << len(tables.inst.rects)) - 1
     assert removing >= 1000
+
+
+def test_kernelization_shares_the_orientation_count(monkeypatch):
+    """eliminate_redundant's group test reads Orientation.count, whose
+    memo the W' bound shares, so a repeat on one orientation and guess
+    makes one stab_1d pass, its H0."""
+    passes = 0
+    stab_1d = approx.stab_1d
+
+    def counting(ranges):
+        nonlocal passes
+        passes += 1
+        return stab_1d(ranges)
+
+    monkeypatch.setattr(approx, "stab_1d", counting)
+    for tables, h1, vg, k in islice(_random_guesses(Xoshiro256StarStar(23), 40), 800):
+        first = eliminate_redundant(tables, h1, vg, k)
+        passes = 0
+        assert eliminate_redundant(tables, h1, vg, k) == first
+        assert passes == 1, (vg, k)
+
+
+def test_orientation_count_is_the_exhaustive_minimum():
+    """Orientation.count(mask) is the fewest horizontal candidates that stab
+    every rectangle of a random mask of those some candidate stabs, found
+    by trying every candidate set of each size, and a repeat answers the
+    same."""
+    rng = Xoshiro256StarStar(31)
+    checked = 0
+    for seed in range(30):
+        inst = gen_uniform(14, 7, 20, seed)
+        tables = Orientation(inst)
+        stabbable = [
+            i for i, r in enumerate(inst.rects) if any(r.y1 <= y <= r.y2 for y in inst.hlines)
+        ]
+        for _ in range(10):
+            chosen = [i for i in stabbable if rng.chance(1, 2)]
+            mask = sum(1 << i for i in chosen)
+            fewest = next(
+                n
+                for n in range(len(inst.hlines) + 1)
+                for ys in combinations(inst.hlines, n)
+                if all(any(inst.rects[i].y1 <= y <= inst.rects[i].y2 for y in ys) for i in chosen)
+            )
+            assert tables.count(mask) == fewest == tables.count(mask), (inst, mask)
+            checked += fewest > 1
+    assert checked > 100
 
 
 # ------------------------------------- witness-guided guesses (oracle)
@@ -536,7 +580,7 @@ def test_witness_guided_pipeline_is_satisfiable():
             hstar, vstar = vstar, hstar
         k_h, k_v = len(hstar), len(vstar)
         ys, xs = work.hlines, work.vlines
-        h1, v0 = preselect(work, k_v)
+        h1, v0 = preselect(Orientation(work), k_v)
         vg_at = witness_vertical_guess(to_positions(xs, v0), vstar)
         vg = _guess(xs, vg_at.base, vg_at.slots, vg_at.lines)
         v1 = vg_at.lines
@@ -634,7 +678,7 @@ def _covered_guesses(inst, k_h, k_v, k):
     satisfiable one; the kernel is the mask of every rectangle the guess's
     lines (H1, V1, H1') miss, so a guessed strip holds every kernel
     rectangle."""
-    pre = preselect(inst, k_v)
+    pre = preselect(Orientation(inst), k_v)
     if pre is None:
         return
     h1, v0 = pre
@@ -666,7 +710,7 @@ def _held_guesses(inst, k_h, k_v, k):
     enumerators yield with no cover; the kernel keeps, of the rectangles
     the guess's lines (H1, V1, H1') miss, those some guessed strip holds.
     No cover cuts a pair here, so some kernels have no stabbing pick."""
-    pre = preselect(inst, k_v)
+    pre = preselect(Orientation(inst), k_v)
     if pre is None:
         return
     h1, v0 = pre
@@ -1084,9 +1128,9 @@ def test_transpose_and_preselect_run_once_per_orientation(monkeypatch):
         transposes += 1
         return transpose(inst)
 
-    def counting_preselect(inst, k_v):
-        preselects[inst, k_v] += 1
-        return preselect(inst, k_v)
+    def counting_preselect(tables, k_v):
+        preselects[tables.inst, k_v] += 1
+        return preselect(tables, k_v)
 
     monkeypatch.setattr(core, "drop_dominated", counting_drop_dominated)
     monkeypatch.setattr(approx, "transpose", counting_transpose)
@@ -1266,12 +1310,34 @@ def test_solved_instance_is_freed_without_the_cyclic_gc(shrinks):
         solve_min(inst, 3)
         opt_exact(inst, SearchBudget(max_size=3))
         assert "reduced" in vars(inst) and "_approx_upright" in vars(inst)
-        assert Orientation.of(inst).flipped is not None
-        gone = weakref.ref(inst)
+        upright = Orientation.of(inst)
+        gone = [weakref.ref(x) for x in (inst, upright, upright.flipped, inst.reduced)]
+        del upright
+        assert all(ref() is not None for ref in gone)
         del inst
-        assert gone() is None
+        assert [ref() for ref in gone] == [None] * 4
     finally:
         gc.enable()
+
+
+def test_each_memo_holds_only_its_own_tables():
+    """The search's tables live on their Orientation and the clique
+    reduction's adjacency set on its ReducedInstance, so after a solve_min
+    ladder that reaches a transposed split, and a forward map, each
+    instance's memo holds only what the instance itself owns."""
+    fields = {"rects", "hlines", "vlines"}
+    inst = gen_uniform(60, 60, 40, 3)
+    assert solve_min(inst, 12) is not None
+    upright = Orientation.of(inst)
+    assert "flipped" in vars(upright)
+    assert set(vars(inst)) - fields == {"stabbers", "reduced", "_approx_upright"}
+    for derived in (inst.reduced, upright.flipped.inst):
+        assert set(vars(derived)) - fields == {"stabbers", "_line_masks"}
+    graph, clique = gen_mcgraph(2, 3, 1, 3, 1, True)
+    red = reduction.build(graph)
+    reduction.forward(red, clique)
+    assert set(vars(red.inst)) - fields == {"stabbers"}
+    assert "adjacency_shaped" in vars(red)
 
 
 @pytest.mark.parametrize("shrinks", [True, False])
@@ -1316,7 +1382,7 @@ def test_core_bisects_each_rectangle_fewer_than_five_times(seed, monkeypatch):
 def test_guess_streams_respect_invariants_under_pipeline():
     inst, witness = gen_planted(k=3, n=12, coord_range=15, seed=9)
     k_v = 2
-    pre = preselect(inst, k_v)
+    pre = preselect(Orientation(inst), k_v)
     if pre is None:
         pytest.skip("split infeasible for this fixture")
     h1, v0 = pre

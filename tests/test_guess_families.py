@@ -8,7 +8,7 @@ On every small arrangement they must agree pair for pair, in order.
 import random
 from collections import Counter
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 from rectstab.approx import (
@@ -16,6 +16,7 @@ from rectstab.approx import (
     GuessInfeasible,
     Orientation,
     SearchStats,
+    _count,
     _separated_families,
     assemble_2sat,
     eliminate_redundant,
@@ -85,9 +86,10 @@ def test_families_match_reference_on_every_small_arrangement():
 
 
 def _random_cover(rng, n_base):
-    """A cover over 6 rectangles with sparse masks, so that suffix-OR cuts
-    fire, most rectangles listed in the order over a random nonempty
-    range of 5 indices, and a random part of those counted."""
+    """(cover, order): a cover over 6 rectangles with sparse masks, so that
+    suffix-OR cuts fire, and the order (a, b, i) its count runs over, which
+    lists most rectangles i over a random nonempty range [a, b) of 5
+    indices; a random part of those is counted."""
 
     def sparse():
         return rng.getrandbits(6) & rng.getrandbits(6)
@@ -98,14 +100,15 @@ def _random_cover(rng, n_base):
             a = rng.randrange(5)
             order.append((a, rng.randrange(a + 1, 6), i))
     order.sort(key=lambda o: (o[1], o[0]))
-    return Cover(
+    cover = Cover(
         need=rng.getrandbits(6),
         slots=[sparse() for _ in range(n_base + 1)],
         lines=[sparse() for _ in range(n_base)],
-        order=order,
         counted=sum(1 << i for _, _, i in order) & rng.getrandbits(6),
         spare=rng.randrange(4),
+        count=partial(_count, order, {}),
     )
+    return cover, order
 
 
 def test_families_with_a_cover_match_the_filtered_reference():
@@ -118,13 +121,13 @@ def test_families_with_a_cover_match_the_filtered_reference():
             full = _reference(n_base, fixed)
             for _ in range(6):
                 cand = [i for i in range(n_base + 1) if rng.random() < 0.7]
-                cover = _random_cover(rng, n_base)
+                cover, order = _random_cover(rng, n_base)
                 if rng.random() < 0.3:
                     cover = replace(cover, counted=0, spare=0)
                 expected = [
                     (s, l)
                     for s, l in full
-                    if set(s) <= set(cand) and cover_reached(cover, s, l)
+                    if set(s) <= set(cand) and cover_reached(cover, order, s, l)
                 ]
                 assert list(_separated_families(n_base, cand, fixed, MAX_BUDGET, cover)) == expected
                 cut += len(expected) < sum(set(s) <= set(cand) for s, _ in full)
@@ -198,11 +201,12 @@ def _cover_pool():
 def test_vertical_cover_masks_by_definition():
     """The cover needs every rectangle H1 misses but those some heavy V0
     line stabs and some horizontal candidate stabs, and counts the needed
-    rectangles some horizontal candidate stabs. Its order lists every
-    rectangle some horizontal candidate stabs with the range of those
-    candidates, by the range's end, then start. Its slot masks are the
-    open V0 slots' hold masks over every rectangle, and its lines stab
-    their own rectangles."""
+    rectangles some horizontal candidate stabs, with the orientation's
+    count. That count runs over horder, which lists every rectangle some
+    horizontal candidate stabs with the range of those candidates, by the
+    range's end, then start. Its slot masks are the open V0 slots' hold
+    masks over every rectangle, and its lines stab their own
+    rectangles."""
     heavy_seen = 0
     for tables in _cover_pool():
         inst = tables.inst
@@ -221,7 +225,7 @@ def test_vertical_cover_masks_by_definition():
                 )
 
             for k in range(k_v, k_v + 3):
-                cover = tables.vertical_cover(*pre, k)
+                cover = tables.vertical_cover(*pre, k, 0)
                 heavy = heavy_lines(inst, h1, v0, k)
                 heavy_seen += len(heavy)
                 v_only = mask(lambda r: not stabbed(inst.hlines, ())(r))
@@ -229,11 +233,12 @@ def test_vertical_cover_masks_by_definition():
                 need = missed & ~(mask(stabbed((), heavy)) & ~v_only)
                 assert cover.need == need and cover.spare == 0
                 assert cover.counted == need & ~v_only
+                assert cover.count is tables.count
                 ranges = [
                     ([t for t, y in enumerate(inst.hlines) if r.y1 <= y <= r.y2], i)
                     for i, r in enumerate(inst.rects)
                 ]
-                assert cover.order == sorted(
+                assert tables.horder == sorted(
                     ((ts[0], ts[-1] + 1, i) for ts, i in ranges if ts), key=lambda o: (o[1], o[0])
                 )
                 for i, strip in enumerate(strips_of(V, v0)):
@@ -265,7 +270,7 @@ def test_vertical_cover_yields_the_guesses_w_prime_keeps():
                 stream = list(enumerate_vertical_guesses(v0, k_v, m))
                 for k_h in range((len(h1) + 1) // 2, k_v + 1):
                     spare = 2 * k_h - len(h1)
-                    cover = replace(tables.vertical_cover(h1, v0, k_h + k_v), spare=spare)
+                    cover = tables.vertical_cover(h1, v0, k_h + k_v, spare)
                     kept = list(enumerate_vertical_guesses(v0, k_v, m, cover))
                     expected = []
                     for vg in stream:
@@ -323,9 +328,9 @@ def test_budget_bound_drops_only_guesses_no_horizontal_guess_completes():
                     continue
                 h1, v0 = pre
                 spare = 2 * k_h - len(h1)
-                cover = tables.vertical_cover(h1, v0, k_h + k_v)
+                cover = tables.vertical_cover(h1, v0, k_h + k_v, spare)
                 m = len(inst.vlines)
-                bounded = list(enumerate_vertical_guesses(v0, k_v, m, replace(cover, spare=spare)))
+                bounded = list(enumerate_vertical_guesses(v0, k_v, m, cover))
                 old = [
                     vg
                     for vg in enumerate_vertical_guesses(v0, k_v, m)
@@ -355,9 +360,9 @@ def test_heavy_line_rectangles_stay_in_the_2sat_kernel():
     h1, v0 = tables.preselected(2)
     assert (h1, v0) == ((), (0, 1))
     full = (1 << len(inst.rects)) - 1
-    cover = tables.vertical_cover(h1, v0, 2)
+    cover = tables.vertical_cover(h1, v0, 2, 0)
     assert cover.need == 0 and cover.counted == 0
-    assert tables.vertical_cover(h1, v0, 3).need == full  # 6 layers < 2k + 2 = 8
+    assert tables.vertical_cover(h1, v0, 3, 0).need == full  # 6 layers < 2k + 2 = 8
     stats = SearchStats()
     found = solve_split(tables, 0, 2, stats)
     assert stats == SearchStats(vertical_guesses=4, horizontal_guesses=1, twosat_calls=1)
@@ -376,7 +381,7 @@ def _uncovered_split(inst, k_h, k_v):
     no strip of either axis that holds it (such a guess has no satisfying
     assignment). Returns the first satisfiable guess's solution and the
     2-SAT calls."""
-    pre = preselect(inst, k_v)
+    pre = preselect(Orientation(inst), k_v)
     if pre is None:
         return None, 0
     h1, v0 = pre
