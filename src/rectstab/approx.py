@@ -23,9 +23,10 @@ horizontal and k_v vertical lines, over the k + 1 splits k_h + k_v = k
   5. encodes "pick one line inside every guessed strip so the kernel is
      stabbed" as a 2-SAT formula with one threshold variable per candidate
      inside a guessed strip, numbered in one sequence over the vertical
-     strips, then the horizontal ones, reading the strips that hold each
-     kernel rectangle (some candidate strictly inside stabs it) off the
-     hold masks and its stabbers in that strip off the stabber table.
+     strips, then the horizontal ones, reading each kernel rectangle's
+     stabbers in a strip off the stabber table, clipped to the strip: the
+     strip holds the rectangle (some candidate strictly inside stabs it)
+     exactly when that clipped range is nonempty.
 
 Any satisfiable guess assembles a verified solution of size at most
 2*k_h + floor(3*k_v/2) <= floor(7k/4); exhausting every guess certifies
@@ -383,6 +384,16 @@ def _separated_families(
                     yield slot_combo, line_pick
 
 
+def _guesses(
+    base: tuple[int, ...], m: int, fixed_idx: frozenset[int], budget: int, cover: Optional[Cover]
+) -> Iterator[Guess]:
+    """The guesses over the ascending pool base, candidate indices of the m
+    candidates of its axis, that _separated_families yields, in its order."""
+    families = _separated_families(len(base), _candidate_slots(base, m), fixed_idx, budget, cover)
+    for slot_combo, line_pick in families:
+        yield Guess(base, slot_combo, frozenset(base[t] for t in line_pick))
+
+
 def enumerate_vertical_guesses(
     v0: Sequence[int], k_v: int, m: int, cover: Optional[Cover] = None
 ) -> Iterator[Guess]:
@@ -393,12 +404,7 @@ def enumerate_vertical_guesses(
     hold no solution line, so it is never guessed. With a cover (slots and
     lines indexed over sorted v0), only guesses reaching it are yielded;
     guess counters count yields."""
-    base = tuple(sorted(v0))
-    families = _separated_families(
-        len(base), _candidate_slots(base, m), frozenset(), (3 * k_v) // 2, cover
-    )
-    for slot_combo, line_pick in families:
-        yield Guess(base, slot_combo, frozenset(base[t] for t in line_pick))
+    yield from _guesses(tuple(sorted(v0)), m, frozenset(), (3 * k_v) // 2, cover)
 
 
 def enumerate_horizontal_guesses(
@@ -417,11 +423,7 @@ def enumerate_horizontal_guesses(
     base = tuple(sorted(set(h1) | set(h0)))
     h1set = set(h1)
     h1_idx = frozenset(t for t, j in enumerate(base) if j in h1set)
-    families = _separated_families(
-        len(base), _candidate_slots(base, m), h1_idx, 2 * k_h - len(h1), cover
-    )
-    for slot_combo, line_pick in families:
-        yield Guess(base, slot_combo, frozenset(base[t] for t in line_pick))
+    yield from _guesses(base, m, h1_idx, 2 * k_h - len(h1), cover)
 
 
 def eliminate_redundant(
@@ -483,33 +485,31 @@ def assemble_2sat(
     t means "the strip's line is at or beyond candidate t - shift":
     ordering clauses chain each strip's thresholds and a unit clause pins
     its first, so decode, which returns candidate indices, gives exactly
-    one line per strip. Which guessed strips hold a rectangle (some
-    candidate inside stabs it) is read off core.held_masks; its stabbers
-    inside a strip are its stabber-table range clipped to the strip's
-    variables, nonempty in a strip that holds it. A rectangle stabbed
-    inside a strip exactly by variables [p, q) needs p and not q (when
-    q < e); held by one strip of each family, it needs either strip's
-    condition. Raises GuessInfeasible when a guessed strip has no interior
-    candidate or some rectangle is held by no guessed strip: no pick of
-    one line per strip stabs it.
+    one line per strip. A rectangle's stabbers inside a strip are its
+    stabber-table range clipped to the strip's variables, [p, q), and the
+    strip holds the rectangle (some candidate inside stabs it) exactly
+    when p < q. A rectangle stabbed inside a strip exactly by variables
+    [p, q) needs p and not q (when q < e); held by one strip of each
+    family, it needs either strip's condition. Raises GuessInfeasible
+    when a guessed strip has no interior candidate or some rectangle is
+    held by no guessed strip: no pick of one line per strip stabs it.
     """
     n_vars = 0
-    families: list[list[tuple[int, int, int, int]]] = []  # (held, s, e, shift) per strip
+    families: list[list[tuple[int, int, int]]] = []  # (s, e, shift) per strip
     for guess, axis in ((vg, Axis.VERTICAL), (hg, Axis.HORIZONTAL)):
         ends = (-1, *guess.base, len(inst.line_positions(axis)))  # slot i: ends[i]..ends[i + 1]
-        held = held_masks(inst, axis, guess.base, kernel) if guess.slots else []
         strips = []
         for i in guess.slots:
             lo, hi = ends[i] + 1, ends[i + 1]
             if lo == hi:
                 raise GuessInfeasible("guessed strip contains no candidate line")
-            strips.append((held[i], n_vars, n_vars + hi - lo, n_vars - lo))
+            strips.append((n_vars, n_vars + hi - lo, n_vars - lo))
             n_vars += hi - lo
         families.append(strips)
     v_strips, h_strips = families
 
     f = twosat.Formula(num_vars=n_vars)
-    for _, s, e, _ in v_strips + h_strips:
+    for s, e, _ in v_strips + h_strips:
         for t in range(s, e - 1):
             f.add_clause((t + 1, True), (t, False))  # threshold t+1 implies threshold t
         f.add_unit((s, False))
@@ -519,12 +519,12 @@ def assemble_2sat(
         a, b, c, d = ranges[ids[r]]
         stabs: list[list[twosat.Lit]] = []  # per strip that holds the rectangle
         for strips, first, stop in ((v_strips, c, d), (h_strips, a, b)):
-            hits = [(s, e, shift) for held, s, e, shift in strips if held >> r & 1]
+            # its stabbers [first, stop) as variables, clipped to each strip
+            clipped = [(max(first + shift, s), min(stop + shift, e), e) for s, e, shift in strips]
+            hits = [(p, q, e) for p, q, e in clipped if p < q]
             if len(hits) > 1:
                 raise RuntimeError("kernel rectangle meets two strips of one family")
-            for s, e, shift in hits:
-                # its stabbers [first, stop) as variables, clipped to the strip: p < q
-                p, q = max(first + shift, s), min(stop + shift, e)
+            for p, q, e in hits:
                 stabs.append([(p, False), (q, True)] if q < e else [(p, False)])
         if not stabs:
             raise GuessInfeasible("kernel rectangle held by no guessed strip")
@@ -540,8 +540,8 @@ def assemble_2sat(
             return max(t for t in range(s, e) if values[t]) - shift
 
         return (
-            frozenset(pick(s, e, shift) for _, s, e, shift in h_strips),
-            frozenset(pick(s, e, shift) for _, s, e, shift in v_strips),
+            frozenset(pick(s, e, shift) for s, e, shift in h_strips),
+            frozenset(pick(s, e, shift) for s, e, shift in v_strips),
         )
 
     return f, decode

@@ -187,7 +187,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     out = args.out or f"{Path(args.graph).stem}_instance.json"
     inst = red.inst
     if args.nondegenerate:
-        inst, _ = reduction.make_nondegenerate(inst)
+        inst = reduction.make_nondegenerate(inst)
     formats.dump_instance(inst, out)
     formats.dump_strip_table(red, _sidecar(out, "strips.json"), doubled=args.nondegenerate)
     return 0
@@ -204,7 +204,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     sol = formats.load_solution(args.solution)
     eps_num, eps_den = _parse_eps(args.eps)
     if doubled:
-        sol = reduction.map_solution_back(sol, lambda pos: pos // 2)
+        sol = reduction.map_solution_back(sol)
     try:
         clique = reduction.reverse(red, sol, eps_num, eps_den)
     except reduction.NotApplicable as exc:

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .core import I64_MAX, I64_MIN, Instance, Rect, Solution
 from .generators import ColoredPointSet
-from .reduction import MCClique, MCGraph, ReducedInstance
+from .reduction import MCClique, MCGraph, ReducedInstance, map_instance_back
 
 PathLike = Union[str, Path]
 
@@ -134,7 +134,8 @@ def dump_strip_table(red: ReducedInstance, path: PathLike, doubled: bool = False
 def load_reduced(instance_path: PathLike, strips_path: PathLike) -> tuple[ReducedInstance, bool]:
     """The reduced instance plus whether the instance file holds the doubled
     (nondegenerate) coordinates. Strip ranges are always in original
-    coordinates; a doubled instance is halved back before use."""
+    coordinates; a doubled instance is halved back by
+    reduction.map_instance_back before use."""
     inst = load_instance(instance_path)
     obj = _load_json(strips_path, ("k", "r", "doubled", "vstrips", "hstrips"))
     k, r = _ints([obj["k"], obj["r"]], f"{strips_path}: k, r", 2)
@@ -147,17 +148,9 @@ def load_reduced(instance_path: PathLike, strips_path: PathLike) -> tuple[Reduce
         raise FormatError(f"{strips_path}: expected 2k strips per axis")
     if doubled:
         try:
-            rects = [
-                Rect(rc.x1 // 2, (rc.x2 - 1) // 2, rc.y1 // 2, (rc.y2 - 1) // 2)
-                for rc in inst.rects
-            ]
+            inst = map_instance_back(inst)
         except ValueError as exc:
             raise FormatError(f"{instance_path}: not a doubled instance: {exc}") from exc
-        inst = Instance(
-            rects=rects,
-            hlines=sorted({y // 2 for y in inst.hlines}),
-            vlines=sorted({x // 2 for x in inst.vlines}),
-        )
     return ReducedInstance(inst=inst, k=k, r=r, vstrips=vstrips, hstrips=hstrips), doubled
 
 

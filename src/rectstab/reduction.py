@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import Instance, Rect, Solution, UnknownLineError, verify
 
@@ -315,24 +315,33 @@ def reverse(red: ReducedInstance, sol: Solution, eps_num: int, eps_den: int) -> 
     return MCClique(chosen=chosen)
 
 
-def make_nondegenerate(inst: Instance) -> tuple[Instance, Callable[[int], int]]:
+def make_nondegenerate(inst: Instance) -> Instance:
     """Double every rectangle to [2a, 2b+1] x [2c, 2d+1] and every candidate
     line position x to the pair {2x, 2x+1}.
 
     Eliminates degenerate rectangles while preserving solutions exactly: a
-    line set stabs the doubled instance iff its image under the returned
-    back-map (halving, rounded down) stabs the original.
+    line set stabs the doubled instance iff its halving (map_solution_back)
+    stabs the original. map_instance_back undoes the doubling.
     """
     rects = [Rect(2 * re.x1, 2 * re.x2 + 1, 2 * re.y1, 2 * re.y2 + 1) for re in inst.rects]
     hlines = [t for y in inst.hlines for t in (2 * y, 2 * y + 1)]
     vlines = [t for x in inst.vlines for t in (2 * x, 2 * x + 1)]
-    doubled = Instance(rects=rects, hlines=hlines, vlines=vlines)
-
-    def back(pos: int) -> int:
-        return pos // 2
-
-    return doubled, back
+    return Instance(rects=rects, hlines=hlines, vlines=vlines)
 
 
-def map_solution_back(sol: Solution, back: Callable[[int], int]) -> Solution:
-    return Solution(hlines={back(y) for y in sol.hlines}, vlines={back(x) for x in sol.vlines})
+def map_instance_back(doubled: Instance) -> Instance:
+    """The instance that make_nondegenerate doubled into doubled: each
+    rectangle [x1, x2] x [y1, y2] halves to [x1 // 2, (x2 - 1) // 2] x
+    [y1 // 2, (y2 - 1) // 2] and each line position to its half, rounded
+    down. Raises ValueError on a rectangle that halves to an empty one,
+    which no doubling emits."""
+    rects = [Rect(rc.x1 // 2, (rc.x2 - 1) // 2, rc.y1 // 2, (rc.y2 - 1) // 2) for rc in doubled.rects]
+    hlines = [y // 2 for y in doubled.hlines]
+    vlines = [x // 2 for x in doubled.vlines]
+    return Instance(rects=rects, hlines=hlines, vlines=vlines)
+
+
+def map_solution_back(sol: Solution) -> Solution:
+    """A solution of a make_nondegenerate instance halved, rounded down, onto
+    the original's line positions."""
+    return Solution(hlines={y // 2 for y in sol.hlines}, vlines={x // 2 for x in sol.vlines})

@@ -267,12 +267,12 @@ def test_criterion_10_doubling_equivalence():
         inst = gen_uniform(
             n=rng.randint(1, 15), m_lines=rng.randint(1, 12), coord_range=15, seed=10100 + trial
         )
-        doubled, back = make_nondegenerate(inst)
+        doubled = make_nondegenerate(inst)
         sub = Solution(
             hlines=[y for y in doubled.hlines if rng.chance(1, 2)],
             vlines=[x for x in doubled.vlines if rng.chance(1, 2)],
         )
-        mapped = map_solution_back(sub, back)
+        mapped = map_solution_back(sub)
         forward_ok = (verify(doubled, sub) == []) == (verify(inst, mapped) == [])
         # reverse direction: lift an original-candidate subset and compare
         orig = Solution(

@@ -795,6 +795,21 @@ def test_assemble_rejects_a_rectangle_meeting_two_strips_of_one_family(slots):
         assemble_2sat(1, _guess(inst.vlines, (0, 10), slots), NO_HGUESS, inst)
 
 
+def test_assemble_reads_strip_membership_off_the_clipped_stabber_ranges(monkeypatch):
+    """A guessed strip holds a kernel rectangle exactly when its stabber
+    range clipped to the strip is nonempty, so assemble_2sat builds no
+    hold masks, on guess pairs with slots on both axes too."""
+    pool = _covered_pool(((12, 30, 15),), _held_guesses)
+    pairs = list(islice((case for case in pool if case[1].slots and case[2].slots), 1000))
+
+    def no_hold_masks(*args):
+        raise RuntimeError("assemble_2sat built hold masks")
+
+    monkeypatch.setattr(approx, "held_masks", no_hold_masks)
+    seen = Counter(_check_assembly(*case) for case in pairs)
+    assert seen["sat, both axes"] > 0 and seen["unsat"] > 0
+
+
 def _check_assembly(inst, vg, hg, kernel):
     vstrips = guess_strips(V, to_positions(inst.vlines, vg.base), vg.slots)
     hstrips = guess_strips(H, to_positions(inst.hlines, hg.base), hg.slots)

@@ -181,6 +181,10 @@ PROBES = [
     (None, None, ["gen", "uniform", "--n", "-2", "--m-lines", "4", "--seed", "1",
                   "--out", "out.json"]),
     (None, None, ["bench", ".", "--jobs", "-3", "--out", "out.csv"]),
+    # red.json was never doubled, so its degenerate force rectangles halve to empty ones
+    ("red.strips.json",
+     STRIPS_PREFIX.replace("false", "true") + '"vstrips": [[5, 6], [7, 8], [9, 10], [11, 12]]}',
+     COMMANDS["red.strips.json"]),
 ]
 
 

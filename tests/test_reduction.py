@@ -23,6 +23,7 @@ from rectstab.reduction import (
     build,
     forward,
     make_nondegenerate,
+    map_instance_back,
     map_solution_back,
     reverse,
 )
@@ -447,7 +448,7 @@ def test_adjacency_reads_agree_with_the_graph(tmp_path):
         for seed, plant in ((r, True), (r + 10, False)):
             g, _ = gen_mcgraph(3, r, 1, 2, seed, plant)
             red = build(g)
-            doubled, _ = make_nondegenerate(red.inst)
+            doubled = make_nondegenerate(red.inst)
             formats.dump_instance(doubled, ipath)
             formats.dump_strip_table(red, spath, doubled=True)
             loaded, was_doubled = formats.load_reduced(ipath, spath)
@@ -475,16 +476,31 @@ def test_adjacency_memo_is_kept_per_r():
 
 
 def test_doubling_formula():
-    doubled, back = make_nondegenerate(Instance([Rect(3, 3, 2, 8)], hlines=[2], vlines=[3]))
+    doubled = make_nondegenerate(Instance([Rect(3, 3, 2, 8)], hlines=[2], vlines=[3]))
     assert doubled.rects == (Rect(6, 7, 4, 17),)
     assert doubled.hlines == (4, 5) and doubled.vlines == (6, 7)
-    assert back(7) == 3 and back(6) == 3
+    assert map_solution_back(Solution(hlines=[7], vlines=[6])) == Solution(hlines=[3], vlines=[3])
 
 
 def test_doubling_no_degenerate_output():
     inst = gen_uniform(n=20, m_lines=10, coord_range=15, seed=8)
-    doubled, _ = make_nondegenerate(inst)
+    doubled = make_nondegenerate(inst)
     assert all(r.x1 < r.x2 and r.y1 < r.y2 for r in doubled.rects)
+
+
+def test_instance_inverse_undoes_the_doubling():
+    zero_extent = 0
+    for seed in range(20):
+        inst = gen_uniform(n=15, m_lines=8, coord_range=10, seed=900 + seed)
+        back = map_instance_back(make_nondegenerate(inst))
+        assert back.rects == inst.rects
+        assert back.hlines == inst.hlines and back.vlines == inst.vlines
+        zero_extent += sum(r.x1 == r.x2 or r.y1 == r.y2 for r in inst.rects)
+    assert zero_extent > 0
+    # a degenerate rectangle is not a doubled one: it halves to an empty one
+    for rect in (Rect(4, 4, 0, 1), Rect(0, 1, -2, -2)):
+        with pytest.raises(ValueError):
+            map_instance_back(Instance([rect], [], []))
 
 
 def test_doubling_solution_equivalence_both_directions():
@@ -494,20 +510,22 @@ def test_doubling_solution_equivalence_both_directions():
     for trial in range(50):
         inst = gen_uniform(n=rng.randint(1, 12), m_lines=rng.randint(1, 10),
                            coord_range=12, seed=700 + trial)
-        doubled, back = make_nondegenerate(inst)
-        # any subset of doubled candidates stabs doubled iff back-map stabs original
+        doubled = make_nondegenerate(inst)
+        # any subset of doubled candidates stabs doubled iff its halving stabs original
         sub = Solution(
             hlines=[y for y in doubled.hlines if rng.chance(1, 2)],
             vlines=[x for x in doubled.vlines if rng.chance(1, 2)],
         )
-        mapped = map_solution_back(sub, back)
+        mapped = map_solution_back(sub)
         assert (verify(doubled, sub) == []) == (verify(inst, mapped) == [])
         # and per rectangle, stabbing status carries over line by line
         for r, rd in zip(inst.rects, doubled.rects):
             for x in doubled.vlines:
-                assert stabs(Line(Axis.VERTICAL, x), rd) == stabs(Line(Axis.VERTICAL, back(x)), r)
+                (back,) = map_solution_back(Solution(vlines=[x])).lines()
+                assert stabs(Line(Axis.VERTICAL, x), rd) == stabs(back, r)
             for y in doubled.hlines:
-                assert stabs(Line(Axis.HORIZONTAL, y), rd) == stabs(Line(Axis.HORIZONTAL, back(y)), r)
+                (back,) = map_solution_back(Solution(hlines=[y])).lines()
+                assert stabs(Line(Axis.HORIZONTAL, y), rd) == stabs(back, r)
 
 
 def test_doubling_overflow_guard():
